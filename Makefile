@@ -169,9 +169,11 @@ metrics-smoke:
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario
 
-# bench runs the repository benchmark suite once through `go test`.
+# bench runs the repository benchmark suite once through `go test`: the
+# root package's per-artifact and engine benchmarks plus the engine's
+# saturated point (BenchmarkSaturatedCycles, internal/network).
 bench:
-	go test -run '^$$' -bench . -benchtime 1x -benchmem .
+	go test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/network
 
 # bench-json writes the machine-readable perf snapshot BENCH_<date>.json
 # (engine step cost, quick Fig4 grid wall-clock, low-load cell speedups);

@@ -84,7 +84,6 @@ func AblateFrame(kind topology.Kind, frames []sim.Cycle, p Params) []AblationRow
 func ablateSweep(kind topology.Kind, values []int64, mut func(int64, *qos.Config), p Params) []AblationRow {
 	cells := make([]runner.Cell, len(values))
 	for i, v := range values {
-		v := v
 		cells[i] = hotspotCell(kind, func(c *qos.Config) { mut(v, c) }, p)
 	}
 	res := runner.RunCells(cells, p.Workers)

@@ -26,21 +26,30 @@ type outPort struct {
 	// VCs routed through this port, plus offered source packets.
 	waiters []pktH
 	rr      qos.RoundRobin
-	// Inversion-preempt scan memo. While a transfer occupies the port,
-	// tryInversionPreempt would otherwise rescan the same waiters every
-	// cycle — but its verdict depends only on the waiter set (membership,
-	// and every per-packet field read by the scan, all frozen while a
-	// packet stays registered), this port's cached flow priorities
-	// (changed only by grant here, which edits the waiter set, or by a
-	// frame flush) and the frame counter. waitEpoch counts waiter-set
-	// edits; a completed no-victim scan records (epoch, frame) and the
-	// scan is skipped until either moves. A scan that preempts records a
-	// stale epoch (the victim's unregister bumps it), so the next cycle
-	// rescans — preserving the one-victim-per-cycle cadence exactly.
-	waitEpoch uint32
-	scanEpoch uint32
-	scanFrame int32
-	scanValid bool
+	// Verdict memo. epoch moves on everything an arbitration verdict here
+	// can depend on: every waiter-set edit, every allocVC and release in a
+	// buffer this port feeds (each inBuf points at its one feeder's
+	// counter, topology.Graph.Feeder) and every PVC frame flush. A
+	// no-victim inversion scan records scanAt, an allocation round that
+	// neither granted nor preempted records blockedAt (in Step), and either
+	// is skipped while its stamp equals epoch. The skipped round is
+	// bit-identical to the executed one: a registered packet's fields are
+	// frozen; this port's priorities and nextArb change only on a grant
+	// here (which unregisters the winner) or a flush; with the fed VC
+	// bitmaps unchanged allocVC fails identically; and a preemption victim
+	// can only appear through a new allocation or a priority change (a
+	// buffered packet's own transitions only disqualify it). A round that
+	// preempts stamps the epoch read at its start, already left behind by
+	// the victim's release — the one-victim-per-cycle cadence exactly.
+	epoch     uint64
+	scanAt    uint64
+	blockedAt uint64
+}
+
+// flush clears the flow counters at a PVC frame boundary: priorities move.
+func (p *outPort) flush() {
+	p.table.Flush()
+	p.epoch++
 }
 
 // bid is one arbitration candidate with its dynamic priority and
@@ -68,7 +77,7 @@ func (n *Network) register(p *outPort, h pktH) {
 		w.state = stWaiting
 	}
 	p.waiters = append(p.waiters, h)
-	p.waitEpoch++
+	p.epoch++
 	n.waiterCount++
 	if n.waiterCount == 1 {
 		// The watchdog's progress clock restarts when the network goes
@@ -86,33 +95,38 @@ func (n *Network) unregister(p *outPort, h pktH) {
 	if len(p.waiters) == 1 && p.waiters[0] == h {
 		// Sole candidate (the low-load common case): no splice scan.
 		p.waiters = p.waiters[:0]
-		p.waitEpoch++
+		p.epoch++
 		n.waiterCount--
 		return
 	}
 	for i, c := range p.waiters {
 		if c == h {
 			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-			p.waitEpoch++
+			p.epoch++
 			n.waiterCount--
 			return
 		}
 	}
 }
 
+// noVerdictMemo, set only by tests, re-runs every allocation round and
+// inversion scan instead of answering from the port's verdict memo.
+var noVerdictMemo bool
+
 // arbitrate runs one virtual-channel allocation for the port: the winning
 // candidate is granted a VC at its downstream buffer and begins its
 // transfer. Under PVC, a candidate that finds the buffer full may preempt
-// a strictly-lower-priority, non-compliant packet (Section 3.1).
-func (n *Network) arbitrate(port *outPort, now sim.Cycle) {
+// a strictly-lower-priority, non-compliant packet (Section 3.1). It
+// reports whether a full allocation round ran and granted nothing.
+func (n *Network) arbitrate(port *outPort, now sim.Cycle) (noGrant bool) {
 	if len(port.waiters) == 0 {
-		return
+		return false
 	}
 	if n.fltOn && n.portBlocked(port) {
 		// The link is down or the router stalled: no grant, and no
 		// preemption either — the port's allocation logic is what is
 		// modeled as failed. Candidates simply wait.
-		return
+		return false
 	}
 	if now < port.nextArb {
 		// Mid-transfer: the channel is busy. The arrival of a
@@ -128,11 +142,11 @@ func (n *Network) arbitrate(port *outPort, now sim.Cycle) {
 		if n.mode == qos.PVC {
 			n.tryInversionPreempt(port, now)
 		}
-		return
+		return false
 	}
 	if n.mode == qos.NoQoS {
-		n.arbitrateRoundRobin(port, now)
-		return
+		// No preemption here: blocked means every candidate's buffer is full.
+		return n.arbitrateRoundRobin(port, now)
 	}
 
 	// Candidates bid with their dynamic priority: read off the port's
@@ -165,10 +179,10 @@ func (n *Network) arbitrate(port *outPort, now sim.Cycle) {
 			}
 		}
 		if vcIdx < 0 {
-			return
+			return true
 		}
 		n.grant(port, h, leg, buf, vcIdx, prio, now)
-		return
+		return false
 	}
 	bids := n.bidScratch[:0]
 	for _, h := range port.waiters {
@@ -208,7 +222,7 @@ func (n *Network) arbitrate(port *outPort, now sim.Cycle) {
 			}
 		}
 		if best < 0 {
-			return
+			return false
 		}
 		h, prio := bids[best].h, bids[best].prio
 		bids[best].h = noPkt
@@ -255,8 +269,9 @@ func (n *Network) arbitrate(port *outPort, now sim.Cycle) {
 			continue
 		}
 		n.grant(port, h, leg, buf, vcIdx, prio, now)
-		return
+		return false
 	}
+	return true
 }
 
 // tryInversionPreempt resolves a priority inversion at a busy output port:
@@ -270,12 +285,12 @@ func (n *Network) tryInversionPreempt(port *outPort, now sim.Cycle) {
 	if port.table == nil || len(port.waiters) < 2 {
 		return
 	}
-	if port.scanValid && port.scanEpoch == port.waitEpoch && port.scanFrame == n.frameCount {
+	if port.scanAt == port.epoch && !noVerdictMemo {
 		// Nothing the scan reads has changed since it last found no
 		// victim — rescanning would reproduce the same verdict.
 		return
 	}
-	port.scanValid, port.scanEpoch, port.scanFrame = true, port.waitEpoch, n.frameCount
+	port.scanAt = port.epoch
 	prios := port.table.Priorities()
 	bestPrio := noc.WorstPriority
 	worstPrio := noc.Priority(0)
@@ -323,13 +338,13 @@ func betterBid(a, b *bid) bool {
 // arbitrateRoundRobin is the NoQoS policy: rotate among candidates,
 // granting the first that can obtain a VC. Locally fair, globally not —
 // the starvation the paper motivates QoS with.
-func (n *Network) arbitrateRoundRobin(port *outPort, now sim.Cycle) {
+func (n *Network) arbitrateRoundRobin(port *outPort, now sim.Cycle) (noGrant bool) {
 	idx := port.rr.Pick(len(port.waiters), func(i int) bool {
 		w := &n.arena[port.waiters[i]]
 		return n.bufs[w.legs[w.Hop()].In].canAlloc(w.Reserved)
 	})
 	if idx < 0 {
-		return
+		return true // Pick left the rotation pointer untouched: the round repeats
 	}
 	h := port.waiters[idx]
 	w := &n.arena[h]
@@ -337,9 +352,10 @@ func (n *Network) arbitrateRoundRobin(port *outPort, now sim.Cycle) {
 	buf := &n.bufs[leg.In]
 	vcIdx := buf.allocVC(h, w.Reserved)
 	if vcIdx < 0 {
-		return
+		return false
 	}
 	n.grant(port, h, leg, buf, vcIdx, w.Priority, now)
+	return false
 }
 
 // grant commits the winner: flow-state update, transfer timing, VC and

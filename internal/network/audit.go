@@ -12,7 +12,8 @@ import (
 // engine container that cross-checks the redundant encodings the
 // data-oriented core maintains — VC occupancy bitmaps against owner
 // arrays, packet residence against buffer ownership, source windows
-// against live attempt censuses, the free list against slot liveness —
+// against live attempt censuses, the free list against slot liveness,
+// live blocked-arbitration verdicts against the VC pools they rest on —
 // and the event ring against the draining VCs and parked packets whose
 // only forward reference is a scheduled event. Any disagreement is a
 // state-corruption bug; the auditor turns it into an immediate, located
@@ -196,8 +197,8 @@ func (n *Network) AuditInvariants() error {
 		}
 	}
 
-	// Candidate lists: waiterCount agreement, active-list membership, and
-	// live waiters only.
+	// Candidate lists: waiterCount agreement, active-list membership, live
+	// waiters only, and no stale blocked verdict.
 	waiters := 0
 	for pi := range n.ports {
 		port := &n.ports[pi]
@@ -205,9 +206,20 @@ func (n *Network) AuditInvariants() error {
 		if len(port.waiters) > 0 && n.activeW[pi>>6]&(1<<(uint(pi)&63)) == 0 {
 			return fmt.Errorf("port %d (%s) holds %d waiters but its active bit is clear", pi, port.spec.Name, len(port.waiters))
 		}
+		// A live blocked verdict (blockedAt == epoch, see outPort) is sound
+		// only while the port has candidates and none could be handed a VC:
+		// a waiter that can allocate means a fed buffer changed without
+		// moving the port's epoch.
+		blocked := port.blockedAt == port.epoch
+		if blocked && len(port.waiters) == 0 {
+			return fmt.Errorf("port %d (%s) holds a live blocked verdict but no waiters", pi, port.spec.Name)
+		}
 		for _, h := range port.waiters {
 			if int(h) >= len(n.arena) || isFree[h] {
 				return fmt.Errorf("port %d (%s) waiter %d is not a live slot", pi, port.spec.Name, h)
+			}
+			if w := &n.arena[h]; blocked && n.bufs[w.legs[w.Hop()].In].canAlloc(w.Reserved) {
+				return fmt.Errorf("port %d (%s) holds a live blocked verdict but pkt %d can allocate: an epoch bump was missed", pi, port.spec.Name, w.ID)
 			}
 		}
 	}

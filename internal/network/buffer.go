@@ -37,14 +37,19 @@ type inBuf struct {
 	reservedIdx int32
 	unlimited   bool
 	occupied    int32
+	// feed is the arbitration epoch of the one output port that
+	// allocates into this buffer (see outPort.epoch): every allocVC and
+	// every effective release moves it.
+	feed *uint64
 }
 
 // reinit configures the buffer for a fresh simulation, reusing the
 // backing arrays when capacity suffices.
-func (b *inBuf) reinit(id topology.BufID, spec topology.BufSpec, unlimited bool) {
+func (b *inBuf) reinit(id topology.BufID, spec topology.BufSpec, unlimited bool, feed *uint64) {
 	b.id = id
 	b.spec = spec
 	b.unlimited = unlimited
+	b.feed = feed
 	b.occupied = 0
 	b.nvc = int32(spec.VCs)
 	b.reservedIdx = -1
@@ -153,6 +158,7 @@ func (b *inBuf) allocVC(h pktH, reserved bool) int32 {
 	b.owner[i] = h
 	b.freeW[i>>6] &^= 1 << uint(i&63)
 	b.occupied++
+	*b.feed++
 	return i
 }
 
@@ -167,6 +173,7 @@ func (b *inBuf) release(i int32, gen uint32) {
 	b.owner[i] = noPkt
 	b.freeW[i>>6] |= 1 << uint(i&63)
 	b.occupied--
+	*b.feed++
 }
 
 // gen returns the current generation of VC i, captured when scheduling its

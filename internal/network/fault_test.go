@@ -326,6 +326,9 @@ func TestAuditCleanOnAdversarialRun(t *testing.T) {
 			if err := n.AuditInvariants(); err != nil {
 				t.Errorf("post-drain audit: %v", err)
 			}
+			if n.verdictSkips == 0 {
+				t.Error("no round was answered from a verdict memo: the blocked-verdict audit checked nothing")
+			}
 		})
 	}
 }

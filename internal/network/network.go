@@ -31,6 +31,13 @@
 //     re-deriving quantize-and-scale per candidate per cycle.
 //   - Events are 40-byte pointer-free records in a calendar ring;
 //     scheduling and firing never trigger write barriers.
+//   - Every output port carries one epoch counter that moves on
+//     everything an arbitration verdict can depend on — waiter-set
+//     edits, VC allocations and releases in the buffers it feeds (each
+//     has one feeder, topology.Graph.Feeder), the PVC frame flush. A
+//     round that neither granted nor preempted, and an inversion scan
+//     that found no victim, are not re-run until it moves: blocked
+//     requesters are re-evaluated when a credit returns, as in hardware.
 //
 // The layout is mechanical: results are bit-identical to the historical
 // pointer-based engine (pinned by the equivalence and determinism
@@ -50,9 +57,10 @@
 //     process exactly (memorylessness: every post-arrival cycle is an
 //     independent trial) at one RNG draw per packet instead of one per
 //     source per cycle.
-//   - Arbitration visits only ports holding candidates: an ID-sorted
-//     active-ports list maintained by candidate registration, replacing
-//     the all-ports scan while preserving the canonical port order.
+//   - Arbitration visits only ports holding candidates: a bitmap over
+//     port IDs set by candidate registration and walked in ascending
+//     order, replacing the all-ports scan while preserving the canonical
+//     port order.
 //
 // On top of that, Run and RunUntilDrained are event-driven across idle
 // stretches: when no port holds a candidate, nothing can happen until the
@@ -225,6 +233,8 @@ type Network struct {
 	// (see arbitrate); valid only within one arbitrate call.
 	bidScratch    []bid
 	failedScratch []int32
+	// verdictSkips counts rounds answered from a blocked-verdict memo.
+	verdictSkips uint64
 
 	// preemptHook and grantHook, when non-nil, observe every preemption
 	// and grant (tests and diagnostics). Handles passed to a hook are
@@ -368,10 +378,8 @@ func (n *Network) Reset(cfg Config) error {
 		}
 		p.waiters = p.waiters[:0]
 		p.rr = qos.RoundRobin{}
-		p.waitEpoch = 0
-		p.scanEpoch = 0
-		p.scanFrame = 0
-		p.scanValid = false
+		// No verdict survives Reset: epoch restarts above both stamps.
+		p.epoch, p.scanAt, p.blockedAt = 1, 0, 0
 		if n.mode != qos.NoQoS {
 			if p.table == nil {
 				if k := len(n.parkedTables); k > 0 {
@@ -396,7 +404,8 @@ func (n *Network) Reset(cfg Config) error {
 	}
 	n.bufs = n.bufs[:len(n.graph.Bufs)]
 	for i := range n.bufs {
-		n.bufs[i].reinit(topology.BufID(i), n.graph.Bufs[i], n.mode == qos.PerFlowQueue)
+		// Re-seated every Reset: n.ports may have been reallocated above.
+		n.bufs[i].reinit(topology.BufID(i), n.graph.Bufs[i], n.mode == qos.PerFlowQueue, &n.ports[n.graph.Feeder[i]].epoch)
 	}
 
 	if n.mode == qos.PVC && !cfg.QoS.DisableReservedQuota {
@@ -468,6 +477,7 @@ func (n *Network) Reset(cfg Config) error {
 		}
 	}
 	n.waiterCount = 0
+	n.verdictSkips = 0
 
 	if cap(n.srcs) < len(cfg.Workload.Specs) {
 		n.srcs = make([]source, len(cfg.Workload.Specs))
@@ -572,7 +582,7 @@ func (n *Network) Step() {
 	n.fireHeads(now)
 	if n.frame != nil && n.frame.Expired(now) {
 		for i := range n.ports {
-			n.ports[i].table.Flush()
+			n.ports[i].flush()
 		}
 		if n.quota != nil {
 			n.quota.Refill()
@@ -634,8 +644,17 @@ func (n *Network) Step() {
 			w &^= b
 			pi := wi<<6 + bits.TrailingZeros64(b)
 			p := &n.ports[pi]
+			// A port whose blocked verdict is live (outPort.epoch) is not
+			// re-arbitrated. arbitrate's fault gate reports false, so a
+			// round it cut short never stamps a verdict.
 			if len(p.waiters) > 0 {
-				n.arbitrate(p, now)
+				if epoch := p.epoch; p.blockedAt != epoch || noVerdictMemo {
+					if n.arbitrate(p, now) {
+						p.blockedAt = epoch
+					}
+				} else {
+					n.verdictSkips++
+				}
 			}
 			if len(p.waiters) == 0 {
 				n.activeW[wi] &^= b

@@ -89,6 +89,59 @@ func TestResetMatchesFreshBuildUnderPreemption(t *testing.T) {
 	}
 }
 
+// TestResetDropsLiveBlockedVerdicts resets a network while its ports hold
+// live blocked-arbitration verdicts (Workload 1, mid-run) into a
+// different mode and topology — one that fits the old port array and one
+// that forces its reallocation — and requires a fresh build's fingerprint:
+// a verdict or a buffer's feeder pointer surviving Reset would skip rounds
+// that must run.
+func TestResetDropsLiveBlockedVerdicts(t *testing.T) {
+	w1 := traffic.Workload1(topology.ColumnNodes, 0)
+	adv := Config{Kind: topology.MeshX2, QoS: qos.DefaultConfig(w1.TotalFlows()), Workload: w1, Seed: 21}
+	for _, kind := range []topology.Kind{topology.MeshX1, topology.DPS} {
+		for _, mode := range []qos.Mode{qos.PVC, qos.NoQoS} {
+			t.Run(kind.String()+"/"+mode.String(), func(t *testing.T) {
+				w := traffic.Hotspot(topology.ColumnNodes, 0.05)
+				qcfg := qos.DefaultConfig(w.TotalFlows())
+				qcfg.Mode = mode
+				target := Config{Kind: kind, QoS: qcfg, Workload: w, Seed: 9}
+				want := runFingerprint(MustNew(target))
+
+				reused := MustNew(adv)
+				reused.Run(5_000)
+				live := 0
+				for guard := 0; live == 0 && guard < 1_000; guard++ {
+					reused.Step()
+					for i := range reused.ports {
+						if p := &reused.ports[i]; p.blockedAt == p.epoch {
+							live++
+						}
+					}
+				}
+				if live == 0 {
+					t.Fatal("test needs a live blocked verdict at Reset time")
+				}
+				if err := reused.Reset(target); err != nil {
+					t.Fatal(err)
+				}
+				for i := range reused.ports {
+					if p := &reused.ports[i]; p.epoch != 1 || p.scanAt != 0 || p.blockedAt != 0 {
+						t.Fatalf("port %d memo survived Reset: epoch %d scanAt %d blockedAt %d", i, p.epoch, p.scanAt, p.blockedAt)
+					}
+				}
+				for i := range reused.bufs {
+					if reused.bufs[i].feed != &reused.ports[reused.graph.Feeder[i]].epoch {
+						t.Fatalf("buffer %d does not point at its feeder port's epoch after Reset", i)
+					}
+				}
+				if got := runFingerprint(reused); !equalFingerprints(want, got) {
+					t.Errorf("reset over live verdicts diverged:\nfresh: %+v\nreset: %+v", want, got)
+				}
+			})
+		}
+	}
+}
+
 // TestResetRejectsInvalidConfig pins that a failed Reset reports the same
 // validation errors New does.
 func TestResetRejectsInvalidConfig(t *testing.T) {

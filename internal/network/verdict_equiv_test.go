@@ -1,0 +1,123 @@
+package network_test
+
+import (
+	"fmt"
+	"testing"
+
+	"tanoq/internal/network"
+	"tanoq/internal/noc"
+	"tanoq/internal/qos"
+	"tanoq/internal/topology"
+	"tanoq/internal/traffic"
+	"tanoq/internal/workload"
+)
+
+// verdictCell is one cell of the verdict-memo equivalence matrix: build
+// and finish a run, returning the network and any driver-side observables
+// to fold into the fingerprint.
+type verdictCell struct {
+	name string
+	// saturated cells block constantly, so the memo must fire on them in
+	// the modes that can block (PVC and no-QoS; per-flow queues never do).
+	saturated bool
+	run       func(t *testing.T, kind topology.Kind, mode qos.Mode) (*network.Network, string)
+}
+
+// openCell runs an open-loop workload to its stop cycle and drains it.
+func openCell(w traffic.Workload, faulted bool) func(*testing.T, topology.Kind, qos.Mode) (*network.Network, string) {
+	return func(t *testing.T, kind topology.Kind, mode qos.Mode) (*network.Network, string) {
+		qcfg := qos.DefaultConfig(w.TotalFlows())
+		qcfg.Mode = mode
+		cfg := network.Config{Kind: kind, QoS: qcfg, Workload: w, Seed: 41}
+		if faulted {
+			// The schedule of TestFaultedRunSkipEquivalence.
+			g := topology.NewGraph(kind, topology.ColumnNodes)
+			cfg.Faults = network.FaultConfig{
+				Windows: []noc.FaultWindow{
+					{Kind: noc.FaultLinkTransient, Port: int(g.Path(0, noc.NodeID(g.Nodes-1), 0)[0].Out), From: 3_000, Until: 6_000},
+					{Kind: noc.FaultRouterStall, Node: 3, From: 7_000, Until: 8_000},
+				},
+				RetryTimeout: 500,
+				MaxRetries:   6,
+			}
+		}
+		n := network.MustNew(cfg)
+		n.WarmupAndMeasure(2_000, 6_000)
+		if _, drained := n.RunUntilDrained(2_000_000); !drained {
+			t.Fatalf("did not drain (in flight %d)", n.InFlight())
+		}
+		return n, ""
+	}
+}
+
+// closedHotspotCell runs write-shaped closed-loop clients against the
+// hotspot node: every client's window parks on the same ejection port.
+func closedHotspotCell(t *testing.T, kind topology.Kind, mode qos.Mode) (*network.Network, string) {
+	w := workload.ClientWorkload("closed", topology.ColumnNodes)
+	qcfg := qos.DefaultConfig(w.TotalFlows())
+	qcfg.Mode = mode
+	n := network.MustNew(network.Config{Kind: kind, QoS: qcfg, Workload: w, Seed: 31})
+	ct, err := workload.NewController(n, workload.ClientConfig{
+		Outstanding: 8, ThinkMean: 4, Pattern: traffic.HotspotTraffic(nil),
+		RequestFlits: 4, ReplyFlits: 1, StopIssuing: 9_000, Seed: 17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.WarmupAndMeasure(2_000, 6_000)
+	if _, drained := n.RunUntilDrained(2_000_000); !drained {
+		t.Fatalf("did not drain (in flight %d)", n.InFlight())
+	}
+	if ct.Completed == 0 {
+		t.Fatal("closed-loop cell completed no round trips")
+	}
+	return n, fmt.Sprintf("issued=%d completed=%d rtt99=%d", ct.Issued, ct.Completed, ct.RT.Latencies.Percentile(99))
+}
+
+// TestVerdictMemoMechanicallyEquivalent pins the port-epoch contract: an
+// allocation round or inversion scan answered from a port's verdict memo
+// is bit-identical to executing it. Every topology x QoS mode runs the
+// paper's two adversarial workloads, a saturated hotspot, a tornado, a
+// faulted cell and a closed-loop hotspot with the skips on and off and
+// must produce the same fingerprint — and the saturated cells must
+// actually have skipped rounds, so the comparison cannot pass vacuously.
+func TestVerdictMemoMechanicallyEquivalent(t *testing.T) {
+	defer network.SetVerdictMemo(true)
+	nodes := topology.ColumnNodes
+	cells := []verdictCell{
+		{"workload1", true, openCell(traffic.Workload1(nodes, 8_000), false)},
+		{"workload2", true, openCell(traffic.Workload2(nodes, 8_000), false)},
+		{"hotspot", true, openCell(traffic.Hotspot(nodes, 0.12).WithStop(2_000), false)},
+		{"tornado", false, openCell(traffic.Tornado(nodes, 0.12).WithStop(8_000), false)},
+		{"faulted", false, openCell(traffic.UniformRandom(nodes, 0.02).WithStop(12_000), true)},
+		{"closed-hotspot", false, closedHotspotCell},
+	}
+	for _, kind := range topology.Kinds() {
+		for _, mode := range []qos.Mode{qos.PVC, qos.PerFlowQueue, qos.NoQoS} {
+			for _, cell := range cells {
+				t.Run(kind.String()+"/"+mode.String()+"/"+cell.name, func(t *testing.T) {
+					run := func(memo bool) (string, uint64) {
+						network.SetVerdictMemo(memo)
+						n, extra := cell.run(t, kind, mode)
+						st := n.Stats()
+						fp := fmt.Sprintf("%s frames=%d retries=%d drops=%d faultdrops=%d recovered=%d %s",
+							workload.Fingerprint(st, n.Now()), n.Frames(), st.TotalRetries,
+							st.TotalDropped, st.FaultDrops, st.RecoveredPackets, extra)
+						return fp, n.VerdictSkips()
+					}
+					executed, none := run(false)
+					skipped, skips := run(true)
+					if none != 0 {
+						t.Errorf("memo disabled, yet %d rounds were skipped", none)
+					}
+					if executed != skipped {
+						t.Errorf("verdict memo changed results (%d rounds skipped):\nexecuted: %s\nskipped:  %s", skips, executed, skipped)
+					}
+					if cell.saturated && mode != qos.PerFlowQueue && skips == 0 {
+						t.Error("saturated cell skipped no round: the memo is not being exercised")
+					}
+				})
+			}
+		}
+	}
+}

@@ -58,8 +58,13 @@ func (r *RoundRobin) Pick(n int, requesting func(int) bool) int {
 	if n <= 0 {
 		return -1
 	}
-	for off := 1; off <= n; off++ {
-		i := (r.last + off) % n
+	// last can exceed n once the position count has shrunk: reduce it
+	// once, then rotate by compare.
+	i := r.last % n
+	for off := 0; off < n; off++ {
+		if i++; i == n {
+			i = 0
+		}
 		if requesting(i) {
 			r.last = i
 			return i

@@ -334,6 +334,43 @@ func TestRoundRobinFairnessUnderFullLoad(t *testing.T) {
 	}
 }
 
+// TestRoundRobinMatchesModuloArithmetic pins Pick's compare-and-wrap
+// rotation against the per-candidate modulo it replaced, including
+// rotation pointers left at or beyond n by a shrunken position count and
+// rounds nobody wins (which must leave the pointer alone).
+func TestRoundRobinMatchesModuloArithmetic(t *testing.T) {
+	modPick := func(last, n int, requesting func(int) bool) (int, int) {
+		for off := 1; off <= n; off++ {
+			if i := (last + off) % n; requesting(i) {
+				return i, i
+			}
+		}
+		return -1, last
+	}
+	for _, tc := range []struct {
+		name       string
+		last, n    int
+		requesting func(int) bool
+	}{
+		{"all from zero", 0, 4, func(int) bool { return true }},
+		{"last is final position", 3, 4, func(int) bool { return true }},
+		{"last equals n", 4, 4, func(int) bool { return true }},
+		{"last beyond n", 9, 4, func(int) bool { return true }},
+		{"last far beyond n", 31, 3, func(i int) bool { return i == 0 }},
+		{"only last requests", 6, 5, func(i int) bool { return i == 1 }},
+		{"single position", 7, 1, func(int) bool { return true }},
+		{"nobody requests", 5, 4, func(int) bool { return false }},
+		{"nobody requests, last beyond n", 9, 2, func(int) bool { return false }},
+	} {
+		rr := RoundRobin{last: tc.last}
+		wantIdx, wantLast := modPick(tc.last, tc.n, tc.requesting)
+		if got := rr.Pick(tc.n, tc.requesting); got != wantIdx || rr.last != wantLast {
+			t.Errorf("%s: Pick = %d (last %d), modulo arithmetic gives %d (last %d)",
+				tc.name, got, rr.last, wantIdx, wantLast)
+		}
+	}
+}
+
 func TestPickOldest(t *testing.T) {
 	cands := []Candidate{
 		{Packet: &noc.Packet{ID: 5}, Enqueued: 30},

@@ -68,6 +68,10 @@ type Graph struct {
 
 	Ports []PortSpec
 	Bufs  []BufSpec
+	// Feeder[b] is the one output port that allocates VCs in buffer b:
+	// every Leg with In == b has Out == Feeder[b] (NewGraph panics
+	// otherwise). The engine's per-port arbitration epoch rests on it.
+	Feeder []PortID
 
 	termPort []PortID // per node: terminal (ejection) output port
 	ejBuf    []BufID  // per node: ejection buffer
@@ -95,7 +99,28 @@ func NewGraph(kind Kind, nodes int) *Graph {
 	default:
 		panic(fmt.Sprintf("topology: unknown kind %v", kind))
 	}
+	g.buildFeeders()
 	return g
+}
+
+// buildFeeders derives Feeder from the path table.
+func (g *Graph) buildFeeders() {
+	g.Feeder = make([]PortID, len(g.Bufs))
+	for b := range g.Feeder {
+		g.Feeder[b] = -1
+	}
+	for _, row := range g.paths {
+		for _, replicas := range row {
+			for _, legs := range replicas {
+				for _, leg := range legs {
+					if f := g.Feeder[leg.In]; f >= 0 && f != leg.Out {
+						panic(fmt.Sprintf("topology: buffer %s fed by ports %s and %s", g.Bufs[leg.In].Name, g.Ports[f].Name, g.Ports[leg.Out].Name))
+					}
+					g.Feeder[leg.In] = leg.Out
+				}
+			}
+		}
+	}
 }
 
 // NumReplicas returns how many parallel channel sets a source can spread

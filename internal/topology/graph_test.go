@@ -357,3 +357,39 @@ func TestPathsMonotoneTowardDestProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEveryBufferHasOneFeeder pins the structural fact the engine's
+// per-port arbitration epoch rests on: walking every replica path of
+// every topology at every column height, each buffer is entered from
+// exactly one output port, and Graph.Feeder names it.
+func TestEveryBufferHasOneFeeder(t *testing.T) {
+	for nodes := 2; nodes <= ColumnNodes; nodes++ {
+		for k, g := range allGraphs(t, nodes) {
+			seen := make(map[BufID]PortID)
+			for s := 0; s < nodes; s++ {
+				for d := 0; d < nodes; d++ {
+					for r := 0; r < g.NumReplicas(); r++ {
+						for _, leg := range g.Path(noc.NodeID(s), noc.NodeID(d), r) {
+							if f, ok := seen[leg.In]; ok && f != leg.Out {
+								t.Fatalf("%v/%d: buffer %s entered from ports %s and %s", k, nodes,
+									g.Bufs[leg.In].Name, g.Ports[f].Name, g.Ports[leg.Out].Name)
+							}
+							seen[leg.In] = leg.Out
+						}
+					}
+				}
+			}
+			if len(g.Feeder) != len(g.Bufs) {
+				t.Fatalf("%v/%d: Feeder covers %d of %d buffers", k, nodes, len(g.Feeder), len(g.Bufs))
+			}
+			for b := range g.Bufs {
+				f, ok := seen[BufID(b)]
+				if !ok {
+					t.Errorf("%v/%d: buffer %s is on no path", k, nodes, g.Bufs[b].Name)
+				} else if g.Feeder[b] != f {
+					t.Errorf("%v/%d: Feeder[%s] = %d, paths enter it from %d", k, nodes, g.Bufs[b].Name, g.Feeder[b], f)
+				}
+			}
+		}
+	}
+}

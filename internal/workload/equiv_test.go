@@ -84,7 +84,6 @@ func TestClosedLoopWorkerCountDeterminism(t *testing.T) {
 		for _, kind := range []topology.Kind{topology.MeshX1, topology.MECS} {
 			for _, mode := range []qos.Mode{qos.PVC, qos.NoQoS} {
 				for _, seed := range []uint64{1, 2} {
-					seed := seed // captured by Setup, which runs after the loop (go 1.21 semantics)
 					w := ClientWorkload("closed", topology.ColumnNodes)
 					qcfg := qos.DefaultConfig(w.TotalFlows())
 					qcfg.Mode = mode
