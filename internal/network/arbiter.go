@@ -113,6 +113,10 @@ func (n *Network) unregister(p *outPort, h pktH) {
 // inversion scan instead of answering from the port's verdict memo.
 var noVerdictMemo bool
 
+// noFlowQueues, set only by tests, sends per-flow-queue allocation rounds
+// through arbitrate's flat scan instead of the port's flow queues.
+var noFlowQueues bool
+
 // arbitrate runs one virtual-channel allocation for the port: the winning
 // candidate is granted a VC at its downstream buffer and begins its
 // transfer. Under PVC, a candidate that finds the buffer full may preempt
@@ -148,13 +152,13 @@ func (n *Network) arbitrate(port *outPort, now sim.Cycle) (noGrant bool) {
 		// No preemption here: blocked means every candidate's buffer is full.
 		return n.arbitrateRoundRobin(port, now)
 	}
-
-	// Candidates bid with their dynamic priority: read off the port's
-	// flat cached-priority array, except at DPS intermediate hops, which
-	// reuse the priority carried in the header. The bid list lives in a
-	// network-owned scratch buffer: arbitration runs once per port per
-	// cycle on the engine's single thread, so the buffer is reused
-	// across every allocation round instead of reallocated.
+	if n.mode == qos.PerFlowQueue && (n.flowQs[port.id].seen > 0 || len(port.waiters) > flowQueueMin) && !noFlowQueues {
+		return n.arbitrateFlowQueues(port, now) // compares flow heads only
+	}
+	// Candidates bid with their dynamic priority: the port's flat cached-
+	// priority array, or at a DPS intermediate hop the priority carried in
+	// the header. The bid list is a network-owned scratch buffer, reused
+	// across rounds (one round per port per cycle, one engine thread).
 	prios := port.table.Priorities()
 	if len(port.waiters) == 1 {
 		// Sole candidate: the bid build and best-of scan are pure

@@ -34,8 +34,12 @@ const (
 	// the PVC window even an 8x64-flow column stays well inside this
 	// until genuinely saturated.
 	arenaCap = 2048
-	// waitersCap bounds the expected candidate population of one port
-	// (upstream VCs routed through it plus offered sources).
+	// waitersCap is the initial capacity of a port's candidate list and
+	// of the bid scratch: past the upstream VCs routed through a port plus
+	// its offered sources while VC pools are finite. Under per-flow
+	// queueing they are not, a hotspot's list runs hundreds deep and grows
+	// past this, and the allocation round goes over the port's flow
+	// queues instead of bidding the list (flowqueue.go).
 	waitersCap = 32
 	// srcQueueCap is the initial per-source FIFO capacity, covering
 	// sub-saturation backlog spikes.

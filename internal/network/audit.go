@@ -2,9 +2,11 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"strconv"
 
+	"tanoq/internal/qos"
 	"tanoq/internal/sim"
 )
 
@@ -13,7 +15,8 @@ import (
 // data-oriented core maintains — VC occupancy bitmaps against owner
 // arrays, packet residence against buffer ownership, source windows
 // against live attempt censuses, the free list against slot liveness,
-// live blocked-arbitration verdicts against the VC pools they rest on —
+// live blocked-arbitration verdicts against the VC pools they rest on,
+// per-flow queues against the candidate lists they index —
 // and the event ring against the draining VCs and parked packets whose
 // only forward reference is a scheduled event. Any disagreement is a
 // state-corruption bug; the auditor turns it into an immediate, located
@@ -198,7 +201,8 @@ func (n *Network) AuditInvariants() error {
 	}
 
 	// Candidate lists: waiterCount agreement, active-list membership, live
-	// waiters only, and no stale blocked verdict.
+	// waiters only, no stale blocked verdict, and under per-flow queueing
+	// the flow queues against the filed prefix of the list.
 	waiters := 0
 	for pi := range n.ports {
 		port := &n.ports[pi]
@@ -221,6 +225,9 @@ func (n *Network) AuditInvariants() error {
 			if w := &n.arena[h]; blocked && n.bufs[w.legs[w.Hop()].In].canAlloc(w.Reserved) {
 				return fmt.Errorf("port %d (%s) holds a live blocked verdict but pkt %d can allocate: an epoch bump was missed", pi, port.spec.Name, w.ID)
 			}
+		}
+		if err := n.auditFlowQueues(port); err != nil {
+			return fmt.Errorf("port %d (%s) flow queues: %v", pi, port.spec.Name, err)
 		}
 	}
 	if waiters != n.waiterCount {
@@ -283,6 +290,66 @@ func (n *Network) AuditInvariants() error {
 		if held[si] != s.window {
 			return fmt.Errorf("source %d (flow %d): window says %d outstanding, census finds %d",
 				si, s.spec.Flow, s.window, held[si])
+		}
+	}
+	return nil
+}
+
+// auditFlowQueues checks a port's per-flow-queue index (flowQueues)
+// against its candidate list (other modes keep none): every handle in
+// waiters[:seen] sits in exactly one flow queue and that queue is its own
+// flow's, every entry still carries its packet's frozen key, each queue
+// is sorted by it, and the bitmap marks exactly the non-empty queues.
+func (n *Network) auditFlowQueues(port *outPort) error {
+	if n.mode != qos.PerFlowQueue {
+		return nil
+	}
+	fq := n.flowQs[port.id]
+	if fq.seen < 0 || fq.seen > len(port.waiters) {
+		return fmt.Errorf("cursor %d outside the %d waiters", fq.seen, len(port.waiters))
+	}
+	filed := make(map[pktH]int, fq.seen)
+	entries, set := 0, 0
+	for _, w := range fq.active {
+		set += bits.OnesCount64(w) // a bit past the last flow shows as a surplus
+	}
+	for f := range fq.flows {
+		q := &fq.flows[f]
+		if bit := fq.active[f>>6]&(1<<(uint(f)&63)) != 0; bit == q.empty() {
+			return fmt.Errorf("flow %d: active bit %v but %d queued", f, bit, len(q.items)-q.head)
+		}
+		if !q.empty() {
+			set--
+		}
+		for i := q.head; i < len(q.items); i++ {
+			e := &q.items[i]
+			entries++
+			filed[e.h]++
+			if int(e.h) >= len(n.arena) {
+				return fmt.Errorf("flow %d queues handle %d outside the arena", f, e.h)
+			}
+			w := &n.arena[e.h]
+			want := bid{created: w.Created, id: w.ID, h: e.h}
+			if q.inter {
+				want.prio = w.Priority
+			}
+			if int(w.Flow) != f || *e != want || w.legs[w.Hop()].Intermediate != q.inter {
+				return fmt.Errorf("flow %d (intermediate %v) entry %+v does not match pkt %d of flow %d (key %+v)", f, q.inter, *e, w.ID, w.Flow, want)
+			}
+			if i > q.head && !betterBid(&q.items[i-1], e) {
+				return fmt.Errorf("flow %d queue out of order at entry %d: %+v before %+v", f, i-q.head, q.items[i-1], *e)
+			}
+		}
+	}
+	if set != 0 {
+		return fmt.Errorf("bitmap marks %d flows beyond the non-empty queues", set)
+	}
+	if entries != fq.seen {
+		return fmt.Errorf("%d entries queued, cursor says %d filed", entries, fq.seen)
+	}
+	for _, h := range port.waiters[:fq.seen] {
+		if filed[h] != 1 {
+			return fmt.Errorf("filed waiter %d sits in %d queues", h, filed[h])
 		}
 	}
 	return nil

@@ -12,7 +12,9 @@ import (
 // enough to hold the largest packet (virtual cut-through). One VC per
 // network port is reserved for rate-compliant traffic (Table 1). In
 // per-flow-queue mode the pool grows on demand, modelling a dedicated
-// queue per flow — the idealized preemption-free reference.
+// queue per flow — the idealized preemption-free reference. The pool is
+// only the storage; the queues themselves, in service order, are kept at
+// the output port that drains it (flowQueues).
 //
 // The pool is struct-of-arrays: per-VC state lives in parallel flat
 // arrays (owner handle, release generation) plus a free-VC occupancy

@@ -1,7 +1,10 @@
 package network
 
-// Test-only windows onto the verdict memo for the external test package
-// (which can import internal/workload without an import cycle).
+import "tanoq/internal/qos"
+
+// Test-only windows onto the verdict memo and the per-flow queues for the
+// external test package (which can import internal/workload without an
+// import cycle).
 
 // SetVerdictMemo turns the blocked-round and inversion-scan skips on or
 // off process-wide. Callers must not run in parallel with other tests.
@@ -10,3 +13,20 @@ func SetVerdictMemo(on bool) { noVerdictMemo = !on }
 // VerdictSkips reports how many allocation rounds were answered from a
 // port's blocked-verdict memo since the last Reset.
 func (n *Network) VerdictSkips() uint64 { return n.verdictSkips }
+
+// SetFlowQueues turns the per-flow-queue allocation round on or off
+// process-wide; off, that mode's rounds run arbitrate's flat scan.
+// Callers must not run in parallel with other tests.
+func SetFlowQueues(on bool) { noFlowQueues = !on }
+
+// FlowQueueRounds reports how many allocation rounds ran over flow-queue
+// heads, and how many heads they compared, since the last Reset.
+func (n *Network) FlowQueueRounds() (rounds, heads uint64) {
+	if n.mode == qos.PerFlowQueue {
+		for _, fq := range n.flowQs[:len(n.ports)] {
+			rounds += fq.rounds
+			heads += fq.heads
+		}
+	}
+	return rounds, heads
+}

@@ -257,7 +257,7 @@ func (n *Network) applyLinkFault(port int, permanent bool, now sim.Cycle) {
 		}
 		p := &n.arena[s.offering]
 		if n.legsCrossDead(p.legs, 0) {
-			n.unregister(&n.ports[p.legs[0].Out], s.offering)
+			n.withdraw(&n.ports[p.legs[0].Out], s.offering)
 			s.offering = noPkt
 			n.markOfferable(s)
 		}
@@ -288,7 +288,7 @@ func (n *Network) faultKill(h pktH, now sim.Cycle) {
 // fault kills and timeout losses.
 func (n *Network) releaseAttempt(h pktH, p *pkt) {
 	if p.state == stWaiting {
-		n.unregister(&n.ports[p.legs[p.Hop()].Out], h)
+		n.withdraw(&n.ports[p.legs[p.Hop()].Out], h)
 	}
 	if p.curBuf != noBuf {
 		cb := &n.bufs[p.curBuf]

@@ -38,6 +38,11 @@
 //     round that neither granted nor preempted, and an inversion scan
 //     that found no victim, are not re-run until it moves: blocked
 //     requesters are re-evaluated when a credit returns, as in hardware.
+//   - Under per-flow queueing a port whose backlog has grown past a
+//     handful files its candidates into one sorted queue per flow plus a
+//     bitmap of the non-empty ones (flowQueues), and its allocation round
+//     compares queue heads — O(active flows) however deep the unlimited
+//     VC pools let the backlog run.
 //
 // The layout is mechanical: results are bit-identical to the historical
 // pointer-based engine (pinned by the equivalence and determinism
@@ -292,6 +297,14 @@ type Network struct {
 	// auditEvery/auditAt pace the invariant auditor.
 	auditEvery sim.Cycle
 	auditAt    sim.Cycle
+
+	// flowQs[i] indexes port i's candidates by flow under per-flow
+	// queueing (flowqueue.go): a Reset into that mode builds and re-seats
+	// it, no other mode reads it, and like the parked tables it outlives
+	// their cells. It sits beside the ports, not in them: one more pointer
+	// in outPort (104 -> 112 B) cost PVC sweeps half a percent
+	// (docs/LEDGER.md (d)).
+	flowQs []*flowQueues
 }
 
 // New builds a network from the configuration. It validates that the QoS
@@ -397,6 +410,9 @@ func (n *Network) Reset(cfg Config) error {
 			n.parkedTables = append(n.parkedTables, p.table)
 			p.table = nil
 		}
+	}
+	if n.mode == qos.PerFlowQueue {
+		n.reinitFlowQueues(cfg.Workload.TotalFlows())
 	}
 
 	if cap(n.bufs) < len(n.graph.Bufs) {

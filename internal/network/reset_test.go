@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/bits"
 	"testing"
 
 	"tanoq/internal/noc"
@@ -140,6 +141,73 @@ func TestResetDropsLiveBlockedVerdicts(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestResetRebuildsFlowQueues walks one engine from a live per-flow-queue
+// backlog into PVC, into no-QoS and back into per-flow queueing on a
+// taller column — 96 flows where there were 64, so the bitmap gains a
+// word, and more ports — then down again over that column's backlog. The
+// modes in between leave the index alone; every Reset into per-flow
+// queueing must re-seat it for the new port and flow counts, and every
+// run must match a fresh build's.
+func TestResetRebuildsFlowQueues(t *testing.T) {
+	reused := MustNew(flowQueueCfg(topology.MeshX2, traffic.Workload1(topology.ColumnNodes, 0), 21))
+	reused.Run(5_000)
+	stages := []struct {
+		name  string
+		mode  qos.Mode
+		nodes int
+	}{
+		{"pvc", qos.PVC, 8},
+		{"no-qos", qos.NoQoS, 8},
+		{"per-flow-queue/taller", qos.PerFlowQueue, 12},
+		{"per-flow-queue/shorter", qos.PerFlowQueue, 4},
+	}
+	for _, st := range stages {
+		t.Run(st.name, func(t *testing.T) {
+			if filedCandidates(reused) == 0 {
+				t.Fatal("test needs a filed backlog in the index at Reset time")
+			}
+			target := flowQueueCfg(topology.MeshX2, traffic.Hotspot(st.nodes, 0.05), 9)
+			target.QoS.Mode = st.mode
+			want := runFingerprint(MustNew(target))
+			if err := reused.Reset(target); err != nil {
+				t.Fatal(err)
+			}
+			if st.mode == qos.PerFlowQueue {
+				flows := target.Workload.TotalFlows()
+				if len(reused.flowQs) < len(reused.ports) {
+					t.Fatalf("%d ports, %d flow-queue indexes", len(reused.ports), len(reused.flowQs))
+				}
+				for i, fq := range reused.flowQs[:len(reused.ports)] {
+					if fq.seen != 0 || fq.rounds != 0 || fq.heads != 0 || len(fq.flows) != flows || len(fq.active) != (flows+63)/64 {
+						t.Fatalf("port %d index not re-seated for %d flows: seen %d rounds %d heads %d, %d queues, %d bitmap words",
+							i, flows, fq.seen, fq.rounds, fq.heads, len(fq.flows), len(fq.active))
+					}
+				}
+				if filed := filedCandidates(reused); filed != 0 {
+					t.Fatalf("%d candidates or active bits survived Reset in the flow queues", filed)
+				}
+			}
+			if got := runFingerprint(reused); !equalFingerprints(want, got) {
+				t.Errorf("reset diverged from fresh build:\nfresh: %+v\nreset: %+v", want, got)
+			}
+		})
+	}
+}
+
+// filedCandidates counts what the flow queues of a network's ports hold:
+// queued entries plus set bitmap bits.
+func filedCandidates(n *Network) (filed int) {
+	for _, fq := range n.flowQs[:min(len(n.flowQs), len(n.ports))] {
+		for f := range fq.flows {
+			filed += len(fq.flows[f].items) - fq.flows[f].head
+		}
+		for _, w := range fq.active {
+			filed += bits.OnesCount64(w)
+		}
+	}
+	return filed
 }
 
 // TestResetRejectsInvalidConfig pins that a failed Reset reports the same

@@ -18,28 +18,34 @@ import (
 type verdictCell struct {
 	name string
 	// saturated cells block constantly, so the memo must fire on them in
-	// the modes that can block (PVC and no-QoS; per-flow queues never do).
+	// the modes that can block (PVC and no-QoS; per-flow queues never do),
+	// and under per-flow queueing their backlog must reach the flow queues.
 	saturated bool
 	run       func(t *testing.T, kind topology.Kind, mode qos.Mode) (*network.Network, string)
 }
 
-// openCell runs an open-loop workload to its stop cycle and drains it.
-func openCell(w traffic.Workload, faulted bool) func(*testing.T, topology.Kind, qos.Mode) (*network.Network, string) {
+// stallFaults is the schedule of TestFaultedRunSkipEquivalence: a
+// transient link fault, then a router stall.
+func stallFaults(g *topology.Graph) network.FaultConfig {
+	return network.FaultConfig{
+		Windows: []noc.FaultWindow{
+			{Kind: noc.FaultLinkTransient, Port: int(g.Path(0, noc.NodeID(g.Nodes-1), 0)[0].Out), From: 3_000, Until: 6_000},
+			{Kind: noc.FaultRouterStall, Node: 3, From: 7_000, Until: 8_000},
+		},
+		RetryTimeout: 500,
+		MaxRetries:   6,
+	}
+}
+
+// openCell runs an open-loop workload to its stop cycle and drains it,
+// under the fault schedule faults builds for the cell's graph (nil: none).
+func openCell(w traffic.Workload, faults func(*topology.Graph) network.FaultConfig) func(*testing.T, topology.Kind, qos.Mode) (*network.Network, string) {
 	return func(t *testing.T, kind topology.Kind, mode qos.Mode) (*network.Network, string) {
 		qcfg := qos.DefaultConfig(w.TotalFlows())
 		qcfg.Mode = mode
 		cfg := network.Config{Kind: kind, QoS: qcfg, Workload: w, Seed: 41}
-		if faulted {
-			// The schedule of TestFaultedRunSkipEquivalence.
-			g := topology.NewGraph(kind, topology.ColumnNodes)
-			cfg.Faults = network.FaultConfig{
-				Windows: []noc.FaultWindow{
-					{Kind: noc.FaultLinkTransient, Port: int(g.Path(0, noc.NodeID(g.Nodes-1), 0)[0].Out), From: 3_000, Until: 6_000},
-					{Kind: noc.FaultRouterStall, Node: 3, From: 7_000, Until: 8_000},
-				},
-				RetryTimeout: 500,
-				MaxRetries:   6,
-			}
+		if faults != nil {
+			cfg.Faults = faults(topology.NewGraph(kind, topology.ColumnNodes))
 		}
 		n := network.MustNew(cfg)
 		n.WarmupAndMeasure(2_000, 6_000)
@@ -74,6 +80,15 @@ func closedHotspotCell(t *testing.T, kind topology.Kind, mode qos.Mode) (*networ
 	return n, fmt.Sprintf("issued=%d completed=%d rtt99=%d", ct.Issued, ct.Completed, ct.RT.Latencies.Percentile(99))
 }
 
+// cellFingerprint folds every observable of a finished cell, and the
+// driver's own, into one comparable string.
+func cellFingerprint(n *network.Network, extra string) string {
+	st := n.Stats()
+	return fmt.Sprintf("%s frames=%d retries=%d drops=%d faultdrops=%d recovered=%d %s",
+		workload.Fingerprint(st, n.Now()), n.Frames(), st.TotalRetries,
+		st.TotalDropped, st.FaultDrops, st.RecoveredPackets, extra)
+}
+
 // TestVerdictMemoMechanicallyEquivalent pins the port-epoch contract: an
 // allocation round or inversion scan answered from a port's verdict memo
 // is bit-identical to executing it. Every topology x QoS mode runs the
@@ -85,11 +100,11 @@ func TestVerdictMemoMechanicallyEquivalent(t *testing.T) {
 	defer network.SetVerdictMemo(true)
 	nodes := topology.ColumnNodes
 	cells := []verdictCell{
-		{"workload1", true, openCell(traffic.Workload1(nodes, 8_000), false)},
-		{"workload2", true, openCell(traffic.Workload2(nodes, 8_000), false)},
-		{"hotspot", true, openCell(traffic.Hotspot(nodes, 0.12).WithStop(2_000), false)},
-		{"tornado", false, openCell(traffic.Tornado(nodes, 0.12).WithStop(8_000), false)},
-		{"faulted", false, openCell(traffic.UniformRandom(nodes, 0.02).WithStop(12_000), true)},
+		{"workload1", true, openCell(traffic.Workload1(nodes, 8_000), nil)},
+		{"workload2", true, openCell(traffic.Workload2(nodes, 8_000), nil)},
+		{"hotspot", true, openCell(traffic.Hotspot(nodes, 0.12).WithStop(2_000), nil)},
+		{"tornado", false, openCell(traffic.Tornado(nodes, 0.12).WithStop(8_000), nil)},
+		{"faulted", false, openCell(traffic.UniformRandom(nodes, 0.02).WithStop(12_000), stallFaults)},
 		{"closed-hotspot", false, closedHotspotCell},
 	}
 	for _, kind := range topology.Kinds() {
@@ -99,11 +114,7 @@ func TestVerdictMemoMechanicallyEquivalent(t *testing.T) {
 					run := func(memo bool) (string, uint64) {
 						network.SetVerdictMemo(memo)
 						n, extra := cell.run(t, kind, mode)
-						st := n.Stats()
-						fp := fmt.Sprintf("%s frames=%d retries=%d drops=%d faultdrops=%d recovered=%d %s",
-							workload.Fingerprint(st, n.Now()), n.Frames(), st.TotalRetries,
-							st.TotalDropped, st.FaultDrops, st.RecoveredPackets, extra)
-						return fp, n.VerdictSkips()
+						return cellFingerprint(n, extra), n.VerdictSkips()
 					}
 					executed, none := run(false)
 					skipped, skips := run(true)
