@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke ensemble-smoke metrics-smoke bench bench-json
+.PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke metrics-smoke bench bench-json
 
 # The engine version stamp: embedded in `noctool version`, cache keys,
 # BENCH_*.json and v2 trace headers, so results name the engine that made
@@ -111,25 +111,6 @@ resume-smoke:
 	/tmp/tanoq-resume-noctool sweep -csv -resume -cache-dir /tmp/tanoq-resume-cache -cache-verify 2 examples/sweep/resume-smoke.toml > /dev/null 2> /tmp/tanoq-resume-full.err
 	grep 'executed 0' /tmp/tanoq-resume-full.err
 	@echo "resume-smoke: interrupted sweep resumed bit-identically; warm cache executed zero cells"
-
-# ensemble-smoke proves seed-axis batching is purely an execution
-# strategy: the same grid swept cell by cell and with -lanes 4 must
-# produce byte-identical CSVs once the wall-clock columns (28–29, the
-# only legitimately non-deterministic ones) are cut, the grouped run
-# must report its grouping on stderr ("N groups, 4 lanes"), and the warm
-# cache the grouped run filled must serve an ungrouped -resume with zero
-# executions — grouping never touches cache keys.
-ensemble-smoke:
-	rm -rf /tmp/tanoq-ensemble-cache
-	go run ./cmd/noctool sweep -csv examples/sweep/ensemble-smoke.toml > /tmp/tanoq-ens-flat.csv
-	go run ./cmd/noctool sweep -csv -lanes 4 -cache -cache-dir /tmp/tanoq-ensemble-cache examples/sweep/ensemble-smoke.toml > /tmp/tanoq-ens-lanes.csv 2> /tmp/tanoq-ens-lanes.err
-	cut -d, --complement -f28,29 /tmp/tanoq-ens-flat.csv > /tmp/tanoq-ens-flat.cut
-	cut -d, --complement -f28,29 /tmp/tanoq-ens-lanes.csv > /tmp/tanoq-ens-lanes.cut
-	diff /tmp/tanoq-ens-flat.cut /tmp/tanoq-ens-lanes.cut
-	grep 'groups, 4 lanes' /tmp/tanoq-ens-lanes.err
-	go run ./cmd/noctool sweep -csv -resume -cache-dir /tmp/tanoq-ensemble-cache examples/sweep/ensemble-smoke.toml > /dev/null 2> /tmp/tanoq-ens-warm.err
-	grep 'executed 0' /tmp/tanoq-ens-warm.err
-	@echo "ensemble-smoke: grouped sweep matched ungrouped byte-identically; warm cache executed zero cells"
 
 # metrics-smoke gates the observability surface end to end. First the
 # in-run half: `noctool timeline` over the committed telemetry scenario

@@ -36,15 +36,8 @@ type benchReport struct {
 	Hostname      string      `json:"hostname,omitempty"`
 	CPUModel      string      `json:"cpu_model,omitempty"`
 	EngineStep    []stepBench `json:"engine_step"`
-	// EnsembleStep is the seed-axis batching trajectory: aggregate
-	// per-lane-cycle cost of advancing K lanes through one ensemble,
-	// at the steady-state operating point. K=1 is the control (the
-	// ensemble wrapper over a single engine); the K=4/8 points are
-	// where shared-table amortization shows, and the gate holds them
-	// to the same regression and zero-allocation bars as engine_step.
-	EnsembleStep  []ensembleBench `json:"ensemble_step,omitempty"`
-	QuickFig4Grid []gridBench     `json:"quick_fig4_grid"`
-	LowLoadCells  []cellBench     `json:"low_load_cells"`
+	QuickFig4Grid []gridBench `json:"quick_fig4_grid"`
+	LowLoadCells  []cellBench `json:"low_load_cells"`
 	// IdleHorizon times a fixed 200K-cycle horizon over a workload that
 	// stops injecting at cycle 2K — the drain-tail / stopped-workload
 	// pattern of Figure 6 and the run-to-drain tests. This is where
@@ -69,22 +62,6 @@ type stepBench struct {
 	// engine leak — the alloc gate skips those entries.
 	AllocsPerStep float64 `json:"allocs_per_step"`
 	Saturated     bool    `json:"saturated,omitempty"`
-}
-
-// ensembleBench is one ensemble operating point: K seed-axis lanes of
-// the same topology advanced together, cost expressed per lane-cycle so
-// the number is directly comparable to the single-engine engine_step
-// ns/cycle at the same topology and rate.
-type ensembleBench struct {
-	Topology string  `json:"topology"`
-	Rate     float64 `json:"rate"`
-	Lanes    int     `json:"lanes"`
-	// NsPerLaneCycle is wall-clock over (cycles × lanes): the aggregate
-	// per-seed simulation cost the seed axis actually pays.
-	NsPerLaneCycle float64 `json:"ns_per_lane_cycle"`
-	// AllocsPerLaneStep must be exactly zero — the ensemble points run
-	// at the sub-saturation rate, where a warm engine allocates nothing.
-	AllocsPerLaneStep float64 `json:"allocs_per_lane_step"`
 }
 
 // gridBench is one full quick-Figure-4-grid regeneration.
@@ -115,8 +92,8 @@ type benchOpts struct {
 	baseline   string
 	maxRegress float64
 	// engineOnly skips the wall-clock grid sections, leaving the
-	// per-topology engine step cost and the ensemble aggregate points —
-	// everything the baseline comparison reads.
+	// per-topology engine step cost — everything the baseline comparison
+	// reads.
 	engineOnly bool
 	// cpuProfile/memProfile, when set, write runtime/pprof profiles of
 	// the benchmark run, so perf work can be profiled with the shipped
@@ -189,13 +166,6 @@ func runBench(p experiments.Params, o benchOpts) error {
 		rep.EngineStep = append(rep.EngineStep, benchStep(kind, saturationRate(kind), true, p.Seed))
 	}
 
-	fmt.Println("bench: ensemble aggregate cost per lane-cycle (seed-axis batching)")
-	for _, kind := range topology.Kinds() {
-		for _, lanes := range []int{1, 4, 8} {
-			rep.EnsembleStep = append(rep.EnsembleStep, benchEnsemble(kind, steadyRate, lanes, p.Seed))
-		}
-	}
-
 	if !o.engineOnly {
 		fmt.Println("bench: quick Fig4 grid wall-clock (workers x idle skip)")
 		quick := experiments.QuickParams()
@@ -265,12 +235,6 @@ func runBench(p experiments.Params, o benchOpts) error {
 // stepKey identifies one engine_step operating point across reports.
 func stepKey(s stepBench) string { return fmt.Sprintf("%s@%.2f", s.Topology, s.Rate) }
 
-// ensembleKey identifies one ensemble_step operating point across
-// reports.
-func ensembleKey(s ensembleBench) string {
-	return fmt.Sprintf("%s@%.2fxK%d", s.Topology, s.Rate, s.Lanes)
-}
-
 // compareBaseline fails when any engine_step point regressed more than
 // maxRegress (fractional) against the committed baseline's ns/cycle, or
 // when the fresh run allocated at a sub-saturation point (the engine
@@ -312,39 +276,6 @@ func compareBaseline(rep benchReport, baselinePath string, maxRegress float64) e
 		if delta > maxRegress {
 			failures = append(failures, fmt.Sprintf("%s regressed %.1f%% (%.1f -> %.1f ns/cycle)",
 				stepKey(s), delta*100, old, s.NsPerCycle))
-		}
-	}
-	// The ensemble points go through the same bars: exact zero
-	// allocation (they run at the sub-saturation rate only) and the
-	// regression tolerance against the baseline's matching K point.
-	// Reports predating the ensemble section simply lack the entries —
-	// tolerated like any missing point. Where the baseline carries a
-	// single-engine measurement at the same topology and rate, the
-	// amortization the batch bought over that baseline is printed too.
-	baseEns := map[string]float64{}
-	for _, s := range base.EnsembleStep {
-		baseEns[ensembleKey(s)] = s.NsPerLaneCycle
-	}
-	for _, s := range rep.EnsembleStep {
-		if s.AllocsPerLaneStep != 0 {
-			failures = append(failures, fmt.Sprintf("%s allocates %v/lane-step at steady state (want exactly 0)",
-				ensembleKey(s), s.AllocsPerLaneStep))
-		}
-		var vsSingle string
-		if old, ok := baseNs[fmt.Sprintf("%s@%.2f", s.Topology, s.Rate)]; ok && old > 0 {
-			vsSingle = fmt.Sprintf("  [%.2fx vs baseline single engine]", old/s.NsPerLaneCycle)
-		}
-		old, ok := baseEns[ensembleKey(s)]
-		if !ok || old <= 0 {
-			fmt.Printf("  %-16s %8.1f ns/lane-cycle (no baseline entry)%s\n", ensembleKey(s), s.NsPerLaneCycle, vsSingle)
-			continue
-		}
-		delta := (s.NsPerLaneCycle - old) / old
-		fmt.Printf("  %-16s %8.1f ns/lane-cycle vs %8.1f baseline (%+.1f%%)%s\n",
-			ensembleKey(s), s.NsPerLaneCycle, old, delta*100, vsSingle)
-		if delta > maxRegress {
-			failures = append(failures, fmt.Sprintf("%s regressed %.1f%% (%.1f -> %.1f ns/lane-cycle)",
-				ensembleKey(s), delta*100, old, s.NsPerLaneCycle))
 		}
 	}
 	if len(failures) > 0 {
@@ -422,60 +353,6 @@ func benchStep(kind topology.Kind, rate float64, saturated bool, seed uint64) st
 		allocs := float64(after.Mallocs-before.Mallocs) / steps
 		if rep == 0 || allocs < best.AllocsPerStep {
 			best.AllocsPerStep = allocs
-		}
-	}
-	return best
-}
-
-// benchEnsemble times the seed-axis batch path: K lanes (seeds seed,
-// seed+1, …) advanced through one Ensemble with the tick path forced
-// (idle skipping off, exactly like benchStep), cost reported per
-// lane-cycle. Best-of-three like every other wall-clock section; each
-// repetition resets the ensemble to the same configurations, so only
-// timing noise varies.
-func benchEnsemble(kind topology.Kind, rate float64, lanes int, seed uint64) ensembleBench {
-	// Best-of-five where the single-engine points take three: the
-	// ensemble numbers feed a throughput acceptance bar, and wider
-	// minimum-taking shaves more scheduler noise off the committed
-	// baseline on busy hosts.
-	const warm, cycles, reps = 30_000, 100_000, 5
-	cfgs := make([]network.Config, lanes)
-	for i := range cfgs {
-		w := traffic.UniformRandom(topology.ColumnNodes, rate)
-		cfgs[i] = network.Config{
-			Kind:            kind,
-			QoS:             qos.DefaultConfig(w.TotalFlows()),
-			Workload:        w,
-			Seed:            seed + uint64(i),
-			DisableIdleSkip: true,
-		}
-	}
-	e, err := network.NewEnsemble(cfgs)
-	if err != nil {
-		panic(err)
-	}
-	best := ensembleBench{Topology: kind.String(), Rate: rate, Lanes: lanes}
-	laneSteps := float64(cycles) * float64(lanes)
-	for rep := 0; rep < reps; rep++ {
-		if rep > 0 {
-			if err := e.Reset(cfgs); err != nil {
-				panic(err)
-			}
-		}
-		e.Run(warm)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		e.Run(cycles)
-		wall := time.Since(start)
-		runtime.ReadMemStats(&after)
-		ns := float64(wall.Nanoseconds()) / laneSteps
-		if rep == 0 || ns < best.NsPerLaneCycle {
-			best.NsPerLaneCycle = ns
-		}
-		allocs := float64(after.Mallocs-before.Mallocs) / laneSteps
-		if rep == 0 || allocs < best.AllocsPerLaneStep {
-			best.AllocsPerLaneStep = allocs
 		}
 	}
 	return best

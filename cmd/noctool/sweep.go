@@ -25,7 +25,6 @@ type sweepOpts struct {
 	csv     bool
 	outPath string
 	explain bool
-	lanes   int
 
 	cache    bool
 	cacheDir string
@@ -55,7 +54,6 @@ include chain < file < profile < TANOQ_SET_* env < schedule flags <
 	var set multiFlag
 	fs.Var(&set, "set", "top-layer override `key=value` (dotted paths; repeatable)")
 	explain := fs.Bool("explain", false, "print the resolved scenario with per-key provenance instead of running")
-	lanes := fs.Int("lanes", 1, "batch up to N seed-axis cells per ensemble (1 disables grouping; never changes results)")
 	cache := fs.Bool("cache", false, "memoize cell results in the content-addressed store")
 	cacheDir := fs.String("cache-dir", store.DefaultDir, "result store directory")
 	resume := fs.Bool("resume", false, "resume an interrupted sweep from the cache (implies -cache)")
@@ -78,7 +76,7 @@ include chain < file < profile < TANOQ_SET_* env < schedule flags <
 			sim: sim, explicit: explicit, params: sim.params(explicit),
 			profile: *profile, set: set,
 		},
-		csv: *csv, outPath: *out, explain: *explain, lanes: *lanes,
+		csv: *csv, outPath: *out, explain: *explain,
 		cache: *cache, cacheDir: *cacheDir, resume: *resume, verify: *cacheVerify,
 		deadline: *deadline, retries: *retries, backoff: *backoff,
 		httpAddr: *httpAddr, httpLinger: *httpLinger, progress: *progress,
@@ -150,7 +148,6 @@ func runSweep(pathOrName string, o sweepOpts) error {
 		RunOpts: scenario.RunOpts{
 			Workers:         o.layers.params.Workers,
 			DisableIdleSkip: o.layers.params.DisableIdleSkip,
-			EnsembleLanes:   o.lanes,
 		},
 		Deadline:     sc.Deadline,
 		Retries:      sc.Retries,
@@ -177,7 +174,7 @@ func runSweep(pathOrName string, o sweepOpts) error {
 	var metrics *sweepMetrics
 	var prog *progressPrinter
 	if o.httpAddr != "" || o.progress {
-		metrics = newSweepMetrics(len(grid.Points), runner.Workers(opts.Workers), o.lanes)
+		metrics = newSweepMetrics(len(grid.Points), runner.Workers(opts.Workers))
 		opts.OnCell = metrics.onCell
 		if o.progress {
 			prog = &progressPrinter{m: metrics}
@@ -231,9 +228,6 @@ func runSweep(pathOrName string, o sweepOpts) error {
 		return err
 	}
 	results := rep.Results
-	if metrics != nil {
-		metrics.setGroups(rep.Groups)
-	}
 	if prog != nil {
 		prog.Close()
 	}
@@ -269,9 +263,6 @@ func runSweep(pathOrName string, o sweepOpts) error {
 			}
 			fmt.Fprintf(os.Stderr, "sweep: wrote %s\n", o.outPath)
 		}
-	}
-	if rep.Lanes > 1 {
-		fmt.Fprintf(os.Stderr, "sweep: ensemble: %d groups, %d lanes\n", rep.Groups, rep.Lanes)
 	}
 	if opts.Store != nil {
 		// FAILED rows used to be invisible here until the table printed;

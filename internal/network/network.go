@@ -76,31 +76,11 @@
 // Config.DisableIdleSkip the engine ticks through every cycle and
 // produces bit-identical results (TestIdleSkipMechanicallyEquivalent).
 // Low-load cells of the paper's latency-load sweeps thus cost O(packets),
-// not O(cycles).
-//
-// # Ensemble lockstep execution
-//
-// Sweep grids are dominated by their seed axis: cells identical except
-// for Config.Seed. An Ensemble runs K such cells as lanes of one batch,
-// seed-major — each lane is a complete private Network (its own arena,
-// sources, clock, collector), and the only state lanes share is the
-// immutable topology graph (routing tables, port specs, channel
-// geometry), which the seed cannot touch. The lanes advance in rounds
-// of at most ensembleQuantum cycles, so the engine's code and the
-// shared read-only tables stay hot across lanes instead of faulting
-// back in once per cell.
-//
-// Each lane runs its own engine loop inside every round, which is what
-// preserves the idle-skip semantics per lane: a lane whose next wake
-// lies beyond the round boundary crosses the whole round in one clock
-// advance, exactly as it would standalone, while a busy sibling ticks
-// through the same round cycle by cycle. A chunked Run is
-// state-identical to an unchunked one (fast-forwards clamp to the
-// chunk boundary; skipped cycles execute nothing), so lane i's
-// simulation is bit-for-bit the standalone simulation of its
-// configuration — same fingerprint for every K and every round length
-// (TestEnsembleMatchesStandalone pins the matrix, and the combined
-// lockstep pass stays allocation-free like Step itself).
+// not O(cycles). A chunked Run is state-identical to an unchunked one
+// (fast-forwards clamp to the chunk boundary; skipped cycles execute
+// nothing), which is what lets WarmupAndMeasure, probes and callers that
+// advance a network piecewise split a span anywhere
+// (TestChunkedRunMatchesUnchunked).
 //
 // # Workload attachment
 //
@@ -782,10 +762,8 @@ func (n *Network) WarmupAndMeasure(warmup, measure int) {
 }
 
 // measureStart resets the collector at the warmup/measure boundary and
-// emits the phase mark — the single boundary path shared with
-// Ensemble.WarmupAndMeasure, so probed lanes and standalone runs see
-// the identical annotation (and telemetry re-baselines its deltas at
-// exactly the cycle the counters restart).
+// emits the phase mark, so telemetry re-baselines its deltas at exactly
+// the cycle the counters restart.
 func (n *Network) measureStart() {
 	now := n.clock.Now()
 	n.coll.Reset(now)

@@ -256,3 +256,68 @@ func TestIdleSkipFastForwardsTheClock(t *testing.T) {
 		t.Errorf("%d frames fired, want %d", got, want)
 	}
 }
+
+// TestChunkedRunMatchesUnchunked pins the property WarmupAndMeasure,
+// probes and any caller that advances a network piecewise rely on: Run
+// driven in chunks is state-identical to one Run over the same span,
+// because a fast-forward clamps to the chunk's end and skipped cycles
+// execute nothing. Every topology, QoS mode and skip setting runs its
+// warmup and its measurement window in quanta of 1, 7 and 4096 cycles
+// (neither window is a multiple of the last two, so each ends on a
+// ragged remainder) and must finish with WarmupAndMeasure's fingerprint;
+// a saturated cell and one that drains early in the window and idles for
+// the rest repeat the check at the two load extremes.
+func TestChunkedRunMatchesUnchunked(t *testing.T) {
+	check := func(t *testing.T, cfg Config, warmup, measure int) {
+		ref := MustNew(cfg)
+		ref.WarmupAndMeasure(warmup, measure)
+		want := fingerprint(ref)
+		want.flitsByFlow = ref.Stats().FlitsByFlow()
+		for _, quantum := range []int{1, 7, 4096} {
+			n := MustNew(cfg)
+			chunked := func(cycles int) {
+				for cycles > 0 {
+					q := min(quantum, cycles)
+					n.Run(q)
+					cycles -= q
+				}
+			}
+			n.coll.Pause()
+			chunked(warmup)
+			n.measureStart()
+			chunked(measure)
+			got := fingerprint(n)
+			got.flitsByFlow = n.Stats().FlitsByFlow()
+			if !equalFingerprints(got, want) {
+				t.Errorf("quantum %d diverged from a single Run:\nchunked:   %+v\nunchunked: %+v", quantum, got, want)
+			}
+		}
+	}
+	for _, kind := range topology.Kinds() {
+		for _, mode := range []qos.Mode{qos.PVC, qos.PerFlowQueue, qos.NoQoS} {
+			for _, disableSkip := range []bool{false, true} {
+				leg := "skip"
+				if disableSkip {
+					leg = "ticked"
+				}
+				t.Run(kind.String()+"/"+mode.String()+"/"+leg, func(t *testing.T) {
+					w := traffic.UniformRandom(topology.ColumnNodes, 0.02).WithStop(9_000)
+					qc := qos.DefaultConfig(w.TotalFlows())
+					qc.Mode = mode
+					check(t, Config{Kind: kind, QoS: qc, Workload: w, Seed: 100, DisableIdleSkip: disableSkip}, 2_000, 4_000)
+				})
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		w    traffic.Workload
+	}{
+		{"saturated", traffic.UniformRandom(topology.ColumnNodes, 0.30)},
+		{"early-drain", traffic.UniformRandom(topology.ColumnNodes, 0.01).WithStop(8_000)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			check(t, Config{Kind: topology.MeshX2, QoS: qos.DefaultConfig(c.w.TotalFlows()), Workload: c.w, Seed: 9}, 5_000, 25_000)
+		})
+	}
+}

@@ -392,11 +392,6 @@ type DurableReport struct {
 	Skipped  int
 	// Interrupted is set when cancellation cut the sweep short.
 	Interrupted bool
-	// Groups counts the ensemble batches the executed cells ran in
-	// (units of two or more lanes); Lanes echoes the configured cap.
-	// Both are zero when ensemble execution is disabled.
-	Groups int
-	Lanes  int
 	// Verified counts re-executed hits that matched their cached rows;
 	// VerifyBad describes the ones that did not.
 	Verified  int
@@ -467,22 +462,6 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 	for mi, i := range missed {
 		cells[mi] = g.cells[i]
 		cells[mi].Config.DisableIdleSkip = opts.DisableIdleSkip
-	}
-	if opts.EnsembleLanes > 1 {
-		vis, _ := g.groupIDs()
-		for mi, i := range missed {
-			cells[mi].Group = vis[i]
-		}
-		// Cache hits shrink groups naturally: only the missed members of
-		// a seed group batch together. The plan is the same deterministic
-		// function the runner applies, so this accounting is exact.
-		ropts.Lanes = opts.EnsembleLanes
-		rep.Lanes = opts.EnsembleLanes
-		for _, unit := range runner.PlanUnits(cells, opts.EnsembleLanes) {
-			if len(unit) > 1 {
-				rep.Groups++
-			}
-		}
 	}
 	var (
 		ckMu          sync.Mutex
@@ -582,13 +561,7 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int,
 		cells[ti].Config.DisableIdleSkip = opts.DisableIdleSkip
 	}
 	ropts := runner.Options{Workers: opts.Workers, Retries: opts.Retries,
-		Backoff: opts.Backoff, Deadline: opts.Deadline, Lanes: opts.EnsembleLanes}
-	if opts.EnsembleLanes > 1 {
-		_, refs := g.groupIDs()
-		for ti, r := range torun {
-			cells[ti].Group = refs[r]
-		}
-	}
+		Backoff: opts.Backoff, Deadline: opts.Deadline}
 	if ropts.Retries == 0 {
 		ropts.Retries = 1
 	}
@@ -646,11 +619,13 @@ func (g *Grid) verifyHits(ctx context.Context, opts *DurableOpts, hitIdx []int, 
 		fresh := g.row(i, &res[si], refBase[g.meta[i].ref])
 		served := rep.Results[i]
 		// Attempts and wall-clock legitimately differ between the original
-		// run and the verification re-run; everything measured must match
+		// run and the verification re-run, and only the re-run carries a
+		// timeline (cached rows never do); everything measured must match
 		// exactly.
 		fresh.Attempts, served.Attempts = 0, 0
 		fresh.Wall, served.Wall = 0, 0
 		fresh.CyclesPerSec, served.CyclesPerSec = 0, 0
+		fresh.Timeline, served.Timeline = nil, nil
 		if fresh != served {
 			rep.VerifyBad = append(rep.VerifyBad,
 				fmt.Sprintf("cell %d (%s/%s/%s seed %d): cached row diverges from re-execution",

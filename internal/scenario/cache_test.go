@@ -297,45 +297,54 @@ measure = 800
 
 // TestRunDurableCacheLifecycle is the memoization contract: a first run
 // executes everything, a re-run against the same store executes nothing
-// and returns bit-identical rows.
+// and returns bit-identical rows. The [telemetry] input pins that a
+// timeline — carried by executed rows only — is not part of what the
+// cache serves or what verification compares.
 func TestRunDurableCacheLifecycle(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := gridOf(t, durableToml)
-	plain := g.Run(RunOpts{Workers: 1})
+	for name, src := range map[string]string{
+		"plain":     durableToml,
+		"telemetry": durableToml + "[telemetry]\ninterval = 200\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := gridOf(t, src)
+			plain := g.Run(RunOpts{Workers: 1})
 
-	first, err := gridOf(t, durableToml).RunDurable(context.Background(), DurableOpts{Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Hits != 0 || first.Executed != g.Size() || first.Interrupted {
-		t.Fatalf("first run: %+v, want all executed", first)
-	}
-	if !reflect.DeepEqual(zeroWall(first.Results), zeroWall(plain)) {
-		t.Fatalf("durable run diverged from Grid.Run:\n%+v\n%+v", first.Results, plain)
-	}
+			first, err := gridOf(t, src).RunDurable(context.Background(), DurableOpts{Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Hits != 0 || first.Executed != g.Size() || first.Interrupted {
+				t.Fatalf("first run: %+v, want all executed", first)
+			}
+			if !reflect.DeepEqual(zeroWall(first.Results), zeroWall(plain)) {
+				t.Fatalf("durable run diverged from Grid.Run:\n%+v\n%+v", first.Results, plain)
+			}
 
-	second, err := gridOf(t, durableToml).RunDurable(context.Background(), DurableOpts{Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Hits != g.Size() || second.Executed != 0 {
-		t.Fatalf("re-run: hits %d executed %d, want %d/0", second.Hits, second.Executed, g.Size())
-	}
-	if !reflect.DeepEqual(zeroWall(second.Results), zeroWall(plain)) {
-		t.Fatal("cached rows diverge from executed rows")
-	}
+			second, err := gridOf(t, src).RunDurable(context.Background(), DurableOpts{Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if second.Hits != g.Size() || second.Executed != 0 {
+				t.Fatalf("re-run: hits %d executed %d, want %d/0", second.Hits, second.Executed, g.Size())
+			}
+			if !reflect.DeepEqual(zeroWall(second.Results), stripTimelines(plain)) {
+				t.Fatal("cached rows diverge from executed rows")
+			}
 
-	// The verify pass re-runs hits and must confirm them.
-	verified, err := gridOf(t, durableToml).RunDurable(context.Background(),
-		DurableOpts{Store: st, VerifySample: g.Size()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if verified.Verified != g.Size() || len(verified.VerifyBad) != 0 {
-		t.Fatalf("verify pass: %d verified, bad %v", verified.Verified, verified.VerifyBad)
+			// The verify pass re-runs hits and must confirm them.
+			verified, err := gridOf(t, src).RunDurable(context.Background(),
+				DurableOpts{Store: st, VerifySample: g.Size()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if verified.Verified != g.Size() || len(verified.VerifyBad) != 0 {
+				t.Fatalf("verify pass: %d verified, bad %v", verified.Verified, verified.VerifyBad)
+			}
+		})
 	}
 }
 

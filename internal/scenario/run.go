@@ -87,10 +87,10 @@ type cellAux struct {
 
 // armTelemetry wraps a visible cell's Setup to attach an in-run sampler
 // when the scenario declares a [telemetry] table. Attachment happens
-// per execution on the freshly-reset engine (standalone or ensemble
-// lane), exactly like the closed-loop controller, so probed cells stay
-// bit-identical across workers, lanes and idle-skip. Hidden victim
-// reference cells are never armed — their rows are internal baselines.
+// per execution on the freshly-reset engine, exactly like the
+// closed-loop controller, so probed cells stay bit-identical across
+// workers and idle-skip. Hidden victim reference cells are never armed
+// — their rows are internal baselines.
 func armTelemetry(cell *runner.Cell, sc *Scenario) {
 	tcfg := sc.Telemetry
 	if tcfg == nil {
@@ -329,15 +329,10 @@ func (g *Grid) Size() int { return len(g.cells) }
 func (g *Grid) Cell(i int) runner.Cell { return g.cells[i] }
 
 // RunOpts carries the runtime knobs that never change results: worker
-// count (bit-identical for every value), the idle-skip proof toggle, and
-// the ensemble lane count (cells differing only by seed batch into one
-// lockstep engine pass — bit-identical per lane, only faster).
+// count (bit-identical for every value) and the idle-skip proof toggle.
 type RunOpts struct {
 	Workers         int
 	DisableIdleSkip bool
-	// EnsembleLanes is the maximum number of same-group cells batched
-	// into one network.Ensemble; 0 or 1 runs every cell standalone.
-	EnsembleLanes int
 	// OnCell, when non-nil, observes every finished visible cell as it
 	// lands — the live accounting feed for progress lines and the sweep
 	// metrics endpoint. It fires on worker goroutines (make it
@@ -362,52 +357,6 @@ type CellEvent struct {
 	Wall     time.Duration
 	Cycles   int64
 	Worker   int
-}
-
-// groupIDs assigns a runner group ID to every visible cell and every
-// hidden victim-reference cell: cells sharing an ID describe the same
-// simulation except for Config.Seed, the precondition for running them
-// as ensemble lanes. The visible key is the cell's Point with the seed
-// zeroed plus its resolved trace path (two traces can share a display
-// label, never a path); references — identical victim workloads fanned
-// over topology × mode × seed — key on topology and mode. One counter
-// spans both, so IDs never collide across the namespaces.
-func (g *Grid) groupIDs() (vis, refs []int) {
-	type visKey struct {
-		p     Point
-		trace string
-	}
-	type refKey struct {
-		kind topology.Kind
-		mode qos.Mode
-	}
-	vis = make([]int, len(g.cells))
-	refs = make([]int, len(g.refCells))
-	next := 1
-	vids := map[visKey]int{}
-	for i := range g.cells {
-		k := visKey{p: g.Points[i], trace: g.meta[i].trace}
-		k.p.Seed = 0
-		id, ok := vids[k]
-		if !ok {
-			id = next
-			next++
-			vids[k] = id
-		}
-		vis[i] = id
-	}
-	rids := map[refKey]int{}
-	for r := range g.refCells {
-		k := refKey{kind: g.refCells[r].Config.Kind, mode: g.refCells[r].Config.QoS.Mode}
-		id, ok := rids[k]
-		if !ok {
-			id = next
-			next++
-			rids[k] = id
-		}
-		refs[r] = id
-	}
-	return vis, refs
 }
 
 // Result is the measured outcome of one grid point.
@@ -451,9 +400,7 @@ type Result struct {
 	// no victim roles, or when either side delivered nothing).
 	VictimSlowdown float64
 	// Wall is the wall-clock time the cell's successful run spent
-	// simulating; a cell executed as an ensemble lane reports its
-	// batch's time divided by the lane count (the amortized per-seed
-	// cost). Cache-served rows report the wall-clock of the run that
+	// simulating. Cache-served rows report the wall-clock of the run that
 	// produced them. CyclesPerSec is simulated cycles per wall second
 	// (End / Wall) — the throughput the wall-clock buys.
 	Wall         time.Duration
@@ -488,16 +435,7 @@ func (g *Grid) Run(opts RunOpts) []Result {
 	for i := range cells {
 		cells[i].Config.DisableIdleSkip = opts.DisableIdleSkip
 	}
-	if opts.EnsembleLanes > 1 {
-		vis, refs := g.groupIDs()
-		for i := range vis {
-			cells[i].Group = vis[i]
-		}
-		for r := range refs {
-			cells[len(g.cells)+r].Group = refs[r]
-		}
-	}
-	ropts := runner.Options{Workers: opts.Workers, Retries: 1, Lanes: opts.EnsembleLanes}
+	ropts := runner.Options{Workers: opts.Workers, Retries: 1}
 	if opts.OnCell != nil {
 		onCell := opts.OnCell
 		nvis := len(g.cells)

@@ -367,9 +367,6 @@ func TestSweepDeterministicAcrossWorkersAndSkip(t *testing.T) {
 		{Workers: 3},
 		{Workers: 1, DisableIdleSkip: true},
 		{Workers: 0, DisableIdleSkip: true},
-		{Workers: 1, EnsembleLanes: 4},
-		{Workers: 3, EnsembleLanes: 2},
-		{Workers: 0, DisableIdleSkip: true, EnsembleLanes: 8},
 	} {
 		got := g.Run(opts)
 		stripWall(got)

@@ -8,8 +8,7 @@ import (
 	"tanoq/internal/sim"
 )
 
-// telemetryBase is a small two-seed grid: two seeds of the same axis
-// point, so -lanes 2 batches them into one lockstep ensemble group.
+// telemetryBase is a small two-seed grid.
 const telemetryBase = `
 pattern = "uniform"
 topology = "mesh_x1"
@@ -100,11 +99,11 @@ func TestTelemetryCacheKeysUnchanged(t *testing.T) {
 	}
 }
 
-// TestTimelineDeterministicAcrossWorkersAndLanes is the sweep-level
-// acceptance check: a probed grid's timelines (full JSON, marks and
-// all) are byte-identical whether the grid ran on one worker or four,
-// standalone or lane-batched, with idle skipping on or off.
-func TestTimelineDeterministicAcrossWorkersAndLanes(t *testing.T) {
+// TestTimelineDeterministicAcrossWorkers is the sweep-level acceptance
+// check: a probed grid's timelines (full JSON, marks and all) are
+// byte-identical whether the grid ran on one worker or four, with idle
+// skipping on or off.
+func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 	src := telemetryBase + "[telemetry]\ninterval = 400\ntop_flows = 4\n"
 	collect := func(opts RunOpts) [][]byte {
 		results := gridOf(t, src).Run(opts)
@@ -123,11 +122,9 @@ func TestTimelineDeterministicAcrossWorkersAndLanes(t *testing.T) {
 	}
 	base := collect(RunOpts{Workers: 1})
 	for name, opts := range map[string]RunOpts{
-		"workers=4":         {Workers: 4},
-		"lanes=2":           {Workers: 1, EnsembleLanes: 2},
-		"workers+lanes":     {Workers: 4, EnsembleLanes: 2},
-		"no idle skip":      {Workers: 1, DisableIdleSkip: true},
-		"skipless ensemble": {Workers: 2, EnsembleLanes: 2, DisableIdleSkip: true},
+		"workers=4":        {Workers: 4},
+		"no idle skip":     {Workers: 1, DisableIdleSkip: true},
+		"skipless workers": {Workers: 2, DisableIdleSkip: true},
 	} {
 		got := collect(opts)
 		for i := range base {
