@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke metrics-smoke bench bench-json
+.PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke metrics-smoke bench bench-json pgo
 
 # The engine version stamp: embedded in `noctool version`, cache keys,
 # BENCH_*.json and v2 trace headers, so results name the engine that made
@@ -152,9 +152,26 @@ fuzz-smoke:
 
 # bench runs the repository benchmark suite once through `go test`: the
 # root package's per-artifact and engine benchmarks plus the engine's
-# saturated point (BenchmarkSaturatedCycles, internal/network).
+# saturated and event-bound points (BenchmarkSaturatedCycles and
+# BenchmarkSparseRun, internal/network).
 bench:
 	go test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/network
+
+# pgo re-records cmd/noctool/default.pgo, the profile every `go build
+# ./cmd/noctool` applies. `noctool bench` is the recording workload: its
+# sections are the engine-bound sweep shapes — every topology's Step at a
+# steady and at a near-saturation rate, the quick Figure 4 grid with idle
+# skipping on and off, low-load cells and the idle horizon. Go matches a
+# profile's hot call sites by line offset inside the caller, so re-record
+# after any edit to Step, arbitrate or the wheels, and repeat the A/B of
+# docs/LEDGER.md row (c) (default build vs GOFLAGS=-pgo=off, alternating
+# pairs of `bash benchmark/run.sh --workload steady_grid`) before
+# committing the new file.
+pgo:
+	go build -o /tmp/tanoq-pgo-noctool ./cmd/noctool
+	/tmp/tanoq-pgo-noctool bench -out /tmp/tanoq-pgo-bench.json -cpuprofile /tmp/tanoq-pgo.prof
+	cp /tmp/tanoq-pgo.prof cmd/noctool/default.pgo
+	@echo "pgo: cmd/noctool/default.pgo re-recorded; rebuild and repeat LEDGER (c)'s A/B before committing it"
 
 # bench-json writes the machine-readable perf snapshot BENCH_<date>.json
 # (engine step cost, quick Fig4 grid wall-clock, low-load cell speedups);

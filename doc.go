@@ -59,12 +59,13 @@
 // The engine is hybrid tick/event-driven, O(work) instead of O(cycles x
 // machine size): injection is sampled by geometric inter-arrival gaps
 // (one RNG draw per packet, statistically identical to the modeled
-// per-cycle Bernoulli process), sources sit on an arrival heap and an
+// per-cycle Bernoulli process), sources sit on an arrival wheel and an
 // offerable list so a cycle touches only the injectors acting in it,
-// arbitration visits only ports holding candidates, events live in an
-// O(1) calendar-ring queue, and Run fast-forwards the clock across
-// provably idle windows to the next event, arrival, injection-VC free or
-// PVC frame boundary. Skipping is mechanical: with it disabled the
+// arbitration visits only ports holding candidates, everything scheduled
+// lives on O(1) timing wheels that share one occupancy map, and Run
+// jumps the clock across provably idle windows to the next cycle any
+// wheel holds a record for, injection-VC free or PVC frame boundary and
+// steps it. Skipping is mechanical: with it disabled the
 // engine ticks through every cycle and produces bit-identical results
 // (asserted across all topologies and QoS modes).
 //

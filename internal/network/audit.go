@@ -16,9 +16,11 @@ import (
 // arrays, packet residence against buffer ownership, source windows
 // against live attempt censuses, the free list against slot liveness,
 // live blocked-arbitration verdicts against the VC pools they rest on,
-// per-flow queues against the candidate lists they index —
-// and the event ring against the draining VCs and parked packets whose
-// only forward reference is a scheduled event. Any disagreement is a
+// per-flow queues against the candidate lists they index, the timing
+// wheels against the draining VCs and parked packets whose only forward
+// reference is a scheduled record, the arrival wheel against the sources
+// that will generate again, and each wheel's count and the shared
+// occupancy map against what the wheels actually hold. Any disagreement is a
 // state-corruption bug; the auditor turns it into an immediate, located
 // failure instead of a silently wrong simulation result.
 //
@@ -52,23 +54,6 @@ func (n *Network) mustAudit(now sim.Cycle) {
 	}
 }
 
-// forEach visits every pending event: ring buckets, the late list and the
-// far-future spillway. Visit order is unspecified — audit use only.
-func (r *eventRing) forEach(fn func(*event)) {
-	for i := range r.buckets {
-		b := r.buckets[i]
-		for j := range b {
-			fn(&b[j])
-		}
-	}
-	for j := range r.late {
-		fn(&r.late[j])
-	}
-	for j := range r.far.items {
-		fn(&r.far.items[j])
-	}
-}
-
 // AuditInvariants cross-checks the engine's redundant state encodings and
 // returns the first violation found, or nil. It is read-only and safe to
 // call between Steps at any time. Checks that depend on packet-slot
@@ -98,7 +83,12 @@ func (n *Network) AuditInvariants() error {
 	pendingRel := make(map[relKey]bool)
 	pktEvents := make(map[pktH]bool)
 	sys := 0
-	n.events.forEach(func(ev *event) {
+	anchor := func(p pktH, pgen uint32) {
+		if p != noPkt && int(p) < len(n.arena) && n.arena[p].gen == pgen {
+			pktEvents[p] = true
+		}
+	}
+	tally := func(ev *event) {
 		switch ev.kind {
 		case evRelease:
 			pendingRel[relKey{ev.buf, ev.vc, ev.gen}] = true
@@ -106,30 +96,65 @@ func (n *Network) AuditInvariants() error {
 			sys++
 		case evInject:
 		default:
-			if ev.p != noPkt && int(ev.p) < len(n.arena) && n.arena[ev.p].gen == ev.pgen {
-				pktEvents[ev.p] = true
-			}
-		}
-	})
-	// Near-future releases ride the dedicated release wheel rather than
-	// the event ring; they justify draining VCs all the same.
-	for bi := range n.relw.buckets {
-		for _, rec := range n.relw.buckets[bi] {
-			pendingRel[relKey{rec.buf, rec.vc, rec.gen}] = true
+			anchor(ev.p, ev.pgen)
 		}
 	}
-	// Likewise heads, delivers and ACKs on their wheels anchor live slots.
-	for _, w := range []*pktWheel{&n.headw, &n.delivw, &n.ackw} {
-		for bi := range w.buckets {
-			for _, rec := range w.buckets[bi] {
-				if rec.p != noPkt && int(rec.p) < len(n.arena) && n.arena[rec.p].gen == rec.pgen {
-					pktEvents[rec.p] = true
-				}
-			}
+	for i := range n.events.late {
+		tally(&n.events.late[i])
+	}
+	// One census per wheel: what each holds, the wheel's own integrity,
+	// and in filed the cycles that hold a bucket anywhere. Dense releases
+	// justify draining VCs like evRelease events do; dense heads, delivers
+	// and ACKs anchor live slots.
+	now := n.clock.Now()
+	var filed calendar
+	if err := n.events.census(now, &filed, func(_ sim.Cycle, ev *event) { tally(ev) }); err != nil {
+		return fmt.Errorf("event wheel: %v", err)
+	}
+	if err := n.relw.census(now, &filed, func(_ sim.Cycle, r *relRec) {
+		pendingRel[relKey{r.buf, r.vc, r.gen}] = true
+	}); err != nil {
+		return fmt.Errorf("release wheel: %v", err)
+	}
+	for i, w := range [...]*wheel[pktRec]{&n.headw, &n.delivw, &n.ackw} {
+		if err := w.census(now, &filed, func(_ sim.Cycle, r *pktRec) { anchor(r.p, r.pgen) }); err != nil {
+			return fmt.Errorf("%s wheel: %v", [...]string{"head", "deliver", "ack"}[i], err)
+		}
+	}
+	// The arrival schedule: every source that will generate again is filed
+	// exactly once, at its next arrival, and no other source is filed at
+	// all — one that drops out of the schedule just stops injecting.
+	filings := make([]int, len(n.srcs))
+	filedAt := make([]sim.Cycle, len(n.srcs))
+	if err := n.arrivals.census(now, &filed, func(at sim.Cycle, idx *int32) {
+		filings[*idx]++
+		filedAt[*idx] = at
+	}); err != nil {
+		return fmt.Errorf("arrival wheel: %v", err)
+	}
+	for si := range n.srcs {
+		s, want := &n.srcs[si], 0
+		if n.arrivalEligible(s) {
+			want = 1
+		}
+		if filings[si] != want {
+			return fmt.Errorf("source %d (flow %d, next arrival %d) is on the arrival wheel %d times, want %d",
+				si, s.spec.Flow, s.nextArrival, filings[si], want)
+		}
+		if want == 1 && filedAt[si] != max(s.nextArrival, now) {
+			return fmt.Errorf("source %d (flow %d) is filed at cycle %d, its next arrival is %d",
+				si, s.spec.Flow, filedAt[si], s.nextArrival)
+		}
+	}
+	for wi := range filed.busy {
+		if d := filed.busy[wi] ^ n.cal.busy[wi]; d != 0 {
+			slot := wi<<6 + bits.TrailingZeros64(d)
+			return fmt.Errorf("shared occupancy map marks slot %d %v, the wheels' buckets there say %v",
+				slot, n.cal.busy[wi]&d != 0, filed.busy[wi]&d != 0)
 		}
 	}
 	if sys != n.sysEvents {
-		return fmt.Errorf("sysEvents says %d bookkeeping events pending, ring holds %d", n.sysEvents, sys)
+		return fmt.Errorf("sysEvents says %d bookkeeping events pending, the event wheel holds %d", n.sysEvents, sys)
 	}
 
 	// VC pools: bitmap/owner/occupied agreement, owner liveness, and a

@@ -1,8 +1,6 @@
 package network
 
 import (
-	"math/bits"
-
 	"tanoq/internal/qos"
 	"tanoq/internal/sim"
 	"tanoq/internal/topology"
@@ -47,7 +45,7 @@ const (
 	evWatchdog
 	// evProbe: a telemetry sampling tick comes due (probe.go). The
 	// probe reschedules itself every SetProbe interval; riding the
-	// event ring keeps idle-skip horizons exact, so an instrumented
+	// event wheel keeps idle-skip horizons exact, so an instrumented
 	// run is bit-identical to an uninstrumented one with or without
 	// fast-forwarding. The handler only reads engine state.
 	evProbe
@@ -57,12 +55,11 @@ const (
 // (retransmission count) and arena-slot generation they were scheduled
 // for; a preemption bumps the packet's attempt and a recycle bumps the
 // slot's generation, turning in-flight stale events into no-ops. The
-// struct is 40 bytes and pointer-free — packets and buffers are named by
-// handle/ID — so scheduling and firing copy five words with no write
-// barriers, and the garbage collector never scans the ring's buckets.
+// struct is 32 bytes and pointer-free — packets and buffers are named by
+// handle/ID — so scheduling and firing copy four words with no write
+// barriers, and the garbage collector never scans a bucket.
 type event struct {
-	at  sim.Cycle
-	seq uint64 // FIFO order among same-cycle events
+	seq uint64 // schedule order, which is firing order within a cycle
 	// p is the target packet's arena handle (noPkt for buffer events).
 	p    pktH
 	pgen uint32
@@ -74,197 +71,78 @@ type event struct {
 	kind    evKind
 }
 
-// The event queue is a calendar ring: every occurrence the engine
-// schedules lands a small bounded distance ahead (router and wire
-// pipeline delays, tail serialization, credit loops, ACK-network trips),
-// so events live in per-cycle FIFO buckets indexed by cycle modulo
-// ringSize, with a fixed occupancy bitmap locating the next non-empty
-// bucket in a handful of word scans. Scheduling and firing are O(1) —
-// the binary heap this replaces spent most of the low-load engine's time
-// sifting — and determinism is untouched: bucket order is append order,
-// which is exactly the (cycle, seq) order the heap produced.
+// eventQueue is the general calendar: a long wheel whose events fire, within
+// a cycle, in the order they were scheduled — filing order, with an event
+// that comes back from the overflow heap put in front of the younger ones
+// filed since. It carries what the dense per-kind wheels below do not:
+// the timers that sit hundreds of cycles out (retry, scheduled injection,
+// probe, fault edge, watchdog), NACKs, and the rare dense record whose
+// distance leaves its own wheel.
 //
-// Two spillways keep the ring exact rather than merely fast:
-//
-//   - far holds the rare event scheduled >= ringSize cycles out (e.g. an
-//     oversized configured AckDelay) in a min-heap, drained into the ring
-//     as the clock approaches (drainFar inserts by seq, preserving FIFO
-//     order among same-cycle events);
-//   - late holds events scheduled at or before the current cycle (an
-//     ACK/NACK with zero hop distance and zero configured delay, or one
-//     scheduled from the arbitration phase after processEvents already
-//     ran). The heap fired such an event on the next processEvents pass,
-//     before anything of a later cycle; the late list reproduces that.
-//
-// ringSize is sized to the engine's scheduling horizon: the largest
-// default-config delta is a release at tail departure plus the credit
-// loop (~20 cycles on a MECS express channel), so 64 buckets cover every
-// hot schedule while keeping the bucket headers and occupancy bitmap
-// within a few cache lines. Oversized configured delays (a stress-test
-// AckDelay, say) spill to the far heap and stay exact.
-const (
-	ringBits  = 6
-	ringSize  = 1 << ringBits
-	ringMask  = ringSize - 1
-	ringWords = ringSize / 64
-	// bucketCap pre-sizes each bucket (and the late list) so that
-	// steady-state depth spikes land in existing capacity instead of
-	// growing the slice (see the working-set capacities in arena.go).
-	bucketCap = 32
-)
-
-type eventRing struct {
-	buckets [ringSize][]event
-	words   [ringWords]uint64 // bucket-occupancy bitmap
-	late    []event
-	far     eventHeap
-	count   int    // pending events across buckets, late and far
-	seq     uint64 // next schedule order stamp
+// late is what makes it exact at distance zero: an event scheduled at or
+// before the current cycle (a NACK with zero hop distance and zero
+// configured delay, a reply a delivery hook schedules for the delivery's
+// own cycle, or anything scheduled from the arbitration phase after
+// processEvents already ran) fires on the next processEvents pass, before
+// anything of a later cycle, in schedule order.
+type eventQueue struct {
+	wheel[event]
+	late []event
+	seq  uint64 // next schedule-order stamp
+	// lateFires counts late-list firings, for tests.
+	lateFires uint64
 }
 
 // Len returns the number of pending events.
-func (r *eventRing) Len() int { return r.count }
-
-// reset clears every pending event while keeping the bucket, late-list
-// and far-heap backing arrays for reuse (the Network.Reset path — a cell
-// can end mid-simulation with events still scheduled).
-func (r *eventRing) reset() {
-	for i := range r.buckets {
-		if r.buckets[i] == nil {
-			r.buckets[i] = make([]event, 0, bucketCap)
-		}
-		r.buckets[i] = r.buckets[i][:0]
-	}
-	for i := range r.words {
-		r.words[i] = 0
-	}
-	if r.late == nil {
-		r.late = make([]event, 0, bucketCap)
-	}
-	r.late = r.late[:0]
-	r.far.items = r.far.items[:0]
-	r.count = 0
-	r.seq = 0
-}
-
-// add files an event relative to the current cycle. The caller supplies
-// now (every scheduling site already holds it), saving a clock load per
-// event on the hottest write path of the engine.
-func (r *eventRing) add(ev *event, now sim.Cycle) {
-	r.count++
-	delta := ev.at - now
-	switch {
-	case delta <= 0:
-		r.late = append(r.late, *ev)
-	case delta < ringSize:
-		idx := int(uint64(ev.at) & ringMask)
-		if len(r.buckets[idx]) == 0 {
-			r.words[idx>>6] |= 1 << uint(idx&63)
-		}
-		r.buckets[idx] = append(r.buckets[idx], *ev)
-	default:
-		r.far.push(*ev)
-	}
-}
-
-// dueNow reports in O(1) whether an event is due at or before now — the
-// fast-fail for idle-wake attempts on busy cycles.
-func (r *eventRing) dueNow(now sim.Cycle) bool {
-	return len(r.late) > 0 || len(r.buckets[int(uint64(now)&ringMask)]) > 0
-}
-
-// nextAt reports the cycle of the earliest pending event. late events
-// (at <= now) sort before everything; ring events all precede far events
-// by construction (far holds only occurrences >= ringSize cycles out).
-func (r *eventRing) nextAt(now sim.Cycle) (sim.Cycle, bool) {
-	if r.count == 0 {
-		return 0, false
-	}
-	if len(r.late) > 0 {
-		return r.late[0].at, true
-	}
-	if at, ok := r.ringNext(now); ok {
-		return at, true
-	}
-	if r.far.Len() > 0 {
-		return r.far.items[0].at, true
-	}
-	return 0, false
-}
-
-// ringNext scans the occupancy bitmap for the first non-empty bucket at or
-// after now, wrapping once around the ring.
-func (r *eventRing) ringNext(now sim.Cycle) (sim.Cycle, bool) {
-	return wheelNext(&r.words, now)
-}
-
-// drainFar moves far-future events whose cycle has come within the ring
-// horizon into their buckets, inserting by seq so that same-cycle FIFO
-// order is preserved.
-func (r *eventRing) drainFar(now sim.Cycle) {
-	for r.far.Len() > 0 && r.far.items[0].at-now < ringSize {
-		ev := r.far.pop()
-		idx := int(uint64(ev.at) & ringMask)
-		b := append(r.buckets[idx], ev)
-		for i := len(b) - 1; i > 0 && b[i-1].seq > ev.seq; i-- {
-			b[i], b[i-1] = b[i-1], b[i]
-		}
-		r.buckets[idx] = b
-		r.words[idx>>6] |= 1 << uint(idx&63)
-	}
-}
-
-// popLate removes and returns the oldest late event.
-func (r *eventRing) popLate() event {
-	ev := r.late[0]
-	copy(r.late, r.late[1:])
-	r.late = r.late[:len(r.late)-1]
-	r.count--
-	return ev
-}
+func (q *eventQueue) Len() int { return q.count + len(q.late) }
 
 // schedule enqueues an event at the given cycle. Callers targeting a
 // packet stamp ev.pgen themselves (they already hold the slot pointer) so
 // the event dies with the packet; now is the current cycle (every caller
-// holds that too). The event travels by pointer and is copied exactly
-// once, into its bucket.
+// holds that too, which saves a clock load on the engine's hottest write
+// path).
 func (n *Network) schedule(ev *event, at, now sim.Cycle) {
-	ev.at = at
-	ev.seq = n.events.seq
-	n.events.seq++
-	n.events.add(ev, now)
+	q := &n.events
+	ev.seq = q.seq
+	q.seq++
+	switch d := at - now; {
+	case d <= 0:
+		q.late = append(q.late, *ev)
+	case d < q.size():
+		q.file(*ev, at)
+	default:
+		q.spill(*ev, ev.seq, at)
+	}
 }
+
+func scheduledBefore(a, b *event) bool { return a.seq < b.seq }
 
 // processEvents fires every event due at or before now: carried-over late
 // events first (their cycle already passed), then the current cycle's
-// bucket in schedule order — picking up same-cycle events scheduled while
-// firing — then anything a fired handler scheduled for this very cycle.
+// bucket in schedule order, then anything a fired handler scheduled for
+// this very cycle (it lands in late: the bucket cannot grow while firing).
 func (n *Network) processEvents(now sim.Cycle) {
-	r := &n.events
-	if r.count == 0 {
-		return
+	q := &n.events
+	if len(q.far.items) > 0 {
+		q.drain(now, scheduledBefore)
 	}
-	if r.far.Len() > 0 {
-		r.drainFar(now)
-	}
-	for len(r.late) > 0 {
-		n.dispatch(r.popLate(), now)
-	}
-	idx := int(uint64(now) & ringMask)
-	if b := r.buckets[idx]; len(b) > 0 {
-		// The bucket cannot grow while being processed: a same-cycle
-		// schedule has delta <= 0 and lands in late, and any other delta
-		// maps to a different bucket (or to far), so iterating the
-		// hoisted slice is safe.
-		for i := 0; i < len(b); i++ {
-			r.count--
+	n.fireLate(now)
+	if b := q.due(now); len(b) > 0 {
+		for i := range b {
 			n.dispatch(b[i], now)
 		}
-		r.buckets[idx] = b[:0]
-		r.words[idx>>6] &^= 1 << uint(idx&63)
+		q.done(now)
+		n.fireLate(now)
 	}
-	for len(r.late) > 0 {
-		n.dispatch(r.popLate(), now)
+}
+
+func (n *Network) fireLate(now sim.Cycle) {
+	q := &n.events
+	for len(q.late) > 0 {
+		ev := q.late[0]
+		q.late = q.late[:copy(q.late, q.late[1:])]
+		q.lateFires++
+		n.dispatch(ev, now)
 	}
 }
 
@@ -272,25 +150,22 @@ func (n *Network) processEvents(now sim.Cycle) {
 // recycled since it was scheduled. The target's arena slot is resolved
 // once here and handed to the handler.
 func (n *Network) dispatch(ev event, now sim.Cycle) {
-	if ev.kind == evRelease {
+	switch ev.kind {
+	case evRelease:
 		n.bufs[ev.buf].release(int32(ev.vc), ev.gen)
 		return
-	}
-	if ev.kind == evInject {
+	case evInject:
 		rec := n.injPool[ev.buf]
 		n.injFree = append(n.injFree, ev.buf)
 		n.generateScheduled(rec, now)
 		return
-	}
-	if ev.kind == evFault {
+	case evFault:
 		n.onFaultEdge(ev.buf, ev.attempt == 1, now)
 		return
-	}
-	if ev.kind == evWatchdog {
+	case evWatchdog:
 		n.onWatchdog(now)
 		return
-	}
-	if ev.kind == evProbe {
+	case evProbe:
 		n.onProbe(now)
 		return
 	}
@@ -313,95 +188,47 @@ func (n *Network) dispatch(ev event, now sim.Cycle) {
 	}
 }
 
-// relRec is one pending virtual-channel release in the release wheel:
-// the (buffer, VC, generation) triple an evRelease would carry, without
-// the 40-byte event envelope. Releases need no sequence stamp because
-// they commute — see relWheel.
+// The four per-packet occurrences that dominate the engine's traffic —
+// a head arrival per hop, a VC release per hop and per delivery, a
+// delivery and an ACK per packet — each get a dense wheel of 12-byte
+// records instead of riding the event queue. A record whose distance
+// leaves the dense horizon (an oversized configured AckDelay, say), or
+// that is due at the current cycle after its phase already ran, becomes an
+// ordinary event, which is where the wheels' assumptions end.
+//
+// Ordering is preserved where it is observable:
+//
+//   - Records of the same kind fire in schedule order, so delivery
+//     fingerprints — a hash over deliveries in firing order — are
+//     untouched.
+//   - Between a dense record and an event due the same cycle, the event
+//     fires first (Step runs processEvents ahead of the dense phases).
+//     Events are either timers scheduled long ago or dense records that
+//     left the horizon, scheduled earlier than any same-cycle dense record
+//     by at least that horizon: "events first" is the schedule order.
+//   - Between dense kinds due the same cycle the engine fixes the phase
+//     order releases -> delivers -> ACKs -> heads. A release touches only
+//     its own VC's state (owner, free bit, occupancy, generation), which
+//     no handler reads — VC state is consulted by the arbitration phase,
+//     after every event phase — and two live releases never target the
+//     same (buffer, VC, generation), so releases commute with everything.
+//     The other handlers touch disjoint state (a deliver writes its own
+//     packet, statistics and the source window path; an ACK frees a window
+//     slot and recycles an arena slot; a head appends its own packet to an
+//     output port's candidate list), so the phase order is unobservable
+//     except through the arena free-list order, which it fixes.
+
+// relRec is one pending virtual-channel release: the (buffer, VC,
+// generation) triple an evRelease carries.
 type relRec struct {
 	buf int32
 	gen uint32
 	vc  int16
 }
 
-// relWheel is a dedicated calendar wheel for VC releases, the most
-// frequent event class of the engine (one per hop per packet for the
-// upstream credit loop, plus one per delivery for the ejection VC's
-// drain). Releases are special among events: firing one touches only its
-// own VC's state (owner, free bit, occupancy, generation), which no event
-// handler reads — VC state is consulted only by the arbitration phase,
-// after the whole event phase of the cycle — and two live releases never
-// target the same (buffer, VC, generation). Every release therefore
-// commutes with every other same-cycle occurrence, so the wheel drops the
-// FIFO sequence stamp, the late list and the per-event dispatch switch,
-// firing its whole due bucket with three stores per record. Scheduling
-// outside the wheel's horizon (or at the current cycle, after the event
-// phase already ran) falls back to an ordinary evRelease, preserving the
-// historical semantics exactly where the wheel's assumptions end. Results
-// are bit-identical either way; only the bookkeeping is cheaper.
-type relWheel struct {
-	buckets [ringSize][]relRec
-	words   [ringWords]uint64 // bucket-occupancy bitmap
-	count   int
-}
-
-// reset clears pending releases, keeping bucket backing arrays.
-func (w *relWheel) reset() {
-	for i := range w.buckets {
-		if w.buckets[i] == nil {
-			w.buckets[i] = make([]relRec, 0, bucketCap)
-		}
-		w.buckets[i] = w.buckets[i][:0]
-	}
-	for i := range w.words {
-		w.words[i] = 0
-	}
-	w.count = 0
-}
-
-// add files a release due at cycle at; the caller guarantees
-// 0 < at-now < ringSize.
-func (w *relWheel) add(rec relRec, at sim.Cycle) {
-	idx := int(uint64(at) & ringMask)
-	if len(w.buckets[idx]) == 0 {
-		w.words[idx>>6] |= 1 << uint(idx&63)
-	}
-	w.buckets[idx] = append(w.buckets[idx], rec)
-	w.count++
-}
-
-// dueNow reports whether a release is due at now.
-func (w *relWheel) dueNow(now sim.Cycle) bool {
-	return len(w.buckets[int(uint64(now)&ringMask)]) > 0
-}
-
-// nextAt reports the cycle of the earliest pending release (callers check
-// count first). Same bitmap scan as eventRing.ringNext.
-func (w *relWheel) nextAt(now sim.Cycle) (sim.Cycle, bool) {
-	return wheelNext(&w.words, now)
-}
-
-// wheelNext scans a wheel-occupancy bitmap for the first non-empty bucket
-// at or after now, wrapping once around the ring (the shared core of every
-// calendar wheel's nextAt).
-func wheelNext(words *[ringWords]uint64, now sim.Cycle) (sim.Cycle, bool) {
-	start := int(uint64(now) & ringMask)
-	if v := words[start>>6] >> uint(start&63); v != 0 {
-		return now + sim.Cycle(bits.TrailingZeros64(v)), true
-	}
-	for k := 1; k <= ringWords; k++ {
-		wi := (start>>6 + k) & (ringWords - 1)
-		if v := words[wi]; v != 0 {
-			idx := wi<<6 + bits.TrailingZeros64(v)
-			return now + sim.Cycle((idx-start)&ringMask), true
-		}
-	}
-	return 0, false
-}
-
-// pktRec is one pending packet-timed occurrence — a head arrival, a
-// delivery or an ACK — stripped to the fields its handler needs: the arena
-// handle, the slot generation it was scheduled against (a recycle turns
-// the record into a no-op, exactly like the ring's pgen guard) and the
+// pktRec is one pending head arrival, delivery or ACK: the arena handle,
+// the slot generation it was scheduled against (a recycle turns the
+// record into a no-op, like dispatch's pgen guard) and the
 // retransmission attempt.
 type pktRec struct {
 	p       pktH
@@ -409,210 +236,101 @@ type pktRec struct {
 	attempt int32
 }
 
-// pktWheel is a calendar wheel for one dense packet-event kind. The engine
-// schedules almost everything a small bounded distance ahead, so the three
-// per-packet event kinds that dominate the ring's traffic — evHead (one
-// per hop), evDeliver and evAck (one each per packet) — get wheels of
-// 12-byte records instead of 40-byte ring events.
-//
-// Ordering is preserved where it is observable:
-//
-//   - Records of the SAME kind fire in schedule order: buckets keep append
-//     order, and every record in a bucket was appended in schedule (seq)
-//     order. Delivery fingerprints — a hash over deliveries in firing
-//     order — are therefore untouched.
-//   - Between a wheel record and a ring event due the same cycle, the ring
-//     fires first (Step runs processEvents before the wheel phases). Ring
-//     residents are either system events scheduled long ago (fault edges,
-//     watchdog checks, retry timers — whose sequence stamps are older than
-//     any wheel-horizon record's, so "ring first" reproduces the dominant
-//     historical order) or far-horizon spills of these same kinds, drained
-//     into the ring before their cycle comes (scheduled earlier than any
-//     same-cycle wheel record by at least the horizon, hence also first in
-//     the historical order).
-//   - Between wheel kinds due the same cycle the engine fixes the phase
-//     order delivers -> ACKs -> heads. The handlers touch disjoint state
-//     (a deliver writes its own packet, statistics and the source window
-//     path; an ACK frees a window slot and recycles an arena slot; a head
-//     appends its own packet to an output port's candidate list), so the
-//     phase order is unobservable except through the arena free-list
-//     order, which it fixes deterministically.
-type pktWheel struct {
-	buckets [ringSize][]pktRec
-	words   [ringWords]uint64 // bucket-occupancy bitmap
-	count   int
-}
-
-// reset clears pending records, keeping bucket backing arrays.
-func (w *pktWheel) reset() {
-	for i := range w.buckets {
-		if w.buckets[i] == nil {
-			w.buckets[i] = make([]pktRec, 0, bucketCap)
-		}
-		w.buckets[i] = w.buckets[i][:0]
-	}
-	for i := range w.words {
-		w.words[i] = 0
-	}
-	w.count = 0
-}
-
-// add files a record due at cycle at; the caller guarantees
-// 0 < at-now < ringSize.
-func (w *pktWheel) add(rec pktRec, at sim.Cycle) {
-	idx := int(uint64(at) & ringMask)
-	if len(w.buckets[idx]) == 0 {
-		w.words[idx>>6] |= 1 << uint(idx&63)
-	}
-	w.buckets[idx] = append(w.buckets[idx], rec)
-	w.count++
-}
-
-// nextAt reports the cycle of the earliest pending record (callers check
-// count first).
-func (w *pktWheel) nextAt(now sim.Cycle) (sim.Cycle, bool) {
-	return wheelNext(&w.words, now)
-}
-
-// scheduleHead enqueues a head-arrival occurrence: the wheel in the common
-// case, an ordinary ring event at the current cycle or past the horizon.
+// scheduleHead, scheduleDeliver, scheduleAck and scheduleRelease file a
+// record on its dense wheel, or as an event of the matching kind outside
+// that wheel's horizon.
 func (n *Network) scheduleHead(h pktH, pgen uint32, attempt int32, at, now sim.Cycle) {
-	if d := at - now; d > 0 && d < ringSize {
+	if d := at - now; d > 0 && d < 1<<denseBits {
 		n.headw.add(pktRec{p: h, pgen: pgen, attempt: attempt}, at)
 		return
 	}
 	n.schedule(&event{kind: evHead, p: h, pgen: pgen, attempt: attempt}, at, now)
 }
 
-// scheduleDeliver enqueues a delivery occurrence; fallback as scheduleHead.
 func (n *Network) scheduleDeliver(h pktH, pgen uint32, attempt int32, at, now sim.Cycle) {
-	if d := at - now; d > 0 && d < ringSize {
+	if d := at - now; d > 0 && d < 1<<denseBits {
 		n.delivw.add(pktRec{p: h, pgen: pgen, attempt: attempt}, at)
 		return
 	}
 	n.schedule(&event{kind: evDeliver, p: h, pgen: pgen, attempt: attempt}, at, now)
 }
 
-// scheduleAck enqueues an ACK-network arrival. A zero-distance,
-// zero-AckDelay ACK (delta 0) fires inline — it is due this very cycle,
-// and the deliver phase it is scheduled from precedes the ACK phase.
+// A zero-distance, zero-AckDelay ACK fires inline — it is due this very
+// cycle, and the deliver phase it is scheduled from precedes the ACK phase.
 func (n *Network) scheduleAck(h pktH, pgen uint32, at, now sim.Cycle) {
-	d := at - now
-	if d > 0 && d < ringSize {
-		n.ackw.add(pktRec{p: h, pgen: pgen}, at)
-		return
-	}
-	if d <= 0 {
+	switch d := at - now; {
+	case d <= 0:
 		n.onAck(&n.srcs[n.arena[h].srcIdx])
 		n.recycle(h)
-		return
+	case d < 1<<denseBits:
+		n.ackw.add(pktRec{p: h, pgen: pgen}, at)
+	default:
+		n.schedule(&event{kind: evAck, p: h, pgen: pgen}, at, now)
 	}
-	n.schedule(&event{kind: evAck, p: h, pgen: pgen}, at, now)
 }
 
-// fireDelivers completes every delivery due this cycle. A deliver handler
-// schedules only future ACKs (or fires a degenerate zero-delay ACK
-// inline), never another deliver, so the bucket cannot grow while firing.
-func (n *Network) fireDelivers(now sim.Cycle) {
-	w := &n.delivw
-	idx := int(uint64(now) & ringMask)
-	b := w.buckets[idx]
-	if len(b) == 0 {
-		return
-	}
-	for i := 0; i < len(b); i++ {
-		p := &n.arena[b[i].p]
-		if p.gen == b[i].pgen {
-			n.onDeliver(b[i].p, p, int(b[i].attempt), now)
-		}
-	}
-	w.count -= len(b)
-	w.buckets[idx] = b[:0]
-	w.words[idx>>6] &^= 1 << uint(idx&63)
-}
-
-// fireAcks frees the window slot and arena slot of every ACK due this
-// cycle. ACK handlers schedule nothing, so the bucket cannot grow.
-func (n *Network) fireAcks(now sim.Cycle) {
-	w := &n.ackw
-	idx := int(uint64(now) & ringMask)
-	b := w.buckets[idx]
-	if len(b) == 0 {
-		return
-	}
-	for i := 0; i < len(b); i++ {
-		p := &n.arena[b[i].p]
-		if p.gen == b[i].pgen {
-			n.onAck(&n.srcs[p.srcIdx])
-			n.recycle(b[i].p)
-		}
-	}
-	w.count -= len(b)
-	w.buckets[idx] = b[:0]
-	w.words[idx>>6] &^= 1 << uint(idx&63)
-}
-
-// fireHeads registers every head arrival due this cycle. Head handlers
-// schedule nothing (the packet becomes an arbitration candidate; its next
-// occurrence is scheduled at grant), so the bucket cannot grow.
-func (n *Network) fireHeads(now sim.Cycle) {
-	w := &n.headw
-	idx := int(uint64(now) & ringMask)
-	b := w.buckets[idx]
-	if len(b) == 0 {
-		return
-	}
-	for i := 0; i < len(b); i++ {
-		p := &n.arena[b[i].p]
-		if p.gen == b[i].pgen {
-			n.onHeadArrival(b[i].p, p, int(b[i].attempt), now)
-		}
-	}
-	w.count -= len(b)
-	w.buckets[idx] = b[:0]
-	w.words[idx>>6] &^= 1 << uint(idx&63)
-}
-
-// scheduleRelease enqueues a VC release. The near-future common case rides
-// the release wheel; anything at the current cycle or beyond the wheel's
-// horizon falls back to an ordinary evRelease event.
 func (n *Network) scheduleRelease(buf int32, vc int16, gen uint32, at, now sim.Cycle) {
-	if d := at - now; d > 0 && d < ringSize {
+	if d := at - now; d > 0 && d < 1<<denseBits {
 		n.relw.add(relRec{buf: buf, gen: gen, vc: vc}, at)
 		return
 	}
 	n.schedule(&event{kind: evRelease, buf: buf, vc: vc, gen: gen}, at, now)
 }
 
-// fireReleases frees every VC whose release is due this cycle. Called by
-// Step ahead of processEvents; position within the event phase is
-// immaterial because releases commute (see relWheel). A release can never
-// schedule further work, so the bucket cannot grow while firing.
+// The four fire functions run a dense phase each. No handler files a
+// record on a dense wheel for the cycle being fired (a deliver schedules
+// future ACKs or fires a zero-delay one inline; releases, ACKs and heads
+// schedule nothing), so the bucket cannot grow while it fires.
+
 func (n *Network) fireReleases(now sim.Cycle) {
-	w := &n.relw
-	idx := int(uint64(now) & ringMask)
-	b := w.buckets[idx]
+	b := n.relw.due(now)
 	if len(b) == 0 {
 		return
 	}
 	for i := range b {
 		n.bufs[b[i].buf].release(int32(b[i].vc), b[i].gen)
 	}
-	w.count -= len(b)
-	w.buckets[idx] = b[:0]
-	w.words[idx>>6] &^= 1 << uint(idx&63)
+	n.relw.done(now)
 }
 
-// eventHeap orders the calendar ring's far-future spillway on
-// (cycle, seq).
-type eventHeap = minHeap[event]
-
-// lessThan orders events by cycle, then schedule order.
-func (e event) lessThan(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+func (n *Network) fireDelivers(now sim.Cycle) {
+	b := n.delivw.due(now)
+	if len(b) == 0 {
+		return
 	}
-	return e.seq < o.seq
+	for i := range b {
+		if p := &n.arena[b[i].p]; p.gen == b[i].pgen {
+			n.onDeliver(b[i].p, p, int(b[i].attempt), now)
+		}
+	}
+	n.delivw.done(now)
+}
+
+func (n *Network) fireAcks(now sim.Cycle) {
+	b := n.ackw.due(now)
+	if len(b) == 0 {
+		return
+	}
+	for i := range b {
+		if p := &n.arena[b[i].p]; p.gen == b[i].pgen {
+			n.onAck(&n.srcs[p.srcIdx])
+			n.recycle(b[i].p)
+		}
+	}
+	n.ackw.done(now)
+}
+
+func (n *Network) fireHeads(now sim.Cycle) {
+	b := n.headw.due(now)
+	if len(b) == 0 {
+		return
+	}
+	for i := range b {
+		if p := &n.arena[b[i].p]; p.gen == b[i].pgen {
+			n.onHeadArrival(b[i].p, p, int(b[i].attempt), now)
+		}
+	}
+	n.headw.done(now)
 }
 
 // onHeadArrival moves a packet into the buffer its head flit just reached

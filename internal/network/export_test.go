@@ -30,3 +30,20 @@ func (n *Network) FlowQueueRounds() (rounds, heads uint64) {
 	}
 	return rounds, heads
 }
+
+// OverflowCensus counts how often scheduling left the wheels' direct path
+// since the last Reset: records spilled to and drained from the overflow
+// heaps of the two long wheels, and events fired from the late list.
+type OverflowCensus struct {
+	EventSpills, EventDrains     uint64
+	ArrivalSpills, ArrivalDrains uint64
+	LateFires                    uint64
+}
+
+func (n *Network) OverflowCensus() OverflowCensus {
+	return OverflowCensus{
+		EventSpills: n.events.spills, EventDrains: n.events.drains,
+		ArrivalSpills: n.arrivals.spills, ArrivalDrains: n.arrivals.drains,
+		LateFires: n.events.lateFires,
+	}
+}

@@ -12,7 +12,7 @@ import (
 //
 // Faults are first-class events: every window edge (the cycle a fault
 // strikes and, for healing windows, the cycle it lifts) is scheduled on
-// the engine's calendar ring at Reset, so idle fast-forward horizons stay
+// the engine's event wheel at Reset, so idle fast-forward horizons stay
 // exact and a faulted run is bit-identical across worker counts and skip
 // settings. Between edges the fault state is a pair of per-port bitmaps
 // (down, permanently dead) plus a per-node stall bitmap that the
@@ -99,9 +99,9 @@ func (c FaultConfig) validate(kind topology.Kind, nodes int) error {
 
 // reinitFaults installs cfg's fault schedule and recovery knobs on a
 // freshly Reset network: state bitmaps sized and cleared, every window
-// edge scheduled as an evFault on the event ring (attempt 1 = strike,
+// edge scheduled as an evFault on the event wheel (attempt 1 = strike,
 // 0 = heal), and the watchdog timer armed. Runs after Reset rebuilds the
-// event ring and sources, so edge events get the first sequence numbers
+// event wheel and sources, so edge events get the first sequence numbers
 // of the run and fire ahead of any same-cycle packet event.
 func (n *Network) reinitFaults(cfg Config) {
 	n.fltOn = len(cfg.Faults.Windows) > 0

@@ -10,14 +10,11 @@ type heapElem[T any] interface {
 	lessThan(T) bool
 }
 
-// minHeap is the engine's shared binary min-heap: the event ring's
-// far-future spillway (minHeap[event]) and the source arrival schedule
-// (minHeap[*source]).
+// minHeap is the engine's one binary min-heap: the overflow of a timing
+// wheel whose callers can schedule past its horizon (wheel.far).
 type minHeap[T heapElem[T]] struct {
 	items []T
 }
-
-func (h *minHeap[T]) Len() int { return len(h.items) }
 
 func (h *minHeap[T]) push(v T) {
 	h.items = append(h.items, v)

@@ -15,7 +15,7 @@ import (
 // client controller of internal/workload — generate packets at exact
 // future cycles. All three are zero-cost and bit-identical when unused:
 // the hooks are a nil check on paths that already run once per packet,
-// and scheduled injections ride the existing event ring, so they are
+// and scheduled injections ride the existing event wheel, so they are
 // first-class events the idle fast-forward accounts for exactly.
 //
 // Unlike the diagnostic preempt/grant hooks, none of these suppress

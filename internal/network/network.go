@@ -29,8 +29,11 @@
 //     (qos.FlowTable), maintained eagerly on Record and cleared on frame
 //     flush, so arbitration reads one word per candidate instead of
 //     re-deriving quantize-and-scale per candidate per cycle.
-//   - Events are 40-byte pointer-free records in a calendar ring;
-//     scheduling and firing never trigger write barriers.
+//   - Everything scheduled is a 4- to 32-byte pointer-free record in the
+//     bucket of its cycle on a timing wheel (wheel.go): filing and firing
+//     are O(1) and never trigger a write barrier. Six wheels of one type
+//     share one occupancy map, so "is anything due now" is a bit test and
+//     "when is anything due next" one scan.
 //   - Every output port carries one epoch counter that moves on
 //     everything an arbitration verdict can depend on — waiter-set
 //     edits, VC allocations and releases in the buffers it feeds (each
@@ -68,10 +71,11 @@
 //     port order.
 //
 // On top of that, Run and RunUntilDrained are event-driven across idle
-// stretches: when no port holds a candidate, nothing can happen until the
-// earliest of (next scheduled event, next PVC frame boundary, and per
-// live source, its injection VC freeing or its next arrival), so the
-// clock fast-forwards there directly. Skipped cycles would have executed
+// stretches: when no port holds a candidate and no wheel holds a record
+// for the current cycle, nothing can happen until the earliest of (the
+// next cycle any wheel holds a record for, next PVC frame boundary, and
+// per offerable source, its injection VC freeing), so the clock jumps
+// there and that cycle is stepped. Skipped cycles would have executed
 // no state change, making the fast-forward provably mechanical: with
 // Config.DisableIdleSkip the engine ticks through every cycle and
 // produces bit-identical results (TestIdleSkipMechanicallyEquivalent).
@@ -88,7 +92,7 @@
 // surfaces that are zero-cost and bit-identical when unused (see
 // inject.go): SetDeliveryHook observes every delivery, SetGenHook
 // observes every generation as a trace record, and ScheduleInjection
-// generates a packet at an exact future cycle through the event ring —
+// generates a packet at an exact future cycle through the event wheel —
 // so closed-loop client wake-ups are first-class events the idle
 // fast-forward accounts for exactly. Sources can also replay a
 // prerecorded event stream verbatim (traffic.Spec.Replay) through the
@@ -152,15 +156,14 @@ type Network struct {
 	graph *topology.Graph
 	mode  qos.Mode
 
-	clock  sim.Clock
-	rng    sim.RNG
-	ports  []outPort
-	bufs   []inBuf
-	srcs   []source
-	quota  *qos.ReservedQuota
-	frame  *qos.FrameTimer
-	events eventRing
-	coll   *stats.Collector
+	clock sim.Clock
+	rng   sim.RNG
+	ports []outPort
+	bufs  []inBuf
+	srcs  []source
+	quota *qos.ReservedQuota
+	frame *qos.FrameTimer
+	coll  *stats.Collector
 
 	// parkedTables/parkedQuota/parkedFrame hold the QoS state objects
 	// across a Reset into a mode that does not use them, so a sweep
@@ -183,21 +186,22 @@ type Network struct {
 	arena []pkt
 	free  []pktH
 
-	// arrivals schedules packet generation: a calendar wheel of (cycle,
-	// source index) pairs with a far-future heap spillway (see arrWheel).
-	// Step fires only the sources whose arrival cycle has come, so
-	// generation costs O(packets), not O(sources x cycles). A source
-	// leaves the schedule for good once its next arrival would land at or
-	// past its StopAt deadline (see scheduleArrival).
-	arrivals arrWheel
-	// relw is the dedicated calendar wheel for near-future VC releases
-	// (see relWheel); out-of-horizon releases still ride the event ring.
-	relw relWheel
-	// headw, delivw and ackw carry the three dense per-packet event kinds
-	// (see pktWheel); the ring keeps system events and far-horizon spills.
-	headw  pktWheel
-	delivw pktWheel
-	ackw   pktWheel
+	// The engine's calendars (wheel.go, events.go): cal is the occupancy
+	// map they share. events is the general one. arrivals
+	// holds each generating source, by index, at the cycle of its next
+	// packet, so generation costs O(packets), not O(sources x cycles);
+	// records due the same cycle fire in source-index order, like the
+	// historical all-sources scan. A source leaves it for good once its
+	// next arrival would land at or past its StopAt deadline (see
+	// scheduleArrival). relw, headw, delivw and ackw carry the four dense
+	// per-packet kinds.
+	cal      calendar
+	events   eventQueue
+	arrivals wheel[int32]
+	relw     wheel[relRec]
+	headw    wheel[pktRec]
+	delivw   wheel[pktRec]
+	ackw     wheel[pktRec]
 	// offerSrcs is the subset of sources holding an injectable packet
 	// (queued or awaiting retransmission) but not yet offering one, kept
 	// sorted by source index. Membership is exact: markOfferable admits
@@ -241,7 +245,7 @@ type Network struct {
 	abortFlag *atomic.Bool
 	// probeFn/probeEvery/markFn are the telemetry attachment surface
 	// (probe.go): a periodic read-only sampling tick riding the event
-	// ring and a phase-transition observer. Per-cell like the workload
+	// wheel and a phase-transition observer. Per-cell like the workload
 	// hooks — Reset clears all three.
 	probeFn    func(sim.Cycle)
 	probeEvery sim.Cycle
@@ -299,7 +303,7 @@ func New(cfg Config) (*Network, error) {
 
 // Reset rebuilds the network for a fresh simulation of cfg, reusing every
 // backing allocation the previous configuration left behind — the packet
-// arena, the event ring, per-port candidate lists and flow tables, buffer
+// arena, the timing wheels, per-port candidate lists and flow tables, buffer
 // VC arrays, source queues and scratch buffers. A Reset network is
 // bit-identical to a freshly built one (TestResetMatchesFreshBuild): all
 // randomness derives from cfg.Seed and every piece of logical state is
@@ -454,12 +458,13 @@ func (n *Network) Reset(cfg Config) error {
 	n.markFn = nil
 	n.injPool = n.injPool[:0]
 	n.injFree = n.injFree[:0]
-	n.events.reset()
-	n.relw.reset()
-	n.headw.reset()
-	n.delivw.reset()
-	n.ackw.reset()
-	n.arrivals.reset(len(cfg.Workload.Specs))
+	n.events.reset(&n.cal, longBits, eventBucketCap)
+	n.arrivals.reset(&n.cal, longBits, bucketCap)
+	for _, w := range [...]interface{ reset(*calendar, uint, int) }{&n.relw, &n.headw, &n.delivw, &n.ackw} {
+		w.reset(&n.cal, denseBits, bucketCap)
+	}
+	n.cal = calendar{}
+	n.events.late, n.events.seq, n.events.lateFires = n.events.late[:0], 0, 0
 	if n.offerSrcs == nil {
 		n.offerSrcs = make([]int32, 0, len(cfg.Workload.Specs))
 	}
@@ -482,7 +487,7 @@ func (n *Network) Reset(cfg Config) error {
 	for i, spec := range cfg.Workload.Specs {
 		s := &n.srcs[i]
 		s.reinit(&n.rng, spec, int32(i))
-		n.scheduleArrival(s)
+		n.scheduleArrival(s, 0)
 	}
 	n.reinitFaults(cfg)
 	return nil
@@ -492,8 +497,8 @@ func (n *Network) Reset(cfg Config) error {
 // will actually happen: an inactive sampler never emits, and an arrival
 // landing at or past the injector's StopAt deadline is one the modeled
 // Bernoulli process would never produce — the source is permanently done
-// generating. Both the initial scheduling and Step's in-place heap
-// replacement use this single predicate, so they can never drift apart.
+// generating. The initial scheduling and Step's re-filing both go through
+// scheduleArrival and this one predicate, so they can never drift apart.
 func (n *Network) arrivalEligible(s *source) bool {
 	if s.replay != nil {
 		// Replay sources are scheduled while records remain; the recorded
@@ -506,14 +511,19 @@ func (n *Network) arrivalEligible(s *source) bool {
 	return !(s.spec.StopAt > 0 && s.nextArrival >= s.spec.StopAt)
 }
 
-// scheduleArrival (re-)enters a source into the arrival heap, unless it
+// scheduleArrival (re-)enters a source into the arrival wheel, unless it
 // is permanently done generating (see arrivalEligible), in which case it
-// leaves the schedule for good.
-func (n *Network) scheduleArrival(s *source) {
+// leaves the schedule for good. Buckets are filed in any order: Step sorts
+// the one it fires.
+func (n *Network) scheduleArrival(s *source, now sim.Cycle) {
 	if !n.arrivalEligible(s) {
 		return
 	}
-	n.arrivals.add(s.nextArrival, s.idx, n.clock.Now())
+	if w, at := &n.arrivals, s.nextArrival; at-now >= w.size() {
+		w.spill(s.idx, uint64(s.idx), at)
+	} else {
+		w.file(s.idx, max(at, now))
+	}
 }
 
 // markOfferable puts a source on the offerable list if it actually has an
@@ -585,30 +595,32 @@ func (n *Network) Step() {
 		}
 		n.frameCount++
 	}
-	// Fire exactly the sources whose arrival cycle has come (ties in
-	// source-index order, like the historical all-sources scan) and
-	// reschedule each for its next draw. The bucket is re-read every
-	// iteration: a replay source can re-file itself for this same cycle
-	// mid-loop (index-ordered after the entry being fired), and the
-	// insert may grow the bucket's backing array.
+	// Fire exactly the sources whose arrival cycle has come, in
+	// source-index order like the historical all-sources scan, and re-file
+	// each at its next draw. A replay source whose next record repeats
+	// this cycle generates it at once: in (cycle, index) order it is next.
 	if len(n.arrivals.far.items) > 0 {
-		n.arrivals.drainFar(now)
+		n.arrivals.drain(now, nil)
 	}
-	abi := int(uint64(now) & ringMask)
-	if len(n.arrivals.buckets[abi]) > 0 {
-		for k := 0; k < len(n.arrivals.buckets[abi]); k++ {
-			idx := n.arrivals.buckets[abi][k]
-			s := &n.srcs[idx]
-			n.generate(s, now)
-			if n.arrivalEligible(s) {
-				n.arrivals.add(s.nextArrival, idx, now)
+	if b := n.arrivals.due(now); len(b) > 0 {
+		for i := 1; i < len(b); i++ { // a few entries: sorted in place, no call
+			for j := i; j > 0 && b[j-1] > b[j]; j-- {
+				b[j-1], b[j] = b[j], b[j-1]
 			}
 		}
-		b := n.arrivals.buckets[abi]
-		n.arrivals.near -= len(b)
-		n.arrivals.buckets[abi] = b[:0]
-		n.arrivals.words[abi>>6] &^= 1 << uint(abi&63)
+		for _, idx := range b {
+			s := &n.srcs[idx]
+			n.generate(s, now)
+			for s.nextArrival <= now && n.arrivalEligible(s) {
+				n.generate(s, now)
+			}
+			n.scheduleArrival(s, now)
+		}
+		n.arrivals.done(now)
 	}
+	// Everything filed for this cycle has fired, and nothing below files
+	// a record nearer than the next one.
+	n.cal.clear(now)
 	// Offer pass over the sources actually holding injectable packets, in
 	// source-index order. A source whose packet just went on offer (or
 	// that somehow lost its backlog) leaves the list; it re-enters
@@ -668,88 +680,54 @@ func (n *Network) Step() {
 // forwarding over provably idle windows unless Config.DisableIdleSkip is
 // set. The clock lands on exactly the same final cycle either way.
 func (n *Network) Run(cycles int) {
-	end := n.clock.Now() + sim.Cycle(cycles)
+	n.run(n.clock.Now()+sim.Cycle(cycles), false)
+}
+
+// run steps the engine until the clock reaches end or, when asked, until
+// the network has drained, which it reports. A cycle with work in it is
+// stepped; from any other the clock jumps to the horizon and that cycle is
+// stepped directly — by construction it has work. The jump is mechanical:
+// a cycle is skippable only when no port holds an arbitration candidate
+// (so neither allocation nor inversion preemption can fire) and nothing is
+// filed for it, and the cycles up to the horizon execute no state change
+// at all, so skipping them is bit-identical to ticking through them.
+func (n *Network) run(end sim.Cycle, untilDrained bool) (drained bool) {
 	for now := n.clock.Now(); now < end; now = n.clock.Now() {
 		n.checkAbort(now)
-		if !n.cfg.DisableIdleSkip {
-			if wake, ok := n.nextWake(now); ok {
-				if wake > end {
-					wake = end
-				}
+		if !n.cfg.DisableIdleSkip && n.waiterCount == 0 && len(n.events.late) == 0 && !n.cal.busyAt(now) {
+			if wake := n.horizon(now); wake >= end {
+				n.clock.Advance(end - now)
+				break
+			} else if wake > now {
 				n.clock.Advance(wake - now)
-				continue
 			}
 		}
 		n.Step()
+		if untilDrained && n.idle() {
+			return true
+		}
 	}
+	return untilDrained && n.idle()
 }
 
 // neverCycle is effectively +infinity for next-wake computations.
 const neverCycle = sim.Cycle(1) << 62
 
-// nextWake reports the earliest future cycle at which the engine could
-// have work, or ok=false when the current cycle itself may have work and
-// must be stepped. The fast-forward is provably mechanical: a cycle is
-// skippable only when no port holds an arbitration candidate (so neither
-// allocation nor inversion preemption can fire), and the wake cycle is the
-// minimum over everything that is scheduled to change that — the event
-// heap (head arrivals, deliveries, VC releases, ACKs/NACKs), the next PVC
-// frame boundary (counter flush + quota refill), and each live source's
-// next act (injection-VC free at busyUntil, or the precomputed geometric
-// arrival). Cycles in between execute no state change at all, so skipping
-// them is bit-identical to ticking through them.
-func (n *Network) nextWake(now sim.Cycle) (wake sim.Cycle, ok bool) {
-	if n.waiterCount > 0 || n.events.dueNow(now) {
-		return 0, false
-	}
-	wake = neverCycle
-	if at, evOk := n.events.nextAt(now); evOk {
-		if at <= now {
-			return 0, false
-		}
-		wake = at
-	}
+// horizon is the earliest cycle at which the engine could have work, given
+// that no candidate is waiting: the minimum over everything scheduled to
+// change that — the next cycle any wheel holds a record for (one scan of
+// the shared map), the spilled records not yet on a wheel, the next PVC
+// frame boundary (counter flush + quota refill), and each offerable
+// source's injection VC freeing. It may be at or before now.
+func (n *Network) horizon(now sim.Cycle) sim.Cycle {
+	wake := min(n.cal.next(now), n.events.farAt(), n.arrivals.farAt())
 	if n.frame != nil {
-		if next := n.frame.Next(); next < wake {
-			wake = next
-		}
-	}
-	if n.arrivals.Len() > 0 {
-		if a, aOk := n.arrivals.nextAt(now); aOk && a < wake {
-			wake = a
-		}
-	}
-	if n.relw.count > 0 {
-		// A pending wheel occurrence must fire on its exact cycle (the
-		// wheels have no late list), so the fast-forward never jumps one.
-		if a, rOk := n.relw.nextAt(now); rOk && a < wake {
-			wake = a
-		}
-	}
-	if n.headw.count > 0 {
-		if a, hOk := n.headw.nextAt(now); hOk && a < wake {
-			wake = a
-		}
-	}
-	if n.delivw.count > 0 {
-		if a, dOk := n.delivw.nextAt(now); dOk && a < wake {
-			wake = a
-		}
-	}
-	if n.ackw.count > 0 {
-		if a, aOk := n.ackw.nextAt(now); aOk && a < wake {
-			wake = a
-		}
+		wake = min(wake, n.frame.Next())
 	}
 	for _, si := range n.offerSrcs {
-		if w := n.nextOffer(&n.srcs[si]); w < wake {
-			wake = w
-		}
+		wake = min(wake, n.nextOffer(&n.srcs[si]))
 	}
-	if wake <= now {
-		return 0, false
-	}
-	return wake, true
+	return wake
 }
 
 // WarmupAndMeasure runs warmup cycles with measurement paused, resets the
@@ -775,47 +753,30 @@ func (n *Network) measureStart() {
 // delivery and whether the network fully drained. Idle windows are
 // fast-forwarded like Run's unless Config.DisableIdleSkip is set.
 func (n *Network) RunUntilDrained(maxCycles int) (completion sim.Cycle, drained bool) {
-	end := n.clock.Now() + sim.Cycle(maxCycles)
-	for now := n.clock.Now(); now < end; now = n.clock.Now() {
-		n.checkAbort(now)
-		if !n.cfg.DisableIdleSkip {
-			if n.idle() {
-				// Only reachable on the first iteration (a Step that
-				// empties the network returns below; a fast-forward
-				// never changes state). Mirror the tick engine, which
-				// always executes one no-op Step before its idle check,
-				// so the final clock — and a frame flush, if that step
-				// sits on a boundary — stay bit-identical.
-				n.Step()
-				return n.coll.LastDelivery, true
-			}
-			if wake, ok := n.nextWake(now); ok {
-				if wake > end {
-					wake = end
-				}
-				n.clock.Advance(wake - now)
-				continue
-			}
-		}
+	if maxCycles > 0 && n.idle() {
+		// The tick engine executes one no-op Step before its first idle
+		// check; do the same rather than jump an empty horizon, so the
+		// final clock — and a frame flush, if that step sits on a
+		// boundary — stay bit-identical.
+		n.checkAbort(n.clock.Now())
 		n.Step()
-		if n.idle() {
-			return n.coll.LastDelivery, true
-		}
+		return n.coll.LastDelivery, true
 	}
-	return n.coll.LastDelivery, n.idle()
+	drained = n.run(n.clock.Now()+sim.Cycle(maxCycles), true)
+	return n.coll.LastDelivery, drained
 }
 
 // idle reports whether no work remains anywhere in the network, in O(1):
-// nothing in flight, no scheduled event, no arbitration candidate, no
-// future arrival (sources leave the arrival heap permanently once their
-// next draw lands past StopAt), and no source holding an injectable
-// backlog. A source with outstanding window slots always has a pending
-// ACK/NACK somewhere in the event chain, so the event check covers
-// retransmission obligations too. Pending bookkeeping events — unfired
-// fault edges and the watchdog timer — act on no packet and are excluded:
-// a drained network with a fault scheduled next week is still drained.
+// nothing in flight, no arbitration candidate, no source holding an
+// injectable backlog, and nothing on any wheel (sources leave the arrival
+// wheel permanently once their next draw lands past StopAt) beyond the
+// bookkeeping events — unfired fault edges, the watchdog timer, a probe —
+// which act on no packet: a drained network with a fault scheduled next
+// week is still drained. A source with outstanding window slots always
+// has a pending ACK/NACK on some wheel, so that check covers
+// retransmission obligations too.
 func (n *Network) idle() bool {
-	return n.inFlight == 0 && n.events.Len() == n.sysEvents && n.relw.count == 0 &&
-		n.headw.count == 0 && n.delivw.count == 0 && n.ackw.count == 0 &&
-		n.waiterCount == 0 && n.arrivals.Len() == 0 && len(n.offerSrcs) == 0
+	return n.inFlight == 0 && n.waiterCount == 0 && len(n.offerSrcs) == 0 &&
+		n.events.Len() == n.sysEvents && n.arrivals.count == 0 && n.relw.count == 0 &&
+		n.headw.count == 0 && n.delivw.count == 0 && n.ackw.count == 0
 }

@@ -3,11 +3,11 @@ package network
 import "tanoq/internal/sim"
 
 // Telemetry probe surface. A probe is a periodic bookkeeping event on
-// the calendar ring — scheduled exactly like a fault window edge or the
+// the event wheel — scheduled exactly like a fault window edge or the
 // watchdog timer — whose handler only *reads* engine state. Putting the
-// sampling tick on the ring (instead of, say, checking a modulus in
+// sampling tick on the wheel (instead of, say, checking a modulus in
 // Step) buys three properties at once: the idle-skip horizon covers the
-// next sample automatically (nextWake already folds ring events in, so
+// next sample automatically (the run loop's horizon covers every wheel, so
 // a fast-forwarded run wakes exactly at every tick), sysEvents
 // accounting keeps a pending probe from holding a drained network
 // alive, and the tick sequence is a pure function of the interval —
@@ -60,7 +60,7 @@ type ProbeMark struct {
 
 // SetProbe installs a periodic telemetry probe: fn fires every `every`
 // cycles of simulated time, starting one interval from now. The probe
-// rides the event ring as a system event, so instrumented runs stay
+// rides the event wheel as a system event, so instrumented runs stay
 // bit-identical to uninstrumented ones (the handler must only read
 // state) and idle-skip horizons remain exact. Like the workload hooks,
 // the probe is a per-cell attachment: Reset clears it, and the caller

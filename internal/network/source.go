@@ -1,8 +1,6 @@
 package network
 
 import (
-	"math/bits"
-
 	"tanoq/internal/noc"
 	"tanoq/internal/qos"
 	"tanoq/internal/sim"
@@ -15,7 +13,7 @@ import (
 // buffered for replay) and the retransmission queue fed by NACKs.
 //
 // Sources live by value in the network's flat source array and are not
-// scanned per cycle. Generation is driven by the network's arrival heap
+// scanned per cycle. Generation is driven by the network's arrival wheel
 // (a source is touched only on its precomputed arrival cycles), and
 // offering by the offerable list (a source is touched only while it
 // actually holds an injectable packet).
@@ -25,7 +23,7 @@ type source struct {
 	// indirection per draw, and reuse re-seeds it in place.
 	rng sim.RNG
 	// idx is the source's position in the workload spec order; it breaks
-	// same-cycle ties in the arrival heap and orders the offerable list,
+	// same-cycle ties in the arrival wheel and orders the offerable list,
 	// keeping both deterministic and identical to the historical
 	// all-sources scan order.
 	idx int32
@@ -54,7 +52,7 @@ type source struct {
 	// geometric draw per packet for smooth specs, reproducing the modeled
 	// per-cycle Bernoulli process exactly, plus on/off window walking for
 	// bursty MMPP-style specs. nextArrival is the precomputed cycle of
-	// the next packet — the source's wake-up time in the arrival heap.
+	// the next packet — the cycle the arrival wheel holds the source at.
 	arr         traffic.ArrivalSampler
 	nextArrival sim.Cycle
 
@@ -146,7 +144,7 @@ func (q *pktQueue) pop() pktH {
 	return h
 }
 
-// generate emits the precomputed arrival — the engine's arrival heap only
+// generate emits the precomputed arrival — the engine's arrival wheel only
 // pops a source on exactly its arrival cycle — then draws the next
 // inter-arrival gap from the spec's arrival sampler (geometric for smooth
 // specs, on/off-window modulated for bursty ones), so the emitted packet
@@ -326,7 +324,7 @@ func (n *Network) windowCapped(s *source) bool {
 // nextOffer returns the earliest cycle at which this offerable source
 // could inject, for the engine's idle fast-forward: the injection VC
 // frees at busyUntil. A window-capped source returns neverCycle — the
-// unblocking ACK/NACK is an event the heap already covers.
+// unblocking ACK/NACK is a record some wheel already holds.
 func (n *Network) nextOffer(s *source) sim.Cycle {
 	if s.offering != noPkt {
 		return neverCycle
@@ -340,186 +338,4 @@ func (n *Network) nextOffer(s *source) sim.Cycle {
 		}
 	}
 	return s.busyUntil
-}
-
-// arrival is one entry of the engine's arrival schedule: the cycle a
-// source's next packet lands, and the source's index. Entries are
-// 16-byte values — heap sifts move them without touching the sources.
-type arrival struct {
-	at  sim.Cycle
-	idx int32
-}
-
-// lessThan orders arrivals by cycle, then spec order; the index
-// tie-break makes same-cycle generation order identical to the
-// historical all-sources scan.
-func (a arrival) lessThan(o arrival) bool {
-	if a.at != o.at {
-		return a.at < o.at
-	}
-	return a.idx < o.idx
-}
-
-// arrHeap orders the engine's arrival schedule on (cycle, index). It is a
-// hand-specialized copy of minHeap: the heap is popped and re-pushed once
-// per generated packet, and the monomorphic comparison inlines where the
-// generic dictionary-based call would not.
-type arrHeap struct {
-	items []arrival
-}
-
-func (h *arrHeap) Len() int { return len(h.items) }
-
-func (h *arrHeap) push(v arrival) {
-	h.items = append(h.items, v)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.items[i].lessThan(h.items[parent]) {
-			break
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
-	}
-}
-
-func (h *arrHeap) pop() arrival {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	h.siftDown(last)
-	return top
-}
-
-// replaceTop overwrites the minimum with v and restores heap order with a
-// single sift — the engine pops a source's arrival and immediately pushes
-// its next one, and fusing the two halves the sift work. Correctness
-// needs no layout argument: (cycle, index) is a strict total order, so
-// the pop sequence is the sorted sequence whatever the internal array
-// arrangement.
-func (h *arrHeap) replaceTop(v arrival) {
-	h.items[0] = v
-	h.siftDown(len(h.items))
-}
-
-func (h *arrHeap) siftDown(n int) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			break
-		}
-		child := l
-		if r < n && h.items[r].lessThan(h.items[l]) {
-			child = r
-		}
-		if !h.items[child].lessThan(h.items[i]) {
-			break
-		}
-		h.items[i], h.items[child] = h.items[child], h.items[i]
-		i = child
-	}
-}
-
-// arrWheel schedules packet arrivals on a calendar wheel, replacing the
-// per-arrival heap sift with O(1) bucket filing for the common case. Each
-// bucket holds the sources due at one cycle within the wheel's horizon,
-// kept in source-index order so same-cycle generation matches the
-// historical all-sources scan (and the heap's (cycle, index) pop order)
-// exactly. Arrivals drawn past the horizon — the geometric tail, and
-// every arrival of a genuinely low-rate source — spill to the old heap
-// and drain into buckets as the clock approaches, in (cycle, index)
-// order, so the fired sequence is identical to the heap's whatever mix
-// of near and far draws a workload produces.
-type arrWheel struct {
-	buckets [ringSize][]int32
-	words   [ringWords]uint64 // bucket-occupancy bitmap
-	near    int
-	far     arrHeap
-}
-
-// reset clears the schedule, keeping backing arrays for reuse.
-func (w *arrWheel) reset(capHint int) {
-	for i := range w.buckets {
-		if w.buckets[i] == nil {
-			w.buckets[i] = make([]int32, 0, 8)
-		}
-		w.buckets[i] = w.buckets[i][:0]
-	}
-	for i := range w.words {
-		w.words[i] = 0
-	}
-	w.near = 0
-	if w.far.items == nil {
-		w.far.items = make([]arrival, 0, capHint)
-	}
-	w.far.items = w.far.items[:0]
-}
-
-// Len returns the number of scheduled arrivals.
-func (w *arrWheel) Len() int { return w.near + len(w.far.items) }
-
-// insert files an arrival into its bucket, index-sorted.
-func (w *arrWheel) insert(at sim.Cycle, idx int32) {
-	bi := int(uint64(at) & ringMask)
-	if len(w.buckets[bi]) == 0 {
-		w.words[bi>>6] |= 1 << uint(bi&63)
-	}
-	b := append(w.buckets[bi], idx)
-	for i := len(b) - 1; i > 0 && b[i-1] > idx; i-- {
-		b[i], b[i-1] = b[i-1], b[i]
-	}
-	w.buckets[bi] = b
-	w.near++
-}
-
-// add schedules source idx's arrival at cycle at. A same-cycle arrival
-// (a replay record repeating the current cycle) lands in the current
-// bucket, index-ordered after the entry being fired — exactly where the
-// heap would pop it next.
-func (w *arrWheel) add(at sim.Cycle, idx int32, now sim.Cycle) {
-	if at-now >= ringSize {
-		w.far.push(arrival{at: at, idx: idx})
-		return
-	}
-	if at < now {
-		at = now
-	}
-	w.insert(at, idx)
-}
-
-// drainFar moves far arrivals whose cycle has come within the horizon
-// into their buckets.
-func (w *arrWheel) drainFar(now sim.Cycle) {
-	for len(w.far.items) > 0 && w.far.items[0].at-now < ringSize {
-		a := w.far.pop()
-		at := a.at
-		if at < now {
-			at = now
-		}
-		w.insert(at, a.idx)
-	}
-}
-
-// nextAt reports the earliest scheduled arrival cycle (callers check Len
-// first).
-func (w *arrWheel) nextAt(now sim.Cycle) (sim.Cycle, bool) {
-	if w.near > 0 {
-		start := int(uint64(now) & ringMask)
-		if v := w.words[start>>6] >> uint(start&63); v != 0 {
-			return now + sim.Cycle(bits.TrailingZeros64(v)), true
-		}
-		for k := 1; k <= ringWords; k++ {
-			wi := (start>>6 + k) & (ringWords - 1)
-			if v := w.words[wi]; v != 0 {
-				idx := wi<<6 + bits.TrailingZeros64(v)
-				return now + sim.Cycle((idx-start)&ringMask), true
-			}
-		}
-	}
-	if len(w.far.items) > 0 {
-		return w.far.items[0].at, true
-	}
-	return 0, false
 }

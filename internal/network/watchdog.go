@@ -66,7 +66,7 @@ type WatchdogReport struct {
 	Waiters       int
 	PendingEvents int
 	// NextEventAt is the cycle of the earliest pending event;
-	// HasNextEvent false means the ring is empty.
+	// HasNextEvent false means no event is pending.
 	NextEventAt  sim.Cycle
 	HasNextEvent bool
 
@@ -182,8 +182,12 @@ func (n *Network) watchdogReport(now sim.Cycle) WatchdogReport {
 	}
 	// The watchdog's own pending timer was consumed before this capture.
 	r.PendingEvents = n.events.Len()
-	if at, ok := n.events.nextAt(now); ok {
-		r.NextEventAt, r.HasNextEvent = at, true
+	if r.HasNextEvent = r.PendingEvents > 0; r.HasNextEvent {
+		r.NextEventAt = neverCycle
+		if len(n.events.late) > 0 {
+			r.NextEventAt = now
+		}
+		n.events.census(now, nil, func(at sim.Cycle, _ *event) { r.NextEventAt = min(r.NextEventAt, at) })
 	}
 	if n.fltOn {
 		for i := range n.ports {
