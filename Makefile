@@ -1,11 +1,11 @@
 # Developer entry points; CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke metrics-smoke bench bench-json pgo
+.PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke metrics-smoke bench pgo
 
-# The engine version stamp: embedded in `noctool version`, cache keys,
-# BENCH_*.json and v2 trace headers, so results name the engine that made
-# them (a new stamp retires every cached sweep row). Binaries built
-# without the ldflags report "dev".
+# The engine version stamp: embedded in `noctool version`, cache keys and
+# v2 trace headers, so results name the engine that made them (a new
+# stamp retires every cached sweep row). Binaries built without the
+# ldflags report "dev".
 VERSION := $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X tanoq/internal/network.buildVersion=$(VERSION)
 
@@ -150,31 +150,30 @@ metrics-smoke:
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario
 
-# bench runs the repository benchmark suite once through `go test`: the
-# root package's per-artifact and engine benchmarks plus the engine's
-# saturated and event-bound points (BenchmarkSaturatedCycles and
-# BenchmarkSparseRun, internal/network).
+# bench smoke-runs the engine's three `testing.B` points once each:
+# BenchmarkEngineCycles (steady Step), BenchmarkSaturatedCycles and
+# BenchmarkSparseRun (event-bound, through Run), all in internal/network.
+# They are for measuring while you work and for `make pgo`; the numbers a
+# PR argues from come from `go run ./benchmark` (benchmark/README.md).
 bench:
-	go test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/network
+	go test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/network
 
 # pgo re-records cmd/noctool/default.pgo, the profile every `go build
-# ./cmd/noctool` applies. `noctool bench` is the recording workload: its
-# sections are the engine-bound sweep shapes — every topology's Step at a
-# steady and at a near-saturation rate, the quick Figure 4 grid with idle
-# skipping on and off, low-load cells and the idle horizon. Go matches a
-# profile's hot call sites by line offset inside the caller, so re-record
-# after any edit to Step, arbitrate or the wheels, and repeat the A/B of
-# docs/LEDGER.md row (c) (default build vs GOFLAGS=-pgo=off, alternating
-# pairs of `bash benchmark/run.sh --workload steady_grid`) before
-# committing the new file.
+# ./cmd/noctool` applies. The recording workload is the three engine
+# benchmarks at fixed iteration counts, about 16 s of samples: every
+# topology's Step below saturation, Workload 1 on mesh_x4 and mecs under
+# the three QoS modes (each network rebuilt six times, because its
+# backlog grows with the cycles run), and the idle-tail, faulted-retry
+# and closed-loop cells through Run. Go keys a profile by function name
+# and line offset, so one recorded from the package's test binary applies
+# to the tool. Re-record after any edit to Step, arbitrate or the wheels,
+# and repeat the A/B of docs/LEDGER.md row (c) (three trees differing
+# only in this file, alternating `bash benchmark/run.sh --workload
+# steady_grid` and `saturated_adversarial`) before committing the new
+# file.
 pgo:
-	go build -o /tmp/tanoq-pgo-noctool ./cmd/noctool
-	/tmp/tanoq-pgo-noctool bench -out /tmp/tanoq-pgo-bench.json -cpuprofile /tmp/tanoq-pgo.prof
-	cp /tmp/tanoq-pgo.prof cmd/noctool/default.pgo
+	go test -run '^$$' -o /tmp/tanoq-pgo.test -bench EngineCycles -benchtime 3000000x -cpuprofile /tmp/tanoq-pgo-steady.prof ./internal/network
+	go test -run '^$$' -o /tmp/tanoq-pgo.test -bench SaturatedCycles -benchtime 100000x -count 6 -cpuprofile /tmp/tanoq-pgo-saturated.prof ./internal/network
+	go test -run '^$$' -o /tmp/tanoq-pgo.test -bench SparseRun -benchtime 20x -cpuprofile /tmp/tanoq-pgo-sparse.prof ./internal/network
+	go tool pprof -proto /tmp/tanoq-pgo-steady.prof /tmp/tanoq-pgo-saturated.prof /tmp/tanoq-pgo-sparse.prof > cmd/noctool/default.pgo
 	@echo "pgo: cmd/noctool/default.pgo re-recorded; rebuild and repeat LEDGER (c)'s A/B before committing it"
-
-# bench-json writes the machine-readable perf snapshot BENCH_<date>.json
-# (engine step cost, quick Fig4 grid wall-clock, low-load cell speedups);
-# commit it to refresh CI's bench-regression baseline.
-bench-json:
-	go run ./cmd/noctool bench

@@ -27,7 +27,7 @@ func newFlagSet(name, synopsis, body string) *flag.FlagSet {
 }
 
 // simFlags are the simulation knobs shared by every cell-running
-// subcommand (sweep, degrade, trace, bench, and the experiment drivers):
+// subcommand (sweep, degrade, timeline, trace, and the experiment drivers):
 // the RNG seed, the warmup/measure schedule, worker fan-out, idle
 // skipping and the quick scale.
 type simFlags struct {

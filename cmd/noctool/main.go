@@ -56,12 +56,9 @@
 //	trace info <file>         print a trace's header and record stats
 //	            (-stats adds per-flow record counts and cycle spans)
 //
-//	bench       machine-readable engine benchmarks -> BENCH_<date>.json;
-//	            -baseline/-maxregress gate on ns/cycle regressions
-//
 //	version     print the engine version stamp (set at build time via
 //	            -ldflags; "dev" otherwise) that is embedded in cache
-//	            keys, BENCH_*.json and v2 trace headers
+//	            keys and v2 trace headers
 //
 // Experiments (no subcommand; shared simulation flags apply):
 //
@@ -84,6 +81,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"tanoq/internal/experiments"
@@ -107,8 +105,6 @@ func main() {
 		err = timelineMain(args[1:])
 	case "trace":
 		err = traceMain(args[1:])
-	case "bench":
-		err = benchMain(args[1:])
 	case "version":
 		fmt.Printf("tanoq engine %s\n", network.EngineVersion())
 	case "help", "-h", "--help":
@@ -137,7 +133,6 @@ subcommands (run noctool <cmd> -h for that command's flags):
   timeline <scenario>[#profile] run with telemetry probes; per-interval
                                 time-series table, heatmap, JSON/CSV
   trace record|replay|info      capture / replay / inspect injection traces
-  bench                         engine benchmarks -> BENCH_<date>.json
   version                       engine version stamp
 
 experiments: fig3 fig4a fig4b preempt table2 fig5 fig6 fig7 chip motivation
@@ -145,11 +140,14 @@ experiments: fig3 fig4a fig4b preempt table2 fig5 fig6 fig7 chip motivation
 `)
 }
 
+// experimentNames lists the names run accepts, in usage order.
+var experimentNames = []string{"fig3", "fig4a", "fig4b", "preempt", "table2", "fig5", "fig6", "fig7", "chip", "motivation", "ablate", "closed", "all"}
+
 // experimentsMain runs the paper's experiment drivers, preserving the
 // original `noctool [flags] <experiment>...` syntax.
 func experimentsMain(args []string) error {
 	fs := newFlagSet("noctool", "noctool [flags] <experiment>...",
-		"experiments: fig3 fig4a fig4b preempt table2 fig5 fig6 fig7 chip motivation ablate closed all")
+		"experiments: "+strings.Join(experimentNames, " "))
 	sim := addSimFlags(fs)
 	csv := fs.Bool("csv", false, "emit CSV instead of tables")
 	fs.Parse(args)
@@ -158,13 +156,25 @@ func experimentsMain(args []string) error {
 		usage()
 		os.Exit(2)
 	}
-	p := sim.params(explicitFlags(fs))
-	for _, name := range names {
+	// Every name is checked before the first one runs: a typo or a flag
+	// after the names must not cost a full experiment before it is
+	// reported (flag parsing stops at the first name).
+	for i, name := range names {
 		name = strings.ToLower(name)
+		names[i] = name
 		switch name {
-		case "sweep", "degrade", "timeline", "trace", "bench", "version":
+		case "sweep", "degrade", "timeline", "trace", "version":
 			return fmt.Errorf("subcommand flags now follow the subcommand: noctool %s [flags] ...", name)
 		}
+		if strings.HasPrefix(name, "-") {
+			return fmt.Errorf("unknown experiment %q: experiment flags go before the names (noctool [flags] <experiment>...)", name)
+		}
+		if !slices.Contains(experimentNames, name) {
+			return fmt.Errorf("unknown experiment %q", name)
+		}
+	}
+	p := sim.params(explicitFlags(fs))
+	for _, name := range names {
 		if err := run(name, p, sim.quick, *csv); err != nil {
 			return err
 		}

@@ -135,6 +135,12 @@ func runSweep(pathOrName string, o sweepOpts) error {
 		fmt.Print(res.Explain())
 		return nil
 	}
+	// Verification samples cache hits, so without a store it would check
+	// nothing and report success.
+	durable := o.cache || o.resume || sc.Cache
+	if o.verify > 0 && !durable {
+		return fmt.Errorf("-cache-verify needs -cache, -resume or cache = true in [run]")
+	}
 	grid, err := sc.Grid()
 	if err != nil {
 		return err
@@ -193,7 +199,7 @@ func runSweep(pathOrName string, o sweepOpts) error {
 		}
 	}
 
-	if o.cache || o.resume || sc.Cache {
+	if durable {
 		st, err := store.Open(o.cacheDir)
 		if err != nil {
 			return err

@@ -75,18 +75,18 @@
 // struct-of-arrays (value-slice ports/buffers/sources; per-buffer VC
 // state as parallel arrays with a free-VC occupancy bitmap), PVC
 // priorities are cached per port in flat per-flow arrays maintained
-// eagerly on bandwidth recording and frame flush, and events are 40-byte
+// eagerly on bandwidth recording and frame flush, and events are 32-byte
 // pointer-free records. Every hot container is invisible to the garbage
 // collector, steady-state operation allocates exactly nothing (packet
 // slots recycle through a free stack; containers are pre-sized to their
 // working set), and the layout is mechanical — results are bit-identical
-// to the historical pointer-based engine. `noctool bench` writes a
-// BENCH_<date>.json snapshot (engine step cost at steady and
-// near-saturation operating points, wall-clock grids, host/commit
-// provenance) tracking all of this PR over PR, and `noctool bench
-// -cpuprofile/-memprofile` profiles it in place.
+// to the historical pointer-based engine. Host time is measured one way:
+// `go run ./benchmark` drives the built noctool through six workloads
+// and reports the metrics BENCHMARK.json names (benchmark/README.md);
+// `noctool sweep -http ADDR` serves /debug/pprof for profiling the
+// shipped tool in place.
 //
-// The root package exists to host repository-level benchmarks
-// (bench_test.go); the programmable surface lives in the internal packages
-// and is exercised by the examples under examples/.
+// The root package holds only this overview; the programmable surface
+// lives in the internal packages and is exercised by the examples under
+// examples/.
 package tanoq

@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5). Each experiment has a driver returning
 // structured results and a renderer printing the same rows/series the
-// paper reports. cmd/noctool and the repository benchmarks are thin
-// wrappers over this package; EXPERIMENTS.md records paper-vs-measured
-// values for each artifact.
+// paper reports. cmd/noctool is a thin wrapper over this package, and the
+// repository benchmark's paper_quick workload times it end to end. No
+// file yet holds the paper's values to compare against (ROADMAP item 1).
 package experiments
 
 import (

@@ -7,9 +7,9 @@ package network
 // (the Makefile's build target does exactly this). Plain `go build` and
 // `go run` report "dev". The stamp is part of every content-addressed
 // result-cache key (internal/store via internal/scenario), rides the
-// version-2 trace header and BENCH_*.json provenance, and is printed by
-// `noctool version` — any engine change that ships under a new stamp
-// invalidates cached results rather than silently serving stale rows.
+// version-2 trace header and is printed by `noctool version` — any
+// engine change that ships under a new stamp invalidates cached results
+// rather than silently serving stale rows.
 var buildVersion = "dev"
 
 // EngineVersion returns the engine's build version stamp ("dev" for
