@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke metrics-smoke bench pgo
+.PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke metrics-smoke bench pgo pgo-check
 
 # The engine version stamp: embedded in `noctool version`, cache keys and
 # v2 trace headers, so results name the engine that made them (a new
@@ -172,8 +172,20 @@ bench:
 # steady_grid` and `saturated_adversarial`) before committing the new
 # file.
 pgo:
-	go test -run '^$$' -o /tmp/tanoq-pgo.test -bench EngineCycles -benchtime 3000000x -cpuprofile /tmp/tanoq-pgo-steady.prof ./internal/network
-	go test -run '^$$' -o /tmp/tanoq-pgo.test -bench SaturatedCycles -benchtime 100000x -count 6 -cpuprofile /tmp/tanoq-pgo-saturated.prof ./internal/network
-	go test -run '^$$' -o /tmp/tanoq-pgo.test -bench SparseRun -benchtime 20x -cpuprofile /tmp/tanoq-pgo-sparse.prof ./internal/network
-	go tool pprof -proto /tmp/tanoq-pgo-steady.prof /tmp/tanoq-pgo-saturated.prof /tmp/tanoq-pgo-sparse.prof > cmd/noctool/default.pgo
-	@echo "pgo: cmd/noctool/default.pgo re-recorded; rebuild and repeat LEDGER (c)'s A/B before committing it"
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; set -x; \
+	go test -run '^$$' -o $$d/pgo.test -bench EngineCycles -benchtime 3000000x -cpuprofile $$d/steady.prof ./internal/network; \
+	go test -run '^$$' -o $$d/pgo.test -bench SaturatedCycles -benchtime 100000x -count 6 -cpuprofile $$d/saturated.prof ./internal/network; \
+	go test -run '^$$' -o $$d/pgo.test -bench SparseRun -benchtime 20x -cpuprofile $$d/sparse.prof ./internal/network; \
+	go tool pprof -proto $$d/steady.prof $$d/saturated.prof $$d/sparse.prof > cmd/noctool/default.pgo
+	@echo "pgo: cmd/noctool/default.pgo re-recorded; run make pgo-check, rebuild and repeat LEDGER (c)'s A/B before committing it"
+
+# pgo-check is the stale-profile trap as a check: Go matches a profile's
+# hot call sites by line offset inside the caller, so an edit to arbitrate
+# or Step can silently drop the inlining default.pgo buys (docs/LEDGER.md
+# row (c)). This compiles internal/network under the committed profile
+# with -gcflags=-m (offline, a few seconds) and fails when a call site
+# listed in cmd/noctool/pgo-check.awk is no longer inlined; the cure is
+# `make pgo` (CI's bench job runs it).
+pgo-check:
+	@go build -pgo=cmd/noctool/default.pgo -gcflags=-m ./internal/network 2>&1 | \
+		awk -f cmd/noctool/pgo-check.awk internal/network/arbiter.go internal/network/network.go -

@@ -174,6 +174,9 @@ func experimentsMain(args []string) error {
 		}
 	}
 	p := sim.params(explicitFlags(fs))
+	if p.Warmup < 0 || p.Measure <= 0 {
+		return fmt.Errorf("schedule warmup %d / measure %d invalid", p.Warmup, p.Measure)
+	}
 	for _, name := range names {
 		if err := run(name, p, sim.quick, *csv); err != nil {
 			return err

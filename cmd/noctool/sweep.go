@@ -141,6 +141,18 @@ func runSweep(pathOrName string, o sweepOpts) error {
 	if o.verify > 0 && !durable {
 		return fmt.Errorf("-cache-verify needs -cache, -resume or cache = true in [run]")
 	}
+	// An output the run could not write is refused now, not after the grid.
+	if o.timelinePath != "" {
+		if sc.Telemetry == nil {
+			return fmt.Errorf("-timeline needs a [telemetry] table in scenario %q (noctool timeline -interval N probes a scenario without one)", pathOrName)
+		}
+		if err := checkTimelineOut(o.timelinePath); err != nil {
+			return err
+		}
+	}
+	if err := checkWritable("-out", o.outPath); err != nil {
+		return err
+	}
 	grid, err := sc.Grid()
 	if err != nil {
 		return err
@@ -302,6 +314,9 @@ func runDegrade(pathOrName string, o sweepOpts) error {
 	if err != nil {
 		return err
 	}
+	if err := checkWritable("-out", o.outPath); err != nil {
+		return err
+	}
 	rows, err := scenario.Degrade(sc, scenario.RunOpts{
 		Workers:         o.layers.params.Workers,
 		DisableIdleSkip: o.layers.params.DisableIdleSkip,
@@ -319,6 +334,26 @@ func runDegrade(pathOrName string, o sweepOpts) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "degrade: wrote %s\n", o.outPath)
+	}
+	return nil
+}
+
+// checkWritable reports whether the file a flag names ("" = flag unset)
+// can be created or opened for writing, without truncating an existing
+// file or leaving a new one behind: outputs are written after the run, and
+// a run must not be what discovers a missing directory.
+func checkWritable(flagName, path string) error {
+	if path == "" {
+		return nil
+	}
+	_, statErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("%s: %w", flagName, err)
+	}
+	f.Close()
+	if os.IsNotExist(statErr) {
+		_ = os.Remove(path) // best effort: the run's own write recreates it
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -41,8 +42,21 @@ func captured(t *testing.T, fn func() error) (stdout, stderr string, err error) 
 
 // TestBadInvocationFailsBeforeRunning pins that an invocation the tool
 // is going to reject is rejected before any simulation runs or any row
-// prints: nothing on stdout, and an error that says what to change.
+// prints: nothing on stdout, an error that says what to change, and —
+// for the sweeps, which here run against a store that checkpoints every
+// finished cell — a cache directory nothing was written to.
 func TestBadInvocationFailsBeforeRunning(t *testing.T) {
+	const (
+		timelineSmoke = "../../examples/sweep/timeline-smoke.toml"
+		degradeSmoke  = "../../examples/sweep/degrade.toml"
+		noSuchDir     = "/nonexistent/tanoq-test/"
+	)
+	// cachedSweep is sweepMain against a store in cacheDir, which each case
+	// points at a fresh directory and expects to find still empty.
+	var cacheDir string
+	cachedSweep := func(args []string) error {
+		return sweepMain(append([]string{"-cache", "-cache-dir", cacheDir}, args...))
+	}
 	cases := []struct {
 		name    string
 		main    func([]string) error
@@ -61,15 +75,43 @@ func TestBadInvocationFailsBeforeRunning(t *testing.T) {
 		{"bench is not a subcommand", experimentsMain,
 			[]string{"bench"},
 			`unknown experiment "bench"`},
+		{"sweep report into a missing directory", cachedSweep,
+			[]string{"-out", noSuchDir + "x.json", traceSmoke},
+			"-out: open " + noSuchDir + "x.json"},
+		{"sweep timeline into a missing directory", cachedSweep,
+			[]string{"-timeline", noSuchDir + "t.json", timelineSmoke},
+			"timeline output: open " + noSuchDir + "t.json"},
+		{"sweep timeline with no format extension", cachedSweep,
+			[]string{"-timeline", filepath.Join(t.TempDir(), "t.txt"), timelineSmoke},
+			"want a .json or .csv extension"},
+		{"sweep timeline of a scenario without probes", cachedSweep,
+			[]string{"-timeline", filepath.Join(t.TempDir(), "t.json"), traceSmoke},
+			"-timeline needs a [telemetry] table"},
+		{"degrade rows into a missing directory", degradeMain,
+			[]string{"-out", noSuchDir + "x.csv", degradeSmoke},
+			"-out: open " + noSuchDir + "x.csv"},
+		{"experiment with an empty measurement window", experimentsMain,
+			[]string{"-quick", "-measure", "0", "table2"},
+			"schedule warmup 3000 / measure 0 invalid"},
+		{"experiment with a negative measurement window", experimentsMain,
+			[]string{"-measure", "-5", "fig5"},
+			"schedule warmup 20000 / measure -5 invalid"},
+		{"experiment with a negative warmup", experimentsMain,
+			[]string{"-quick", "-warmup", "-5", "motivation"},
+			"schedule warmup -5 / measure"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			cacheDir = filepath.Join(t.TempDir(), "cache")
 			stdout, _, err := captured(t, func() error { return tc.main(tc.args) })
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error = %v, want one containing %q", err, tc.wantErr)
 			}
 			if stdout != "" {
 				t.Errorf("printed before failing:\n%s", stdout)
+			}
+			if entries, _ := os.ReadDir(cacheDir); len(entries) > 0 {
+				t.Errorf("the sweep ran: its store holds %d entries", len(entries))
 			}
 		})
 	}

@@ -89,6 +89,11 @@ func runTimeline(pathOrName string, o timelineOpts) error {
 	if err := sc.Validate(); err != nil {
 		return err
 	}
+	if o.outPath != "" {
+		if err := checkTimelineOut(o.outPath); err != nil {
+			return err
+		}
+	}
 	grid, err := sc.Grid()
 	if err != nil {
 		return err
@@ -185,26 +190,32 @@ func timelineJSON(results []scenario.Result) ([]byte, error) {
 // the JSON array, .csv for the long-format per-interval rows (shared by
 // `noctool timeline -out` and `noctool sweep -timeline`).
 func writeTimelines(path string, results []scenario.Result) error {
-	switch ext := filepath.Ext(path); ext {
-	case ".json":
+	if filepath.Ext(path) == ".json" {
 		blob, err := timelineJSON(results)
 		if err != nil {
 			return err
 		}
 		return os.WriteFile(path, blob, 0o644)
-	case ".csv":
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := writeTimelineCSV(f, results); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	default:
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := writeTimelineCSV(f, results); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// checkTimelineOut is what callers of writeTimelines run before the grid:
+// the path must carry one of the two extensions that pick the format, and
+// be writable.
+func checkTimelineOut(path string) error {
+	if ext := filepath.Ext(path); ext != ".json" && ext != ".csv" {
 		return fmt.Errorf("timeline output %q: want a .json or .csv extension", path)
 	}
+	return checkWritable("timeline output", path)
 }
 
 func writeTimelineCSV(w io.Writer, results []scenario.Result) error {

@@ -117,6 +117,10 @@ var noVerdictMemo bool
 // through arbitrate's flat scan instead of the port's flow queues.
 var noFlowQueues bool
 
+// noBlockedShortcut, set only by tests, makes a round whose best candidate
+// was refused try every other candidate instead of asking roundBlocked.
+var noBlockedShortcut bool
+
 // arbitrate runs one virtual-channel allocation for the port: the winning
 // candidate is granted a VC at its downstream buffer and begins its
 // transfer. Under PVC, a candidate that finds the buffer full may preempt
@@ -177,7 +181,7 @@ func (n *Network) arbitrate(port *outPort, now sim.Cycle) (noGrant bool) {
 		vcIdx := buf.allocVC(h, w.Reserved)
 		if vcIdx < 0 && n.mode == qos.PVC && !leg.Intermediate {
 			threshold := prio + n.margin*port.table.PriorityStep(w.Flow)
-			if victim := n.findVictim(buf, threshold, prios); victim >= 0 {
+			if victim, vp := n.worstVictim(buf, prios); vp > threshold {
 				n.preempt(buf, victim, now)
 				vcIdx = buf.allocVC(h, w.Reserved)
 			}
@@ -250,31 +254,105 @@ func (n *Network) arbitrate(port *outPort, now sim.Cycle) (noGrant bool) {
 			continue
 		}
 		vcIdx := buf.allocVC(h, w.Reserved)
-		// Preemption resolves priority inversion in buffers, but only
-		// where the preemption logic physically exists — at output
-		// ports with flow state (Figure 2), which excludes DPS
-		// intermediate muxes. At the destination router it discards
-		// ejection-VC holders whose whole path is then wasted: exactly
-		// why MECS's wasted-hop fraction equals its packet fraction in
-		// Figure 5 (every express packet loses its full flight).
-		if vcIdx < 0 && n.mode == qos.PVC && !leg.Intermediate {
-			// Victim and requester are priced off the same flow
-			// table, with hysteresis: equally-served flows jitter
-			// within a few classes and must not preempt each other.
-			threshold := prio + n.margin*port.table.PriorityStep(w.Flow)
-			if victim := n.findVictim(buf, threshold, prios); victim >= 0 {
-				n.preempt(buf, victim, now)
-				vcIdx = buf.allocVC(h, w.Reserved)
-			}
-		}
 		if vcIdx < 0 {
-			failedBufs = append(failedBufs, int32(leg.In))
-			n.failedScratch = failedBufs[:0] // keep the grown backing array
-			continue
+			if tried == 1 {
+				n.victims = n.victims[:0] // the round's first refusal opens its victim memo
+			}
+			// Preemption resolves priority inversion in buffers, but only
+			// where the preemption logic physically exists — at output
+			// ports with flow state (Figure 2), which excludes DPS
+			// intermediate muxes. At the destination router it discards
+			// ejection-VC holders whose whole path is then wasted: exactly
+			// why MECS's wasted-hop fraction equals its packet fraction in
+			// Figure 5 (every express packet loses its full flight).
+			if n.mode == qos.PVC && !leg.Intermediate {
+				// Victim and requester are priced off the same flow
+				// table, with hysteresis: equally-served flows jitter
+				// within a few classes and must not preempt each other.
+				threshold := prio + n.margin*port.table.PriorityStep(w.Flow)
+				if victim, vp := n.roundVictim(buf, prios); vp > threshold {
+					n.preempt(buf, victim, now)
+					if vcIdx = buf.allocVC(h, w.Reserved); vcIdx < 0 {
+						// invariant: the victim resided in this buffer, so
+						// discarding it freed a VC the requester may take —
+						// which is why a candidate that passes roundBlocked's
+						// test is never refused once it is tried.
+						panic("network: a preemption did not yield its VC")
+					}
+				}
+			}
+			if vcIdx < 0 {
+				if tried == 1 && !noBlockedShortcut && n.roundBlocked(port, bids, prios, leg.In) {
+					return true
+				}
+				failedBufs = append(failedBufs, int32(leg.In))
+				n.failedScratch = failedBufs[:0] // keep the grown backing array
+				continue
+			}
 		}
 		n.grant(port, h, leg, buf, vcIdx, prio, now)
 		return false
 	}
+	return true
+}
+
+// victimMemo is one buffer's worstVictim answer, kept for the rest of the
+// allocation round that asked: a round changes no buffer before it grants,
+// and a grant ends it.
+type victimMemo struct {
+	buf  topology.BufID
+	vc   int32
+	prio noc.Priority
+}
+
+// roundVictim is worstVictim through the current round's memo.
+//
+//go:noinline
+func (n *Network) roundVictim(buf *inBuf, prios []noc.Priority) (int32, noc.Priority) {
+	for i := range n.victims {
+		if m := &n.victims[i]; m.buf == buf.id {
+			return m.vc, m.prio
+		}
+	}
+	vc, prio := n.worstVictim(buf, prios)
+	n.victims = append(n.victims, victimMemo{buf.id, vc, prio})
+	return vc, prio
+}
+
+// roundBlocked reports whether, the round's best bid having been refused
+// on buffer failed, none of its unserved bids could be granted: each is an
+// ordinary candidate for that same buffer, which the serve loop's
+// failedBufs list refuses unasked, or finds no VC it may take and, where
+// the preemption logic exists, prices its buffer's worst victim no higher
+// than its own threshold. Refused tries change nothing and a try that
+// passes this test succeeds (see the invariant in arbitrate), so a true
+// answer is exactly the verdict the serve loop would reach by refusing
+// them one by one; failedBufs only ever skips more candidates, so a false
+// answer decides nothing.
+//
+//go:noinline
+func (n *Network) roundBlocked(port *outPort, bids []bid, prios []noc.Priority, failed topology.BufID) bool {
+	for i := range bids {
+		if bids[i].h == noPkt {
+			continue
+		}
+		w := &n.arena[bids[i].h]
+		leg := &w.legs[w.Hop()]
+		if leg.In == failed && !w.Reserved {
+			continue
+		}
+		buf := &n.bufs[leg.In]
+		hope := buf.canAlloc(w.Reserved)
+		if !hope && n.mode == qos.PVC && !leg.Intermediate {
+			_, vp := n.roundVictim(buf, prios)
+			hope = vp > bids[i].prio+n.margin*port.table.PriorityStep(w.Flow)
+		}
+		if hope {
+			n.roundsHopeful++
+			return false
+		}
+	}
+	n.roundsBlocked++
 	return true
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"tanoq/internal/qos"
 	"tanoq/internal/sim"
+	"tanoq/internal/topology"
 )
 
 // This file is the opt-in invariant auditor: a read-only sweep over every
@@ -236,9 +237,12 @@ func (n *Network) AuditInvariants() error {
 			return fmt.Errorf("port %d (%s) holds %d waiters but its active bit is clear", pi, port.spec.Name, len(port.waiters))
 		}
 		// A live blocked verdict (blockedAt == epoch, see outPort) is sound
-		// only while the port has candidates and none could be handed a VC:
-		// a waiter that can allocate means a fed buffer changed without
-		// moving the port's epoch.
+		// only while the port has candidates and none could be handed a VC
+		// or, where the preemption logic exists, take one from a victim: a
+		// waiter that can means a fed buffer or a priority changed without
+		// moving the port's epoch. The victim half binds the waiters a round
+		// actually tries: arbitrate's failedBufs list refuses an ordinary
+		// candidate unasked once a better bid has failed on its buffer.
 		blocked := port.blockedAt == port.epoch
 		if blocked && len(port.waiters) == 0 {
 			return fmt.Errorf("port %d (%s) holds a live blocked verdict but no waiters", pi, port.spec.Name)
@@ -247,8 +251,21 @@ func (n *Network) AuditInvariants() error {
 			if int(h) >= len(n.arena) || isFree[h] {
 				return fmt.Errorf("port %d (%s) waiter %d is not a live slot", pi, port.spec.Name, h)
 			}
-			if w := &n.arena[h]; blocked && n.bufs[w.legs[w.Hop()].In].canAlloc(w.Reserved) {
+			if !blocked {
+				continue
+			}
+			w := &n.arena[h]
+			leg := &w.legs[w.Hop()]
+			buf := &n.bufs[leg.In]
+			if buf.canAlloc(w.Reserved) {
 				return fmt.Errorf("port %d (%s) holds a live blocked verdict but pkt %d can allocate: an epoch bump was missed", pi, port.spec.Name, w.ID)
+			}
+			if n.mode == qos.PVC && !leg.Intermediate {
+				prios := port.table.Priorities()
+				vc, vp := n.worstVictim(buf, prios)
+				if vp > prios[w.Flow]+n.margin*port.table.PriorityStep(w.Flow) && (w.Reserved || !n.outranked(port, h)) {
+					return fmt.Errorf("port %d (%s) holds a live blocked verdict but pkt %d can preempt vc %d of buf %d (priority %d): an epoch bump was missed", pi, port.spec.Name, w.ID, vc, leg.In, vp)
+				}
 			}
 		}
 		if err := n.auditFlowQueues(port); err != nil {
@@ -318,6 +335,29 @@ func (n *Network) AuditInvariants() error {
 		}
 	}
 	return nil
+}
+
+// outranked reports whether another waiter of the port bids better than h
+// for the same buffer, pricing both the way arbitrate's bid build does.
+func (n *Network) outranked(port *outPort, h pktH) bool {
+	bidOf := func(h pktH) (bid, topology.BufID) {
+		w := &n.arena[h]
+		leg := &w.legs[w.Hop()]
+		prio := w.Priority
+		if !leg.Intermediate {
+			prio = port.table.Priorities()[w.Flow]
+		} else if w.frameStamp != n.frameCount {
+			prio = 0
+		}
+		return bid{prio: prio, created: w.Created, id: w.ID, h: h}, leg.In
+	}
+	mine, buf := bidOf(h)
+	for _, o := range port.waiters {
+		if theirs, b := bidOf(o); b == buf && betterBid(&theirs, &mine) {
+			return true
+		}
+	}
+	return false
 }
 
 // auditFlowQueues checks a port's per-flow-queue index (flowQueues)

@@ -185,18 +185,19 @@ func (b *inBuf) gen(i int32) uint32 { return b.gens[i] }
 // vcFree reports whether VC i currently holds no packet.
 func (b *inBuf) vcFree(i int32) bool { return b.owner[i] == noPkt }
 
-// findVictim returns the index of the VC holding the best preemption
-// victim for a requester with the given priority, pricing buffered
-// packets off the flat cached-priority array of the upstream output
-// port's flow table — the preemption logic lives at that port (Figure
-// 2(a)) and prices both the requester and the buffered packets off the
-// same table, so a flow that has been over-served since its packet was
-// buffered becomes preemptable. The victim is the packet with the
-// numerically largest (worst) priority strictly worse than the
-// requester's that is not rate-compliant and still genuinely occupies
-// this buffer (resident, or in flight into it — not a departed packet
-// whose tail is draining out). Returns -1 when nothing may be preempted.
-func (n *Network) findVictim(b *inBuf, prio noc.Priority, prios []noc.Priority) int32 {
+// worstVictim returns the VC holding the buffer's best preemption victim
+// and that victim's priority, priced off the flat cached-priority array of
+// the upstream output port's flow table — the preemption logic lives at
+// that port (Figure 2(a)) and prices both the requester and the buffered
+// packets off the same table, so a flow that has been over-served since
+// its packet was buffered becomes preemptable. The victim is the packet
+// with the numerically largest (worst) priority, lowest VC index first,
+// that is not rate-compliant and still genuinely occupies this buffer
+// (resident, or in flight into it — not a departed packet whose tail is
+// draining out). The answer does not depend on who asks: a requester may
+// preempt it exactly when the returned priority is strictly worse than
+// its own threshold. Returns (-1, 0) when nothing is preemptable.
+func (n *Network) worstVictim(b *inBuf, prios []noc.Priority) (int32, noc.Priority) {
 	worst := int32(-1)
 	var worstPrio noc.Priority
 	for wi, w := range b.freeW {
@@ -221,17 +222,13 @@ func (n *Network) findVictim(b *inBuf, prio noc.Priority, prios []noc.Priority) 
 			if !resident {
 				continue // already moved on; this VC is only draining
 			}
-			vp := prios[v.Flow]
-			if vp <= prio {
-				continue
-			}
-			if worst < 0 || vp > worstPrio {
+			if vp := prios[v.Flow]; worst < 0 || vp > worstPrio {
 				worst = i
 				worstPrio = vp
 			}
 		}
 	}
-	return worst
+	return worst, worstPrio
 }
 
 // canAlloc reports whether allocVC would succeed for a packet with the

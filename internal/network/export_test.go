@@ -14,6 +14,17 @@ func SetVerdictMemo(on bool) { noVerdictMemo = !on }
 // port's blocked-verdict memo since the last Reset.
 func (n *Network) VerdictSkips() uint64 { return n.verdictSkips }
 
+// SetBlockedShortcut turns roundBlocked's one-pass answer on or off
+// process-wide; off, a round whose best candidate was refused tries every
+// other one. Callers must not run in parallel with other tests.
+func SetBlockedShortcut(on bool) { noBlockedShortcut = !on }
+
+// BlockedRoundAnswers reports how often roundBlocked answered "nobody can
+// be granted" and "somebody still can" since the last Reset.
+func (n *Network) BlockedRoundAnswers() (nobody, somebody uint64) {
+	return n.roundsBlocked, n.roundsHopeful
+}
+
 // SetFlowQueues turns the per-flow-queue allocation round on or off
 // process-wide; off, that mode's rounds run arbitrate's flat scan.
 // Callers must not run in parallel with other tests.

@@ -41,6 +41,12 @@
 //     round that neither granted nor preempted, and an inversion scan
 //     that found no victim, are not re-run until it moves: blocked
 //     requesters are re-evaluated when a credit returns, as in hardware.
+//   - A round whose best candidate is refused asks once whether any other
+//     could be granted — a VC it may take or, where the preemption logic
+//     exists, a victim above its threshold, a buffer's worst victim being
+//     the same whoever asks (worstVictim) and found once a round — and
+//     ends blocked if none can, instead of refusing them one by one in
+//     priority order: only credit-holding requesters bid.
 //   - Under per-flow queueing a port whose backlog has grown past a
 //     handful files its candidates into one sorted queue per flow plus a
 //     bitmap of the non-empty ones (flowQueues), and its allocation round
@@ -289,6 +295,13 @@ type Network struct {
 	// in outPort (104 -> 112 B) cost PVC sweeps half a percent
 	// (docs/LEDGER.md (d)).
 	flowQs []*flowQueues
+
+	// victims is an allocation round's memo of worstVictim answers, one
+	// per buffer asked about (see roundVictim); roundsBlocked and
+	// roundsHopeful count roundBlocked's two answers. Last for the reason
+	// flowQs sits where it does: no other field's offset moves.
+	victims                      []victimMemo
+	roundsBlocked, roundsHopeful uint64
 }
 
 // New builds a network from the configuration. It validates that the QoS
@@ -447,6 +460,7 @@ func (n *Network) Reset(cfg Config) error {
 		n.free = make([]pktH, 0, arenaCap)
 		n.bidScratch = make([]bid, 0, waitersCap)
 		n.failedScratch = make([]int32, 0, waitersCap)
+		n.victims = make([]victimMemo, 0, waitersCap)
 	}
 	n.arena = n.arena[:1]
 	n.free = n.free[:0]
@@ -478,7 +492,7 @@ func (n *Network) Reset(cfg Config) error {
 		}
 	}
 	n.waiterCount = 0
-	n.verdictSkips = 0
+	n.verdictSkips, n.roundsBlocked, n.roundsHopeful = 0, 0, 0
 
 	if cap(n.srcs) < len(cfg.Workload.Specs) {
 		n.srcs = make([]source, len(cfg.Workload.Specs))

@@ -40,9 +40,16 @@ func stallFaults(g *topology.Graph) network.FaultConfig {
 // openCell runs an open-loop workload to its stop cycle and drains it,
 // under the fault schedule faults builds for the cell's graph (nil: none).
 func openCell(w traffic.Workload, faults func(*topology.Graph) network.FaultConfig) func(*testing.T, topology.Kind, qos.Mode) (*network.Network, string) {
+	return openCellTuned(w, faults, func(*qos.Config) {})
+}
+
+// openCellTuned is openCell with the default QoS configuration edited by
+// tune.
+func openCellTuned(w traffic.Workload, faults func(*topology.Graph) network.FaultConfig, tune func(*qos.Config)) func(*testing.T, topology.Kind, qos.Mode) (*network.Network, string) {
 	return func(t *testing.T, kind topology.Kind, mode qos.Mode) (*network.Network, string) {
 		qcfg := qos.DefaultConfig(w.TotalFlows())
 		qcfg.Mode = mode
+		tune(&qcfg)
 		cfg := network.Config{Kind: kind, QoS: qcfg, Workload: w, Seed: 41}
 		if faults != nil {
 			cfg.Faults = faults(topology.NewGraph(kind, topology.ColumnNodes))
@@ -80,6 +87,21 @@ func closedHotspotCell(t *testing.T, kind topology.Kind, mode qos.Mode) (*networ
 	return n, fmt.Sprintf("issued=%d completed=%d rtt99=%d", ct.Issued, ct.Completed, ct.RT.Latencies.Percentile(99))
 }
 
+// verdictCells is the matrix the blocked-round equivalence tests run per
+// topology and QoS mode: the paper's two adversarial workloads, a saturated
+// hotspot, a tornado, a faulted cell and a closed-loop hotspot.
+func verdictCells() []verdictCell {
+	nodes := topology.ColumnNodes
+	return []verdictCell{
+		{"workload1", true, openCell(traffic.Workload1(nodes, 8_000), nil)},
+		{"workload2", true, openCell(traffic.Workload2(nodes, 8_000), nil)},
+		{"hotspot", true, openCell(traffic.Hotspot(nodes, 0.12).WithStop(2_000), nil)},
+		{"tornado", false, openCell(traffic.Tornado(nodes, 0.12).WithStop(8_000), nil)},
+		{"faulted", false, openCell(traffic.UniformRandom(nodes, 0.02).WithStop(12_000), stallFaults)},
+		{"closed-hotspot", false, closedHotspotCell},
+	}
+}
+
 // cellFingerprint folds every observable of a finished cell, and the
 // driver's own, into one comparable string.
 func cellFingerprint(n *network.Network, extra string) string {
@@ -98,18 +120,9 @@ func cellFingerprint(n *network.Network, extra string) string {
 // actually have skipped rounds, so the comparison cannot pass vacuously.
 func TestVerdictMemoMechanicallyEquivalent(t *testing.T) {
 	defer network.SetVerdictMemo(true)
-	nodes := topology.ColumnNodes
-	cells := []verdictCell{
-		{"workload1", true, openCell(traffic.Workload1(nodes, 8_000), nil)},
-		{"workload2", true, openCell(traffic.Workload2(nodes, 8_000), nil)},
-		{"hotspot", true, openCell(traffic.Hotspot(nodes, 0.12).WithStop(2_000), nil)},
-		{"tornado", false, openCell(traffic.Tornado(nodes, 0.12).WithStop(8_000), nil)},
-		{"faulted", false, openCell(traffic.UniformRandom(nodes, 0.02).WithStop(12_000), stallFaults)},
-		{"closed-hotspot", false, closedHotspotCell},
-	}
 	for _, kind := range topology.Kinds() {
 		for _, mode := range []qos.Mode{qos.PVC, qos.PerFlowQueue, qos.NoQoS} {
-			for _, cell := range cells {
+			for _, cell := range verdictCells() {
 				t.Run(kind.String()+"/"+mode.String()+"/"+cell.name, func(t *testing.T) {
 					run := func(memo bool) (string, uint64) {
 						network.SetVerdictMemo(memo)
