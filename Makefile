@@ -144,11 +144,13 @@ metrics-smoke:
 	grep 'progress:' /tmp/tanoq-metrics.err
 	@echo "metrics-smoke: timeline golden matched; /metrics exposition matched modulo values; pprof answered"
 
-# fuzz-smoke runs the scenario-decoder fuzzer for a short budget (CI's
-# fuzz step); `go test -fuzz FuzzScenarioDecode ./internal/scenario` runs
-# it open-ended.
+# fuzz-smoke runs each fuzzer for a short budget (CI's fuzz step): the
+# scenario decoders, and the cache's entry reader over arbitrary entry
+# bytes. `go test -fuzz FuzzScenarioDecode ./internal/scenario` (or
+# FuzzStoreLoad ./internal/store) runs one open-ended.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario
+	go test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/store
 
 # bench smoke-runs the engine's three `testing.B` points once each:
 # BenchmarkEngineCycles (steady Step), BenchmarkSaturatedCycles and

@@ -3,7 +3,8 @@
 // structured results and a renderer printing the same rows/series the
 // paper reports. cmd/noctool is a thin wrapper over this package, and the
 // repository benchmark's paper_quick workload times it end to end. No
-// file yet holds the paper's values to compare against (ROADMAP item 1).
+// file yet holds the paper's values to compare against (ROADMAP
+// **fidelity**).
 package experiments
 
 import (

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -156,9 +157,9 @@ func (sc *Scenario) faultsCanonOf(p *Point) faultsCanon {
 }
 
 // canonOf builds the canonical description of visible grid cell i.
-// traceDigest memoizes trace-file hashing across the cells sharing one
-// trace.
-func (g *Grid) canonOf(i int, traceDigest map[string]string) (cellCanon, error) {
+// traceDigest maps each trace file the grid replays to its content
+// digest (see traceDigests); canonOf only reads it.
+func (g *Grid) canonOf(i int, traceDigest map[string]string) cellCanon {
 	sc, p, m := g.Scenario, &g.Points[i], &g.meta[i]
 	c := cellCanon{
 		Format:   canonFormat,
@@ -179,17 +180,7 @@ func (g *Grid) canonOf(i int, traceDigest map[string]string) (cellCanon, error) 
 	case m.trace != "":
 		w.Kind = "replay"
 		w.Trace = p.Workload
-		digest, ok := traceDigest[m.trace]
-		if !ok {
-			blob, err := os.ReadFile(m.trace)
-			if err != nil {
-				return cellCanon{}, fmt.Errorf("scenario %s: digest trace: %w", sc.Name, err)
-			}
-			sum := sha256.Sum256(blob)
-			digest = hex.EncodeToString(sum[:])
-			traceDigest[m.trace] = digest
-		}
-		w.TraceSHA256 = digest
+		w.TraceSHA256 = traceDigest[m.trace]
 	case m.closed:
 		w.Kind = "closed"
 		w.Pattern = p.Pattern
@@ -206,7 +197,30 @@ func (g *Grid) canonOf(i int, traceDigest map[string]string) (cellCanon, error) 
 		w.Rate = p.Rate
 		w.HotspotWeights = sc.HotspotWeights
 	}
-	return c, nil
+	return c
+}
+
+// traceDigests hashes every trace file the grid replays, once each, in
+// grid order — the serial pre-pass that lets per-cell key jobs share the
+// memo read-only.
+func (g *Grid) traceDigests() (map[string]string, error) {
+	digests := map[string]string{}
+	for i := range g.meta {
+		path := g.meta[i].trace
+		if path == "" {
+			continue
+		}
+		if _, ok := digests[path]; ok {
+			continue
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s: digest trace: %w", g.Scenario.Name, err)
+		}
+		sum := sha256.Sum256(blob)
+		digests[path] = hex.EncodeToString(sum[:])
+	}
+	return digests, nil
 }
 
 // refCanonOf builds the canonical description of hidden victim-only
@@ -244,34 +258,74 @@ func (g *Grid) refCanonOf(r int) cellCanon {
 	}
 }
 
-// keyOf content-addresses a canon.
+// canonBufs recycles canon encoding buffers across canonKey calls.
+var canonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// canonKey content-addresses a canon: the hash of json.Marshal's bytes.
+// An Encoder writes exactly those bytes plus a newline, which is trimmed
+// before hashing. Encoding into a pooled buffer spares every key a copy
+// of its canon; with keys computed in parallel those copies are what
+// raises a warm sweep's peak heap.
 func canonKey(c cellCanon) (string, error) {
-	blob, err := json.Marshal(c)
-	if err != nil {
+	buf := canonBufs.Get().(*bytes.Buffer)
+	defer canonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(&c); err != nil {
 		return "", fmt.Errorf("scenario: canonical encode: %w", err)
 	}
-	return store.KeyOf(blob), nil
+	return store.KeyOf(bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})), nil
 }
 
 // Keys returns the content-address of every visible grid cell, in grid
 // order. Two grids whose cells describe the same simulations — same
 // scenario semantics under any file-key ordering, spelling, or display
 // name — produce identical keys; any semantic difference produces
-// different ones.
+// different ones. The cells are hashed across one worker per CPU.
 func (g *Grid) Keys() ([]string, error) {
 	keys := make([]string, len(g.cells))
-	digests := map[string]string{}
-	for i := range g.cells {
-		c, err := g.canonOf(i, digests)
-		if err != nil {
-			return nil, err
-		}
-		if keys[i], err = canonKey(c); err != nil {
-			return nil, err
-		}
+	err := g.eachKey(0, func(i int, key string) { keys[i] = key })
+	if err != nil {
+		return nil, err
 	}
 	return keys, nil
 }
+
+// eachKey computes every visible cell's key across workers (0 = one per
+// CPU), jobCells cells per job, and hands it to fn(i, key) on the job's
+// goroutine, so fn may do the cell's own keyed work in the same job; fn
+// must touch only cell i's state. On an error some cells may have been
+// handed their keys; the first failing cell's error in grid order is
+// returned.
+func (g *Grid) eachKey(workers int, fn func(i int, key string)) error {
+	digests, err := g.traceDigests()
+	if err != nil {
+		return err
+	}
+	n := len(g.cells)
+	errs := make([]error, n)
+	runner.Do((n+jobCells-1)/jobCells, workers, func(job int) {
+		for i := job * jobCells; i < min((job+1)*jobCells, n); i++ {
+			key, err := canonKey(g.canonOf(i, digests))
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			fn(i, key)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// jobCells is how many grid cells (or CSV rows) one host-side job
+// covers when keying, loading or rendering fans out: coarse enough that
+// claiming a job, and the cache lines neighbouring jobs share, cost
+// nothing next to the job itself.
+const jobCells = 32
 
 // refKeys returns the content-address of every hidden victim-reference
 // cell.
@@ -413,31 +467,38 @@ const skippedError = "skipped: sweep cancelled"
 // never-issued ones come back as rows marked skipped.
 func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport, error) {
 	rep := &DurableReport{Results: make([]Result, len(g.cells))}
-	keys, err := g.Keys()
+
+	// Phase 1: key every cell and load its row, across the workers; then
+	// serve hits and collect misses serially, in grid order.
+	keys := make([]string, len(g.cells))
+	hit := make([]bool, len(g.cells))
+	err := g.eachKey(opts.Workers, func(i int, key string) {
+		keys[i] = key
+		if opts.Store == nil {
+			return
+		}
+		if row, ok := store.Load[cachedRow](opts.Store, key); ok {
+			rep.Results[i] = payloadToRow(g.Points[i], &row)
+			hit[i] = true
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 1: serve hits, collect misses.
 	missed := make([]int, 0, len(g.cells))
 	hitIdx := make([]int, 0, len(g.cells))
 	for i := range g.cells {
-		if opts.Store != nil {
-			if blob, ok := opts.Store.Get(keys[i]); ok {
-				var row cachedRow
-				if json.Unmarshal(blob, &row) == nil {
-					rep.Results[i] = payloadToRow(g.Points[i], &row)
-					rep.Hits++
-					hitIdx = append(hitIdx, i)
-					if opts.OnCell != nil {
-						opts.OnCell(CellEvent{Cell: i, Cached: true, Worker: -1,
-							Attempts: row.Attempts, Wall: time.Duration(row.WallNS), Cycles: row.End})
-					}
-					continue
-				}
-			}
+		if !hit[i] {
+			missed = append(missed, i)
+			continue
 		}
-		missed = append(missed, i)
+		rep.Hits++
+		hitIdx = append(hitIdx, i)
+		if opts.OnCell != nil {
+			r := &rep.Results[i]
+			opts.OnCell(CellEvent{Cell: i, Cached: true, Worker: -1,
+				Attempts: r.Attempts, Wall: r.Wall, Cycles: int64(r.End)})
+		}
 	}
 
 	// Phase 2: baselines. A missed cell with victims needs its reference
@@ -542,12 +603,9 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int,
 	var torun []int
 	for r := range needed {
 		if opts.Store != nil {
-			if blob, ok := opts.Store.Get(rkeys[r]); ok {
-				var p refPayload
-				if json.Unmarshal(blob, &p) == nil {
-					refBase[r] = p.VictimMean
-					continue
-				}
+			if p, ok := store.Load[refPayload](opts.Store, rkeys[r]); ok {
+				refBase[r] = p.VictimMean
+				continue
 			}
 		}
 		torun = append(torun, r)

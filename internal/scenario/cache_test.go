@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -515,5 +517,169 @@ func TestRunDurableVerifyCatchesCorruption(t *testing.T) {
 	}
 	if len(rep.VerifyBad) != 1 || rep.Verified != g.Size()-1 {
 		t.Fatalf("verification missed the forged entry: verified %d bad %v", rep.Verified, rep.VerifyBad)
+	}
+}
+
+// TestRunDurableNullPayloadIsAMiss pins the store's safety contract at
+// the sweep level: an entry whose payload is null — valid JSON, so Put
+// would store it — is a miss and the cell is executed, never served as
+// an all-zero row.
+func TestRunDurableNullPayloadIsAMiss(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gridOf(t, durableToml)
+	first, err := g.RunDurable(context.Background(), DurableOpts{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := g.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := `{"format":"` + store.Format + `","key":"` + keys[0] + `","payload":null}` + "\n"
+	if err := os.WriteFile(filepath.Join(st.Dir(), "v1", keys[0][:2], keys[0]+".json"), []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := gridOf(t, durableToml).RunDurable(context.Background(), DurableOpts{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Executed != 1 || rep.Hits != g.Size()-1 {
+		t.Fatalf("null-payload entry: executed %d hits %d, want 1/%d", rep.Executed, rep.Hits, g.Size()-1)
+	}
+	if !reflect.DeepEqual(zeroWall(rep.Results), zeroWall(first.Results)) {
+		t.Fatalf("rows after a null-payload entry diverge:\n%+v\n%+v", rep.Results, first.Results)
+	}
+}
+
+// TestRunDurableWorkersInvariant pins the parallel hit path: keying and
+// loading fan out over the sweep's workers, yet the rows, the hit and
+// execution counts, and the cached OnCell events — all emitted in grid
+// order, before any executed cell's — do not depend on the worker count,
+// on a warm cache or on one with a third of its entries deleted.
+func TestRunDurableWorkersInvariant(t *testing.T) {
+	const toml = `
+pattern = "uniform"
+topology = "all"
+qos = ["pvc", "no-qos"]
+rates = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06]
+seeds = [42, 43]
+warmup = 50
+measure = 150
+`
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gridOf(t, toml)
+	if _, err := g.RunDurable(context.Background(), DurableOpts{Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := g.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.Size()
+	if n < 3*jobCells {
+		t.Fatalf("%d cells make fewer than three jobs; the fan-out is not exercised", n)
+	}
+	for _, mixed := range []bool{false, true} {
+		var want []Result
+		var wantHits []int
+		for _, workers := range []int{1, 2, 8} {
+			if mixed {
+				for i := 0; i < n; i += 3 {
+					if err := os.Remove(filepath.Join(st.Dir(), "v1", keys[i][:2], keys[i]+".json")); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var (
+				mu       sync.Mutex
+				hits     []int
+				executed int
+			)
+			rep, err := gridOf(t, toml).RunDurable(context.Background(), DurableOpts{
+				RunOpts: RunOpts{Workers: workers, OnCell: func(ev CellEvent) {
+					mu.Lock()
+					defer mu.Unlock()
+					if !ev.Cached {
+						executed++
+						return
+					}
+					if executed > 0 {
+						t.Errorf("workers %d: cached event for cell %d after an executed one", workers, ev.Cell)
+					}
+					hits = append(hits, ev.Cell)
+				}},
+				Store: st,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantExec := 0
+			if mixed {
+				wantExec = (n + 2) / 3
+			}
+			if rep.Executed != wantExec || rep.Hits != n-wantExec || executed != wantExec {
+				t.Fatalf("mixed=%v workers %d: executed %d (%d events) hits %d, want %d/%d",
+					mixed, workers, rep.Executed, executed, rep.Hits, wantExec, n-wantExec)
+			}
+			if !sort.IntsAreSorted(hits) || len(hits) != rep.Hits {
+				t.Fatalf("mixed=%v workers %d: cached events %v, want %d in grid order", mixed, workers, hits, rep.Hits)
+			}
+			got := rep.Results
+			if mixed {
+				got = zeroWall(got) // executed rows carry their own run's wall clock
+			}
+			if want == nil {
+				want, wantHits = got, hits
+				continue
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(hits, wantHits) {
+				t.Fatalf("mixed=%v: workers %d diverge from workers 1", mixed, workers)
+			}
+		}
+	}
+}
+
+// TestCanonKeyIsMarshalHash pins the key encoding to its definition,
+// the SHA-256 of json.Marshal's bytes for the canon, over open cells
+// with faults and hotspot weights, explicit flows with a victim (and
+// its hidden reference cell), and closed-loop cells: keys written by
+// any earlier build stay addressable.
+func TestCanonKeyIsMarshalHash(t *testing.T) {
+	for name, toml := range map[string]string{
+		"open": strings.Replace(cacheBase, `"uniform"`, `"hotspot"`, 1) +
+			"hotspot_weights = [1, 2, 1, 1, 1, 1, 1, 1]\n[faults]\nretry_timeout = 300\n[[faults.router]]\nnode = 3\nfrom = 100\nuntil = 200\n",
+		"flows":  "topology = \"mesh_x1\"\nqos = [\"no-qos\"]\n[[flows]]\nnode = 1\nrate = 0.05\ndest = 7\nrole = \"victim\"\n[[flows]]\nnode = 2\nrate = 0.9\ndest = 7\n",
+		"closed": "topology = \"mesh_x1\"\n[workload]\nmode = \"closed\"\noutstanding = [2, 8]\nthink_time = 50\n",
+	} {
+		g := gridOf(t, toml)
+		digests, err := g.traceDigests()
+		if err != nil {
+			t.Fatal(err)
+		}
+		canons := []cellCanon{}
+		for i := range g.cells {
+			canons = append(canons, g.canonOf(i, digests))
+		}
+		for r := range g.refCells {
+			canons = append(canons, g.refCanonOf(r))
+		}
+		for _, c := range canons {
+			blob, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := canonKey(c); err != nil || got != store.KeyOf(blob) {
+				t.Errorf("%s: canonKey = %s, %v; want the hash of\n%s", name, got, err, blob)
+			}
+		}
+		if name == "flows" && len(g.refCells) == 0 {
+			t.Error("flows grid has no reference cells to check")
+		}
 	}
 }

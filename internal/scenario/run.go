@@ -549,25 +549,32 @@ func victimMeanLatency(st *stats.Collector, victims []noc.FlowID) float64 {
 // and throughput aggregates, every row carries the Table-2-style fairness
 // dispersion of its cell (min/max/stddev of per-flow — or per-client —
 // throughput as % of mean), and closed-loop rows add round-trip columns.
+// Rows are formatted jobCells at a time across one worker per CPU and
+// concatenated in order, so the output does not depend on the CPU count.
 func CSV(name string, results []Result) string {
-	var b strings.Builder
-	b.WriteString("scenario,workload,pattern,topology,qos,seed,rate,outstanding,think_time,retry_timeout,max_retries," +
-		"mean_latency_cycles,p99_latency_cycles,accepted_flits_per_cycle,preemption_pct,delivered_packets," +
-		"tput_min_pct_of_mean,tput_max_pct_of_mean,tput_stddev_pct_of_mean," +
-		"completed_requests,mean_rtt_cycles,p99_rtt_cycles," +
-		"delivered_fraction,retries,drops,mean_recovery_cycles,victim_slowdown,wall_ms,cycles_per_sec,attempts,error\n")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%s,%s,%s,%s,%s,%d,%.4f,%d,%.1f,%d,%d,%.3f,%.0f,%.4f,%.4f,%d,%.2f,%.2f,%.2f,%d,%.3f,%.0f,%.6f,%d,%d,%.1f,%.3f,%.1f,%.0f,%d,%s\n",
-			csvEscape(name), csvEscape(r.Workload), csvEscape(r.Pattern), csvEscape(r.Topology.String()), csvEscape(r.Mode.String()),
-			r.Seed, r.Rate, r.Outstanding, r.Think, r.RetryTimeout, r.MaxRetries,
-			r.MeanLatency, r.P99Latency, r.Accepted, r.PreemptionPct, r.Delivered,
-			r.TputMinPct, r.TputMaxPct, r.TputStdDevPct,
-			r.Completed, r.MeanRTT, r.P99RTT,
-			r.DeliveredFraction, r.Retries, r.Drops, r.MeanRecovery, r.VictimSlowdown,
-			float64(r.Wall)/float64(time.Millisecond), r.CyclesPerSec, r.Attempts, csvEscape(r.Error))
-	}
-	return b.String()
+	esc := csvEscape(name)
+	chunks := runner.Map((len(results)+jobCells-1)/jobCells, 0, func(job int) string {
+		var b strings.Builder
+		for _, r := range results[job*jobCells : min((job+1)*jobCells, len(results))] {
+			fmt.Fprintf(&b, "%s,%s,%s,%s,%s,%d,%.4f,%d,%.1f,%d,%d,%.3f,%.0f,%.4f,%.4f,%d,%.2f,%.2f,%.2f,%d,%.3f,%.0f,%.6f,%d,%d,%.1f,%.3f,%.1f,%.0f,%d,%s\n",
+				esc, csvEscape(r.Workload), csvEscape(r.Pattern), csvEscape(r.Topology.String()), csvEscape(r.Mode.String()),
+				r.Seed, r.Rate, r.Outstanding, r.Think, r.RetryTimeout, r.MaxRetries,
+				r.MeanLatency, r.P99Latency, r.Accepted, r.PreemptionPct, r.Delivered,
+				r.TputMinPct, r.TputMaxPct, r.TputStdDevPct,
+				r.Completed, r.MeanRTT, r.P99RTT,
+				r.DeliveredFraction, r.Retries, r.Drops, r.MeanRecovery, r.VictimSlowdown,
+				float64(r.Wall)/float64(time.Millisecond), r.CyclesPerSec, r.Attempts, csvEscape(r.Error))
+		}
+		return b.String()
+	})
+	return strings.Join(append([]string{csvHeader}, chunks...), "")
 }
+
+const csvHeader = "scenario,workload,pattern,topology,qos,seed,rate,outstanding,think_time,retry_timeout,max_retries," +
+	"mean_latency_cycles,p99_latency_cycles,accepted_flits_per_cycle,preemption_pct,delivered_packets," +
+	"tput_min_pct_of_mean,tput_max_pct_of_mean,tput_stddev_pct_of_mean," +
+	"completed_requests,mean_rtt_cycles,p99_rtt_cycles," +
+	"delivered_fraction,retries,drops,mean_recovery_cycles,victim_slowdown,wall_ms,cycles_per_sec,attempts,error\n"
 
 func csvEscape(s string) string {
 	if strings.ContainsAny(s, ",\"\n") {

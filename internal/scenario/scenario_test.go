@@ -415,3 +415,43 @@ func TestLoadRejectsUnknownExtension(t *testing.T) {
 		t.Error("yaml accepted")
 	}
 }
+
+// TestCSVChunkedMatchesSerial pins CSV's chunked rendering against a
+// serial oracle: header, then each row rendered alone, in order. The
+// grid spans several chunks with a ragged tail, and the names need
+// escaping.
+func TestCSVChunkedMatchesSerial(t *testing.T) {
+	name := `sweep, "quoted"`
+	results := make([]Result, 3*jobCells+5)
+	for i := range results {
+		r := &results[i]
+		r.Pattern = []string{"uniform", `odd,"pattern"`}[i%2]
+		r.Workload = "open"
+		r.Topology = topology.Kinds()[i%len(topology.Kinds())]
+		r.Seed = uint64(i)
+		r.Rate = float64(i) / 1000
+		r.MeanLatency = 10 + float64(i)/7
+		r.Delivered = int64(i * 13)
+		r.Attempts = 1
+		if i%17 == 0 {
+			r.Error = "failed,\nbadly"
+		}
+	}
+	oracle := func(name string, rs []Result) string {
+		out := csvHeader
+		for i := range rs {
+			out += strings.TrimPrefix(CSV(name, rs[i:i+1]), csvHeader)
+		}
+		return out
+	}
+	got := CSV(name, results)
+	if want := oracle(name, results); got != want {
+		t.Fatalf("chunked CSV differs from the row-by-row oracle:\n%s\nwant:\n%s", got, want)
+	}
+	if !strings.HasPrefix(strings.TrimPrefix(got, csvHeader), `"sweep, ""quoted""",open,uniform,`) {
+		t.Errorf("first row not escaped as expected:\n%s", got[:300])
+	}
+	if CSV(name, nil) != csvHeader {
+		t.Error("empty result set does not render as the bare header")
+	}
+}

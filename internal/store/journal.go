@@ -1,8 +1,9 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -18,15 +19,22 @@ import (
 // cache entries are still served as ordinary hits).
 //
 // Lines that do not look like keys are ignored on read, so a torn final
-// line from a crash costs at most one re-run.
+// line from a crash costs at most one re-run; the next Record starts a
+// fresh line after it rather than extending it.
+//
+// Opening reads nothing: a sweep whose cells all hit the cache never
+// records, and the file grows across every sweep sharing the cache
+// directory. The done-set is loaded on the first Record, Done or Len.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	done map[string]bool
+	mu      sync.Mutex
+	f       *os.File
+	done    map[string]bool // nil until loaded
+	loadErr error
+	torn    bool // the file ends mid-line
 }
 
-// OpenJournal opens (creating if needed) the journal file at path,
-// reading the set of already-recorded keys.
+// OpenJournal opens (creating if needed) the journal file at path for
+// appending.
 func OpenJournal(path string) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", path, err)
@@ -35,18 +43,45 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", path, err)
 	}
-	j := &Journal{f: f, done: make(map[string]bool)}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if key := sc.Text(); validKey(key) {
+	return &Journal{f: f}, nil
+}
+
+// load reads the already-recorded keys on first use; j.mu must be held.
+// A read error is kept and returned by every later Record.
+func (j *Journal) load() error {
+	if j.done != nil {
+		return j.loadErr
+	}
+	j.done = make(map[string]bool)
+	data, err := j.readAll()
+	if err != nil {
+		j.loadErr = fmt.Errorf("store: journal %s: %w", j.f.Name(), err)
+		return j.loadErr
+	}
+	j.torn = len(data) > 0 && data[len(data)-1] != '\n'
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		if key := string(bytes.TrimSuffix(line, []byte{'\r'})); validKey(key) {
 			j.done[key] = true
 		}
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: journal %s: %w", path, err)
+	return nil
+}
+
+// readAll reads the file from the start in one buffer sized by a stat
+// (the append-mode offset is left alone).
+func (j *Journal) readAll() ([]byte, error) {
+	info, err := j.f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	return j, nil
+	data := make([]byte, info.Size())
+	n, err := j.f.ReadAt(data, 0)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return data[:n], nil
 }
 
 // validKey reports whether a journal line is a plausible cache key
@@ -68,6 +103,7 @@ func validKey(s string) bool {
 func (j *Journal) Done(key string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.load()
 	return j.done[key]
 }
 
@@ -75,6 +111,7 @@ func (j *Journal) Done(key string) bool {
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.load()
 	return len(j.done)
 }
 
@@ -86,12 +123,20 @@ func (j *Journal) Record(key string) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if err := j.load(); err != nil {
+		return err
+	}
 	if j.done[key] {
 		return nil
 	}
-	if _, err := j.f.WriteString(key + "\n"); err != nil {
+	line := key + "\n"
+	if j.torn {
+		line = "\n" + line
+	}
+	if _, err := j.f.WriteString(line); err != nil {
 		return fmt.Errorf("store: journal append: %w", err)
 	}
+	j.torn = false
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("store: journal sync: %w", err)
 	}

@@ -23,6 +23,12 @@
 // stored verbatim. Entries are written via temp file + rename in the
 // same directory, so a crash mid-write leaves either the old entry or
 // none — a corrupt or truncated entry reads as a miss, never as data.
+//
+// Load reads an entry straight into the caller's row type: one decode
+// validates the file, checks the format and key echo, and fills the
+// row, so a hit costs one read and one json.Unmarshal. An absent or
+// null payload is a miss, like any other damage. Get is Load into a
+// json.RawMessage.
 package store
 
 import (
@@ -34,6 +40,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
+	"syscall"
 )
 
 // Format is the on-disk envelope schema version. Bump it when the
@@ -62,12 +70,15 @@ type Store struct {
 	dir string
 }
 
-// envelope is the on-disk entry wrapper.
-type envelope struct {
-	Format  string          `json:"format"`
-	Key     string          `json:"key"`
-	Payload json.RawMessage `json:"payload"`
+// entry is the on-disk entry wrapper, with the payload in form P.
+type entry[P any] struct {
+	Format  string `json:"format"`
+	Key     string `json:"key"`
+	Payload P      `json:"payload"`
 }
+
+// envelope is the entry as Put writes it: the payload stored verbatim.
+type envelope = entry[json.RawMessage]
 
 // Open opens (creating if needed) a cache rooted at dir.
 func Open(dir string) (*Store, error) {
@@ -89,23 +100,67 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, "v1", key[:2], key+".json")
 }
 
-// Get looks a key up and returns its payload. The second result is
-// false on a miss — absent, unreadable, corrupt, wrong format, or
-// mislabeled entries all count as misses, because a miss is always safe
-// (the cell simply re-runs) while trusting a damaged entry never is.
-func (s *Store) Get(key string) (json.RawMessage, bool) {
+// Load looks a key up and decodes its payload into a T. The second
+// result is false on a miss — absent, unreadable, corrupt, wrong
+// format, mislabeled, payload-less or null-payload entries, and
+// payloads that do not decode into a T, all count as misses, because a
+// miss is always safe (the cell simply re-runs) while trusting a
+// damaged entry never is. Safe for concurrent use.
+func Load[T any](s *Store, key string) (T, bool) {
+	var zero T
 	if len(key) < 2 {
-		return nil, false
+		return zero, false
 	}
-	data, err := os.ReadFile(s.path(key))
+	buf, ok := readEntry(s.path(key))
+	defer readBufs.Put(buf)
+	if !ok {
+		return zero, false
+	}
+	// A null or absent payload leaves the pointer nil. Decoding copies
+	// everything it keeps, so the buffer can go back to the pool.
+	var e entry[*T]
+	if json.Unmarshal(*buf, &e) != nil || e.Format != Format || e.Key != key || e.Payload == nil {
+		return zero, false
+	}
+	return *e.Payload, true
+}
+
+// readBufs recycles entry read buffers across Loads.
+var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// readEntry reads a whole entry file into a buffer from readBufs, which
+// the caller returns to the pool. It goes straight to open, read and
+// close: os.ReadFile also stats the file and registers it with the
+// runtime poller and a finalizer (on Linux, four fcntl calls and a
+// failed epoll_ctl), which costs more than decoding the entry. Any
+// error, an interrupted call included, reads as a miss.
+func readEntry(path string) (*[]byte, bool) {
+	buf := readBufs.Get().(*[]byte)
+	*buf = (*buf)[:0]
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
-		return nil, false
+		return buf, false
 	}
-	var env envelope
-	if json.Unmarshal(data, &env) != nil || env.Format != Format || env.Key != key || len(env.Payload) == 0 {
-		return nil, false
+	defer syscall.Close(fd)
+	for {
+		if len(*buf) == cap(*buf) {
+			*buf = append(*buf, 0)[:len(*buf)]
+		}
+		n, err := syscall.Read(fd, (*buf)[len(*buf):cap(*buf)])
+		if err != nil {
+			return buf, false
+		}
+		if n == 0 {
+			return buf, true
+		}
+		*buf = (*buf)[:len(*buf)+n]
 	}
-	return env.Payload, true
+}
+
+// Get looks a key up and returns its payload verbatim; it is Load into
+// a json.RawMessage, with the same miss rules.
+func (s *Store) Get(key string) (json.RawMessage, bool) {
+	return Load[json.RawMessage](s, key)
 }
 
 // Put stores payload under key, atomically: the envelope is written to

@@ -92,6 +92,87 @@ func TestCorruptEntriesReadAsMisses(t *testing.T) {
 	}
 }
 
+// TestLoadMissRules is Load's contract, entry by entry: only a complete
+// envelope with the right format, the right key echo and a non-null
+// payload that decodes into the row type is a hit.
+func TestLoadMissRules(t *testing.T) {
+	type row struct {
+		V int `json:"v"`
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf([]byte("load"))
+	if err := os.MkdirAll(filepath.Dir(s.path(key)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	head := `{"format":"` + Format + `","key":"` + key + `"`
+	for _, tc := range []struct {
+		name, data string
+		want       row
+		hit        bool
+	}{
+		{"whole", head + `,"payload":{"v":7}}`, row{V: 7}, true},
+		{"payload-first", `{"payload":{"v":8},"key":"` + key + `","format":"` + Format + `"}`, row{V: 8}, true},
+		{"wrong-format", `{"format":"tanoq-cache/v0","key":"` + key + `","payload":{"v":7}}`, row{}, false},
+		{"key-mismatch", `{"format":"` + Format + `","key":"` + KeyOf([]byte("other")) + `","payload":{"v":7}}`, row{}, false},
+		{"truncated", head + `,"payload":{"v":7`, row{}, false},
+		{"absent-payload", head + `}`, row{}, false},
+		{"null-payload", head + `,"payload":null}`, row{}, false},
+	} {
+		if err := os.WriteFile(s.path(key), []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := Load[row](s, key)
+		if ok != tc.hit || got != tc.want {
+			t.Errorf("%s: Load = %+v, %v; want %+v, %v", tc.name, got, ok, tc.want, tc.hit)
+		}
+		// Get applies the same rules to the raw payload.
+		if _, ok := s.Get(key); ok != tc.hit {
+			t.Errorf("%s: Get hit = %v, want %v", tc.name, ok, tc.hit)
+		}
+	}
+	// A payload that does not decode into the row type is a miss for
+	// Load, though Get, which does not decode it, serves it.
+	if err := os.WriteFile(s.path(key), []byte(head+`,"payload":{"v":"seven"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := Load[row](s, key); ok {
+		t.Errorf("ill-typed payload loaded as %+v", got)
+	}
+	if _, ok := s.Get(key); !ok {
+		t.Error("Get missed a well-formed entry")
+	}
+	if _, ok := Load[row](s, KeyOf([]byte("never stored"))); ok {
+		t.Error("absent entry loaded")
+	}
+
+	// Get round-trips a Put payload byte for byte, and Load decodes the
+	// same entry.
+	payload := json.RawMessage(`{"v":3,"extra":[1,2]}`)
+	if err := s.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(key); !ok || string(got) != string(payload) {
+		t.Errorf("Get after Put = %s, %v; want %s", got, ok, payload)
+	}
+	if got, ok := Load[row](s, key); !ok || got.V != 3 {
+		t.Errorf("Load after Put = %+v, %v", got, ok)
+	}
+	// A null payload is valid JSON, so Put stores it — and it reads back
+	// as a miss, never as a zero row.
+	if err := s.Put(key, json.RawMessage(`null`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(key); ok {
+		t.Error("null payload served by Get")
+	}
+	if _, ok := Load[row](s, key); ok {
+		t.Error("null payload served by Load")
+	}
+}
+
 func TestStoreConcurrentPutGet(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -181,6 +262,62 @@ func TestJournalIgnoresTornLine(t *testing.T) {
 	}
 	if j.Len() != 1 {
 		t.Errorf("torn line counted: len=%d", j.Len())
+	}
+}
+
+// TestJournalDedupAcrossReopen pins that a key recorded by an earlier
+// process is not appended again: opening reads nothing, but the first
+// Record loads what is already there.
+func TestJournalDedupAcrossReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	k := KeyOf([]byte("once"))
+	for run := 0; run < 3; run++ {
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Record(k); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != k+"\n" {
+		t.Fatalf("journal after three runs recording one key:\n%q", data)
+	}
+}
+
+// TestJournalRecordAfterTornLine pins that a torn final line stays
+// ignored once the journal grows past it: the next key starts a line of
+// its own and survives a reopen.
+func TestJournalRecordAfterTornLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	k1, k2 := KeyOf([]byte("whole")), KeyOf([]byte("after"))
+	if err := os.WriteFile(path, []byte(k1+"\n"+k2[:10]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record(k2); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err = OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if !j.Done(k1) || !j.Done(k2) || j.Len() != 2 {
+		t.Fatalf("after reopen: done(k1)=%v done(k2)=%v len=%d, want true true 2", j.Done(k1), j.Done(k2), j.Len())
 	}
 }
 
