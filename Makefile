@@ -32,10 +32,10 @@ race:
 	go test -race ./...
 
 # determinism is CI's named gate for the engine's core contract: the
-# idle-skip equivalence and worker-count/skip determinism suites, run
-# twice (the pattern covers ...Equivalent..., ...Determinism and
-# ...Deterministic... test names across network/runner/experiments/
-# scenario/sim).
+# engine contract table (TestEngineContractEquivalent and its named
+# views) and the worker-count/skip determinism suites, run twice (the
+# pattern covers ...Equivalent..., ...Determinism and ...Deterministic...
+# test names across network/runner/experiments/scenario/sim).
 determinism:
 	go test -run 'Equivalen|Determin' -count=2 ./...
 
@@ -145,12 +145,17 @@ metrics-smoke:
 	@echo "metrics-smoke: timeline golden matched; /metrics exposition matched modulo values; pprof answered"
 
 # fuzz-smoke runs each fuzzer for a short budget (CI's fuzz step): the
-# scenario decoders, and the cache's entry reader over arbitrary entry
-# bytes. `go test -fuzz FuzzScenarioDecode ./internal/scenario` (or
-# FuzzStoreLoad ./internal/store) runs one open-ended.
+# scenario decoders, the cache's entry and journal readers over arbitrary
+# file bytes, and the engine contract (fast = reference = ticked = chunked)
+# over fuzzed configurations. `go test -fuzz FuzzScenarioDecode
+# ./internal/scenario` (or FuzzStoreLoad / FuzzJournalLoad
+# ./internal/store, FuzzEngineContract ./internal/network) runs one
+# open-ended.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario
 	go test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/store
+	go test -run '^$$' -fuzz FuzzJournalLoad -fuzztime 10s ./internal/store
+	go test -run '^$$' -fuzz FuzzEngineContract -fuzztime 10s ./internal/network
 
 # bench smoke-runs the engine's three `testing.B` points once each:
 # BenchmarkEngineCycles (steady Step), BenchmarkSaturatedCycles and

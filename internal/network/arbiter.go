@@ -109,18 +109,6 @@ func (n *Network) unregister(p *outPort, h pktH) {
 	}
 }
 
-// noVerdictMemo, set only by tests, re-runs every allocation round and
-// inversion scan instead of answering from the port's verdict memo.
-var noVerdictMemo bool
-
-// noFlowQueues, set only by tests, sends per-flow-queue allocation rounds
-// through arbitrate's flat scan instead of the port's flow queues.
-var noFlowQueues bool
-
-// noBlockedShortcut, set only by tests, makes a round whose best candidate
-// was refused try every other candidate instead of asking roundBlocked.
-var noBlockedShortcut bool
-
 // arbitrate runs one virtual-channel allocation for the port: the winning
 // candidate is granted a VC at its downstream buffer and begins its
 // transfer. Under PVC, a candidate that finds the buffer full may preempt
@@ -156,7 +144,7 @@ func (n *Network) arbitrate(port *outPort, now sim.Cycle) (noGrant bool) {
 		// No preemption here: blocked means every candidate's buffer is full.
 		return n.arbitrateRoundRobin(port, now)
 	}
-	if n.mode == qos.PerFlowQueue && (n.flowQs[port.id].seen > 0 || len(port.waiters) > flowQueueMin) && !noFlowQueues {
+	if n.mode == qos.PerFlowQueue && (n.flowQs[port.id].seen > 0 || len(port.waiters) > flowQueueMin) {
 		return n.arbitrateFlowQueues(port, now) // compares flow heads only
 	}
 	// Candidates bid with their dynamic priority: the port's flat cached-
@@ -282,7 +270,7 @@ func (n *Network) arbitrate(port *outPort, now sim.Cycle) (noGrant bool) {
 				}
 			}
 			if vcIdx < 0 {
-				if tried == 1 && !noBlockedShortcut && n.roundBlocked(port, bids, prios, leg.In) {
+				if tried == 1 && n.roundBlocked(port, bids, prios, leg.In) {
 					return true
 				}
 				failedBufs = append(failedBufs, int32(leg.In))
@@ -367,7 +355,7 @@ func (n *Network) tryInversionPreempt(port *outPort, now sim.Cycle) {
 	if port.table == nil || len(port.waiters) < 2 {
 		return
 	}
-	if port.scanAt == port.epoch && !noVerdictMemo {
+	if port.scanAt == port.epoch {
 		// Nothing the scan reads has changed since it last found no
 		// victim — rescanning would reproduce the same verdict.
 		return

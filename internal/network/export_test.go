@@ -1,34 +1,37 @@
 package network
 
-import "tanoq/internal/qos"
+import (
+	"testing"
 
-// Test-only windows onto the verdict memo and the per-flow queues for the
-// external test package (which can import internal/workload without an
-// import cycle).
+	"tanoq/internal/qos"
+	"tanoq/internal/traffic"
+)
 
-// SetVerdictMemo turns the blocked-round and inversion-scan skips on or
-// off process-wide. Callers must not run in parallel with other tests.
-func SetVerdictMemo(on bool) { noVerdictMemo = !on }
+// Test-only windows onto the engine for the external test package (which
+// can import internal/workload without an import cycle).
+
+// UseReferenceRounds makes every allocation round of this network run
+// referenceRound instead of arbitrate and its fast paths. Call it before
+// the first Step.
+func (n *Network) UseReferenceRounds() { n.refRound = n.referenceRound }
+
+// MeasureStart is WarmupAndMeasure's warmup/measure boundary, for callers
+// that advance a network in chunks.
+func (n *Network) MeasureStart() { n.measureStart() }
+
+// BurstyWorkload is the mixed bursty/smooth bit-reversal workload of the
+// pattern tests.
+func BurstyWorkload(t *testing.T) traffic.Workload { return burstyWorkload(t) }
 
 // VerdictSkips reports how many allocation rounds were answered from a
 // port's blocked-verdict memo since the last Reset.
 func (n *Network) VerdictSkips() uint64 { return n.verdictSkips }
-
-// SetBlockedShortcut turns roundBlocked's one-pass answer on or off
-// process-wide; off, a round whose best candidate was refused tries every
-// other one. Callers must not run in parallel with other tests.
-func SetBlockedShortcut(on bool) { noBlockedShortcut = !on }
 
 // BlockedRoundAnswers reports how often roundBlocked answered "nobody can
 // be granted" and "somebody still can" since the last Reset.
 func (n *Network) BlockedRoundAnswers() (nobody, somebody uint64) {
 	return n.roundsBlocked, n.roundsHopeful
 }
-
-// SetFlowQueues turns the per-flow-queue allocation round on or off
-// process-wide; off, that mode's rounds run arbitrate's flat scan.
-// Callers must not run in parallel with other tests.
-func SetFlowQueues(on bool) { noFlowQueues = !on }
 
 // FlowQueueRounds reports how many allocation rounds ran over flow-queue
 // heads, and how many heads they compared, since the last Reset.

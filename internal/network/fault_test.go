@@ -57,39 +57,6 @@ func hotspotFaultCfg(kind topology.Kind, mode qos.Mode, faults FaultConfig, seed
 	return Config{Kind: kind, QoS: cfg, Workload: w, Seed: seed, Faults: faults}
 }
 
-// TestFaultedRunSkipEquivalence pins the faulted counterpart of the
-// idle-skip proof: a run with transient and permanent faults, router
-// stalls and retry timers in play is bit-identical with idle skipping on
-// and off, for every topology and QoS mode. Fault edges and retry
-// timeouts are first-class events, so the skip horizon covers them
-// exactly.
-func TestFaultedRunSkipEquivalence(t *testing.T) {
-	for _, kind := range topology.Kinds() {
-		for _, mode := range []qos.Mode{qos.PVC, qos.PerFlowQueue, qos.NoQoS} {
-			t.Run(kind.String()+"/"+mode.String(), func(t *testing.T) {
-				g := topology.NewGraph(kind, topology.ColumnNodes)
-				faults := FaultConfig{
-					Windows: []noc.FaultWindow{
-						{Kind: noc.FaultLinkTransient, Port: transitPort(g), From: 3_000, Until: 6_000},
-						{Kind: noc.FaultRouterStall, Node: 3, From: 7_000, Until: 8_000},
-					},
-					RetryTimeout: 500,
-					MaxRetries:   6,
-				}
-				run := func(disable bool) skipFingerprint {
-					cfg := faultCfg(kind, mode, faults, 41)
-					cfg.DisableIdleSkip = disable
-					return drainFingerprint(t, MustNew(cfg), 600_000)
-				}
-				ticked, skipped := run(true), run(false)
-				if !equalFingerprints(ticked, skipped) {
-					t.Errorf("faulted run diverges across idle-skip settings:\nticked:  %+v\nskipped: %+v", ticked, skipped)
-				}
-			})
-		}
-	}
-}
-
 // TestFaultedRunsAreReproducible pins run-to-run determinism with faults
 // and recovery in play: two engines built from the same configuration
 // produce identical observables, and a dirty engine Reset to the faulted

@@ -160,9 +160,9 @@ func (n *Network) withdraw(p *outPort, h pktH) {
 // the same fault gate and busy test: the best queue head under the
 // (priority, Created, ID) order wins. The unlimited pool always admits it,
 // so nothing is retried, skipped or preempted and every round grants.
-// Bit-identical to the flat scan, which
-// TestFlowQueuesMechanicallyEquivalent runs against it. (Carried
-// priorities never go stale here: only PVC has a frame to flush.)
+// Bit-identical to the flat scan, which the contract table's reference
+// row runs against it. (Carried priorities never go stale here: only PVC
+// has a frame to flush.)
 func (n *Network) arbitrateFlowQueues(port *outPort, now sim.Cycle) (noGrant bool) {
 	fq := n.flowQs[port.id]
 	prios := port.table.Priorities()

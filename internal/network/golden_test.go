@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"tanoq/internal/network"
-	"tanoq/internal/qos"
 	"tanoq/internal/sim"
 	"tanoq/internal/topology"
 	"tanoq/internal/traffic"
@@ -52,55 +51,52 @@ func (o *orderHash) attach(n *network.Network, deliveries bool) {
 
 func (o *orderHash) String() string { return fmt.Sprintf("order=%016x", o.h.Sum64()) }
 
-// goldenCells is the cross-commit matrix: every scheduling path the
-// engine has — dense stepping, saturation with preemption, long idle
-// gaps with a stop cycle and a drain tail, fault edges with retry timers,
-// the watchdog and a probe, closed-loop think timers, and trace replay.
-var goldenCells = []struct {
-	name string
-	run  func(t *testing.T, kind topology.Kind, mode qos.Mode) string
-}{
-	{"uniform", func(t *testing.T, kind topology.Kind, mode qos.Mode) string {
-		n := goldenNet(kind, mode, traffic.UniformRandom(topology.ColumnNodes, 0.04), 3, nil)
+// goldenCells are the cross-commit matrix, run in every topology and QoS
+// mode: every scheduling path the engine has — dense stepping, saturation
+// with preemption, long idle gaps with a stop cycle and a drain tail,
+// fault edges with retry timers, the watchdog and a probe, closed-loop
+// think timers, and trace replay.
+var goldenCells = []cell{
+	{name: "uniform", golden: true, run: func(t *testing.T, c cell, r row) (*network.Network, string) {
+		n := r.net(t, c.config(traffic.UniformRandom(topology.ColumnNodes, 0.04), 3))
 		o := newOrderHash()
 		o.attach(n, true)
-		n.WarmupAndMeasure(2_000, 8_000)
-		return cellFingerprint(n, o.String())
+		r.warmupAndMeasure(n, 2_000, 8_000)
+		return n, o.String()
 	}},
-	{"workload1", func(t *testing.T, kind topology.Kind, mode qos.Mode) string {
-		n := goldenNet(kind, mode, traffic.Workload1(topology.ColumnNodes, 6_000), 5, nil)
+	{name: "workload1", golden: true, guard: saturated, run: func(t *testing.T, c cell, r row) (*network.Network, string) {
+		n := r.net(t, c.config(traffic.Workload1(topology.ColumnNodes, 6_000), 5))
 		o := newOrderHash()
 		o.attach(n, true)
-		n.WarmupAndMeasure(1_000, 4_000)
-		goldenDrain(t, n)
-		return cellFingerprint(n, o.String())
+		r.warmupAndMeasure(n, 1_000, 4_000)
+		drain(t, n)
+		return n, o.String()
 	}},
-	{"lowrate", func(t *testing.T, kind topology.Kind, mode qos.Mode) string {
-		n := goldenNet(kind, mode, traffic.UniformRandom(topology.ColumnNodes, 0.002).WithStop(60_000), 7, nil)
+	{name: "lowrate", golden: true, run: func(t *testing.T, c cell, r row) (*network.Network, string) {
+		n := r.net(t, c.config(traffic.UniformRandom(topology.ColumnNodes, 0.002).WithStop(60_000), 7))
 		o := newOrderHash()
 		o.attach(n, true)
-		n.WarmupAndMeasure(10_000, 40_000)
-		goldenDrain(t, n)
-		return cellFingerprint(n, o.String())
+		r.warmupAndMeasure(n, 10_000, 40_000)
+		drain(t, n)
+		return n, o.String()
 	}},
-	{"faulted", func(t *testing.T, kind topology.Kind, mode qos.Mode) string {
-		n := goldenNet(kind, mode, traffic.UniformRandom(topology.ColumnNodes, 0.02).WithStop(12_000), 11,
-			func(cfg *network.Config) {
-				cfg.Faults = stallFaults(topology.NewGraph(kind, topology.ColumnNodes))
-				cfg.Faults.RetryTimeout = 400
-				cfg.WatchdogCycles = 50_000
-			})
+	{name: "faulted", golden: true, probed: true, run: func(t *testing.T, c cell, r row) (*network.Network, string) {
+		cfg := c.config(traffic.UniformRandom(topology.ColumnNodes, 0.02).WithStop(12_000), 11)
+		cfg.Faults = stallFaults(topology.NewGraph(c.kind, topology.ColumnNodes))
+		cfg.Faults.RetryTimeout = 400
+		cfg.WatchdogCycles = 50_000
+		n := r.net(t, cfg)
 		o := newOrderHash()
 		o.attach(n, true)
 		n.SetProbe(700, func(now sim.Cycle) {
 			o.put(2, uint64(now), uint64(n.InFlight()), uint64(n.FillVCOccupancy(nil)))
 		})
-		n.WarmupAndMeasure(2_000, 8_000)
-		goldenDrain(t, n)
-		return cellFingerprint(n, o.String())
+		r.warmupAndMeasure(n, 2_000, 8_000)
+		drain(t, n)
+		return n, o.String()
 	}},
-	{"closed-hotspot", func(t *testing.T, kind topology.Kind, mode qos.Mode) string {
-		n := goldenNet(kind, mode, workload.ClientWorkload("closed", topology.ColumnNodes), 13, nil)
+	{name: "closed-hotspot", golden: true, run: func(t *testing.T, c cell, r row) (*network.Network, string) {
+		n := r.net(t, c.config(workload.ClientWorkload("closed", topology.ColumnNodes), 13))
 		ct, err := workload.NewController(n, workload.ClientConfig{
 			Outstanding: 4, ThinkMean: 150, Pattern: traffic.HotspotTraffic(nil),
 			StopIssuing: 20_000, Seed: 17,
@@ -110,64 +106,46 @@ var goldenCells = []struct {
 		}
 		o := newOrderHash()
 		o.attach(n, false)
-		n.WarmupAndMeasure(4_000, 12_000)
-		goldenDrain(t, n)
-		return cellFingerprint(n, fmt.Sprintf("issued=%d completed=%d rtt99=%d %s",
-			ct.Issued, ct.Completed, ct.RT.Latencies.Percentile(99), o))
+		r.warmupAndMeasure(n, 4_000, 12_000)
+		drain(t, n)
+		return n, fmt.Sprintf("issued=%d completed=%d rtt99=%d %s",
+			ct.Issued, ct.Completed, ct.RT.Latencies.Percentile(99), o)
 	}},
-	{"replay", func(t *testing.T, kind topology.Kind, mode qos.Mode) string {
+	{name: "replay", golden: true, run: func(t *testing.T, c cell, r row) (*network.Network, string) {
 		rec := &workload.Recorder{}
-		src := goldenNet(kind, mode, traffic.Tornado(topology.ColumnNodes, 0.03), 23, nil)
+		src := r.net(t, c.config(traffic.Tornado(topology.ColumnNodes, 0.03), 23))
 		rec.Attach(src)
-		src.WarmupAndMeasure(2_000, 6_000)
+		r.warmupAndMeasure(src, 2_000, 6_000)
 		trace := rec.Trace(workload.TraceHeader{
-			Nodes: topology.ColumnNodes, Topology: kind.String(), QoS: mode.String(),
+			Nodes: topology.ColumnNodes, Topology: c.kind.String(), QoS: c.mode.String(),
 			Seed: 23, Warmup: 2_000, Measure: 6_000,
 		})
 		cfg, warmup, measure, err := trace.Cell("replay")
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := network.MustNew(cfg)
+		n := r.net(t, cfg)
 		o := newOrderHash()
 		o.attach(n, true)
-		n.WarmupAndMeasure(warmup, measure)
-		goldenDrain(t, n)
-		return cellFingerprint(n, fmt.Sprintf("recorded=%s %s",
-			workload.Fingerprint(src.Stats(), src.Now()), o))
+		r.warmupAndMeasure(n, warmup, measure)
+		drain(t, n)
+		return n, fmt.Sprintf("recorded=%s %s", workload.Fingerprint(src.Stats(), src.Now()), o)
 	}},
 }
 
-func goldenNet(kind topology.Kind, mode qos.Mode, w traffic.Workload, seed uint64, edit func(*network.Config)) *network.Network {
-	qcfg := qos.DefaultConfig(w.TotalFlows())
-	qcfg.Mode = mode
-	cfg := network.Config{Kind: kind, QoS: qcfg, Workload: w, Seed: seed}
-	if edit != nil {
-		edit(&cfg)
-	}
-	return network.MustNew(cfg)
-}
-
-func goldenDrain(t *testing.T, n *network.Network) {
-	t.Helper()
-	if _, drained := n.RunUntilDrained(2_000_000); !drained {
-		t.Fatalf("did not drain (in flight %d)", n.InFlight())
-	}
-}
-
-// TestEngineFingerprintsDeterministicAcrossCommits compares this tree's
-// results with a file written by an earlier commit. Every other
-// equivalence test runs both sides inside one binary, so an engine change
-// that moves both sides the same way passes them all; this one cannot.
-// A change that is meant to alter simulated results regenerates the file
-// with `go test -run AcrossCommits ./internal/network -update` and says so.
+// TestEngineFingerprintsDeterministicAcrossCommits is the contract table's
+// identity row over the golden cells, compared with a file written by an
+// earlier commit. Every other row runs both sides inside one binary, so
+// an engine change that moves both sides the same way passes them all;
+// this one cannot. A change that is meant to alter simulated results
+// regenerates the file with `go test -run AcrossCommits ./internal/network
+// -update` and says so.
 func TestEngineFingerprintsDeterministicAcrossCommits(t *testing.T) {
 	var got strings.Builder
-	for _, kind := range topology.Kinds() {
-		for _, mode := range []qos.Mode{qos.PVC, qos.PerFlowQueue, qos.NoQoS} {
-			for _, cell := range goldenCells {
-				fmt.Fprintf(&got, "%s/%s/%s %s\n", kind, mode, cell.name, cell.run(t, kind, mode))
-			}
+	p := pass(t)
+	for _, c := range catalogue {
+		if c.golden {
+			fmt.Fprintf(&got, "%s %s\n", c.path(), outcomeOf(t, p, c, identity).fp)
 		}
 	}
 	path := filepath.Join("testdata", "fingerprints.golden")

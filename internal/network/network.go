@@ -84,13 +84,14 @@
 // there and that cycle is stepped. Skipped cycles would have executed
 // no state change, making the fast-forward provably mechanical: with
 // Config.DisableIdleSkip the engine ticks through every cycle and
-// produces bit-identical results (TestIdleSkipMechanicallyEquivalent).
+// produces bit-identical results (the contract table's skip-off row,
+// contract_test.go).
 // Low-load cells of the paper's latency-load sweeps thus cost O(packets),
 // not O(cycles). A chunked Run is state-identical to an unchunked one
 // (fast-forwards clamp to the chunk boundary; skipped cycles execute
 // nothing), which is what lets WarmupAndMeasure, probes and callers that
-// advance a network piecewise split a span anywhere
-// (TestChunkedRunMatchesUnchunked).
+// advance a network piecewise split a span anywhere (the contract
+// table's chunked rows).
 //
 // # Workload attachment
 //
@@ -132,7 +133,7 @@ type Config struct {
 	// DisableIdleSkip forces Run/RunUntilDrained to tick through every
 	// cycle instead of fast-forwarding the clock over provably idle
 	// windows. Skipping is mechanical — results are bit-identical either
-	// way (TestIdleSkipMechanicallyEquivalent) — so the knob exists only
+	// way (the contract table's skip-off row) — so the knob exists only
 	// for that proof and for debugging.
 	DisableIdleSkip bool
 
@@ -302,6 +303,12 @@ type Network struct {
 	// flowQs sits where it does: no other field's offset moves.
 	victims                      []victimMemo
 	roundsBlocked, roundsHopeful uint64
+
+	// refRound, set only by tests (reference_test.go), replaces Step's
+	// allocation rounds — arbitrate behind its verdict memo — with the
+	// plain reference round the contract table checks them against. It
+	// survives Reset, like the diagnostic hooks.
+	refRound func(*outPort, sim.Cycle)
 }
 
 // New builds a network from the configuration. It validates that the QoS
@@ -318,7 +325,7 @@ func New(cfg Config) (*Network, error) {
 // backing allocation the previous configuration left behind — the packet
 // arena, the timing wheels, per-port candidate lists and flow tables, buffer
 // VC arrays, source queues and scratch buffers. A Reset network is
-// bit-identical to a freshly built one (TestResetMatchesFreshBuild): all
+// bit-identical to a freshly built one (the contract table's reset row): all
 // randomness derives from cfg.Seed and every piece of logical state is
 // re-initialized here. Sweep drivers lean on this to run a whole grid of
 // cells on one allocation per worker (runner.RunCells).
@@ -668,10 +675,15 @@ func (n *Network) Step() {
 			p := &n.ports[pi]
 			// A port whose blocked verdict is live (outPort.epoch) is not
 			// re-arbitrated. arbitrate's fault gate reports false, so a
-			// round it cut short never stamps a verdict.
+			// round it cut short never stamps a verdict. refRound, when a
+			// test installs it, runs every round in full instead: it stamps
+			// none either, so blockedAt keeps the 0 that Reset set and the
+			// epoch, which starts at 1 and only grows, never matches it.
 			if len(p.waiters) > 0 {
-				if epoch := p.epoch; p.blockedAt != epoch || noVerdictMemo {
-					if n.arbitrate(p, now) {
+				if epoch := p.epoch; p.blockedAt != epoch {
+					if n.refRound != nil {
+						n.refRound(p, now)
+					} else if n.arbitrate(p, now) {
 						p.blockedAt = epoch
 					}
 				} else {

@@ -60,29 +60,41 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSinglePacketLatencyMatchesPipelineModel checks zero-load latency
+// for every topology and every ordered (src, dst) pair of the column
+// twice: against the closed forms the paper's Table 1 pipelines imply for
+// a 1-flit packet at distance d = |src-dst| (mesh 3d+2, MECS d+6, DPS
+// 2d+3), and against the router and wire delays summed along the
+// packet's path in the topology graph.
 func TestSinglePacketLatencyMatchesPipelineModel(t *testing.T) {
-	// The paper's Table 1 pipelines imply exact zero-load latencies:
-	// mesh 3d+2, MECS d+6, DPS 2d+3 for a 1-flit packet at distance d.
-	cases := []struct {
-		kind topology.Kind
-		want func(d int) int64
-	}{
-		{topology.MeshX1, func(d int) int64 { return int64(3*d + 2) }},
-		{topology.MeshX4, func(d int) int64 { return int64(3*d + 2) }},
-		{topology.MECS, func(d int) int64 { return int64(d + 6) }},
-		{topology.DPS, func(d int) int64 { return int64(2*d + 3) }},
+	mesh := func(d int) int { return 3*d + 2 }
+	closedForm := map[topology.Kind]func(d int) int{
+		topology.MeshX1: mesh, topology.MeshX2: mesh, topology.MeshX4: mesh,
+		topology.MECS: func(d int) int { return d + 6 },
+		topology.DPS:  func(d int) int { return 2*d + 3 },
 	}
-	for _, tc := range cases {
-		for d := 1; d <= 7; d++ {
-			n := mustNet(t, tc.kind, singlePacketWorkload(0, noc.NodeID(d)), qos.PVC, 1)
-			if done, ok := n.RunUntilDrained(500); !ok {
-				t.Fatalf("%v d=%d: did not drain by %d", tc.kind, d, done)
-			}
-			if got := n.Stats().TotalDelivered; got != 1 {
-				t.Fatalf("%v d=%d: delivered %d packets", tc.kind, d, got)
-			}
-			if got, want := n.Stats().TotalLatency, tc.want(d); got != want {
-				t.Errorf("%v d=%d: latency %d, want %d", tc.kind, d, got, want)
+	for _, kind := range topology.Kinds() {
+		g := topology.NewGraph(kind, topology.ColumnNodes)
+		for src := noc.NodeID(0); src < topology.ColumnNodes; src++ {
+			for dst := noc.NodeID(0); dst < topology.ColumnNodes; dst++ {
+				if src == dst {
+					continue
+				}
+				n := mustNet(t, kind, singlePacketWorkload(src, dst), qos.PVC, 1)
+				if done, ok := n.RunUntilDrained(500); !ok {
+					t.Fatalf("%v %d->%d: did not drain by %d", kind, src, dst, done)
+				}
+				if got := n.Stats().TotalDelivered; got != 1 {
+					t.Fatalf("%v %d->%d: delivered %d packets", kind, src, dst, got)
+				}
+				path := 0
+				for _, leg := range g.Path(src, dst, 0) {
+					path += leg.RouterDelay + leg.WireDelay
+				}
+				got := n.Stats().TotalLatency
+				if want := closedForm[kind](max(int(src-dst), int(dst-src))); got != int64(want) || got != int64(path) {
+					t.Errorf("%v %d->%d: latency %d, Table 1 gives %d, the path's delays sum to %d", kind, src, dst, got, want, path)
+				}
 			}
 		}
 	}

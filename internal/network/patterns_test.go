@@ -9,10 +9,10 @@ import (
 )
 
 // These tests pin the engine-facing contracts of the synthetic pattern
-// library: every pattern drives every topology under every QoS mode, the
-// bursty (MMPP on/off) arrival sampler is covered by the same mechanical
-// idle-skip equivalence as smooth injection, and neither patterns nor
-// bursts reintroduce allocations on the steady-state hot path.
+// library: every pattern drives every topology under every QoS mode, and
+// neither patterns nor bursts reintroduce allocations on the steady-state
+// hot path. The bursty (MMPP on/off) arrival sampler is a cell of the
+// contract table (contract_test.go), so every row covers it.
 
 // newPatterns are the destination permutations and weighted hotspot added
 // on top of the paper's uniform/tornado/hotspot trio.
@@ -64,35 +64,6 @@ func burstyWorkload(t *testing.T) traffic.Workload {
 		}
 	}
 	return w
-}
-
-func TestIdleSkipEquivalentWithBurstySources(t *testing.T) {
-	for _, kind := range []topology.Kind{topology.MeshX1, topology.MECS, topology.DPS} {
-		t.Run(kind.String(), func(t *testing.T) {
-			run := func(disable bool) skipFingerprint {
-				w := burstyWorkload(t).WithStop(9_000)
-				cfg := qos.DefaultConfig(w.TotalFlows())
-				n := MustNew(Config{
-					Kind: kind, QoS: cfg, Workload: w, Seed: 123,
-					DisableIdleSkip: disable,
-				})
-				n.WarmupAndMeasure(2_000, 4_000)
-				if _, drained := n.RunUntilDrained(200_000); !drained {
-					t.Fatalf("did not drain (in flight %d)", n.InFlight())
-				}
-				fp := fingerprint(n)
-				fp.flitsByFlow = n.Stats().FlitsByFlow()
-				return fp
-			}
-			ticked, skipped := run(true), run(false)
-			if ticked.delivered == 0 {
-				t.Fatal("bursty workload delivered nothing")
-			}
-			if !equalFingerprints(ticked, skipped) {
-				t.Errorf("skipping changed bursty results:\nticked:  %+v\nskipped: %+v", ticked, skipped)
-			}
-		})
-	}
 }
 
 func TestStepAllocationFreeWithPatternsAndBursts(t *testing.T) {

@@ -27,69 +27,6 @@ func runFingerprint(n *Network) skipFingerprint {
 	return fp
 }
 
-// TestResetMatchesFreshBuild pins the tentpole reuse contract: a network
-// Reset to a configuration behaves bit-identically to one freshly built
-// from it, for every topology x QoS mode — including Resets that cross
-// topology and mode boundaries mid-stream, the way a sweep worker's
-// engine hops across grid cells. The dirty network is left mid-simulation
-// (packets in flight, events pending, priorities accumulated) before
-// every Reset, so any state the Reset fails to clear shows up as a
-// fingerprint mismatch.
-func TestResetMatchesFreshBuild(t *testing.T) {
-	// One long-lived engine, Reset across the whole matrix.
-	reused, err := New(resetCfg(topology.DPS, qos.PVC, 0.08, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused.Run(5_000) // leave it dirty before the first Reset
-	for _, kind := range topology.Kinds() {
-		for _, mode := range []qos.Mode{qos.PVC, qos.PerFlowQueue, qos.NoQoS} {
-			t.Run(kind.String()+"/"+mode.String(), func(t *testing.T) {
-				cfg := resetCfg(kind, mode, 0.05, 17)
-				fresh := MustNew(cfg)
-				want := runFingerprint(fresh)
-				if err := reused.Reset(cfg); err != nil {
-					t.Fatal(err)
-				}
-				got := runFingerprint(reused)
-				if !equalFingerprints(want, got) {
-					t.Errorf("reset diverged from fresh build:\nfresh: %+v\nreset: %+v", want, got)
-				}
-			})
-		}
-	}
-}
-
-// TestResetMatchesFreshBuildUnderPreemption repeats the reuse check in
-// the preemption-heavy regime, where the retransmission machinery, quota
-// and ACK chains all carry state a sloppy Reset could leak.
-func TestResetMatchesFreshBuildUnderPreemption(t *testing.T) {
-	w := traffic.Workload1(topology.ColumnNodes, 20_000)
-	cfg := qos.DefaultConfig(w.TotalFlows())
-	cfg.MarginClasses = 8
-	adv := Config{Kind: topology.MECS, QoS: cfg, Workload: w, Seed: 21}
-
-	fresh := MustNew(adv)
-	fresh.RunUntilDrained(300_000)
-	want := fingerprint(fresh)
-	want.flitsByFlow = fresh.Stats().FlitsByFlow()
-	if want.preemptions == 0 {
-		t.Fatal("test needs preemptions to be meaningful")
-	}
-
-	reused := MustNew(resetCfg(topology.MeshX1, qos.NoQoS, 0.06, 9))
-	reused.Run(4_000) // dirty: different topology, mode and flow count
-	if err := reused.Reset(adv); err != nil {
-		t.Fatal(err)
-	}
-	reused.RunUntilDrained(300_000)
-	got := fingerprint(reused)
-	got.flitsByFlow = reused.Stats().FlitsByFlow()
-	if !equalFingerprints(want, got) {
-		t.Errorf("reset diverged under preemption pressure:\nfresh: %+v\nreset: %+v", want, got)
-	}
-}
-
 // TestResetDropsLiveBlockedVerdicts resets a network while its ports hold
 // live blocked-arbitration verdicts (Workload 1, mid-run) into a
 // different mode and topology — one that fits the old port array and one

@@ -11,13 +11,10 @@ import (
 	"tanoq/internal/traffic"
 )
 
-// These tests pin the PR's headline contract: idle-cycle fast-forwarding
-// is provably mechanical. With skipping force-disabled the engine ticks
-// through every cycle; with it enabled the clock jumps over windows the
-// engine proves empty. Every observable — deliveries, latencies,
-// preemptions, retransmits, per-flow flit counts, frame flushes, final
-// clock — must be bit-identical between the two, across all five
-// topologies and all three QoS modes.
+// These tests pin the corners of idle-cycle fast-forwarding: frame
+// boundaries, StopAt, re-draining an idle network, and that the clock
+// really jumps. That a skipped run is bit-identical to a ticked one over
+// whole cells is the contract table's skip-off row (contract_test.go).
 
 // skipFingerprint captures every observable of one finished simulation.
 type skipFingerprint struct {
@@ -60,72 +57,6 @@ func fingerprint(n *Network) skipFingerprint {
 
 func equalFingerprints(a, b skipFingerprint) bool {
 	return reflect.DeepEqual(a, b)
-}
-
-// TestIdleSkipMechanicallyEquivalent runs a low-load finite workload —
-// the regime where nearly every cycle is skippable — through
-// WarmupAndMeasure plus a drain, for every topology x QoS mode, and
-// requires identical fingerprints with skipping on and off.
-func TestIdleSkipMechanicallyEquivalent(t *testing.T) {
-	for _, kind := range topology.Kinds() {
-		for _, mode := range []qos.Mode{qos.PVC, qos.PerFlowQueue, qos.NoQoS} {
-			t.Run(kind.String()+"/"+mode.String(), func(t *testing.T) {
-				run := func(disable bool) skipFingerprint {
-					w := traffic.UniformRandom(topology.ColumnNodes, 0.02).WithStop(9_000)
-					cfg := qos.DefaultConfig(w.TotalFlows())
-					cfg.Mode = mode
-					n := MustNew(Config{
-						Kind: kind, QoS: cfg, Workload: w, Seed: 77,
-						DisableIdleSkip: disable,
-					})
-					n.WarmupAndMeasure(2_000, 4_000)
-					completion, drained := n.RunUntilDrained(120_000)
-					if !drained {
-						t.Fatalf("did not drain (in flight %d)", n.InFlight())
-					}
-					fp := fingerprint(n)
-					fp.flitsByFlow = n.Stats().FlitsByFlow()
-					if completion != fp.lastDelivery {
-						t.Fatalf("completion %d != last delivery %d", completion, fp.lastDelivery)
-					}
-					return fp
-				}
-				ticked, skipped := run(true), run(false)
-				if !equalFingerprints(ticked, skipped) {
-					t.Errorf("skipping changed results:\nticked:  %+v\nskipped: %+v", ticked, skipped)
-				}
-			})
-		}
-	}
-}
-
-// TestIdleSkipEquivalentUnderPreemptionPressure repeats the equivalence
-// check in the preemption-heavy regime (adversarial workload, eager
-// margin), where retransmissions, NACK timing and quota state are all in
-// play.
-func TestIdleSkipEquivalentUnderPreemptionPressure(t *testing.T) {
-	run := func(disable bool) skipFingerprint {
-		w := traffic.Workload1(topology.ColumnNodes, 25_000)
-		cfg := qos.DefaultConfig(w.TotalFlows())
-		cfg.MarginClasses = 8
-		n := MustNew(Config{
-			Kind: topology.MECS, QoS: cfg, Workload: w, Seed: 21,
-			DisableIdleSkip: disable,
-		})
-		if _, drained := n.RunUntilDrained(400_000); !drained {
-			t.Fatal("did not drain")
-		}
-		fp := fingerprint(n)
-		fp.flitsByFlow = n.Stats().FlitsByFlow()
-		return fp
-	}
-	ticked, skipped := run(true), run(false)
-	if ticked.preemptions == 0 {
-		t.Fatal("test needs preemptions to be meaningful")
-	}
-	if !equalFingerprints(ticked, skipped) {
-		t.Errorf("skipping changed results:\nticked:  %+v\nskipped: %+v", ticked, skipped)
-	}
 }
 
 // TestIdleSkipHonorsFrameBoundaries pins the fast-forward bookkeeping for
@@ -254,70 +185,5 @@ func TestIdleSkipFastForwardsTheClock(t *testing.T) {
 	// (Run ends with the clock on it), so one fewer than 1M/50K.
 	if got, want := n.Frames(), int(1_000_000/qos.DefaultFrameCycles)-1; got != want {
 		t.Errorf("%d frames fired, want %d", got, want)
-	}
-}
-
-// TestChunkedRunMatchesUnchunked pins the property WarmupAndMeasure,
-// probes and any caller that advances a network piecewise rely on: Run
-// driven in chunks is state-identical to one Run over the same span,
-// because a fast-forward clamps to the chunk's end and skipped cycles
-// execute nothing. Every topology, QoS mode and skip setting runs its
-// warmup and its measurement window in quanta of 1, 7 and 4096 cycles
-// (neither window is a multiple of the last two, so each ends on a
-// ragged remainder) and must finish with WarmupAndMeasure's fingerprint;
-// a saturated cell and one that drains early in the window and idles for
-// the rest repeat the check at the two load extremes.
-func TestChunkedRunMatchesUnchunked(t *testing.T) {
-	check := func(t *testing.T, cfg Config, warmup, measure int) {
-		ref := MustNew(cfg)
-		ref.WarmupAndMeasure(warmup, measure)
-		want := fingerprint(ref)
-		want.flitsByFlow = ref.Stats().FlitsByFlow()
-		for _, quantum := range []int{1, 7, 4096} {
-			n := MustNew(cfg)
-			chunked := func(cycles int) {
-				for cycles > 0 {
-					q := min(quantum, cycles)
-					n.Run(q)
-					cycles -= q
-				}
-			}
-			n.coll.Pause()
-			chunked(warmup)
-			n.measureStart()
-			chunked(measure)
-			got := fingerprint(n)
-			got.flitsByFlow = n.Stats().FlitsByFlow()
-			if !equalFingerprints(got, want) {
-				t.Errorf("quantum %d diverged from a single Run:\nchunked:   %+v\nunchunked: %+v", quantum, got, want)
-			}
-		}
-	}
-	for _, kind := range topology.Kinds() {
-		for _, mode := range []qos.Mode{qos.PVC, qos.PerFlowQueue, qos.NoQoS} {
-			for _, disableSkip := range []bool{false, true} {
-				leg := "skip"
-				if disableSkip {
-					leg = "ticked"
-				}
-				t.Run(kind.String()+"/"+mode.String()+"/"+leg, func(t *testing.T) {
-					w := traffic.UniformRandom(topology.ColumnNodes, 0.02).WithStop(9_000)
-					qc := qos.DefaultConfig(w.TotalFlows())
-					qc.Mode = mode
-					check(t, Config{Kind: kind, QoS: qc, Workload: w, Seed: 100, DisableIdleSkip: disableSkip}, 2_000, 4_000)
-				})
-			}
-		}
-	}
-	for _, c := range []struct {
-		name string
-		w    traffic.Workload
-	}{
-		{"saturated", traffic.UniformRandom(topology.ColumnNodes, 0.30)},
-		{"early-drain", traffic.UniformRandom(topology.ColumnNodes, 0.01).WithStop(8_000)},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			check(t, Config{Kind: topology.MeshX2, QoS: qos.DefaultConfig(c.w.TotalFlows()), Workload: c.w, Seed: 9}, 5_000, 25_000)
-		})
 	}
 }

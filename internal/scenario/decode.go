@@ -90,6 +90,17 @@ func (d *decoder) int(key string, def int) int {
 	return int(f)
 }
 
+// count is int for a key whose negative values mean nothing — a cycle, a
+// size, a count — where zero already selects the default.
+func (d *decoder) count(key string, def int) int {
+	v := d.int(key, def)
+	if v < 0 {
+		d.failKey(key, "%s must not be negative, got %d", key, v)
+		return def
+	}
+	return v
+}
+
 func (d *decoder) boolean(key string, def bool) bool {
 	v, ok := d.raw[key]
 	if !ok {

@@ -197,15 +197,23 @@ func fromRaw(raw map[string]any, res *Resolution) (*Scenario, error) {
 		Nodes:           d.int("nodes", topology.ColumnNodes),
 		Warmup:          d.int("warmup", 20_000),
 		Measure:         d.int("measure", 100_000),
-		StopAt:          sim.Cycle(d.int("stop_at", 0)),
+		StopAt:          sim.Cycle(d.count("stop_at", 0)),
 		RequestFraction: d.float("request_fraction", traffic.DefaultRequestFraction),
 		HotspotWeights:  d.floatList("hotspot_weights", ""),
-		FrameCycles:     sim.Cycle(d.int("frame_cycles", 0)),
-		WindowPackets:   d.int("window_packets", 0),
-		QuantumFlits:    d.int("quantum_flits", 0),
-		MarginClasses:   d.int("margin_classes", 0),
+		FrameCycles:     sim.Cycle(d.count("frame_cycles", 0)),
+		WindowPackets:   d.count("window_packets", 0),
+		QuantumFlits:    d.count("quantum_flits", 0),
+		MarginClasses:   d.count("margin_classes", 0),
+	}
+	seedKey := "seed"
+	if _, ok := raw["seeds"]; ok {
+		seedKey = "seeds"
 	}
 	for _, s := range d.intList("seed", "seeds") {
+		if s < 0 {
+			d.failKey(seedKey, "%s must not be negative, got %d", seedKey, s)
+			break
+		}
 		sc.Seeds = append(sc.Seeds, uint64(s))
 	}
 	if b, ok := raw["burst"]; ok {
@@ -351,7 +359,7 @@ func fromRaw(raw map[string]any, res *Resolution) (*Scenario, error) {
 				Node:     fd.int("node", 0),
 				Injector: fd.int("injector", 0),
 				Rate:     fd.float("rate", 0),
-				StopAt:   sim.Cycle(fd.int("stop_at", 0)),
+				StopAt:   sim.Cycle(fd.count("stop_at", 0)),
 				Role:     fd.str("role", ""),
 			}
 			switch dv := fm["dest"].(type) {
@@ -642,11 +650,6 @@ func (sc *Scenario) validateWorkloadAxes() error {
 	return nil
 }
 
-// validateFaults defaults and checks the [faults] table: windows against
-// the smallest topology on the axis, non-negative recovery axes (defaults
-// retry_timeout 0 = recovery off; max_retries 3 when recovery is armed),
-// and exclusivity with the workload classes the fault subsystem does not
-// model (closed-loop clients, trace replay).
 // validateTelemetry checks the [telemetry] table: the interval is
 // required and positive, the series names must be known, and top_flows
 // cannot be negative. All knobs are display-only (see cache.go).
@@ -670,6 +673,11 @@ func (sc *Scenario) validateTelemetry() error {
 	return nil
 }
 
+// validateFaults defaults and checks the [faults] table: windows against
+// the smallest topology on the axis, non-negative recovery axes (defaults
+// retry_timeout 0 = recovery off; max_retries 3 when recovery is armed),
+// and exclusivity with the workload classes the fault subsystem does not
+// model (closed-loop clients, trace replay).
 func (sc *Scenario) validateFaults() error {
 	if len(sc.RetryTimeouts) == 0 {
 		sc.RetryTimeouts = []sim.Cycle{0}

@@ -166,6 +166,16 @@ func TestScenarioValidationErrors(t *testing.T) {
 		"flows and rates":   `{"rates":[0.05],"flows":[{"node":0,"rate":0.1}]}`,
 		"hotspot weights":   `{"rates":[0.05],"pattern":"hotspot","hotspot_weights":[1,2]}`,
 		"bad frame":         `{"rates":[0.05],"frame_cycles":1.5}`,
+		// Negative values used to read as "default" or "no stop" (and a
+		// negative seed wrapped to 2^64-1) while entering the cache key raw.
+		"negative stop_at":        `{"rates":[0.05],"stop_at":-5}`,
+		"negative flow stop_at":   `{"flows":[{"node":0,"rate":0.1,"stop_at":-5}],"stop_at":100}`,
+		"negative seed":           `{"rates":[0.05],"seed":-1}`,
+		"negative seeds":          `{"rates":[0.05],"seeds":[1,-1]}`,
+		"negative frame_cycles":   `{"rates":[0.05],"frame_cycles":-5}`,
+		"negative window_packets": `{"rates":[0.05],"window_packets":-1}`,
+		"negative quantum_flits":  `{"rates":[0.05],"quantum_flits":-2}`,
+		"negative margin_classes": `{"rates":[0.05],"margin_classes":-3}`,
 	}
 	for name, blob := range cases {
 		if _, err := Parse([]byte(blob), ".json"); err == nil {
