@@ -44,8 +44,10 @@ determinism:
 # walks its free lists, event census, VC pools and credit windows and
 # fails loudly on the first conservation violation, so silent state
 # corruption cannot hide behind a passing fingerprint (CI's audit job).
+# BacklogStaysOffArena adds the deepest source backlog in the suite, so
+# the reachability walk checks minted queue heads under saturation.
 audit:
-	TANOQ_AUDIT=256 go test -run 'Fault|Retry|Recover|Watchdog|Audit|Equivalen|Determin' -count=1 ./...
+	TANOQ_AUDIT=256 go test -run 'Fault|Retry|Recover|Watchdog|Audit|Equivalen|Determin|BacklogStaysOffArena' -count=1 ./...
 
 # sweep-smoke exercises the declarative scenario path end to end: the
 # quick Figure 4 grid from a JSON file, the permutation-pattern grid from

@@ -70,8 +70,10 @@
 // (asserted across all topologies and QoS modes).
 //
 // The engine core is data-oriented (see internal/network's package doc
-// for the full design): packets live in a flat arena addressed by 32-bit
-// generation-guarded handles rather than behind pointers, router state is
+// for the full design): offered and in-network packets live in a flat
+// arena addressed by 32-bit generation-guarded handles rather than behind
+// pointers (the backlog behind each source waits as 32-byte pending
+// records, so the arena is bounded by the network), router state is
 // struct-of-arrays (value-slice ports/buffers/sources; per-buffer VC
 // state as parallel arrays with a free-VC occupancy bitmap), PVC
 // priorities are cached per port in flat per-flow arrays maintained

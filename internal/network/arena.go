@@ -30,9 +30,9 @@ const noPkt pktH = 0
 // saturated workload's unbounded backlog) still grows correctly.
 const (
 	// arenaCap is the initial packet-slot capacity (~2K slots). Live
-	// slots are bounded by in-flight packets plus queued backlog; under
-	// the PVC window even an 8x64-flow column stays well inside this
-	// until genuinely saturated.
+	// slots are bounded by offered and in-network packets, never by the
+	// backlog, which waits in the sources' pending FIFOs; even a
+	// saturated 8x64-flow column stays inside this.
 	arenaCap = 2048
 	// waitersCap is the initial capacity of a port's candidate list and
 	// of the bid scratch: past the upstream VCs routed through a port plus
@@ -41,9 +41,11 @@ const (
 	// past this, and the allocation round goes over the port's flow
 	// queues instead of bidding the list (flowqueue.go).
 	waitersCap = 32
-	// srcQueueCap is the initial per-source FIFO capacity, covering
-	// sub-saturation backlog spikes.
-	srcQueueCap = 256
+	// srcQueueBytes is the initial size of each per-source FIFO (the
+	// pending backlog and the retransmission queue), in bytes of
+	// elements, covering sub-saturation backlog spikes: 32 pending
+	// records or 256 retransmission handles.
+	srcQueueBytes = 1024
 )
 
 // pktState tracks where a packet is in its lifecycle.
@@ -118,12 +120,11 @@ type pkt struct {
 // array), so it must not be retained across engine steps.
 func (n *Network) pktAt(h pktH) *pkt { return &n.arena[h] }
 
-// newPacket mints a packet for a source, reusing a recycled arena slot
-// when one is on the free stack. Every field of the slot is rewritten, so
-// a recycled packet is indistinguishable from a fresh allocation and
-// recycling cannot perturb simulation results.
-func (n *Network) newPacket(s *source, class noc.Class, dst noc.NodeID, now sim.Cycle) pktH {
-	n.nextPktID++
+// newPacket mints the arena slot for a source's pending record, reusing a
+// recycled slot when one is on the free stack. Every field of the slot is
+// rewritten, so a recycled packet is indistinguishable from a fresh
+// allocation and recycling cannot perturb simulation results.
+func (n *Network) newPacket(s *source, r pending) pktH {
 	var h pktH
 	if k := len(n.free); k > 0 {
 		h = n.free[k-1]
@@ -136,13 +137,15 @@ func (n *Network) newPacket(s *source, class noc.Class, dst noc.NodeID, now sim.
 		h = pktH(len(n.arena) - 1)
 	}
 	p := &n.arena[h]
-	p.ID = n.nextPktID
-	p.Flow = s.spec.Flow
+	p.ID = r.id
+	p.Parent = r.parent
+	p.Flow = noc.FlowID(r.flow)
 	p.Src = s.spec.Node
-	p.Dst = dst
-	p.Class = class
-	p.Size = class.Flits()
-	p.Created = now
+	p.Dst = noc.NodeID(r.dst)
+	p.Class = r.class
+	p.Kind = r.kind
+	p.Size = r.class.Flits()
+	p.Created = r.created
 	p.srcIdx = s.idx
 	p.curBuf, p.curVC = noBuf, -1
 	p.nxtBuf, p.nxtVC = noBuf, -1

@@ -2,6 +2,7 @@ package network
 
 import (
 	"testing"
+	"unsafe"
 
 	"tanoq/internal/noc"
 	"tanoq/internal/qos"
@@ -12,7 +13,7 @@ import (
 
 // arenaNet builds a minimal network whose arena can be driven by hand:
 // one silent injector (rate is irrelevant — the tests below call
-// newPacket directly).
+// newPacket directly, through mintAt).
 func arenaNet(t *testing.T) *Network {
 	t.Helper()
 	w := traffic.Workload{Nodes: topology.ColumnNodes, Specs: []traffic.Spec{{
@@ -21,6 +22,13 @@ func arenaNet(t *testing.T) *Network {
 	}}}
 	n := MustNew(Config{Kind: topology.MeshX1, QoS: qos.DefaultConfig(w.TotalFlows()), Workload: w, Seed: 1})
 	return n
+}
+
+// mintAt mints a fresh packet for source s created at cycle t, drawing
+// its ID the way generation does.
+func mintAt(n *Network, s *source, t sim.Cycle) pktH {
+	n.nextPktID++
+	return n.newPacket(s, pending{id: n.nextPktID, created: t, flow: int32(s.spec.Flow), dst: 1, class: noc.ClassRequest})
 }
 
 // TestArenaGenerationGuardsStaleHandles is the arena-layer mirror of
@@ -44,7 +52,7 @@ func TestArenaGenerationGuardsStaleHandles(t *testing.T) {
 	var dead []stale // handles captured before their recycle
 	for step := 0; step < 10_000; step++ {
 		if len(live) == 0 || rng.Intn(2) == 0 {
-			h := n.newPacket(s, noc.ClassRequest, 1, sim.Cycle(step))
+			h := mintAt(n, s, sim.Cycle(step))
 			p := n.pktAt(h)
 			live = append(live, stale{h: h, gen: p.gen, id: p.ID})
 		} else {
@@ -77,12 +85,12 @@ func TestArenaGenerationGuardsStaleHandles(t *testing.T) {
 
 	// And an event scheduled against a pre-recycle generation is a no-op:
 	// dispatch must not mutate the slot's current occupant.
-	h := n.newPacket(s, noc.ClassRequest, 1, 0)
+	h := mintAt(n, s, 0)
 	p := n.pktAt(h)
 	staleGen := p.gen
 	staleID := p.ID
 	n.recycle(h)
-	h2 := n.newPacket(s, noc.ClassRequest, 1, 0) // reuses the slot
+	h2 := mintAt(n, s, 0) // reuses the slot
 	if h2 != h {
 		t.Fatalf("free stack did not reuse slot %d (got %d)", h, h2)
 	}
@@ -103,8 +111,37 @@ func TestArenaSlotZeroIsReserved(t *testing.T) {
 	n := arenaNet(t)
 	s := &n.srcs[0]
 	for i := 0; i < 100; i++ {
-		if h := n.newPacket(s, noc.ClassRequest, 1, 0); h == noPkt {
+		if h := mintAt(n, s, 0); h == noPkt {
 			t.Fatal("arena handed out the nil handle")
 		}
+	}
+}
+
+// TestBacklogStaysOffArena pins the arena bound under saturation: a
+// quick-scale uniform 15% PVC cell drives every topology far past what
+// it accepts, so source backlogs grow without bound, yet only offered and
+// in-network packets may hold arena slots — the arena never outgrows its
+// pre-sized capacity however deep the pending FIFOs run.
+func TestBacklogStaysOffArena(t *testing.T) {
+	if sz := unsafe.Sizeof(pending{}); sz != 32 {
+		t.Fatalf("pending record is %d bytes, want 32 (srcQueueBytes pre-sizes the FIFO by it)", sz)
+	}
+	for _, kind := range topology.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			w := traffic.UniformRandom(topology.ColumnNodes, 0.15)
+			n := MustNew(Config{Kind: kind, QoS: qos.DefaultConfig(w.TotalFlows()), Workload: w, Seed: 3})
+			n.WarmupAndMeasure(3000, 15000)
+			backlog := 0
+			for i := range n.srcs {
+				backlog += n.srcs[i].queue.len()
+			}
+			if backlog <= 10_000 {
+				t.Fatalf("%v: source queues hold %d records, want a saturated backlog above 10000", kind, backlog)
+			}
+			if len(n.arena) > arenaCap {
+				t.Errorf("%v: arena grew to %d slots (backlog %d), want at most %d", kind, len(n.arena), backlog, arenaCap)
+			}
+			t.Logf("%v: %d arena slots, %d queued records", kind, len(n.arena), backlog)
+		})
 	}
 }

@@ -285,17 +285,24 @@ func (n *Network) AuditInvariants() error {
 	// Per-source window conservation: injected-unACKed slots (in network,
 	// delivered-awaiting-ACK, dead-awaiting-retry) plus the retransmission
 	// queue must equal the window count. Reachability: every live slot must
-	// be findable from a source container, a VC, or a pending event — an
-	// unreachable live slot is a leak.
+	// be findable from a source's retransmission queue or minted head, a
+	// VC, or a pending event — an unreachable live slot is a leak. The
+	// pending backlog holds no slots, so a minted head must sit over a
+	// non-empty queue.
 	inRetx := make(map[pktH]int32)
-	queued := make(map[pktH]bool)
 	for si := range n.srcs {
 		s := &n.srcs[si]
 		for i := s.retx.head; i < len(s.retx.items); i++ {
 			inRetx[s.retx.items[i]] = s.idx
 		}
-		for i := s.queue.head; i < len(s.queue.items); i++ {
-			queued[s.queue.items[i]] = true
+		if s.minted == noPkt {
+			continue
+		}
+		if s.queue.empty() {
+			return fmt.Errorf("source %d (flow %d) holds minted slot %d over an empty queue", si, s.spec.Flow, s.minted)
+		}
+		if int(s.minted) >= len(n.arena) || isFree[s.minted] {
+			return fmt.Errorf("source %d (flow %d) minted head %d is not a live slot", si, s.spec.Flow, s.minted)
 		}
 	}
 	held := make([]int, len(n.srcs))
@@ -308,11 +315,8 @@ func (n *Network) AuditInvariants() error {
 			held[p.srcIdx]++
 			continue
 		}
-		if queued[h] {
-			continue
-		}
 		s := &n.srcs[p.srcIdx]
-		if s.offering == h {
+		if s.minted == h || s.offering == h {
 			continue
 		}
 		// Not parked at its source: the slot holds a window slot and must
@@ -323,7 +327,7 @@ func (n *Network) AuditInvariants() error {
 			anchored = true // registered as a candidate (checked above)
 		}
 		if !anchored {
-			return fmt.Errorf("pkt %d (slot %d, flow %d, %s) is live but unreachable: not queued, offered, buffered or scheduled",
+			return fmt.Errorf("pkt %d (slot %d, flow %d, %s) is live but unreachable: not minted, offered, buffered or scheduled",
 				p.ID, h, p.Flow, p.state)
 		}
 	}

@@ -114,7 +114,7 @@ func (fq *flowQueues) file(n *Network, h pktH) {
 
 // drop removes entry i of flow f's queue and keeps the bitmap exact. The
 // array is rewound when the queue drains and compacted once the popped
-// prefix dominates, like pktQueue.
+// prefix dominates, like a source's fifo.
 func (fq *flowQueues) drop(f noc.FlowID, i int) {
 	q := &fq.flows[f]
 	if i == q.head {

@@ -136,20 +136,9 @@ func (n *Network) ScheduleInjection(srcIdx int, flow noc.FlowID, dst noc.NodeID,
 // destination and timing were fixed at scheduling time.
 func (n *Network) generateScheduled(rec pendingInj, now sim.Cycle) {
 	s := &n.srcs[rec.si]
-	h := n.newPacket(s, rec.class, rec.dst, now)
-	p := &n.arena[h]
-	p.Kind = rec.kind
-	p.Parent = rec.parent
+	flow := s.spec.Flow
 	if rec.flow >= 0 {
-		p.Flow = rec.flow
+		flow = rec.flow
 	}
-	s.queue.push(h)
-	s.generated++
-	if n.genHook != nil {
-		n.genHook(traffic.TraceRecord{At: now, Flow: p.Flow, Src: s.spec.Node, Dst: rec.dst, Class: rec.class})
-	}
-	if n.wdWindow > 0 {
-		n.wdRecords = append(n.wdRecords, traffic.TraceRecord{At: now, Flow: p.Flow, Src: s.spec.Node, Dst: rec.dst, Class: rec.class})
-	}
-	n.markOfferable(s)
+	n.enqueue(s, flow, rec.dst, rec.class, rec.kind, rec.parent, now)
 }

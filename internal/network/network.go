@@ -14,12 +14,15 @@
 //
 // The engine's state lives in flat arrays, not object graphs:
 //
-//   - Packets occupy a single arena ([]pkt) addressed by 32-bit
-//     generation-guarded handles (pktH). Candidate lists, VC ownership,
-//     source queues and events all store handles, so every hot container
-//     is a dense, pointer-free array the garbage collector never scans,
-//     and the free list is an index stack — recycling a packet is a
-//     generation bump and a push.
+//   - Offered and in-network packets occupy a single arena ([]pkt)
+//     addressed by 32-bit generation-guarded handles (pktH). Candidate
+//     lists, VC ownership, retransmission queues and events all store
+//     handles, so every hot container is a dense, pointer-free array the
+//     garbage collector never scans, and the free list is an index
+//     stack — recycling a packet is a generation bump and a push. The
+//     backlog behind a source's injection VC holds no slot: it waits as
+//     32-byte pending records, and offer mints a slot for the head only,
+//     so the arena is bounded by the network, not by offered load.
 //   - Router state is struct-of-arrays: ports, buffers and sources are
 //     value slices indexed by ID, and each buffer's virtual-channel
 //     state is parallel arrays (owner handles, release generations) with
@@ -124,7 +127,7 @@ import (
 // Config assembles one simulated shared-region network.
 type Config struct {
 	Kind  topology.Kind
-	Nodes int // column height; defaults to topology.ColumnNodes
+	Nodes int // column height; defaults to topology.ColumnNodes, at most 32767
 	QoS   qos.Config
 	// Workload supplies the traffic injectors. QoS.Rates must cover the
 	// workload's full flow population (active or not).
@@ -188,8 +191,9 @@ type Network struct {
 	// margin is the preemption hysteresis in quantized classes.
 	margin noc.Priority
 
-	// arena holds every live packet; slot 0 is the permanent nil-handle
-	// dummy. free is the stack of recycled slots (see arena.go).
+	// arena holds every offered or in-network packet; slot 0 is the
+	// permanent nil-handle dummy. free is the stack of recycled slots
+	// (see arena.go).
 	arena []pkt
 	free  []pktH
 
@@ -338,6 +342,9 @@ func New(cfg Config) (*Network, error) {
 func (n *Network) Reset(cfg Config) error {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = topology.ColumnNodes
+	}
+	if cfg.Nodes > maxNodes {
+		return fmt.Errorf("network: column of %d nodes exceeds the supported %d", cfg.Nodes, maxNodes)
 	}
 	if err := cfg.QoS.Validate(); err != nil {
 		return err

@@ -58,6 +58,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Kind: topology.MeshX1, QoS: qos.DefaultConfig(64), Workload: overRate}); err == nil {
 		t.Fatal("rate > 1 accepted")
 	}
+	if _, err := New(Config{Kind: topology.MeshX1, Nodes: maxNodes + 1, QoS: qos.DefaultConfig(64), Workload: w}); err == nil {
+		t.Fatal("column taller than a pending record's destination field accepted")
+	}
 }
 
 // TestSinglePacketLatencyMatchesPipelineModel checks zero-load latency

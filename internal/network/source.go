@@ -1,6 +1,9 @@
 package network
 
 import (
+	"math"
+	"unsafe"
+
 	"tanoq/internal/noc"
 	"tanoq/internal/qos"
 	"tanoq/internal/sim"
@@ -32,11 +35,18 @@ type source struct {
 
 	// queue holds freshly generated packets awaiting first injection
 	// (unbounded: offered load beyond acceptance shows up as source
-	// queueing delay, the classic latency-throughput hockey stick).
-	queue pktQueue
+	// queueing delay, the classic latency-throughput hockey stick). Its
+	// entries are pending records, not arena slots, so a saturated
+	// backlog costs 32 bytes a packet and nothing the GC scans.
+	queue fifo[pending]
+	// minted is the arena slot offer made for the queue head, noPkt until
+	// then. It outlives a fault withdrawal — the next offer re-offers the
+	// same packet — and is cleared when the head is injected or dropped
+	// as unroutable.
+	minted pktH
 	// retx holds preempted packets awaiting re-injection; they are
 	// replayed ahead of new traffic and already occupy window slots.
-	retx pktQueue
+	retx fifo[pktH]
 	// offering is the packet currently registered as a first-leg
 	// arbitration candidate (the injection VC); noPkt when none.
 	offering pktH
@@ -78,6 +88,7 @@ func (s *source) reinit(netRNG *sim.RNG, spec traffic.Spec, idx int32) {
 	s.inOffer = false
 	s.queue.reset()
 	s.retx.reset()
+	s.minted = noPkt
 	s.offering = noPkt
 	s.window = 0
 	s.busyUntil = 0
@@ -103,34 +114,56 @@ func (s *source) reinit(netRNG *sim.RNG, spec traffic.Spec, idx int32) {
 	}
 }
 
-// pktQueue is an allocation-amortizing FIFO of packet handles: pops
-// advance a head index instead of reslicing away the backing array's
-// front capacity (the `q = q[1:]` idiom makes every later append
-// reallocate), the array is rewound whenever the queue drains, and a
-// long-lived saturated queue is compacted in place once the dead prefix
-// dominates. Elements are 4-byte handles, so the queue is invisible to
-// the garbage collector.
-type pktQueue struct {
-	items []pktH
+// maxNodes bounds the column height: a pending record stores its
+// destination in 16 bits.
+const maxNodes = math.MaxInt16
+
+// pending is a generated packet that has not yet been offered: the
+// values fixed at generation, and nothing else. offer mints the arena
+// slot from it (newPacket) only when the record reaches the queue head,
+// so the arena holds offered and in-network packets while the backlog
+// behind them stays in these pointer-free 32-byte records. The ID is
+// drawn at generation, keeping every (Created, ID) tie-break unchanged.
+type pending struct {
+	id      uint64
+	created sim.Cycle
+	parent  uint64
+	flow    int32
+	dst     int16 // Reset caps the column at maxNodes
+	class   noc.Class
+	kind    noc.PacketKind
+}
+
+// fifo is an allocation-amortizing FIFO: pops advance a head index
+// instead of reslicing away the backing array's front capacity (the
+// `q = q[1:]` idiom makes every later append reallocate), the array is
+// rewound whenever the queue drains, and a long-lived saturated queue is
+// compacted in place once the dead prefix dominates. Both element types
+// (pending records, packet handles) are pointer-free, so the queue is
+// invisible to the garbage collector.
+type fifo[T any] struct {
+	items []T
 	head  int
 }
 
-func (q *pktQueue) len() int    { return len(q.items) - q.head }
-func (q *pktQueue) empty() bool { return q.head >= len(q.items) }
-func (q *pktQueue) first() pktH { return q.items[q.head] }
+func (q *fifo[T]) len() int    { return len(q.items) - q.head }
+func (q *fifo[T]) empty() bool { return q.head >= len(q.items) }
+func (q *fifo[T]) first() T    { return q.items[q.head] }
 
-func (q *pktQueue) reset() {
+// reset empties the queue, keeping its backing array; a first reset
+// pre-sizes it to srcQueueBytes of elements.
+func (q *fifo[T]) reset() {
 	if q.items == nil {
-		q.items = make([]pktH, 0, srcQueueCap)
+		var zero T
+		q.items = make([]T, 0, srcQueueBytes/int(unsafe.Sizeof(zero)))
 	}
 	q.items = q.items[:0]
 	q.head = 0
 }
 
-func (q *pktQueue) push(h pktH) { q.items = append(q.items, h) }
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
 
-func (q *pktQueue) pop() pktH {
-	h := q.items[q.head]
+func (q *fifo[T]) pop() {
 	q.head++
 	switch {
 	case q.head == len(q.items):
@@ -141,7 +174,24 @@ func (q *pktQueue) pop() pktH {
 		q.items = q.items[:n]
 		q.head = 0
 	}
-	return h
+}
+
+// enqueue appends a freshly generated packet to the source's backlog,
+// drawing its ID now so IDs follow generation order.
+func (n *Network) enqueue(s *source, flow noc.FlowID, dst noc.NodeID, class noc.Class, kind noc.PacketKind, parent uint64, t sim.Cycle) {
+	n.nextPktID++
+	s.queue.push(pending{
+		id: n.nextPktID, created: t, parent: parent,
+		flow: int32(flow), dst: int16(dst), class: class, kind: kind,
+	})
+	s.generated++
+	if n.genHook != nil {
+		n.genHook(traffic.TraceRecord{At: t, Flow: flow, Src: s.spec.Node, Dst: dst, Class: class})
+	}
+	if n.wdWindow > 0 {
+		n.wdRecords = append(n.wdRecords, traffic.TraceRecord{At: t, Flow: flow, Src: s.spec.Node, Dst: dst, Class: class})
+	}
+	n.markOfferable(s)
 }
 
 // generate emits the precomputed arrival — the engine's arrival wheel only
@@ -162,16 +212,7 @@ func (n *Network) generate(s *source, t sim.Cycle) {
 		class = noc.ClassRequest
 	}
 	dst := s.spec.Dest.Pick(&s.rng)
-	h := n.newPacket(s, class, dst, t)
-	s.queue.push(h)
-	s.generated++
-	if n.genHook != nil {
-		n.genHook(traffic.TraceRecord{At: t, Flow: s.spec.Flow, Src: s.spec.Node, Dst: dst, Class: class})
-	}
-	if n.wdWindow > 0 {
-		n.wdRecords = append(n.wdRecords, traffic.TraceRecord{At: t, Flow: s.spec.Flow, Src: s.spec.Node, Dst: dst, Class: class})
-	}
-	n.markOfferable(s)
+	n.enqueue(s, s.spec.Flow, dst, class, noc.KindOpen, 0, t)
 	// Gaps are >= 1, so arrivals never bunch within a cycle and
 	// nextArrival strictly advances.
 	s.nextArrival = t + s.arr.NextGap(&s.rng)
@@ -183,16 +224,7 @@ func (n *Network) generate(s *source, t sim.Cycle) {
 func (n *Network) generateReplay(s *source, t sim.Cycle) {
 	ev := s.replay.Events[s.replayPos]
 	s.replayPos++
-	h := n.newPacket(s, ev.Class, ev.Dst, t)
-	s.queue.push(h)
-	s.generated++
-	if n.genHook != nil {
-		n.genHook(traffic.TraceRecord{At: t, Flow: s.spec.Flow, Src: s.spec.Node, Dst: ev.Dst, Class: ev.Class})
-	}
-	if n.wdWindow > 0 {
-		n.wdRecords = append(n.wdRecords, traffic.TraceRecord{At: t, Flow: s.spec.Flow, Src: s.spec.Node, Dst: ev.Dst, Class: ev.Class})
-	}
-	n.markOfferable(s)
+	n.enqueue(s, s.spec.Flow, ev.Dst, ev.Class, noc.KindOpen, 0, t)
 	if int(s.replayPos) < len(s.replay.Events) {
 		s.nextArrival = s.replay.Events[s.replayPos].At
 	}
@@ -220,7 +252,10 @@ func (n *Network) offer(s *source, t sim.Cycle) {
 			if n.windowCapped(s) {
 				return
 			}
-			h = s.queue.first()
+			if s.minted == noPkt {
+				s.minted = n.newPacket(s, s.queue.first())
+			}
+			h = s.minted
 		default:
 			return
 		}
@@ -235,6 +270,7 @@ func (n *Network) offer(s *source, t sim.Cycle) {
 				n.abandon(h)
 			} else {
 				s.queue.pop()
+				s.minted = noPkt
 				n.coll.Dropped(p.Flow)
 				p.state = stDead
 				n.recycle(h)
@@ -266,6 +302,7 @@ func (n *Network) onInjected(s *source, h pktH, tailDeparture sim.Cycle, now sim
 		s.retx.pop()
 	} else {
 		s.queue.pop()
+		s.minted = noPkt
 		s.window++
 		n.inFlight++
 	}

@@ -71,7 +71,9 @@ type WatchdogReport struct {
 	HasNextEvent bool
 
 	// ArenaLive/ArenaFree census the packet arena (live excludes the
-	// permanent slot-0 dummy).
+	// permanent slot-0 dummy). Live slots are the offered and in-network
+	// packets, each source's minted queue head included; the queued
+	// backlog (WatchdogSource.Queue) holds none.
 	ArenaLive int
 	ArenaFree int
 

@@ -184,6 +184,7 @@ func (g *Grid) canonOf(i int, traceDigest map[string]string) cellCanon {
 	case m.closed:
 		w.Kind = "closed"
 		w.Pattern = p.Pattern
+		w.HotspotWeights = sc.HotspotWeights
 		w.Outstanding = p.Outstanding
 		w.Think = p.Think
 		w.RequestFlits = sc.RequestFlits

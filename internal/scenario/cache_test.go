@@ -197,7 +197,7 @@ role = "aggressor"
 	}
 
 	closedBase := `
-pattern = "uniform"
+pattern = "hotspot"
 topology = "mesh_x1"
 qos = ["pvc"]
 seeds = [7]
@@ -217,6 +217,8 @@ think_times = [0]
 		"outstanding":  {strings.Replace(closedBase, "[4]", "[8]", 1), false},
 		"think":        {strings.Replace(closedBase, "think_times = [0]", "think_times = [50]", 1), false},
 		"packet shape": {closedBase + "request_flits = 4\nreply_flits = 1\n", false},
+		"hotspot weights": {strings.Replace(closedBase, "[workload]",
+			"hotspot_weights = [4, 1, 1, 1, 1, 1, 1, 1]\n[workload]", 1), false},
 	} {
 		t.Run(name, func(t *testing.T) {
 			got := keysOf(t, tc.toml)
