@@ -2,10 +2,10 @@
 
 .PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke metrics-smoke bench pgo pgo-check
 
-# The engine version stamp: embedded in `noctool version`, cache keys and
-# v2 trace headers, so results name the engine that made them (a new
-# stamp retires every cached sweep row). Binaries built without the
-# ldflags report "dev".
+# The build stamp: embedded in `noctool version` and v2 trace headers, so
+# artifacts name the build that made them. Cache keys do not carry it —
+# they carry network.ModelVersion, which only a change to a simulated
+# result or a row bumps. Binaries built without the ldflags report "dev".
 VERSION := $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X tanoq/internal/network.buildVersion=$(VERSION)
 
@@ -147,14 +147,15 @@ metrics-smoke:
 	@echo "metrics-smoke: timeline golden matched; /metrics exposition matched modulo values; pprof answered"
 
 # fuzz-smoke runs each fuzzer for a short budget (CI's fuzz step): the
-# scenario decoders, the cache's entry and journal readers over arbitrary
-# file bytes, and the engine contract (fast = reference = ticked = chunked)
-# over fuzzed configurations. `go test -fuzz FuzzScenarioDecode
-# ./internal/scenario` (or FuzzStoreLoad / FuzzJournalLoad
-# ./internal/store, FuzzEngineContract ./internal/network) runs one
-# open-ended.
+# scenario decoders, the -set / TANOQ_SET_* override grammar, the cache's
+# entry and journal readers over arbitrary file bytes, and the engine
+# contract (fast = reference = ticked = chunked) over fuzzed
+# configurations. `go test -fuzz FuzzScenarioDecode ./internal/scenario`
+# (or FuzzSetGrammar, FuzzStoreLoad / FuzzJournalLoad ./internal/store,
+# FuzzEngineContract ./internal/network) runs one open-ended.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario
+	go test -run '^$$' -fuzz FuzzSetGrammar -fuzztime 10s ./internal/scenario
 	go test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/store
 	go test -run '^$$' -fuzz FuzzJournalLoad -fuzztime 10s ./internal/store
 	go test -run '^$$' -fuzz FuzzEngineContract -fuzztime 10s ./internal/network

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"tanoq/internal/network"
 	"tanoq/internal/runner"
 	"tanoq/internal/sim"
 	"tanoq/internal/store"
@@ -23,182 +21,47 @@ import (
 // hits, executing only the misses, checkpointing each row the moment it
 // exists, and surviving cancellation with partial results.
 //
-// What goes into a key is exactly what can change a result: topology,
-// node count, QoS mode and parameter overrides, seed, warmup/measure
-// schedule, the full workload description (pattern+rate shaping, the
-// explicit flow list with roles, the closed-loop axes, or a replay
-// trace's content digest), the fault schedule and recovery axes, and
-// the engine version stamp. What stays out is exactly what cannot:
-// worker count and the idle-skip toggle (results are bit-identical
-// either way — a tested engine invariant), deadlines, retry budgets,
-// the scenario's display name, and the whole [telemetry] table (probes
-// are display-only by the same tested invariant — a probed cell's row
-// is bit-identical to an unprobed one's, so the knobs never enter
-// cellCanon and cache-served rows simply carry no timeline). Because the simulator is deterministic,
-// a cache hit is indistinguishable from a re-run; the float64 metric
-// fields round-trip JSON exactly, so a resumed sweep renders its table
-// bit-identically to an uninterrupted one.
+// What goes into a key is decided by the field table (fields.go): a
+// cell's key is the SHA-256 of its canonical bytes — the encoding
+// format, network.ModelVersion, the cell's kind (open, flows, closed,
+// replay, victim-ref), then one line for every table row whose reads set
+// holds that kind, in table order. A row names the cells that read it,
+// so what a kind reads is in its key by construction, and
+// TestCacheKeySound checks each row's claim against simulation. The rows
+// that read nothing are exactly what cannot change a result: the display
+// name, the [run] table (deadlines, retry budgets) and the [telemetry]
+// table (probes are display-only — a probed cell's row is bit-identical
+// to an unprobed one's, so cache-served rows simply carry no timeline).
+// Worker count and the idle-skip toggle are not scenario keys at all;
+// results are bit-identical either way (a tested engine invariant).
+// Because the simulator is deterministic, a cache hit is
+// indistinguishable from a re-run; the float64 metric fields round-trip
+// JSON exactly, so a resumed sweep renders its table bit-identically to
+// an uninterrupted one.
 
-// canonFormat versions the canonical cell encoding itself; bumping it
-// (on any change to the canon structs) retires every existing key.
-const canonFormat = "tanoq-cell/v1"
-
-// cellCanon is the canonical description of one simulation cell. Fields
-// marshal in declaration order, giving stable bytes for hashing; none
-// of them is omitempty, so a zero axis is encoded identically every
-// time rather than appearing and disappearing.
-type cellCanon struct {
-	Format   string        `json:"format"`
-	Engine   string        `json:"engine"`
-	Topology string        `json:"topology"`
-	Nodes    int           `json:"nodes"`
-	QoS      qosCanon      `json:"qos"`
-	Seed     uint64        `json:"seed"`
-	Warmup   int           `json:"warmup"`
-	Measure  int           `json:"measure"`
-	Workload workloadCanon `json:"workload"`
-	Faults   faultsCanon   `json:"faults"`
-}
-
-type qosCanon struct {
-	Mode          string `json:"mode"`
-	FrameCycles   int64  `json:"frame_cycles"`
-	WindowPackets int    `json:"window_packets"`
-	QuantumFlits  int    `json:"quantum_flits"`
-	MarginClasses int    `json:"margin_classes"`
-}
-
-// workloadCanon covers every workload class one tagged struct: Kind
-// selects which fields are meaningful ("open", "flows", "closed",
-// "replay", "victim-ref"); the rest stay zero and therefore inert.
-type workloadCanon struct {
-	Kind string `json:"kind"`
-	// Open-pattern fields (also shaping for flows and victim-ref).
-	Pattern         string    `json:"pattern"`
-	Rate            float64   `json:"rate"`
-	RequestFraction float64   `json:"request_fraction"`
-	BurstOn         float64   `json:"burst_on"`
-	BurstOff        float64   `json:"burst_off"`
-	HotspotWeights  []float64 `json:"hotspot_weights"`
-	StopAt          int64     `json:"stop_at"`
-	// Explicit-flows field (flows and victim-ref kinds). Roles ride
-	// along: a victim role changes the row (the slowdown column), so it
-	// must change the key.
-	Flows []flowCanon `json:"flows"`
-	// Closed-loop fields.
-	Outstanding  int     `json:"outstanding"`
-	Think        float64 `json:"think"`
-	RequestFlits int     `json:"request_flits"`
-	ReplyFlits   int     `json:"reply_flits"`
-	// Replay fields: the label and the SHA-256 of the trace file's
-	// bytes — editing a trace in place retires its cached rows.
-	Trace       string `json:"trace"`
-	TraceSHA256 string `json:"trace_sha256"`
-}
-
-type flowCanon struct {
-	Node     int     `json:"node"`
-	Injector int     `json:"injector"`
-	Rate     float64 `json:"rate"`
-	Dest     int     `json:"dest"`
-	StopAt   int64   `json:"stop_at"`
-	Role     string  `json:"role"`
-}
-
-type faultsCanon struct {
-	Windows      []windowCanon `json:"windows"`
-	RetryTimeout int64         `json:"retry_timeout"`
-	MaxRetries   int           `json:"max_retries"`
-	Watchdog     int64         `json:"watchdog"`
-}
-
-type windowCanon struct {
-	Kind  string `json:"kind"`
-	Port  int    `json:"port"`
-	Node  int    `json:"node"`
-	From  int64  `json:"from"`
-	Until int64  `json:"until"`
-}
-
-// qosCanonOf canonizes the scenario's QoS description for one mode: the
-// mode plus the raw parameter overrides (0 = engine default; the engine
-// version stamp covers default changes).
-func (sc *Scenario) qosCanonOf(p *Point) qosCanon {
-	return qosCanon{
-		Mode:          p.Mode.String(),
-		FrameCycles:   int64(sc.FrameCycles),
-		WindowPackets: sc.WindowPackets,
-		QuantumFlits:  sc.QuantumFlits,
-		MarginClasses: sc.MarginClasses,
-	}
-}
-
-func (sc *Scenario) flowCanons(flows []FlowSpec) []flowCanon {
-	out := make([]flowCanon, len(flows))
-	for i, f := range flows {
-		out[i] = flowCanon{Node: f.Node, Injector: f.Injector, Rate: f.Rate,
-			Dest: f.Dest, StopAt: int64(f.StopAt), Role: f.Role}
-	}
-	return out
-}
-
-func (sc *Scenario) faultsCanonOf(p *Point) faultsCanon {
-	fc := faultsCanon{
-		Windows:      make([]windowCanon, len(sc.FaultWindows)),
-		RetryTimeout: int64(p.RetryTimeout),
-		MaxRetries:   p.MaxRetries,
-		Watchdog:     int64(sc.WatchdogCycles),
-	}
-	for i, w := range sc.FaultWindows {
-		fc.Windows[i] = windowCanon{Kind: w.Kind.String(), Port: w.Port,
-			Node: w.Node, From: int64(w.From), Until: int64(w.Until)}
-	}
-	return fc
-}
-
-// canonOf builds the canonical description of visible grid cell i.
-// traceDigest maps each trace file the grid replays to its content
-// digest (see traceDigests); canonOf only reads it.
-func (g *Grid) canonOf(i int, traceDigest map[string]string) cellCanon {
-	sc, p, m := g.Scenario, &g.Points[i], &g.meta[i]
-	c := cellCanon{
-		Format:   canonFormat,
-		Engine:   network.EngineVersion(),
-		Topology: p.Topology.String(),
-		Nodes:    sc.Nodes,
-		QoS:      sc.qosCanonOf(p),
-		Seed:     p.Seed,
-		Warmup:   sc.Warmup,
-		Measure:  sc.Measure,
-		Faults:   sc.faultsCanonOf(p),
-	}
-	w := &c.Workload
-	w.RequestFraction = sc.RequestFraction
-	w.BurstOn, w.BurstOff = sc.Burst.MeanOn, sc.Burst.MeanOff
-	w.StopAt = int64(sc.StopAt)
+// canonOf appends the canonical bytes of visible grid cell i. digests
+// maps each trace file the grid replays to its content digest (see
+// traceDigests); canonOf only reads it.
+func (g *Grid) canonOf(b []byte, i int, digests map[string]string) []byte {
+	sc, m := g.Scenario, &g.meta[i]
+	r := rec{sc: sc, p: &g.Points[i], kind: kOpen}
 	switch {
 	case m.trace != "":
-		w.Kind = "replay"
-		w.Trace = p.Workload
-		w.TraceSHA256 = traceDigest[m.trace]
+		r.kind, r.digest = kReplay, digests[m.trace]
 	case m.closed:
-		w.Kind = "closed"
-		w.Pattern = p.Pattern
-		w.HotspotWeights = sc.HotspotWeights
-		w.Outstanding = p.Outstanding
-		w.Think = p.Think
-		w.RequestFlits = sc.RequestFlits
-		w.ReplyFlits = sc.ReplyFlits
+		r.kind = kClosed
 	case len(sc.Flows) > 0:
-		w.Kind = "flows"
-		w.Flows = sc.flowCanons(sc.Flows)
-	default:
-		w.Kind = "open"
-		w.Pattern = p.Pattern
-		w.Rate = p.Rate
-		w.HotspotWeights = sc.HotspotWeights
+		r.kind = kFlows
 	}
-	return c
+	return appendCanon(b, &r)
+}
+
+// refCanonOf appends the canonical bytes of hidden victim-only reference
+// cell ref, whose topology, mode and seed come from its runner cell.
+func (g *Grid) refCanonOf(b []byte, ref int) []byte {
+	cfg := &g.refCells[ref].Config
+	p := Point{Topology: cfg.Kind, Mode: cfg.QoS.Mode, Seed: cfg.Seed}
+	return appendCanon(b, &rec{sc: g.Scenario, p: &p, kind: kVictimRef})
 }
 
 // traceDigests hashes every trace file the grid replays, once each, in
@@ -224,59 +87,6 @@ func (g *Grid) traceDigests() (map[string]string, error) {
 	return digests, nil
 }
 
-// refCanonOf builds the canonical description of hidden victim-only
-// reference cell r. The reference grid index identifies topology, mode
-// and seed through the refCells expansion order, so the canon is built
-// straight from its runner cell plus the victim flow list.
-func (g *Grid) refCanonOf(r int) cellCanon {
-	sc := g.Scenario
-	cell := &g.refCells[r]
-	var victims []FlowSpec
-	for _, f := range sc.Flows {
-		if f.Role == "victim" {
-			victims = append(victims, f)
-		}
-	}
-	return cellCanon{
-		Format:   canonFormat,
-		Engine:   network.EngineVersion(),
-		Topology: cell.Config.Kind.String(),
-		Nodes:    sc.Nodes,
-		QoS: qosCanon{Mode: cell.Config.QoS.Mode.String(),
-			FrameCycles: int64(sc.FrameCycles), WindowPackets: sc.WindowPackets,
-			QuantumFlits: sc.QuantumFlits, MarginClasses: sc.MarginClasses},
-		Seed:    cell.Config.Seed,
-		Warmup:  sc.Warmup,
-		Measure: sc.Measure,
-		Workload: workloadCanon{
-			Kind:            "victim-ref",
-			RequestFraction: sc.RequestFraction,
-			BurstOn:         sc.Burst.MeanOn,
-			BurstOff:        sc.Burst.MeanOff,
-			StopAt:          int64(sc.StopAt),
-			Flows:           sc.flowCanons(victims),
-		},
-	}
-}
-
-// canonBufs recycles canon encoding buffers across canonKey calls.
-var canonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// canonKey content-addresses a canon: the hash of json.Marshal's bytes.
-// An Encoder writes exactly those bytes plus a newline, which is trimmed
-// before hashing. Encoding into a pooled buffer spares every key a copy
-// of its canon; with keys computed in parallel those copies are what
-// raises a warm sweep's peak heap.
-func canonKey(c cellCanon) (string, error) {
-	buf := canonBufs.Get().(*bytes.Buffer)
-	defer canonBufs.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(&c); err != nil {
-		return "", fmt.Errorf("scenario: canonical encode: %w", err)
-	}
-	return store.KeyOf(bytes.TrimSuffix(buf.Bytes(), []byte{'\n'})), nil
-}
-
 // Keys returns the content-address of every visible grid cell, in grid
 // order. Two grids whose cells describe the same simulations — same
 // scenario semantics under any file-key ordering, spelling, or display
@@ -294,31 +104,21 @@ func (g *Grid) Keys() ([]string, error) {
 // eachKey computes every visible cell's key across workers (0 = one per
 // CPU), jobCells cells per job, and hands it to fn(i, key) on the job's
 // goroutine, so fn may do the cell's own keyed work in the same job; fn
-// must touch only cell i's state. On an error some cells may have been
-// handed their keys; the first failing cell's error in grid order is
-// returned.
+// must touch only cell i's state. It fails only when a replayed trace
+// cannot be read, before any key is handed out.
 func (g *Grid) eachKey(workers int, fn func(i int, key string)) error {
 	digests, err := g.traceDigests()
 	if err != nil {
 		return err
 	}
 	n := len(g.cells)
-	errs := make([]error, n)
 	runner.Do((n+jobCells-1)/jobCells, workers, func(job int) {
+		var buf []byte
 		for i := job * jobCells; i < min((job+1)*jobCells, n); i++ {
-			key, err := canonKey(g.canonOf(i, digests))
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			fn(i, key)
+			buf = g.canonOf(buf[:0], i, digests)
+			fn(i, store.KeyOf(buf))
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -330,15 +130,14 @@ const jobCells = 32
 
 // refKeys returns the content-address of every hidden victim-reference
 // cell.
-func (g *Grid) refKeys() ([]string, error) {
+func (g *Grid) refKeys() []string {
 	keys := make([]string, len(g.refCells))
+	var buf []byte
 	for r := range g.refCells {
-		var err error
-		if keys[r], err = canonKey(g.refCanonOf(r)); err != nil {
-			return nil, err
-		}
+		buf = g.refCanonOf(buf[:0], r)
+		keys[r] = store.KeyOf(buf)
 	}
-	return keys, nil
+	return keys
 }
 
 // cachedRow is a visible cell's cache payload: every measured column of
@@ -574,7 +373,7 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 
 	// Phase 4: optional hit verification — re-run a sample of served
 	// rows and fail loudly on any divergence (a corrupted store, a
-	// mis-stamped engine).
+	// model change that kept its ModelVersion).
 	if opts.VerifySample > 0 && len(hitIdx) > 0 && !rep.Interrupted {
 		if err := g.verifyHits(ctx, &opts, hitIdx, refBase, rep); err != nil {
 			return rep, err
@@ -597,10 +396,7 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int,
 	if len(needed) == 0 {
 		return nil
 	}
-	rkeys, err := g.refKeys()
-	if err != nil {
-		return err
-	}
+	rkeys := g.refKeys()
 	var torun []int
 	for r := range needed {
 		if opts.Store != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"tanoq/internal/network"
 	"tanoq/internal/store"
 	"tanoq/internal/topology"
 	"tanoq/internal/workload"
@@ -647,37 +648,68 @@ measure = 150
 	}
 }
 
-// TestCanonKeyIsMarshalHash pins the key encoding to its definition,
-// the SHA-256 of json.Marshal's bytes for the canon, over open cells
-// with faults and hotspot weights, explicit flows with a victim (and
-// its hidden reference cell), and closed-loop cells: keys written by
-// any earlier build stay addressable.
-func TestCanonKeyIsMarshalHash(t *testing.T) {
-	for name, toml := range map[string]string{
-		"open": strings.Replace(cacheBase, `"uniform"`, `"hotspot"`, 1) +
+// TestCanonKeyIsWalkHash pins the key encoding to its definition: the
+// SHA-256 of the field-table walk's bytes — a format line, the model
+// stamp, the cell's kind, then one `key=value` line per row the kind
+// reads — over open cells with faults and hotspot weights, explicit
+// flows with a victim (and its hidden reference cell, which keys the
+// victims only), and closed-loop cells.
+func TestCanonKeyIsWalkHash(t *testing.T) {
+	for name, tc := range map[string]struct {
+		toml  string
+		lines []string // lines every visible cell's bytes must hold
+	}{
+		"open": {strings.Replace(cacheBase, `"uniform"`, `"hotspot"`, 1) +
 			"hotspot_weights = [1, 2, 1, 1, 1, 1, 1, 1]\n[faults]\nretry_timeout = 300\n[[faults.router]]\nnode = 3\nfrom = 100\nuntil = 200\n",
-		"flows":  "topology = \"mesh_x1\"\nqos = [\"no-qos\"]\n[[flows]]\nnode = 1\nrate = 0.05\ndest = 7\nrole = \"victim\"\n[[flows]]\nnode = 2\nrate = 0.9\ndest = 7\n",
-		"closed": "topology = \"mesh_x1\"\n[workload]\nmode = \"closed\"\noutstanding = [2, 8]\nthink_time = 50\n",
+			[]string{"kind=open", `pattern="hotspot"`, "rate=0.03", "hotspot_weights=[1,2,1,1,1,1,1,1]",
+				"faults.retry_timeout=300", "faults.max_retries=3", "faults.router[]", "faults.router[].node=3"}},
+		"flows": {"topology = \"mesh_x1\"\nqos = [\"no-qos\"]\n[[flows]]\nnode = 1\nrate = 0.05\ndest = 7\nrole = \"victim\"\n[[flows]]\nnode = 2\nrate = 0.9\ndest = 7\n",
+			[]string{"kind=flows", `topology="mesh_x1"`, `qos="no-qos"`, "flows[].rate=0.9", `flows[].role="victim"`}},
+		"closed": {"topology = \"mesh_x1\"\n[workload]\nmode = \"closed\"\noutstanding = [2, 8]\nthink_time = 50\n",
+			[]string{"kind=closed", `workload.mode="closed"`, "workload.think_time=50"}},
 	} {
-		g := gridOf(t, toml)
-		digests, err := g.traceDigests()
+		g := gridOf(t, tc.toml)
+		keys, err := g.Keys()
 		if err != nil {
 			t.Fatal(err)
 		}
-		canons := []cellCanon{}
+		var canons [][]byte
 		for i := range g.cells {
-			canons = append(canons, g.canonOf(i, digests))
-		}
-		for r := range g.refCells {
-			canons = append(canons, g.refCanonOf(r))
-		}
-		for _, c := range canons {
-			blob, err := json.Marshal(c)
-			if err != nil {
-				t.Fatal(err)
+			b := g.canonOf(nil, i, nil)
+			if store.KeyOf(b) != keys[i] {
+				t.Errorf("%s: cell %d key is not the hash of\n%s", name, i, b)
 			}
-			if got, err := canonKey(c); err != nil || got != store.KeyOf(blob) {
-				t.Errorf("%s: canonKey = %s, %v; want the hash of\n%s", name, got, err, blob)
+			for _, want := range tc.lines {
+				if !strings.Contains("\n"+string(b), "\n"+want+"\n") {
+					t.Errorf("%s: cell %d bytes lack %q:\n%s", name, i, want, b)
+				}
+			}
+			canons = append(canons, b)
+		}
+		for r, key := range g.refKeys() {
+			b := g.refCanonOf(nil, r)
+			if store.KeyOf(b) != key || strings.Count(string(b), "flows[]\n") != 1 ||
+				!strings.Contains(string(b), "kind=victim-ref\n") {
+				t.Errorf("%s: reference cell %d keys\n%s", name, r, b)
+			}
+			canons = append(canons, b)
+		}
+		// Every line after the header is a table row's key and value, or
+		// an array element's opening line.
+		known := map[string]bool{}
+		for _, f := range fields {
+			known[f.key] = true
+		}
+		for _, b := range canons {
+			lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+			if lines[0] != canonFormat || lines[1] != "model="+network.ModelVersion {
+				t.Errorf("%s: header %q", name, lines[:2])
+			}
+			for _, line := range lines[3:] {
+				key, _, _ := strings.Cut(line, "=")
+				if !known[key] {
+					t.Errorf("%s: line %q names no table row", name, line)
+				}
 			}
 		}
 		if name == "flows" && len(g.refCells) == 0 {

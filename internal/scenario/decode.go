@@ -5,21 +5,25 @@ import (
 	"math"
 )
 
-// decoder pulls typed fields out of the map[string]any both file formats
-// decode into, recording the first error instead of forcing a check at
-// every call site. Sweep-axis accessors accept a scalar or a list under
-// either the singular or plural key. When a Resolution is attached,
-// failures become ParseErrors located at the offending key's source
-// (layer + file:line); prefix is the decoder's dotted path from the
-// scenario root ("" at the top level, "workload", "flows[2]", ...).
+// decoder pulls typed values out of one table of the map[string]any both
+// file formats decode into, for the field-table row in hand, recording
+// the first error instead of forcing a check at every call site. Sweep-
+// axis accessors accept a scalar or a list under either the singular or
+// the plural key. When a Resolution is attached, failures become
+// ParseErrors located at the offending key's source (layer + file:line);
+// prefix is the table's dotted path from the scenario root ("" at the top
+// level, "workload", "flows[2]", ...).
 type decoder struct {
 	raw    map[string]any
 	err    error
 	res    *Resolution
 	prefix string
+	// key and plural are the row's spellings; at is the one that was set
+	// (key when neither was), where a failure is located.
+	key, plural, at string
 }
 
-func (d *decoder) failKey(key, format string, args ...any) {
+func (d *decoder) fail(format string, args ...any) {
 	if d.err != nil {
 		return
 	}
@@ -27,163 +31,105 @@ func (d *decoder) failKey(key, format string, args ...any) {
 	if d.prefix != "" {
 		cause = fmt.Errorf("%s: %w", d.prefix, cause)
 	}
-	d.err = locate(d.res, joinPath(d.prefix, key), cause)
+	d.err = locate(d.res, joinPath(d.prefix, d.at), cause)
 }
 
-// pick returns the value under whichever of the two keys is present
-// (empty key names are skipped); setting both is an error.
-func (d *decoder) pick(keyA, keyB string) (any, string, bool) {
-	va, oka := d.raw[keyA]
-	var vb any
-	okb := false
-	if keyB != "" {
-		vb, okb = d.raw[keyB]
-	}
+// has reports whether the row's key is set.
+func (d *decoder) has() bool {
+	_, ok := d.raw[d.key]
+	return ok
+}
+
+// pick returns the value under whichever spelling is present; setting
+// both is an error. (No table accepts an empty key, so a row without a
+// plural finds nothing under it.)
+func (d *decoder) pick() (any, bool) {
+	va, oka := d.raw[d.key]
+	vb, okb := d.raw[d.plural]
 	switch {
 	case oka && okb:
-		d.failKey(keyA, "set either %q or %q, not both", keyA, keyB)
-		return nil, "", false
-	case oka:
-		return va, keyA, true
+		d.fail("set either %q or %q, not both", d.key, d.plural)
+		return nil, false
 	case okb:
-		return vb, keyB, true
+		d.at = d.plural
+		return vb, true
 	}
-	return nil, "", false
+	return va, oka
 }
 
-func (d *decoder) str(key, def string) string {
-	v, ok := d.raw[key]
+// scalar returns the row's value as a T (want names it for the error),
+// def when the key is absent.
+func scalar[T any](d *decoder, want string, def T) T {
+	v, ok := d.raw[d.key]
 	if !ok {
 		return def
 	}
-	s, ok := v.(string)
+	t, ok := v.(T)
 	if !ok {
-		d.failKey(key, "%s must be a string, got %T", key, v)
+		d.fail("%s must be %s, got %T", d.key, want, v)
 		return def
 	}
-	return s
+	return t
 }
 
-func (d *decoder) float(key string, def float64) float64 {
-	v, ok := d.raw[key]
-	if !ok {
-		return def
-	}
-	f, ok := v.(float64)
-	if !ok {
-		d.failKey(key, "%s must be a number, got %T", key, v)
-		return def
-	}
-	return f
-}
+func (d *decoder) str(def string) string     { return scalar(d, "a string", def) }
+func (d *decoder) float(def float64) float64 { return scalar(d, "a number", def) }
+func (d *decoder) boolean(def bool) bool     { return scalar(d, "a boolean", def) }
 
-func (d *decoder) int(key string, def int) int {
-	v, ok := d.raw[key]
-	if !ok {
-		return def
-	}
-	f, ok := v.(float64)
-	if !ok || f != math.Trunc(f) {
-		d.failKey(key, "%s must be an integer, got %v", key, v)
+func (d *decoder) int(def int) int {
+	f := scalar(d, "an integer", float64(def))
+	if f != math.Trunc(f) {
+		d.fail("%s must be an integer, got %v", d.key, f)
 		return def
 	}
 	return int(f)
 }
 
-// count is int for a key whose negative values mean nothing — a cycle, a
-// size, a count — where zero already selects the default.
-func (d *decoder) count(key string, def int) int {
-	v := d.int(key, def)
+// count is int for a key whose negative values mean nothing.
+func (d *decoder) count(def int) int {
+	v := d.int(def)
 	if v < 0 {
-		d.failKey(key, "%s must not be negative, got %d", key, v)
+		d.fail("%s must not be negative, got %d", d.key, v)
 		return def
 	}
 	return v
 }
 
-func (d *decoder) boolean(key string, def bool) bool {
-	v, ok := d.raw[key]
-	if !ok {
-		return def
-	}
-	b, ok := v.(bool)
-	if !ok {
-		d.failKey(key, "%s must be a boolean, got %T", key, v)
-		return def
-	}
-	return b
-}
-
-// asList normalizes a scalar-or-list value to a list.
-func asList(v any) []any {
-	if l, ok := v.([]any); ok {
-		return l
-	}
-	return []any{v}
-}
-
-func (d *decoder) strList(keyA, keyB string) []string {
-	v, key, ok := d.pick(keyA, keyB)
+// list returns the row's value as a list (a scalar is a one-element
+// list), converting each element with conv; nil when the key is absent
+// or an element does not convert.
+func list[T any](d *decoder, want string, conv func(any) (T, bool)) []T {
+	v, ok := d.pick()
 	if !ok {
 		return nil
 	}
-	var out []string
-	for _, el := range asList(v) {
-		s, ok := el.(string)
+	els, isList := v.([]any)
+	if !isList {
+		els = []any{v}
+	}
+	var out []T
+	for _, el := range els {
+		t, ok := conv(el)
 		if !ok {
-			d.failKey(key, "%s must hold strings, got %T", key, el)
+			d.fail("%s must hold %s, got %v", d.at, want, el)
 			return nil
 		}
-		out = append(out, s)
+		out = append(out, t)
 	}
 	return out
 }
 
-func (d *decoder) floatList(keyA, keyB string) []float64 {
-	v, key, ok := d.pick(keyA, keyB)
-	if !ok {
-		return nil
-	}
-	var out []float64
-	for _, el := range asList(v) {
-		f, ok := el.(float64)
-		if !ok {
-			d.failKey(key, "%s must hold numbers, got %T", key, el)
-			return nil
-		}
-		out = append(out, f)
-	}
-	return out
+func (d *decoder) strs() []string {
+	return list(d, "strings", func(v any) (string, bool) { s, ok := v.(string); return s, ok })
 }
 
-func (d *decoder) intList(keyA, keyB string) []int64 {
-	v, key, ok := d.pick(keyA, keyB)
-	if !ok {
-		return nil
-	}
-	var out []int64
-	for _, el := range asList(v) {
-		f, ok := el.(float64)
-		if !ok || f != math.Trunc(f) {
-			d.failKey(key, "%s must hold integers, got %v", key, el)
-			return nil
-		}
-		out = append(out, int64(f))
-	}
-	return out
+func (d *decoder) floats() []float64 {
+	return list(d, "numbers", func(v any) (float64, bool) { f, ok := v.(float64); return f, ok })
 }
 
-// allowOnly rejects keys outside the given set (nested tables have their
-// own key budget, unlike the top level's scenarioKeys map).
-func (d *decoder) allowOnly(keys ...string) {
-	allowed := map[string]bool{}
-	for _, k := range keys {
-		allowed[k] = true
-	}
-	for k := range d.raw {
-		if !allowed[k] {
-			d.failKey(k, "%w %q", ErrUnknownKey, k)
-			return
-		}
-	}
+func (d *decoder) ints() []int64 {
+	return list(d, "integers", func(v any) (int64, bool) {
+		f, ok := v.(float64)
+		return int64(f), ok && f == math.Trunc(f)
+	})
 }

@@ -37,22 +37,11 @@ type DegradeRow struct {
 	Error string
 }
 
-// degradeKey identifies a grid point with the fault axes projected away,
-// which is what a faulted row and its healthy baseline share.
-type degradeKey struct {
-	Pattern  string
-	Topology string
-	Mode     string
-	Seed     uint64
-	Rate     float64
-	Workload string
-}
-
-func keyOf(p Point) degradeKey {
-	return degradeKey{
-		Pattern: p.Pattern, Topology: p.Topology.String(), Mode: p.Mode.String(),
-		Seed: p.Seed, Rate: p.Rate, Workload: p.Workload,
-	}
+// healthy projects a grid point's fault axes away: what a faulted row
+// and its fault-free baseline share.
+func healthy(p Point) Point {
+	p.RetryTimeout, p.MaxRetries = 0, 0
+	return p
 }
 
 // Degrade expands and runs the faulted scenario and its fault-free
@@ -78,9 +67,9 @@ func Degrade(sc *Scenario, opts RunOpts) ([]DegradeRow, error) {
 	}
 	fres := fg.Run(opts)
 	bres := bg.Run(opts)
-	baseBy := make(map[degradeKey]Result, len(bres))
+	baseBy := make(map[Point]Result, len(bres))
 	for _, r := range bres {
-		baseBy[keyOf(r.Point)] = r
+		baseBy[healthy(r.Point)] = r
 	}
 	rows := make([]DegradeRow, len(fres))
 	for i, r := range fres {
@@ -94,7 +83,7 @@ func Degrade(sc *Scenario, opts RunOpts) ([]DegradeRow, error) {
 			P99Latency:        r.P99Latency,
 			Error:             r.Error,
 		}
-		if b, ok := baseBy[keyOf(r.Point)]; ok && b.Error == "" {
+		if b, ok := baseBy[healthy(r.Point)]; ok && b.Error == "" {
 			row.BaseMeanLatency = b.MeanLatency
 			row.BaseP99Latency = b.P99Latency
 			if b.MeanLatency > 0 {

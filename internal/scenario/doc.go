@@ -24,6 +24,8 @@
 // variables (TANOQ_SET_WORKLOAD__MODE=closed sets workload.mode), and
 // SetLayer/OverrideLayer apply `key=value` expressions on behalf of CLI
 // flags (noctool's repeatable -set, and -quick/-seed/-warmup/-measure).
+// A path segment may index an existing array-of-tables element, spelled
+// as -explain prints it: `-set flows[1].rate=0.3`.
 //
 // Merging is deep for tables (maps merge key by key) and replacing for
 // scalars and lists. The singular/plural axis spellings are aliases
@@ -68,6 +70,7 @@
 //	stop_at           cycle at which injection halts (0 = never)
 //	request_fraction  1-flit-request share of packets (default 0.5)
 //	hotspot_weights   per-node destination weights for pattern "hotspot"
+//	                  (rejected unless hotspot is on the pattern axis)
 //	burst             { mean_on, mean_off }: MMPP-style on/off windows in
 //	                  cycles; rate stays the long-run mean
 //	flows             explicit injector list replacing pattern × rates:
@@ -138,9 +141,17 @@
 //	                  cache (noctool's -cache/-resume flags also enable
 //	                  it; see Grid.RunDurable and internal/store)
 //
-// Grid.Keys content-addresses every cell — a SHA-256 over the canonical
-// encoding of everything that can change its result, including a replay
-// cell's trace-file bytes and the engine version stamp — and
+// The [telemetry] table attaches deterministic in-run probes to every
+// cell (internal/telemetry). Probes are display-only, so like [run] the
+// table stays out of cache keys:
+//
+//	interval          probe period in cycles (required, positive)
+//	series            the series to record (default all)
+//	top_flows         flows the timeline emitters print (default 8)
+//
+// Grid.Keys content-addresses every cell — a SHA-256 over the values of
+// the keys its kind reads, as the field table (fields.go) declares them,
+// a replay cell's trace-file bytes and network.ModelVersion — and
 // Grid.RunDurable runs a grid through the cache: hits are served without
 // simulating, misses execute with the deadline/retry budget and are
 // checkpointed (store entry + journal line) the moment they finish, and

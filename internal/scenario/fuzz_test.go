@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -115,4 +118,69 @@ func FuzzScenarioDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSetGrammar drives `-set` expressions through SetLayer and, spelled
+// as TANOQ_SET_* variables, through EnvLayer, over the open and flows
+// bases of TestCacheKeySound, whose perturbation generator seeds it. Both
+// routes must agree — the same scenario or both an error — and a scenario
+// that resolves must expand and key. Values holding a number above 4096
+// or a list over 64 long are skipped: they only grow the grid, which
+// FuzzScenarioDecode covers.
+func FuzzSetGrammar(f *testing.F) {
+	vals := setValues()
+	for i := range fields {
+		for _, expr := range perturbations(&fields[i], vals) {
+			f.Add(expr)
+		}
+	}
+	for _, expr := range []string{"=", "rate", "rate=", " rate = 0.1", "RATE=0.1", "a..b=1", "flows[x].rate=1",
+		"flows[0]=1", "flows[0].rate.x=1", "faults.link[0].until=[300]", "workload__mode=closed"} {
+		f.Add(expr)
+	}
+	f.Fuzz(func(t *testing.T, expr string) {
+		key, val, ok := strings.Cut(expr, "=")
+		if !modestValue(parseSetValue(val)) {
+			t.Skip()
+		}
+		name := strings.ReplaceAll(strings.ToUpper(key), ".", "__")
+		sameEnv := ok && key == strings.TrimSpace(key) &&
+			strings.ReplaceAll(strings.ToLower(name), "__", ".") == key
+		for _, b := range soundBases[:2] {
+			base := BlobLayer(b.name, []byte(b.toml), ".toml")
+			sc, _, err := Resolve(base, SetLayer(expr))
+			if sameEnv {
+				esc, _, eerr := Resolve(base, EnvLayer([]string{envPrefix + name + "=" + val}))
+				if (err == nil) != (eerr == nil) || err == nil && !reflect.DeepEqual(sc, esc) {
+					t.Fatalf("%s base: -set %q and %s%s disagree: %v / %v", b.name, expr, envPrefix, name, err, eerr)
+				}
+			}
+			if err != nil || len(sc.Traces) > 0 {
+				continue // Grid would read the named trace files
+			}
+			g, err := sc.Grid()
+			if err != nil {
+				t.Fatalf("%s base, -set %q: validated scenario failed to expand: %v", b.name, expr, err)
+			}
+			if _, err := g.Keys(); err != nil {
+				t.Fatalf("%s base, -set %q: %v", b.name, expr, err)
+			}
+		}
+	})
+}
+
+// modestValue reports whether a parsed -set value keeps the grid small.
+func modestValue(v any) bool {
+	switch t := v.(type) {
+	case float64:
+		return math.Abs(t) <= 4096
+	case []any:
+		for _, el := range t {
+			if !modestValue(el) {
+				return false
+			}
+		}
+		return len(t) <= 64
+	}
+	return true
 }

@@ -247,7 +247,7 @@ func (r *Resolution) extractProfiles(raw map[string]any, lines map[string]int, f
 				Err: fmt.Errorf("profile %q must be a table ([profiles.%s])", name, name)}
 		}
 		for k := range patch {
-			if !scenarioKeys[k] {
+			if !schema.keys[k] {
 				return &ParseError{File: file, Line: lines[ppath+"."+k], Layer: layerName, Key: ppath + "." + k,
 					Err: fmt.Errorf("%w %q in profile %q", ErrUnknownKey, k, name)}
 			}
@@ -357,14 +357,46 @@ func (l kvLayer) apply(r *Resolution) error {
 }
 
 // setPath merges one dotted key path and pre-parsed value into the tree
-// (env and CLI layers).
+// (env and CLI layers). A segment may index an existing element of an
+// array of tables, spelled as -explain and errors print it
+// ("flows[1].rate"); the value then merges into that element.
 func (r *Resolution) setPath(path, rawVal string, org Origin) error {
+	fail := func(format string, args ...any) error {
+		return &ParseError{File: org.File, Layer: org.Layer, Key: path, Err: fmt.Errorf(format, args...)}
+	}
 	segs := strings.Split(path, ".")
-	for _, s := range segs {
-		if !validKey(s) {
-			return &ParseError{File: org.File, Layer: org.Layer, Key: path,
-				Err: fmt.Errorf("bad key path %q", path)}
+	last := -1 // the deepest indexed segment
+	for i, s := range segs {
+		name, _, indexed, ok := cutIndex(s)
+		if !ok || !validKey(name) {
+			return fail("bad key path %q", path)
 		}
+		if indexed {
+			last = i
+		}
+	}
+	dst, prefix := r.merged, ""
+	if last >= 0 {
+		if last == len(segs)-1 {
+			return fail("%q names a whole array element; set one of its keys", path)
+		}
+		for _, s := range segs[:last+1] {
+			name, idx, indexed, _ := cutIndex(s)
+			v := dst[name]
+			if indexed {
+				if list, ok := v.([]any); ok && idx < len(list) {
+					v = list[idx]
+				} else {
+					v = nil
+				}
+			}
+			m, ok := v.(map[string]any)
+			if !ok {
+				return fail("%q: no table %s to set a key in", path, joinPath(prefix, s))
+			}
+			dst, prefix = m, joinPath(prefix, s)
+		}
+		segs = segs[last+1:]
 	}
 	src := map[string]any{}
 	node := src
@@ -374,8 +406,20 @@ func (r *Resolution) setPath(path, rawVal string, org Origin) error {
 		node = child
 	}
 	node[segs[len(segs)-1]] = parseSetValue(rawVal)
-	r.mergeTree(r.merged, src, "", r.prov, func(string) Origin { return org }, "")
+	r.mergeTree(dst, src, prefix, r.prov, func(string) Origin { return org }, "")
 	return nil
+}
+
+// cutIndex splits a key-path segment into its name and an optional
+// element index ("flows[2]"); ok is false for a malformed index.
+func cutIndex(seg string) (name string, idx int, indexed, ok bool) {
+	name, rest, indexed := strings.Cut(seg, "[")
+	if !indexed {
+		return name, 0, false, true
+	}
+	digits, closed := strings.CutSuffix(rest, "]")
+	idx, err := strconv.Atoi(digits)
+	return name, idx, true, closed && err == nil && idx >= 0 && digits == strconv.Itoa(idx)
 }
 
 // parseSetValue parses an env/CLI override value with TOML value syntax
@@ -389,28 +433,6 @@ func parseSetValue(s string) any {
 	}
 	return t
 }
-
-// axisAlias maps each singular/plural axis spelling to its counterpart:
-// a layer setting either spelling retires the other, so a profile's
-// `rate = 0.05` overrides a base file's `rates = [...]` instead of
-// colliding with it in the decoder.
-var axisAlias = func() map[string]string {
-	pairs := map[string]string{
-		"pattern":              "patterns",
-		"topology":             "topologies",
-		"rate":                 "rates",
-		"seed":                 "seeds",
-		"workload.mode":        "workload.modes",
-		"workload.think_time":  "workload.think_times",
-		"workload.trace":       "workload.traces",
-		"faults.retry_timeout": "faults.retry_timeouts",
-	}
-	m := map[string]string{}
-	for a, b := range pairs {
-		m[a], m[b] = b, a
-	}
-	return m
-}()
 
 // mergeTree deep-merges src into dst at the given path prefix, recording
 // provenance (from org) for every path it sets into prov and purging the
@@ -553,65 +575,26 @@ func (r *Resolution) Explain() string {
 	return b.String()
 }
 
-// defaultRows lists the axis defaults the validator applied — resolved
-// values whose keys appear in no layer.
+// defaultRows lists the defaults the decoder and the validator filled
+// in: the field-table rows with a default rendering whose key (in either
+// spelling) appears in no layer, under the plural spelling.
 func (r *Resolution) defaultRows() []struct{ path, val, origin string } {
 	if r.sc == nil {
 		return nil
 	}
 	type row = struct{ path, val, origin string }
 	var rows []row
-	add := func(path string, val string) {
-		rows = append(rows, row{path, val, LayerDefault})
-	}
-	has := func(keys ...string) bool {
-		for _, k := range keys {
-			if _, ok := r.merged[k]; ok {
-				return true
+	for _, f := range fields {
+		if f.explain == nil || r.merged[f.key] != nil || r.merged[f.plural] != nil {
+			continue
+		}
+		if val := f.explain(r.sc); val != "" {
+			path := f.key
+			if f.plural != "" {
+				path = f.plural
 			}
+			rows = append(rows, row{path, val, LayerDefault})
 		}
-		return false
-	}
-	quoteList := func(ss []string) string {
-		parts := make([]string, len(ss))
-		for i, s := range ss {
-			parts[i] = strconv.Quote(s)
-		}
-		return "[" + strings.Join(parts, ", ") + "]"
-	}
-	sc := r.sc
-	if !has("pattern", "patterns") && len(sc.Patterns) > 0 {
-		add("patterns", quoteList(sc.Patterns))
-	}
-	if !has("topology", "topologies") {
-		names := make([]string, len(sc.Topologies))
-		for i, k := range sc.Topologies {
-			names[i] = k.String()
-		}
-		add("topologies", quoteList(names))
-	}
-	if !has("qos") {
-		names := make([]string, len(sc.Modes))
-		for i, m := range sc.Modes {
-			names[i] = m.String()
-		}
-		add("qos", quoteList(names))
-	}
-	if !has("seed", "seeds") {
-		parts := make([]string, len(sc.Seeds))
-		for i, s := range sc.Seeds {
-			parts[i] = strconv.FormatUint(s, 10)
-		}
-		add("seeds", "["+strings.Join(parts, ", ")+"]")
-	}
-	if !has("nodes") {
-		add("nodes", strconv.Itoa(sc.Nodes))
-	}
-	if !has("warmup") {
-		add("warmup", strconv.Itoa(sc.Warmup))
-	}
-	if !has("measure") {
-		add("measure", strconv.Itoa(sc.Measure))
 	}
 	return rows
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -169,276 +170,6 @@ func Parse(blob []byte, ext string) (*Scenario, error) {
 	return sc, err
 }
 
-// scenarioKeys lists every accepted top-level key (singular/plural pairs
-// both work for the sweep axes); unknown keys are rejected so a typo
-// cannot silently drop an axis.
-var scenarioKeys = map[string]bool{
-	"name": true, "pattern": true, "patterns": true,
-	"topology": true, "topologies": true, "qos": true,
-	"rate": true, "rates": true, "seed": true, "seeds": true,
-	"nodes": true, "warmup": true, "measure": true, "stop_at": true,
-	"request_fraction": true, "burst": true, "hotspot_weights": true,
-	"flows": true, "frame_cycles": true, "window_packets": true,
-	"quantum_flits": true, "margin_classes": true, "workload": true,
-	"faults": true, "run": true, "telemetry": true,
-}
-
-func fromRaw(raw map[string]any, res *Resolution) (*Scenario, error) {
-	for k := range raw {
-		if !scenarioKeys[k] {
-			return nil, perr(res, k, "%w %q", ErrUnknownKey, k)
-		}
-	}
-	d := decoder{raw: raw, res: res}
-	sc := &Scenario{
-		Name:            d.str("name", ""),
-		Patterns:        d.strList("pattern", "patterns"),
-		Rates:           d.floatList("rate", "rates"),
-		Nodes:           d.int("nodes", topology.ColumnNodes),
-		Warmup:          d.int("warmup", 20_000),
-		Measure:         d.int("measure", 100_000),
-		StopAt:          sim.Cycle(d.count("stop_at", 0)),
-		RequestFraction: d.float("request_fraction", traffic.DefaultRequestFraction),
-		HotspotWeights:  d.floatList("hotspot_weights", ""),
-		FrameCycles:     sim.Cycle(d.count("frame_cycles", 0)),
-		WindowPackets:   d.count("window_packets", 0),
-		QuantumFlits:    d.count("quantum_flits", 0),
-		MarginClasses:   d.count("margin_classes", 0),
-	}
-	seedKey := "seed"
-	if _, ok := raw["seeds"]; ok {
-		seedKey = "seeds"
-	}
-	for _, s := range d.intList("seed", "seeds") {
-		if s < 0 {
-			d.failKey(seedKey, "%s must not be negative, got %d", seedKey, s)
-			break
-		}
-		sc.Seeds = append(sc.Seeds, uint64(s))
-	}
-	if b, ok := raw["burst"]; ok {
-		bm, ok := b.(map[string]any)
-		if !ok {
-			return nil, perr(res, "burst", "burst must be a table/object")
-		}
-		bd := decoder{raw: bm, res: res, prefix: "burst"}
-		sc.Burst = traffic.Burst{MeanOn: bd.float("mean_on", 0), MeanOff: bd.float("mean_off", 0)}
-		bd.allowOnly("mean_on", "mean_off")
-		if bd.err != nil {
-			return nil, bd.err
-		}
-	}
-	if wl, ok := raw["workload"]; ok {
-		wm, ok := wl.(map[string]any)
-		if !ok {
-			return nil, perr(res, "workload", "workload must be a table/object")
-		}
-		wd := decoder{raw: wm, res: res, prefix: "workload"}
-		sc.WorkloadModes = wd.strList("mode", "modes")
-		for _, o := range wd.intList("outstanding", "") {
-			sc.Outstanding = append(sc.Outstanding, int(o))
-		}
-		sc.ThinkTimes = wd.floatList("think_time", "think_times")
-		sc.RequestFlits = wd.int("request_flits", 0)
-		sc.ReplyFlits = wd.int("reply_flits", 0)
-		sc.Traces = wd.strList("trace", "traces")
-		wd.allowOnly("mode", "modes", "outstanding", "think_time", "think_times",
-			"request_flits", "reply_flits", "trace", "traces")
-		if wd.err != nil {
-			return nil, wd.err
-		}
-	}
-	if rv, ok := raw["run"]; ok {
-		rm, ok := rv.(map[string]any)
-		if !ok {
-			return nil, perr(res, "run", "run must be a table/object")
-		}
-		rd := decoder{raw: rm, res: res, prefix: "run"}
-		if _, set := rm["deadline_ms"]; set {
-			ms := rd.int("deadline_ms", 0)
-			if ms <= 0 && rd.err == nil {
-				return nil, perr(res, "run.deadline_ms", "run: deadline_ms %d must be positive (omit the key for no deadline)", ms)
-			}
-			sc.Deadline = time.Duration(ms) * time.Millisecond
-		}
-		if _, set := rm["retries"]; set {
-			r := rd.int("retries", 0)
-			if r < 0 && rd.err == nil {
-				return nil, perr(res, "run.retries", "run: negative retries %d", r)
-			}
-			if r == 0 {
-				sc.Retries = -1 // explicit zero: no retries (0 means "default")
-			} else {
-				sc.Retries = r
-			}
-		}
-		if _, set := rm["backoff_ms"]; set {
-			ms := rd.int("backoff_ms", 0)
-			if ms < 0 && rd.err == nil {
-				return nil, perr(res, "run.backoff_ms", "run: negative backoff_ms %d", ms)
-			}
-			sc.Backoff = time.Duration(ms) * time.Millisecond
-		}
-		sc.Cache = rd.boolean("cache", false)
-		rd.allowOnly("deadline_ms", "retries", "backoff_ms", "cache")
-		if rd.err != nil {
-			return nil, rd.err
-		}
-	}
-	if tv, ok := raw["telemetry"]; ok {
-		tm, ok := tv.(map[string]any)
-		if !ok {
-			return nil, perr(res, "telemetry", "telemetry must be a table/object")
-		}
-		td := decoder{raw: tm, res: res, prefix: "telemetry"}
-		sc.Telemetry = &Telemetry{
-			Interval: sim.Cycle(td.int("interval", 0)),
-			Series:   td.strList("series", ""),
-			TopFlows: td.int("top_flows", 0),
-		}
-		td.allowOnly("interval", "series", "top_flows")
-		if td.err != nil {
-			return nil, td.err
-		}
-	}
-	if fv, ok := raw["faults"]; ok {
-		fm, ok := fv.(map[string]any)
-		if !ok {
-			return nil, perr(res, "faults", "faults must be a table/object")
-		}
-		fd := decoder{raw: fm, res: res, prefix: "faults"}
-		for _, t := range fd.intList("retry_timeout", "retry_timeouts") {
-			sc.RetryTimeouts = append(sc.RetryTimeouts, sim.Cycle(t))
-		}
-		for _, m := range fd.intList("max_retries", "") {
-			sc.MaxRetriesAxis = append(sc.MaxRetriesAxis, int(m))
-		}
-		sc.WatchdogCycles = sim.Cycle(fd.int("watchdog_cycles", 0))
-		fd.allowOnly("link", "router", "retry_timeout", "retry_timeouts",
-			"max_retries", "watchdog_cycles")
-		if fd.err != nil {
-			return nil, fd.err
-		}
-		windows, err := faultWindows(fm, res)
-		if err != nil {
-			return nil, err
-		}
-		sc.FaultWindows = windows
-	}
-	topoKey := "topology"
-	if _, ok := raw["topologies"]; ok {
-		topoKey = "topologies"
-	}
-	for _, name := range d.strList("topology", "topologies") {
-		kinds, err := topologyByName(name)
-		if err != nil {
-			return nil, locate(res, topoKey, err)
-		}
-		sc.Topologies = append(sc.Topologies, kinds...)
-	}
-	for _, name := range d.strList("qos", "") {
-		modes, err := modeByName(name)
-		if err != nil {
-			return nil, locate(res, "qos", err)
-		}
-		sc.Modes = append(sc.Modes, modes...)
-	}
-	if fl, ok := raw["flows"]; ok {
-		list, ok := fl.([]any)
-		if !ok {
-			return nil, perr(res, "flows", "flows must be a list")
-		}
-		for i, el := range list {
-			epath := fmt.Sprintf("flows[%d]", i)
-			fm, ok := el.(map[string]any)
-			if !ok {
-				return nil, perr(res, epath, "%s must be a table/object", epath)
-			}
-			fd := decoder{raw: fm, res: res, prefix: epath}
-			f := FlowSpec{
-				Node:     fd.int("node", 0),
-				Injector: fd.int("injector", 0),
-				Rate:     fd.float("rate", 0),
-				StopAt:   sim.Cycle(fd.count("stop_at", 0)),
-				Role:     fd.str("role", ""),
-			}
-			switch dv := fm["dest"].(type) {
-			case nil:
-				f.Dest = int(traffic.HotspotNode)
-			case string:
-				if dv != "hotspot" {
-					return nil, perr(res, epath+".dest", "%s: dest %q (want a node index or \"hotspot\")", epath, dv)
-				}
-				f.Dest = int(traffic.HotspotNode)
-			default:
-				f.Dest = fd.int("dest", 0)
-			}
-			fd.allowOnly("node", "injector", "rate", "dest", "stop_at", "role")
-			if fd.err != nil {
-				return nil, fd.err
-			}
-			sc.Flows = append(sc.Flows, f)
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return sc, nil
-}
-
-// faultWindows decodes the [[faults.link]] and [[faults.router]] lists
-// into fault windows: link entries name a dense output-port index and
-// default to transient (permanent = true kills the port for good), router
-// entries name a node whose every output stalls for the window.
-func faultWindows(fm map[string]any, res *Resolution) ([]noc.FaultWindow, error) {
-	var out []noc.FaultWindow
-	decode := func(key string, kind noc.FaultKind) error {
-		lv, ok := fm[key]
-		if !ok {
-			return nil
-		}
-		list, ok := lv.([]any)
-		if !ok {
-			return perr(res, "faults."+key, "faults.%s must be a list of tables ([[faults.%s]])", key, key)
-		}
-		for i, el := range list {
-			epath := fmt.Sprintf("faults.%s[%d]", key, i)
-			wm, ok := el.(map[string]any)
-			if !ok {
-				return perr(res, epath, "%s must be a table/object", epath)
-			}
-			wd := decoder{raw: wm, res: res, prefix: epath}
-			w := noc.FaultWindow{
-				Kind:  kind,
-				From:  sim.Cycle(wd.int("from", 0)),
-				Until: sim.Cycle(wd.int("until", 0)),
-			}
-			if kind == noc.FaultRouterStall {
-				w.Node = wd.int("node", 0)
-				wd.allowOnly("node", "from", "until")
-			} else {
-				w.Port = wd.int("port", 0)
-				if wd.boolean("permanent", false) {
-					w.Kind = noc.FaultLinkPermanent
-				}
-				wd.allowOnly("port", "from", "until", "permanent")
-			}
-			if wd.err != nil {
-				return wd.err
-			}
-			out = append(out, w)
-		}
-		return nil
-	}
-	if err := decode("link", noc.FaultLinkTransient); err != nil {
-		return nil, err
-	}
-	if err := decode("router", noc.FaultRouterStall); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Validate checks cross-field consistency and applies defaults for the
 // axes left unset (all topologies, PVC, seed 42).
 func (sc *Scenario) Validate() error {
@@ -462,6 +193,11 @@ func (sc *Scenario) Validate() error {
 	}
 	if err := sc.Burst.Validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", sc.Name, err)
+	}
+	if sc.HotspotWeights != nil && !slices.Contains(sc.Patterns, "hotspot") {
+		// No cell would read the weights, and silently ignoring them
+		// would break the "typos fail loudly" contract.
+		return fmt.Errorf("scenario %s: hotspot_weights only shape the hotspot pattern; a scenario with no hotspot on its pattern axis cannot set them", sc.Name)
 	}
 	if err := sc.validateWorkloadAxes(); err != nil {
 		return err

@@ -237,10 +237,15 @@ func TestTraceAxisGridExpansion(t *testing.T) {
 	}
 }
 
-// recordRun captures a short open-loop run on mesh x1.
-func recordRun(t *testing.T) *workload.Recorder {
+// recordRun captures the first cell of a JSON scenario, by default a
+// short open-loop run on mesh x1.
+func recordRun(t *testing.T, scenario ...string) *workload.Recorder {
 	t.Helper()
-	sc, err := Parse([]byte(`{"rates":[0.05],"topologies":["mesh_x1"],"warmup":200,"measure":800}`), ".json")
+	src := `{"rates":[0.05],"topologies":["mesh_x1"],"warmup":200,"measure":800}`
+	if len(scenario) > 0 {
+		src = scenario[0]
+	}
+	sc, err := Parse([]byte(src), ".json")
 	if err != nil {
 		t.Fatal(err)
 	}

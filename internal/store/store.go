@@ -3,9 +3,9 @@
 //
 // The cache maps a canonical description of a simulation cell — produced
 // by the caller, typically internal/scenario's canonical cell encoding
-// including the engine version stamp — to the cell's full result row.
+// including the model version — to the cell's full result row.
 // Keys are SHA-256 over the canonical bytes, so any semantic change to a
-// cell (topology, QoS mode, rate, seed, faults, engine version, ...)
+// cell (topology, QoS mode, rate, seed, faults, model version, ...)
 // addresses a different entry, while re-describing the same cell always
 // lands on the same one. Because the simulator is deterministic and
 // bit-identical across worker counts, a cached row is indistinguishable
