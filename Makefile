@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke metrics-smoke bench pgo pgo-check
+.PHONY: build test vet lint race determinism audit sweep-smoke trace-smoke fuzz-smoke resume-smoke metrics-smoke examples bench pgo pgo-check
 
 # The build stamp: embedded in `noctool version` and v2 trace headers, so
 # artifacts name the build that made them. Cache keys do not carry it —
@@ -148,17 +148,28 @@ metrics-smoke:
 
 # fuzz-smoke runs each fuzzer for a short budget (CI's fuzz step): the
 # scenario decoders, the -set / TANOQ_SET_* override grammar, the cache's
-# entry and journal readers over arbitrary file bytes, and the engine
-# contract (fast = reference = ticked = chunked) over fuzzed
-# configurations. `go test -fuzz FuzzScenarioDecode ./internal/scenario`
-# (or FuzzSetGrammar, FuzzStoreLoad / FuzzJournalLoad ./internal/store,
+# entry and journal readers and the binary trace decoder over arbitrary
+# file bytes, and the engine contract (fast = reference = ticked =
+# chunked) over fuzzed configurations. `go test -fuzz FuzzScenarioDecode
+# ./internal/scenario` (or FuzzSetGrammar, FuzzStoreLoad /
+# FuzzJournalLoad ./internal/store, FuzzTraceDecode ./internal/workload,
 # FuzzEngineContract ./internal/network) runs one open-ended.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario
 	go test -run '^$$' -fuzz FuzzSetGrammar -fuzztime 10s ./internal/scenario
 	go test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/store
 	go test -run '^$$' -fuzz FuzzJournalLoad -fuzztime 10s ./internal/store
+	go test -run '^$$' -fuzz FuzzTraceDecode -fuzztime 10s ./internal/workload
 	go test -run '^$$' -fuzz FuzzEngineContract -fuzztime 10s ./internal/network
+
+# examples runs each example program to completion (CI's examples step):
+# every build compiles them, but only this catches one that fails at run
+# time. They run in about 2.4 s together on a 2-vCPU box, plus compiling.
+examples:
+	go run ./examples/quickstart
+	go run ./examples/adversary
+	go run ./examples/topologysweep
+	go run ./examples/consolidation
 
 # bench smoke-runs the engine's three `testing.B` points once each:
 # BenchmarkEngineCycles (steady Step), BenchmarkSaturatedCycles and

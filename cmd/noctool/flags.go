@@ -90,8 +90,8 @@ func (m *multiFlag) Set(v string) error {
 }
 
 // layerOpts names the CLI-side layers of the scenario resolver pipeline,
-// shared by sweep, degrade and trace record. Precedence, lowest first:
-// include chain < file < profile < TANOQ_SET_* env < -quick <
+// shared by sweep, degrade, timeline and trace record. Precedence, lowest
+// first: include chain < file < profile < TANOQ_SET_* env < -quick <
 // explicit -seed/-warmup/-measure < -set.
 type layerOpts struct {
 	sim      *simFlags
@@ -99,6 +99,33 @@ type layerOpts struct {
 	params   experiments.Params
 	profile  string
 	set      []string
+}
+
+// addLayerFlags registers the resolver flags of a scenario-running
+// subcommand — the shared simulation flags, -profile and -set, whose
+// help text starts with helpPrefix — and returns the function that
+// assembles their layerOpts once fs is parsed.
+func addLayerFlags(fs *flag.FlagSet, helpPrefix string) func() layerOpts {
+	sim := addSimFlags(fs)
+	profile := fs.String("profile", "", helpPrefix+"named [profiles.<name>] patch to apply (overrides a #profile suffix)")
+	var set multiFlag
+	fs.Var(&set, "set", helpPrefix+"top-layer override `key=value` (dotted paths; repeatable)")
+	return func() layerOpts {
+		explicit := explicitFlags(fs)
+		return layerOpts{sim: sim, explicit: explicit, params: sim.params(explicit), profile: *profile, set: set}
+	}
+}
+
+// runOpts is how sweep, degrade and timeline execute a grid: the worker
+// count and idle skipping from the flags, and the per-cell deadline,
+// retry budget and backoff from the scenario's [run] table.
+func (lo layerOpts) runOpts(sc *scenario.Scenario) scenario.DurableOpts {
+	return scenario.DurableOpts{
+		RunOpts:  scenario.RunOpts{Workers: lo.params.Workers, DisableIdleSkip: lo.params.DisableIdleSkip},
+		Deadline: sc.Deadline,
+		Retries:  sc.Retries,
+		Backoff:  sc.Backoff,
+	}
 }
 
 // loadLayered resolves a scenario argument ("file", "file#profile", or a

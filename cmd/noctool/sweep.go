@@ -47,12 +47,9 @@ func sweepMain(args []string) error {
 scenario name. Files resolve through the layered pipeline — defaults <
 include chain < file < profile < TANOQ_SET_* env < schedule flags <
 -set — and -explain prints every resolved key with its provenance.`)
-	sim := addSimFlags(fs)
+	layers := addLayerFlags(fs, "")
 	csv := fs.Bool("csv", false, "emit CSV instead of tables")
 	out := fs.String("out", "", "output path for the sweep's JSON report")
-	profile := fs.String("profile", "", "named [profiles.<name>] patch to apply (overrides a #profile suffix)")
-	var set multiFlag
-	fs.Var(&set, "set", "top-layer override `key=value` (dotted paths; repeatable)")
 	explain := fs.Bool("explain", false, "print the resolved scenario with per-key provenance instead of running")
 	cache := fs.Bool("cache", false, "memoize cell results in the content-addressed store")
 	cacheDir := fs.String("cache-dir", store.DefaultDir, "result store directory")
@@ -70,13 +67,8 @@ include chain < file < profile < TANOQ_SET_* env < schedule flags <
 		fs.Usage()
 		return fmt.Errorf("sweep needs exactly one scenario file or built-in name")
 	}
-	explicit := explicitFlags(fs)
 	return runSweep(fs.Arg(0), sweepOpts{
-		layers: layerOpts{
-			sim: sim, explicit: explicit, params: sim.params(explicit),
-			profile: *profile, set: set,
-		},
-		csv: *csv, outPath: *out, explain: *explain,
+		layers: layers(), csv: *csv, outPath: *out, explain: *explain,
 		cache: *cache, cacheDir: *cacheDir, resume: *resume, verify: *cacheVerify,
 		deadline: *deadline, retries: *retries, backoff: *backoff,
 		httpAddr: *httpAddr, httpLinger: *httpLinger, progress: *progress,
@@ -92,34 +84,24 @@ func degradeMain(args []string) error {
 and report per point the delivered fraction, retry/drop counts, victim
 slowdown and latency inflation per QoS mode. Scenario files resolve
 through the same layered pipeline as sweep.`)
-	sim := addSimFlags(fs)
+	layers := addLayerFlags(fs, "")
 	csv := fs.Bool("csv", false, "emit CSV instead of tables")
 	out := fs.String("out", "", "output path for the degradation CSV")
-	profile := fs.String("profile", "", "named [profiles.<name>] patch to apply (overrides a #profile suffix)")
-	var set multiFlag
-	fs.Var(&set, "set", "top-layer override `key=value` (dotted paths; repeatable)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		fs.Usage()
 		return fmt.Errorf("degrade needs exactly one scenario file with a [faults] table")
 	}
-	explicit := explicitFlags(fs)
-	return runDegrade(fs.Arg(0), sweepOpts{
-		layers: layerOpts{
-			sim: sim, explicit: explicit, params: sim.params(explicit),
-			profile: *profile, set: set,
-		},
-		csv: *csv, outPath: *out,
-	})
+	return runDegrade(fs.Arg(0), sweepOpts{layers: layers(), csv: *csv, outPath: *out})
 }
 
 // runSweep resolves a scenario through the layer pipeline, expands the
 // sweep grid, runs it through the durable runner and emits a table or
 // CSV to stdout (plus JSON to -out when given).
 //
-// Every sweep goes through Grid.RunDurable: without -cache it behaves
-// exactly like the plain grid runner (plus the deadline/retry knobs and
-// graceful SIGINT draining); with -cache (or cache = true in the
+// Every sweep goes through Grid.RunDurable, as degrade and timeline do:
+// without -cache it keys nothing and runs every cell (with graceful
+// SIGINT draining); with -cache (or cache = true in the
 // scenario's [run] table) finished rows are checkpointed to the
 // content-addressed store as they land, and -resume serves them back
 // without simulating.
@@ -162,16 +144,8 @@ func runSweep(pathOrName string, o sweepOpts) error {
 	// explicitly-set flags (same precedence as seed/warmup/measure). An
 	// explicit `-retries 0` means "no retries", which the runner spells
 	// as a negative budget; 0 there means "use the default single retry".
-	opts := scenario.DurableOpts{
-		RunOpts: scenario.RunOpts{
-			Workers:         o.layers.params.Workers,
-			DisableIdleSkip: o.layers.params.DisableIdleSkip,
-		},
-		Deadline:     sc.Deadline,
-		Retries:      sc.Retries,
-		Backoff:      sc.Backoff,
-		VerifySample: o.verify,
-	}
+	opts := o.layers.runOpts(sc)
+	opts.VerifySample = o.verify
 	if o.layers.explicit["deadline"] {
 		opts.Deadline = o.deadline
 	}
@@ -314,13 +288,13 @@ func runDegrade(pathOrName string, o sweepOpts) error {
 	if err != nil {
 		return err
 	}
+	if sc.Cache {
+		return fmt.Errorf("scenario %q sets cache = true in [run]: degrade opens no store (noctool sweep caches rows)", pathOrName)
+	}
 	if err := checkWritable("-out", o.outPath); err != nil {
 		return err
 	}
-	rows, err := scenario.Degrade(sc, scenario.RunOpts{
-		Workers:         o.layers.params.Workers,
-		DisableIdleSkip: o.layers.params.DisableIdleSkip,
-	})
+	rows, err := scenario.Degrade(context.Background(), sc, o.layers.runOpts(sc))
 	if err != nil {
 		return err
 	}

@@ -6,9 +6,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tanoq/internal/runner"
 )
 
-const traceSmoke = "../../examples/sweep/trace-smoke.toml"
+const (
+	traceSmoke    = "../../examples/sweep/trace-smoke.toml"
+	timelineSmoke = "../../examples/sweep/timeline-smoke.toml"
+	degradeSmoke  = "../../examples/sweep/degrade.toml"
+)
 
 // captured runs fn with os.Stdout and os.Stderr swapped for pipes and
 // returns what fn wrote to each beside its error. The subcommands print
@@ -46,11 +52,7 @@ func captured(t *testing.T, fn func() error) (stdout, stderr string, err error) 
 // for the sweeps, which here run against a store that checkpoints every
 // finished cell — a cache directory nothing was written to.
 func TestBadInvocationFailsBeforeRunning(t *testing.T) {
-	const (
-		timelineSmoke = "../../examples/sweep/timeline-smoke.toml"
-		degradeSmoke  = "../../examples/sweep/degrade.toml"
-		noSuchDir     = "/nonexistent/tanoq-test/"
-	)
+	const noSuchDir = "/nonexistent/tanoq-test/"
 	// cachedSweep is sweepMain against a store in cacheDir, which each case
 	// points at a fresh directory and expects to find still empty.
 	var cacheDir string
@@ -90,6 +92,12 @@ func TestBadInvocationFailsBeforeRunning(t *testing.T) {
 		{"degrade rows into a missing directory", degradeMain,
 			[]string{"-out", noSuchDir + "x.csv", degradeSmoke},
 			"-out: open " + noSuchDir + "x.csv"},
+		{"degrade of a cached scenario", degradeMain,
+			[]string{"-set", "run.cache=true", degradeSmoke},
+			"degrade opens no store"},
+		{"timeline of a cached scenario", timelineMain,
+			[]string{"-set", "run.cache=true", timelineSmoke},
+			"timeline opens no store"},
 		{"experiment with an empty measurement window", experimentsMain,
 			[]string{"-quick", "-measure", "0", "table2"},
 			"schedule warmup 3000 / measure 0 invalid"},
@@ -144,5 +152,32 @@ func TestSweepWarmCacheExecutesNothing(t *testing.T) {
 	}
 	if warm != cold {
 		t.Errorf("cached row differs from the executed one:\ncold: %s\nwarm: %s", cold, warm)
+	}
+}
+
+// TestRunTableAppliesToEverySubcommand pins that the scenario's [run]
+// table governs every subcommand that runs a grid: a 1 ms deadline with
+// no retries fails the 400 000-cycle cell under sweep, degrade and
+// timeline alike, and the printed rows say so.
+func TestRunTableAppliesToEverySubcommand(t *testing.T) {
+	set := []string{"-set", "run.deadline_ms=1", "-set", "run.retries=0", "-set", "measure=400000"}
+	for _, tc := range []struct {
+		name     string
+		main     func([]string) error
+		scenario string
+	}{
+		{"sweep", sweepMain, traceSmoke},
+		{"degrade", degradeMain, degradeSmoke},
+		{"timeline", timelineMain, timelineSmoke},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, err := captured(t, func() error { return tc.main(append(set, tc.scenario)) })
+			if err != nil {
+				t.Fatalf("%v\n%s", err, stderr)
+			}
+			if !strings.Contains(stdout, runner.ErrDeadline.Error()) {
+				t.Errorf("no cell missed its 1 ms deadline:\n%s", stdout)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,10 +34,7 @@ occupancy heatmap with -heatmap). The scenario's [telemetry] table
 selects interval and series; -interval adds probes to a scenario
 without one. Probes ride the event calendar, so the simulation
 results are bit-identical to an unprobed run.`)
-	sim := addSimFlags(fs)
-	profile := fs.String("profile", "", "named [profiles.<name>] patch to apply (overrides a #profile suffix)")
-	var set multiFlag
-	fs.Var(&set, "set", "top-layer override `key=value` (dotted paths; repeatable)")
+	layers := addLayerFlags(fs, "")
 	interval := fs.Int("interval", 0, "probe interval in cycles (overrides the [telemetry] table)")
 	top := fs.Int("top", 0, "per-flow series for the top K flows (overrides the [telemetry] table)")
 	series := fs.String("series", "", "comma-separated series selection (empty = scenario's, or all)")
@@ -48,12 +46,8 @@ results are bit-identical to an unprobed run.`)
 		fs.Usage()
 		return fmt.Errorf("timeline needs exactly one scenario file or built-in name")
 	}
-	explicit := explicitFlags(fs)
 	return runTimeline(fs.Arg(0), timelineOpts{
-		layers: layerOpts{
-			sim: sim, explicit: explicit, params: sim.params(explicit),
-			profile: *profile, set: set,
-		},
+		layers:   layers(),
 		interval: *interval, top: *top, series: *series,
 		heatmap: *heatmap, asJSON: *asJSON, outPath: *out,
 	})
@@ -65,6 +59,9 @@ func runTimeline(pathOrName string, o timelineOpts) error {
 	sc, _, err := loadLayered(pathOrName, o.layers)
 	if err != nil {
 		return err
+	}
+	if sc.Cache {
+		return fmt.Errorf("scenario %q sets cache = true in [run]: timeline opens no store, and a cached row carries no series", pathOrName)
 	}
 	if sc.Telemetry == nil {
 		if o.interval <= 0 {
@@ -98,10 +95,11 @@ func runTimeline(pathOrName string, o timelineOpts) error {
 	if err != nil {
 		return err
 	}
-	results := grid.Run(scenario.RunOpts{
-		Workers:         o.layers.params.Workers,
-		DisableIdleSkip: o.layers.params.DisableIdleSkip,
-	})
+	rep, err := grid.RunDurable(context.Background(), o.layers.runOpts(sc))
+	if err != nil {
+		return err
+	}
+	results := rep.Results
 
 	if o.outPath != "" {
 		if err := writeTimelines(o.outPath, results); err != nil {

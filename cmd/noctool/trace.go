@@ -30,23 +30,16 @@ trace and prints its delivery fingerprint (scenario files resolve through
 the same layered pipeline as sweep); replay re-runs a recorded trace in
 the recorded cell; info prints a trace's header and record stats
 (-stats adds a per-flow breakdown of record counts and cycle spans).`)
-	sim := addSimFlags(fs)
+	layers := addLayerFlags(fs, "record: ")
 	out := fs.String("out", "", "output path for the recorded trace")
-	profile := fs.String("profile", "", "record: named [profiles.<name>] patch to apply (overrides a #profile suffix)")
-	var set multiFlag
-	fs.Var(&set, "set", "record: top-layer override `key=value` (dotted paths; repeatable)")
 	stats := fs.Bool("stats", false, "info: print per-flow record counts and cycle spans")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		fs.Usage()
 		return fmt.Errorf("trace needs a verb and a target: trace record <scenario> | trace replay <file> | trace info <file>")
 	}
-	explicit := explicitFlags(fs)
 	return runTrace(fs.Arg(0), fs.Arg(1), traceOpts{
-		layers: layerOpts{
-			sim: sim, explicit: explicit, params: sim.params(explicit),
-			profile: *profile, set: set,
-		},
+		layers:  layers(),
 		outPath: *out,
 		stats:   *stats,
 	})

@@ -86,8 +86,7 @@ func ablateSweep(kind topology.Kind, values []int64, mut func(int64, *qos.Config
 	for i, v := range values {
 		cells[i] = hotspotCell(kind, func(c *qos.Config) { mut(v, c) }, p)
 	}
-	res := runner.RunCells(cells, p.Workers)
-	runner.MustOK(res)
+	res := p.run(cells)
 	out := make([]AblationRow, len(values))
 	for i, v := range values {
 		out[i] = hotspotRow(res[i])
@@ -141,8 +140,7 @@ func AblateWindow(kind topology.Kind, windows []int, p Params) []AblationRow {
 			DisableIdleSkip: p.DisableIdleSkip,
 		})
 	}
-	res := runner.RunCells(cells, p.Workers)
-	runner.MustOK(res)
+	res := p.run(cells)
 	out := make([]AblationRow, len(windows))
 	for i, wnd := range windows {
 		st := res[i].Stats
@@ -186,8 +184,7 @@ func AblateMargin(kind topology.Kind, margins []int, p Params) []MarginAblationR
 		mut(&adv.QoS)
 		cells = append(cells, p.cell(adv), hotspotCell(kind, mut, p))
 	}
-	res := runner.RunCells(cells, p.Workers)
-	runner.MustOK(res)
+	res := p.run(cells)
 	out := make([]MarginAblationRow, len(margins))
 	for i, m := range margins {
 		st := res[2*i].Stats
@@ -227,8 +224,7 @@ func AblateQuota(kind topology.Kind, p Params) []QuotaAblationRow {
 			c.MarginClasses = 1
 		}, p)
 	}
-	res := runner.RunCells(cells, p.Workers)
-	runner.MustOK(res)
+	res := p.run(cells)
 	out := make([]QuotaAblationRow, len(toggles))
 	for i, enabled := range toggles {
 		st := res[i].Stats

@@ -83,8 +83,7 @@ func ClosedLoop(p Params) []ClosedLoopRow {
 			rows = append(rows, ClosedLoopRow{Kind: kind, Mode: mode})
 		}
 	}
-	res := runner.RunCells(cells, p.Workers)
-	runner.MustOK(res)
+	res := p.run(cells)
 	for i := range rows {
 		ct := res[i].Aux.(*workload.Controller)
 		rows[i].Summary = stats.Summarize(ct.RT.PerClient())

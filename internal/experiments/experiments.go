@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -89,7 +90,7 @@ func (p Params) netConfig(kind topology.Kind, w traffic.Workload, mode qos.Mode)
 }
 
 // buildNet assembles one shared-column network (single-simulation paths;
-// grid experiments go through runner.RunCells instead).
+// grid experiments go through Params.run instead).
 func (p Params) buildNet(kind topology.Kind, w traffic.Workload, mode qos.Mode) *network.Network {
 	return network.MustNew(p.netConfig(kind, w, mode))
 }
@@ -97,6 +98,19 @@ func (p Params) buildNet(kind topology.Kind, w traffic.Workload, mode qos.Mode) 
 // cell pairs a network configuration with p's warmup/measure schedule.
 func (p Params) cell(cfg network.Config) runner.Cell {
 	return runner.Cell{Config: cfg, Warmup: p.Warmup, Measure: p.Measure}
+}
+
+// run executes cells across p.Workers, retrying each failed cell once,
+// and panics on the first cell that still failed: an experiment's cells
+// are fixed by its driver, so a failure is a bug, not an input error.
+func (p Params) run(cells []runner.Cell) []runner.Result {
+	res := runner.RunCellsCtx(context.Background(), cells, runner.Options{Workers: p.Workers, Retries: 1})
+	for i := range res {
+		if res[i].Err != nil {
+			panic(fmt.Sprintf("experiments: cell %d failed after %d attempts: %v", i, res[i].Attempts, res[i].Err))
+		}
+	}
+	return res
 }
 
 // header renders an underlined section title.

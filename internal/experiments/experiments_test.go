@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"tanoq/internal/qos"
+	"tanoq/internal/runner"
 	"tanoq/internal/topology"
+	"tanoq/internal/traffic"
 )
 
 // tiny returns fast parameters for unit tests; shapes that need longer
@@ -195,6 +199,20 @@ func TestChipCostRendering(t *testing.T) {
 	if !strings.Contains(out, "saved") {
 		t.Errorf("render malformed:\n%s", out)
 	}
+}
+
+// TestRunPanicsOnFailedCell pins the drivers' fail-fast rule: a cell
+// that fails its one retry too panics instead of rendering as a zero row.
+func TestRunPanicsOnFailedCell(t *testing.T) {
+	p := tiny()
+	bad := p.cell(p.netConfig(topology.MeshX1, traffic.UniformRandom(topology.ColumnNodes, 0.03), qos.PVC))
+	bad.Config.Nodes = 1 // invalid: a column needs at least two nodes
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "cell 0 failed after 2 attempts") {
+			t.Errorf("recovered %v, want the failed cell's panic", r)
+		}
+	}()
+	p.run([]runner.Cell{bad})
 }
 
 func TestParamsPresets(t *testing.T) {

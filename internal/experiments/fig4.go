@@ -77,8 +77,7 @@ func Fig4(pattern Pattern, rates []float64, p Params) []Fig4Series {
 			cells = append(cells, p.cell(p.netConfig(kind, pattern.workload(rate), qos.PVC)))
 		}
 	}
-	res := runner.RunCells(cells, p.Workers)
-	runner.MustOK(res)
+	res := p.run(cells)
 
 	out := make([]Fig4Series, 0, len(kinds))
 	for ki, kind := range kinds {
@@ -137,8 +136,7 @@ func SaturationPreemptions(p Params) []SaturationPreemption {
 	for i, kind := range kinds {
 		cells[i] = p.cell(p.netConfig(kind, traffic.UniformRandom(topology.ColumnNodes, 0.15), qos.PVC))
 	}
-	res := runner.RunCells(cells, p.Workers)
-	runner.MustOK(res)
+	res := p.run(cells)
 	out := make([]SaturationPreemption, len(kinds))
 	for i, kind := range kinds {
 		out[i] = SaturationPreemption{

@@ -56,8 +56,7 @@ func Fig5(a Adversarial, p Params) []Fig5Row {
 	for i, kind := range kinds {
 		cells[i] = p.cell(p.netConfig(kind, a.workload(0), qos.PVC))
 	}
-	res := runner.RunCells(cells, p.Workers)
-	runner.MustOK(res)
+	res := p.run(cells)
 	out := make([]Fig5Row, len(kinds))
 	for i, kind := range kinds {
 		st := res[i].Stats

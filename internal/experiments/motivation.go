@@ -40,8 +40,7 @@ func Motivation(kind topology.Kind, p Params) []MotivationRow {
 	for i, mode := range modes {
 		cells[i] = p.cell(p.netConfig(kind, traffic.Hotspot(topology.ColumnNodes, hotspotRate), mode))
 	}
-	res := runner.RunCells(cells, p.Workers)
-	runner.MustOK(res)
+	res := p.run(cells)
 	var out []MotivationRow
 	for i, mode := range modes {
 		byFlow := res[i].Stats.FlitsByFlow()

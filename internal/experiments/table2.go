@@ -43,8 +43,7 @@ func Table2(p Params) []Table2Row {
 	for i, kind := range kinds {
 		cells[i] = p.cell(p.netConfig(kind, traffic.Hotspot(topology.ColumnNodes, hotspotRate), qos.PVC))
 	}
-	res := runner.RunCells(cells, p.Workers)
-	runner.MustOK(res)
+	res := p.run(cells)
 	out := make([]Table2Row, len(kinds))
 	for i, kind := range kinds {
 		st := res[i].Stats

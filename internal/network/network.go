@@ -332,7 +332,7 @@ func New(cfg Config) (*Network, error) {
 // bit-identical to a freshly built one (the contract table's reset row): all
 // randomness derives from cfg.Seed and every piece of logical state is
 // re-initialized here. Sweep drivers lean on this to run a whole grid of
-// cells on one allocation per worker (runner.RunCells).
+// cells on one allocation per worker (runner.RunCellsCtx).
 //
 // The measurement collector is freshly allocated — results escape to the
 // caller — and diagnostic hooks are preserved. Workload attachments

@@ -12,14 +12,15 @@
 //     finished.
 //   - Worker count never changes results: a cell's simulation reads only
 //     its own Network state, whose RNG streams are derived from the
-//     cell's seed, so the output of RunCells (and Do/Map) is bit-identical
-//     for every worker count, including fully sequential execution. Tests
-//     assert this field-for-field.
+//     cell's seed, so the output of RunCellsCtx (and Do/Map) is
+//     bit-identical for every worker count, including fully sequential
+//     execution. Tests assert this field-for-field.
 //
 // Workers selects the pool size: 0 (the usual default) means one worker
 // per CPU, 1 forces sequential execution in the calling goroutine, and
-// any other count caps the pool explicitly. A panic inside a worker is
-// captured and re-raised on the calling goroutine once the pool has
-// drained, so a misconfigured cell fails the same way it would
-// sequentially.
+// any other count caps the pool explicitly. A panic inside a Do or Map
+// job is captured and re-raised on the calling goroutine once the pool
+// has drained; RunCellsCtx instead reports a cell whose every attempt
+// panicked on its Result, and the rest of the grid completes. Options is
+// the one place a grid's retry budget, backoff and deadline are set.
 package runner

@@ -31,33 +31,12 @@ type Cell struct {
 	// cell). Whatever it returns is surfaced on Result.Aux. Setup runs
 	// on the worker goroutine and must touch only per-cell state.
 	Setup func(*network.Network) any
-
-	// Retries is the cell's failure budget: how many times a panicked
-	// attempt (invalid configuration, tripped watchdog, failed audit,
-	// missed deadline) is re-run on a freshly built network before the
-	// cell is reported failed. 0 inherits Options.Retries (RunCells
-	// defaults to 1, the historical behavior); negative disables
-	// retrying entirely.
-	Retries int
-	// Backoff is the base delay slept before the first retry; each later
-	// retry doubles it (exponential backoff, capped at 30s). 0 inherits
-	// Options.Backoff; negative disables backoff for this cell.
-	Backoff time.Duration
-	// Deadline is the cell's wall-clock budget per attempt. When it
-	// expires the engine is aborted at the next cycle boundary and the
-	// attempt fails with ErrDeadline (counting against the retry
-	// budget). It complements the cycle-based watchdog: the watchdog
-	// catches stalled simulated progress, the deadline catches
-	// host-level livelock — a wedged workload hook, a pathological cell
-	// that crawls in wall time. 0 inherits Options.Deadline; negative
-	// disables the deadline for this cell.
-	Deadline time.Duration
 }
 
 // Result is the outcome of one cell.
 type Result struct {
 	// Stats is the cell's measurement collector, owned by the caller
-	// once RunCells returns. Nil when the cell failed (see Err).
+	// once RunCellsCtx returns. Nil when the cell failed (see Err).
 	Stats *stats.Collector
 	// End is the simulation cycle at the end of the measurement window
 	// (the `now` argument of rate metrics such as AcceptedFlitRate).
@@ -94,17 +73,6 @@ var ErrDeadline = errors.New("wall-clock deadline exceeded")
 // cancelled first. Its Result carries Attempts == 0 and no stats.
 var ErrSkipped = errors.New("cell skipped: sweep cancelled")
 
-// MustOK panics on the first failed cell of a sweep — for experiment
-// drivers whose cells are all expected to succeed, keeping their
-// fail-fast behavior now that RunCells contains per-cell panics.
-func MustOK(results []Result) {
-	for i := range results {
-		if results[i].Err != nil {
-			panic(fmt.Sprintf("runner: cell %d failed after %d attempts: %v", i, results[i].Attempts, results[i].Err))
-		}
-	}
-}
-
 // Workers resolves a requested worker count: n <= 0 selects one worker
 // per CPU (GOMAXPROCS), anything else is used as given.
 func Workers(n int) int {
@@ -120,24 +88,19 @@ func Workers(n int) int {
 // state shared with other jobs. A panic in any job is re-raised on the
 // calling goroutine after all workers have stopped.
 func Do(jobs, workers int, fn func(job int)) {
-	DoWorker(jobs, workers, func(job, _ int) { fn(job) })
+	DoWorkerCtx(context.Background(), jobs, workers, func(job, _ int) { fn(job) })
 }
 
-// DoWorker is Do with the worker's pool slot passed alongside the job
-// index: fn(job, worker) with worker in [0, effective workers). All jobs
-// run by the same worker share its slot, which is what lets callers keep
-// per-worker reusable state (runner cells reuse one simulation engine per
-// slot via Network.Reset) without any locking — a slot never runs two
-// jobs concurrently.
-func DoWorker(jobs, workers int, fn func(job, worker int)) {
-	DoWorkerCtx(context.Background(), jobs, workers, fn)
-}
-
-// DoWorkerCtx is DoWorker with cooperative cancellation: once ctx is
-// done, workers stop claiming new jobs, but jobs already claimed run to
-// completion — a drain, not a kill. Jobs never issued are simply never
-// run; callers that need to know which ones must track it themselves
-// (RunCellsCtx marks them ErrSkipped via Attempts == 0).
+// DoWorkerCtx is Do with the worker's pool slot passed alongside the job
+// index, fn(job, worker) with worker in [0, effective workers), and with
+// cooperative cancellation. All jobs run by the same worker share its
+// slot, which is what lets callers keep per-worker reusable state
+// (runner cells reuse one simulation engine per slot via Network.Reset)
+// without any locking — a slot never runs two jobs concurrently. Once
+// ctx is done, workers stop claiming new jobs, but jobs already claimed
+// run to completion — a drain, not a kill. Jobs never issued are simply
+// never run; callers that need to know which ones must track it
+// themselves (RunCellsCtx marks them ErrSkipped via Attempts == 0).
 func DoWorkerCtx(ctx context.Context, jobs, workers int, fn func(job, worker int)) {
 	if jobs <= 0 {
 		return
@@ -206,20 +169,26 @@ func Map[T any](jobs, workers int, fn func(job int) T) []T {
 	return out
 }
 
-// Options tunes RunCellsCtx. The zero value means: one worker per CPU,
-// no retries, no backoff, no deadline.
+// Options tunes RunCellsCtx; it is the only place a cell's failure
+// budget is set. The zero value means: one worker per CPU, no retries,
+// no backoff, no deadline.
 type Options struct {
 	// Workers is the pool size (see Workers).
 	Workers int
-	// Retries is the default per-cell failure budget, overridden by
-	// Cell.Retries (there, negative disables; here, 0 simply means no
-	// retries).
+	// Retries is how many times a failed attempt (invalid configuration,
+	// tripped watchdog, failed audit, missed deadline) is re-run on a
+	// freshly built network before the cell is reported failed; 0 or
+	// negative means never.
 	Retries int
-	// Backoff is the default base retry delay (exponential per extra
-	// attempt, capped at 30s), overridden by Cell.Backoff.
+	// Backoff is the base delay slept before the first retry; each later
+	// retry doubles it (capped at 30s). 0 = none.
 	Backoff time.Duration
-	// Deadline is the default per-attempt wall-clock budget, overridden
-	// by Cell.Deadline. 0 = unlimited.
+	// Deadline is each attempt's wall-clock budget. When it expires the
+	// engine is aborted at the next cycle boundary and the attempt fails
+	// with ErrDeadline. It complements the cycle-based watchdog: the
+	// watchdog catches stalled simulated progress, the deadline catches
+	// host-level livelock — a wedged workload hook, a pathological cell
+	// that crawls in wall time. 0 = unlimited.
 	Deadline time.Duration
 	// OnResult, when non-nil, observes every finished cell — success or
 	// failure — as soon as its result lands, on the worker goroutine
@@ -234,37 +203,17 @@ type Options struct {
 // maxBackoff caps the exponential retry delay.
 const maxBackoff = 30 * time.Second
 
-// resolve layers a cell override on an option default: 0 inherits,
-// negative disables.
-func resolve[T int | time.Duration](cell, opt T) T {
-	switch {
-	case cell < 0:
-		return 0
-	case cell > 0:
-		return cell
-	default:
-		return opt
-	}
-}
-
-// RunCells executes every cell across the worker pool and returns the
-// results in input order, retrying each failed cell once (the historical
-// default; use RunCellsCtx for configurable budgets, deadlines and
-// cancellation). Each worker slot keeps one reusable Network: the first
-// cell a slot runs builds it, and every later cell re-targets it in
-// place via Network.Reset, so a whole sweep grid reuses one packet
+// RunCellsCtx executes every cell across the worker pool and returns the
+// results in input order, with per-attempt wall-clock deadlines, a retry
+// budget with exponential backoff, an OnResult checkpoint callback, and
+// cooperative cancellation. Each worker slot keeps one reusable Network:
+// the first cell a slot runs builds it, and every later cell re-targets
+// it in place via Network.Reset, so a whole sweep grid reuses one packet
 // arena, event ring and router state per worker instead of reallocating
 // them per cell. Because each cell's randomness derives entirely from
 // its own Config.Seed — and a Reset network is bit-identical to a
 // freshly built one — the results are bit-identical for every worker
 // count and identical to building each cell from scratch.
-func RunCells(cells []Cell, workers int) []Result {
-	return RunCellsCtx(context.Background(), cells, Options{Workers: workers, Retries: 1})
-}
-
-// RunCellsCtx is the durable variant of RunCells: per-cell wall-clock
-// deadlines, configurable retry budgets with exponential backoff, an
-// OnResult checkpoint callback, and cooperative cancellation.
 //
 // A cell that fails an attempt — a panic (invalid configuration, tripped
 // watchdog, failed invariant audit) or a missed deadline — does not take
@@ -298,11 +247,8 @@ func RunCellsCtx(ctx context.Context, cells []Cell, opts Options) []Result {
 // engine, landing the result (and the OnResult checkpoint) for cell
 // index i.
 func runSingle(slotNet **network.Network, c *Cell, opts *Options, i, worker int, out []Result) {
-	retries := resolve(c.Retries, opts.Retries)
-	backoff := resolve(c.Backoff, opts.Backoff)
-	deadline := resolve(c.Deadline, opts.Deadline)
 	for attempt := 1; ; attempt++ {
-		res, err := runCell(slotNet, c, deadline)
+		res, err := runCell(slotNet, c, opts.Deadline)
 		res.Attempts = attempt
 		res.Worker = worker
 		if err == nil {
@@ -312,12 +258,12 @@ func runSingle(slotNet **network.Network, c *Cell, opts *Options, i, worker int,
 		// The engine may have died mid-simulation; its state is not
 		// trustworthy for a Reset. Rebuild from scratch.
 		*slotNet = nil
-		if attempt > retries {
+		if attempt > opts.Retries {
 			out[i] = Result{Err: err, Attempts: attempt, Worker: worker}
 			break
 		}
-		if backoff > 0 {
-			d := backoff << (attempt - 1)
+		if opts.Backoff > 0 {
+			d := opts.Backoff << (attempt - 1)
 			if d > maxBackoff || d <= 0 {
 				d = maxBackoff
 			}

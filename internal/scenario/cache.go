@@ -208,8 +208,8 @@ func payloadToRow(p Point, c *cachedRow) Result {
 	}
 }
 
-// DurableOpts tunes RunDurable. The zero value behaves like Grid.Run:
-// no cache, no deadline, the historical one-retry budget.
+// DurableOpts tunes RunDurable. The zero value runs every cell with no
+// cache, no deadline and a one-retry budget.
 type DurableOpts struct {
 	RunOpts
 	// Store, when non-nil, memoizes result rows: hits are served without
@@ -221,8 +221,7 @@ type DurableOpts struct {
 	// is backed by a durable entry).
 	Journal *store.Journal
 	// Deadline, Retries and Backoff are passed through to the runner for
-	// every executed cell (Retries: 0 = the historical single retry,
-	// negative = none).
+	// every executed cell (Retries: 0 = a single retry, negative = none).
 	Deadline time.Duration
 	Retries  int
 	Backoff  time.Duration
@@ -262,28 +261,30 @@ const skippedError = "skipped: sweep cancelled"
 // the moment it exists, so an interrupted process loses at most its
 // in-flight cells. Hidden victim-reference cells are themselves cached
 // and only executed when a missed cell needs their baseline — a fully
-// cached sweep executes zero simulations. Once ctx is cancelled no new
-// cells are issued; in-flight cells drain and checkpoint, and the
-// never-issued ones come back as rows marked skipped.
+// cached sweep executes zero simulations. Without a Store nothing is
+// keyed and every cell runs: RunDurable is the one grid executor, cached
+// or not. Once ctx is cancelled no new cells are issued; in-flight cells
+// drain and checkpoint, and the never-issued ones come back as rows
+// marked skipped.
 func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport, error) {
 	rep := &DurableReport{Results: make([]Result, len(g.cells))}
 
-	// Phase 1: key every cell and load its row, across the workers; then
-	// serve hits and collect misses serially, in grid order.
-	keys := make([]string, len(g.cells))
+	// Phase 1: with a store, key every cell and load its row, across the
+	// workers; then serve hits and collect misses serially, in grid order.
+	var keys []string
 	hit := make([]bool, len(g.cells))
-	err := g.eachKey(opts.Workers, func(i int, key string) {
-		keys[i] = key
-		if opts.Store == nil {
-			return
+	if opts.Store != nil {
+		keys = make([]string, len(g.cells))
+		err := g.eachKey(opts.Workers, func(i int, key string) {
+			keys[i] = key
+			if row, ok := store.Load[cachedRow](opts.Store, key); ok {
+				rep.Results[i] = payloadToRow(g.Points[i], &row)
+				hit[i] = true
+			}
+		})
+		if err != nil {
+			return nil, err
 		}
-		if row, ok := store.Load[cachedRow](opts.Store, key); ok {
-			rep.Results[i] = payloadToRow(g.Points[i], &row)
-			hit[i] = true
-		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	missed := make([]int, 0, len(g.cells))
 	hitIdx := make([]int, 0, len(g.cells))
@@ -310,25 +311,11 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 	}
 
 	// Phase 3: run the misses, checkpointing each row as it lands.
-	ropts := runner.Options{
-		Workers:  opts.Workers,
-		Retries:  opts.Retries,
-		Backoff:  opts.Backoff,
-		Deadline: opts.Deadline,
-	}
-	if ropts.Retries == 0 {
-		ropts.Retries = 1 // Grid.Run's historical budget
-	}
-	cells := make([]runner.Cell, len(missed))
-	for mi, i := range missed {
-		cells[mi] = g.cells[i]
-		cells[mi].Config.DisableIdleSkip = opts.DisableIdleSkip
-	}
 	var (
 		ckMu          sync.Mutex
 		checkpointErr error
 	)
-	ropts.OnResult = func(mi int, r *runner.Result) {
+	res := opts.run(ctx, g.cells, missed, func(mi int, r *runner.Result) {
 		i := missed[mi]
 		row := g.row(i, r, refBase[g.meta[i].ref])
 		rep.Results[i] = row
@@ -350,8 +337,7 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 			}
 			ckMu.Unlock()
 		}
-	}
-	res := runner.RunCellsCtx(ctx, cells, ropts)
+	})
 	for mi, i := range missed {
 		if res[mi].Err == runner.ErrSkipped {
 			rep.Results[i] = Result{Point: g.Points[i], Error: skippedError}
@@ -382,10 +368,29 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 	return rep, nil
 }
 
+// run executes the cells src[idx[0]], src[idx[1]], ... on the runner. It
+// is the one place a sweep's cells meet runner.Options, so the misses,
+// their reference baselines and verification re-runs share one worker
+// count, idle-skip setting and failure budget. onResult, when non-nil,
+// observes each finished cell by its position in idx.
+func (opts *DurableOpts) run(ctx context.Context, src []runner.Cell, idx []int, onResult func(j int, r *runner.Result)) []runner.Result {
+	cells := make([]runner.Cell, len(idx))
+	for j, i := range idx {
+		cells[j] = src[i]
+		cells[j].Config.DisableIdleSkip = opts.DisableIdleSkip
+	}
+	retries := opts.Retries
+	if retries == 0 {
+		retries = 1 // the default single retry; negative means none
+	}
+	return runner.RunCellsCtx(ctx, cells, runner.Options{Workers: opts.Workers,
+		Retries: retries, Backoff: opts.Backoff, Deadline: opts.Deadline, OnResult: onResult})
+}
+
 // resolveRefs fills refBase for every reference cell some missed cell
-// depends on: from the cache when possible, by simulation otherwise
+// depends on: from the cache when there is one, by simulation otherwise
 // (writing the baseline back). A failed reference leaves its baseline
-// at zero — dependents report no slowdown, matching Grid.Run.
+// at zero, so its dependents report no slowdown.
 func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int, refBase map[int]float64) error {
 	needed := map[int]bool{}
 	for _, i := range missed {
@@ -396,7 +401,10 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int,
 	if len(needed) == 0 {
 		return nil
 	}
-	rkeys := g.refKeys()
+	var rkeys []string
+	if opts.Store != nil {
+		rkeys = g.refKeys()
+	}
 	var torun []int
 	for r := range needed {
 		if opts.Store != nil {
@@ -410,17 +418,7 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int,
 	if len(torun) == 0 {
 		return nil
 	}
-	cells := make([]runner.Cell, len(torun))
-	for ti, r := range torun {
-		cells[ti] = g.refCells[r]
-		cells[ti].Config.DisableIdleSkip = opts.DisableIdleSkip
-	}
-	ropts := runner.Options{Workers: opts.Workers, Retries: opts.Retries,
-		Backoff: opts.Backoff, Deadline: opts.Deadline}
-	if ropts.Retries == 0 {
-		ropts.Retries = 1
-	}
-	res := runner.RunCellsCtx(ctx, cells, ropts)
+	res := opts.run(ctx, g.refCells, torun, nil)
 	for ti, r := range torun {
 		if res[ti].Failed() {
 			continue
@@ -460,13 +458,7 @@ func (g *Grid) verifyHits(ctx context.Context, opts *DurableOpts, hitIdx []int, 
 	if err := g.resolveRefs(ctx, opts, sample, refBase); err != nil {
 		return err
 	}
-	cells := make([]runner.Cell, len(sample))
-	for si, i := range sample {
-		cells[si] = g.cells[i]
-		cells[si].Config.DisableIdleSkip = opts.DisableIdleSkip
-	}
-	res := runner.RunCellsCtx(ctx, cells, runner.Options{Workers: opts.Workers,
-		Retries: 1, Deadline: opts.Deadline})
+	res := opts.run(ctx, g.cells, sample, nil)
 	for si, i := range sample {
 		if res[si].Err == runner.ErrSkipped {
 			continue

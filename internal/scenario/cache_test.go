@@ -32,6 +32,17 @@ func gridOf(t *testing.T, toml string) *Grid {
 	return g
 }
 
+// runGrid runs g through RunDurable without a store — no keys, no
+// cache, every cell executed — and returns its rows.
+func runGrid(t *testing.T, g *Grid, opts RunOpts) []Result {
+	t.Helper()
+	rep, err := g.RunDurable(context.Background(), DurableOpts{RunOpts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Results
+}
+
 // zeroWall returns a copy of the rows with the wall-clock columns — the
 // one legitimately non-deterministic part of a result — cleared, so
 // separately-executed runs can be compared bit-for-bit.
@@ -240,6 +251,8 @@ think_times = [0]
 
 // TestCacheKeyTraceDigest pins the replay rule: a cell's key follows the
 // trace file's *content*, so editing a trace in place retires its rows.
+// Only a cached run digests the file: without a store RunDurable keys
+// nothing, so a grid expanded before the file is deleted still runs.
 func TestCacheKeyTraceDigest(t *testing.T) {
 	dir := t.TempDir()
 	rec := recordRun(t)
@@ -256,7 +269,7 @@ func TestCacheKeyTraceDigest(t *testing.T) {
 		"topology = \"mesh_x1\"\nqos = [\"pvc\"]\nwarmup = 200\nmeasure = 800\n[workload]\ntrace = \"t.trace\"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	load := func() []string {
+	grid := func() *Grid {
 		sc, err := Load(scPath)
 		if err != nil {
 			t.Fatal(err)
@@ -265,7 +278,10 @@ func TestCacheKeyTraceDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys, err := g.Keys()
+		return g
+	}
+	load := func() []string {
+		keys, err := grid().Keys()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,6 +302,14 @@ func TestCacheKeyTraceDigest(t *testing.T) {
 	}
 	if k3 := load(); reflect.DeepEqual(k1, k3) {
 		t.Fatal("edited trace kept its cache keys")
+	}
+
+	g := grid()
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if rows := runGrid(t, g, RunOpts{Workers: 1}); rows[0].Error != "" || rows[0].Delivered == 0 {
+		t.Fatalf("uncached replay after the trace was deleted: %+v", rows[0])
 	}
 }
 
@@ -316,7 +340,7 @@ func TestRunDurableCacheLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := gridOf(t, src)
-			plain := g.Run(RunOpts{Workers: 1})
+			plain := runGrid(t, g, RunOpts{Workers: 1})
 
 			first, err := gridOf(t, src).RunDurable(context.Background(), DurableOpts{Store: st})
 			if err != nil {
@@ -326,7 +350,7 @@ func TestRunDurableCacheLifecycle(t *testing.T) {
 				t.Fatalf("first run: %+v, want all executed", first)
 			}
 			if !reflect.DeepEqual(zeroWall(first.Results), zeroWall(plain)) {
-				t.Fatalf("durable run diverged from Grid.Run:\n%+v\n%+v", first.Results, plain)
+				t.Fatalf("cached run diverged from the uncached one:\n%+v\n%+v", first.Results, plain)
 			}
 
 			second, err := gridOf(t, src).RunDurable(context.Background(), DurableOpts{Store: st})
@@ -387,7 +411,7 @@ func TestRunDurableResumeCompletesPartialCache(t *testing.T) {
 	if rep.Hits != 1 || rep.Executed != 1 {
 		t.Fatalf("resume: hits %d executed %d, want 1/1", rep.Hits, rep.Executed)
 	}
-	uninterrupted := gridOf(t, durableToml).Run(RunOpts{Workers: 1})
+	uninterrupted := runGrid(t, gridOf(t, durableToml), RunOpts{Workers: 1})
 	resumed, fresh := zeroWall(rep.Results), zeroWall(uninterrupted)
 	if !reflect.DeepEqual(resumed, fresh) {
 		t.Fatalf("resumed table diverges from uninterrupted run:\n%+v\n%+v", rep.Results, uninterrupted)
@@ -434,7 +458,7 @@ func TestRunDurableCancellation(t *testing.T) {
 
 // TestRunDurableVictimBaselineCached pins the reference-cell contract:
 // victim-slowdown rows cache and re-serve without re-running the hidden
-// reference cells, and a fully-cached re-run matches Grid.Run exactly.
+// reference cells, and a cached run matches an uncached one exactly.
 func TestRunDurableVictimBaselineCached(t *testing.T) {
 	toml := `
 topology = "mesh_x1"
@@ -460,7 +484,7 @@ dest = 7
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := gridOf(t, toml).Run(RunOpts{Workers: 1})
+	plain := runGrid(t, gridOf(t, toml), RunOpts{Workers: 1})
 	if plain[0].VictimSlowdown <= 1 {
 		t.Fatalf("scenario does not exercise the slowdown column: %+v", plain[0])
 	}
@@ -469,7 +493,7 @@ dest = 7
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(zeroWall(first.Results), zeroWall(plain)) {
-		t.Fatal("durable victim run diverges from Grid.Run")
+		t.Fatal("cached victim run diverges from the uncached one")
 	}
 	second, err := gridOf(t, toml).RunDurable(context.Background(), DurableOpts{Store: st})
 	if err != nil {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -45,10 +46,10 @@ func healthy(p Point) Point {
 }
 
 // Degrade expands and runs the faulted scenario and its fault-free
-// baseline, and joins the results per point. The scenario must schedule
-// faults or arm recovery — a degradation sweep of a healthy network is a
-// no-op by construction.
-func Degrade(sc *Scenario, opts RunOpts) ([]DegradeRow, error) {
+// baseline through RunDurable with opts, and joins the results per point.
+// The scenario must schedule faults or arm recovery — a degradation sweep
+// of a healthy network is a no-op by construction.
+func Degrade(ctx context.Context, sc *Scenario, opts DurableOpts) ([]DegradeRow, error) {
 	if len(sc.FaultWindows) == 0 {
 		return nil, fmt.Errorf("scenario %s: degrade needs a [faults] table with fault windows", sc.Name)
 	}
@@ -65,14 +66,20 @@ func Degrade(sc *Scenario, opts RunOpts) ([]DegradeRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	fres := fg.Run(opts)
-	bres := bg.Run(opts)
-	baseBy := make(map[Point]Result, len(bres))
-	for _, r := range bres {
+	frep, err := fg.RunDurable(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	brep, err := bg.RunDurable(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	baseBy := make(map[Point]Result, len(brep.Results))
+	for _, r := range brep.Results {
 		baseBy[healthy(r.Point)] = r
 	}
-	rows := make([]DegradeRow, len(fres))
-	for i, r := range fres {
+	rows := make([]DegradeRow, len(frep.Results))
+	for i, r := range frep.Results {
 		row := DegradeRow{
 			Point:             r.Point,
 			DeliveredFraction: r.DeliveredFraction,

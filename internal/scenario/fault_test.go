@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -72,7 +73,7 @@ until = 3500
 			t.Errorf("cell %d fault config: %+v wd=%d", i, cfg.Faults, cfg.WatchdogCycles)
 		}
 	}
-	results := g.Run(RunOpts{Workers: 2})
+	results := runGrid(t, g, RunOpts{Workers: 2})
 	for i, r := range results {
 		if r.Error != "" {
 			t.Fatalf("row %d failed: %s", i, r.Error)
@@ -168,7 +169,7 @@ role = "aggressor"
 	if g.Size() != 2 || len(g.refCells) != 2 {
 		t.Fatalf("grid %d cells, %d ref cells; want 2, 2", g.Size(), len(g.refCells))
 	}
-	results := g.Run(RunOpts{Workers: 1})
+	results := runGrid(t, g, RunOpts{Workers: 1})
 	if len(results) != 2 {
 		t.Fatalf("got %d result rows, want 2 (reference cells must stay hidden)", len(results))
 	}
@@ -185,7 +186,7 @@ role = "aggressor"
 	if results[1].VictimSlowdown <= 1 {
 		t.Errorf("no-qos victim slowdown %v, want > 1", results[1].VictimSlowdown)
 	}
-	again := g.Run(RunOpts{Workers: 4})
+	again := runGrid(t, g, RunOpts{Workers: 4})
 	for i := range again {
 		// Wall-clock is legitimately non-deterministic across runs.
 		results[i].Wall, results[i].CyclesPerSec = 0, 0
@@ -220,7 +221,7 @@ until = 3000
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Degrade(sc, RunOpts{Workers: 2})
+	rows, err := Degrade(context.Background(), sc, DurableOpts{RunOpts: RunOpts{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ until = 3000
 	}
 
 	sc.FaultWindows = nil
-	if _, err := Degrade(sc, RunOpts{}); err == nil {
+	if _, err := Degrade(context.Background(), sc, DurableOpts{}); err == nil {
 		t.Error("degrade accepted a scenario without fault windows")
 	}
 }
@@ -280,7 +281,7 @@ from = 500
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := g.Run(RunOpts{Workers: 1})
+	results := runGrid(t, g, RunOpts{Workers: 1})
 	if len(results) != 1 {
 		t.Fatalf("got %d rows, want 1", len(results))
 	}

@@ -82,7 +82,7 @@ trace = "../../examples/traces/uniform-mesh_x1.trace"
 func goldenRowsCSV(t *testing.T) string {
 	var b strings.Builder
 	for i, c := range goldenCells {
-		rows := gridOf(t, c.toml).Run(RunOpts{Workers: 1})
+		rows := runGrid(t, gridOf(t, c.toml), RunOpts{Workers: 1})
 		if len(rows) != 1 || rows[0].Error != "" || !c.covers(&rows[0]) {
 			t.Fatalf("%s: golden cell does not exercise its kind's columns: %+v", c.name, rows)
 		}

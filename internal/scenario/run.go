@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -62,10 +61,11 @@ type Grid struct {
 	refCells []runner.Cell
 }
 
-// cellMeta carries what Run needs beyond the cell itself: the flows the
-// fairness dispersion is computed over (open/flows/replay cells) or the
-// closed-loop marker (dispersion over clients instead), plus the victim
-// flows and the reference cell their slowdown is measured against.
+// cellMeta carries what RunDurable needs beyond the cell itself: the
+// flows the fairness dispersion is computed over (open/flows/replay
+// cells) or the closed-loop marker (dispersion over clients instead),
+// plus the victim flows and the reference cell their slowdown is
+// measured against.
 type cellMeta struct {
 	active  []noc.FlowID
 	closed  bool
@@ -422,43 +422,6 @@ type Result struct {
 	Timeline *telemetry.Timeline
 }
 
-// Run executes every cell across the parallel runner and collects the
-// results in grid order — deterministic and bit-identical for any worker
-// count, with or without idle skipping. Hidden victim-only reference
-// cells ride the same pool after the visible grid. A cell that fails on
-// every runner attempt (tripped watchdog, failed audit) yields a row with
-// its Error set and the rest of the grid intact.
-func (g *Grid) Run(opts RunOpts) []Result {
-	cells := make([]runner.Cell, 0, len(g.cells)+len(g.refCells))
-	cells = append(cells, g.cells...)
-	cells = append(cells, g.refCells...)
-	for i := range cells {
-		cells[i].Config.DisableIdleSkip = opts.DisableIdleSkip
-	}
-	ropts := runner.Options{Workers: opts.Workers, Retries: 1}
-	if opts.OnCell != nil {
-		onCell := opts.OnCell
-		nvis := len(g.cells)
-		ropts.OnResult = func(i int, r *runner.Result) {
-			// Hidden victim-reference cells stay out of the accounting.
-			if i < nvis {
-				onCell(cellEventOf(i, r))
-			}
-		}
-	}
-	res := runner.RunCellsCtx(context.Background(), cells, ropts)
-	refRes := res[len(g.cells):]
-	out := make([]Result, len(g.cells))
-	for i := range res[:len(g.cells)] {
-		base := 0.0
-		if m := g.meta[i]; len(m.victims) > 0 && !refRes[m.ref].Failed() {
-			base = victimMeanLatency(refRes[m.ref].Stats, m.victims)
-		}
-		out[i] = g.row(i, &res[i], base)
-	}
-	return out
-}
-
 // cellEventOf derives the live accounting record of one finished cell
 // from its runner result.
 func cellEventOf(i int, r *runner.Result) CellEvent {
@@ -475,9 +438,9 @@ func cellEventOf(i int, r *runner.Result) CellEvent {
 
 // row computes the result row of grid point i from its runner result and
 // the victim-reference latency baseline (0 when the point has no victims
-// or the reference failed). It is the single row-derivation path shared
-// by Run and the durable sweep, so cached and freshly-computed rows can
-// never drift.
+// or the reference failed). It is RunDurable's single row-derivation
+// path for executed misses and verification re-runs alike, so cached and
+// freshly-computed rows can never drift.
 func (g *Grid) row(i int, r *runner.Result, base float64) Result {
 	out := Result{Point: g.Points[i], Attempts: r.Attempts}
 	if r.Failed() {

@@ -242,7 +242,7 @@ func TestFig4QuickScenarioBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := g.Run(RunOpts{})
+	got := runGrid(t, g, RunOpts{})
 
 	p := experiments.QuickParams()
 	rates := experiments.QuickFig4Rates()
@@ -338,7 +338,7 @@ func TestPatternsSweepCoversAllTopologiesAndModes(t *testing.T) {
 	if want := 4 * 5 * 3; g.Size() != want {
 		t.Fatalf("grid size %d, want %d", g.Size(), want)
 	}
-	results := g.Run(RunOpts{})
+	results := runGrid(t, g, RunOpts{})
 	seen := map[string]bool{}
 	for _, r := range results {
 		if r.Delivered == 0 {
@@ -370,7 +370,7 @@ func TestSweepDeterministicAcrossWorkersAndSkip(t *testing.T) {
 			rs[i].Wall, rs[i].CyclesPerSec = 0, 0
 		}
 	}
-	base := g.Run(RunOpts{Workers: 1})
+	base := runGrid(t, g, RunOpts{Workers: 1})
 	stripWall(base)
 	for _, opts := range []RunOpts{
 		{Workers: 0},
@@ -378,7 +378,7 @@ func TestSweepDeterministicAcrossWorkersAndSkip(t *testing.T) {
 		{Workers: 1, DisableIdleSkip: true},
 		{Workers: 0, DisableIdleSkip: true},
 	} {
-		got := g.Run(opts)
+		got := runGrid(t, g, opts)
 		stripWall(got)
 		if !reflect.DeepEqual(base, got) {
 			t.Errorf("results diverged for %+v", opts)
@@ -395,7 +395,7 @@ func TestCSVAndJSONEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := g.Run(RunOpts{})
+	res := runGrid(t, g, RunOpts{})
 	csv := CSV("emit-test", res)
 	if lines := strings.Count(csv, "\n"); lines != 2 {
 		t.Errorf("CSV has %d lines, want header + 1 row:\n%s", lines, csv)

@@ -148,7 +148,7 @@ func soundRun(t *testing.T, g *Grid) ([]string, []soundRow) {
 		t.Fatal(err)
 	}
 	var rows []soundRow
-	for _, r := range g.Run(RunOpts{Workers: 1}) {
+	for _, r := range runGrid(t, g, RunOpts{Workers: 1}) {
 		r.Wall, r.CyclesPerSec, r.Attempts, r.Timeline = 0, 0, 0, nil
 		rows = append(rows, soundRow{res: r})
 	}

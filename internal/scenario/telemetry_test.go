@@ -72,8 +72,8 @@ func stripTimelines(rs []Result) []Result {
 // produces bit-identical result rows — which is exactly why the
 // telemetry knobs stay out of the cache key.
 func TestProbedGridEquivalentToUnprobed(t *testing.T) {
-	plain := gridOf(t, telemetryBase).Run(RunOpts{Workers: 1})
-	probed := gridOf(t, telemetryBase+"[telemetry]\ninterval = 400\n").Run(RunOpts{Workers: 1})
+	plain := runGrid(t, gridOf(t, telemetryBase), RunOpts{Workers: 1})
+	probed := runGrid(t, gridOf(t, telemetryBase+"[telemetry]\ninterval = 400\n"), RunOpts{Workers: 1})
 	for i := range probed {
 		if probed[i].Timeline == nil || probed[i].Timeline.Samples() == 0 {
 			t.Fatalf("cell %d: probed run carries no timeline", i)
@@ -106,7 +106,7 @@ func TestTelemetryCacheKeysUnchanged(t *testing.T) {
 func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 	src := telemetryBase + "[telemetry]\ninterval = 400\ntop_flows = 4\n"
 	collect := func(opts RunOpts) [][]byte {
-		results := gridOf(t, src).Run(opts)
+		results := runGrid(t, gridOf(t, src), opts)
 		blobs := make([][]byte, len(results))
 		for i, r := range results {
 			if r.Error != "" {
@@ -139,7 +139,7 @@ func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 // end-to-end: the runner arms samplers with the scenario's
 // warmup+measure horizon, so an in-schedule run drops nothing.
 func TestTelemetryHorizonFollowsSchedule(t *testing.T) {
-	results := gridOf(t, telemetryBase+"[telemetry]\ninterval = 100\n").Run(RunOpts{Workers: 1})
+	results := runGrid(t, gridOf(t, telemetryBase+"[telemetry]\ninterval = 100\n"), RunOpts{Workers: 1})
 	for i, r := range results {
 		tl := r.Timeline
 		if tl.DroppedSamples != 0 || tl.DroppedMarks != 0 {

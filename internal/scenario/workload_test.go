@@ -155,7 +155,7 @@ think_time = [0, 30]
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := g2.Run(RunOpts{Workers: 1})
+	res := runGrid(t, g2, RunOpts{Workers: 1})
 	if len(res) != 1 {
 		t.Fatalf("%d results", len(res))
 	}
@@ -182,7 +182,7 @@ func TestOpenCellsCarryFairnessDispersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := g.Run(RunOpts{Workers: 1})
+	res := runGrid(t, g, RunOpts{Workers: 1})
 	r := res[0]
 	if r.TputMinPct <= 0 || r.TputMaxPct < 100 || r.TputStdDevPct <= 0 {
 		t.Errorf("dispersion not populated: min %.2f max %.2f sd %.2f", r.TputMinPct, r.TputMaxPct, r.TputStdDevPct)
@@ -221,7 +221,7 @@ func TestTraceAxisGridExpansion(t *testing.T) {
 	if g.Size() != 2 {
 		t.Fatalf("grid has %d cells, want 2", g.Size())
 	}
-	res := g.Run(RunOpts{Workers: 1})
+	res := runGrid(t, g, RunOpts{Workers: 1})
 	for _, r := range res {
 		if !strings.HasPrefix(r.Workload, "replay:") {
 			t.Errorf("replay cell labeled %q", r.Workload)

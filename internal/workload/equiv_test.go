@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"tanoq/internal/network"
@@ -104,7 +105,7 @@ func TestClosedLoopWorkerCountDeterminism(t *testing.T) {
 		return cells
 	}
 	fingerprints := func(workers int) []closedFingerprint {
-		res := runner.RunCells(buildCells(), workers)
+		res := runner.RunCellsCtx(context.Background(), buildCells(), runner.Options{Workers: workers, Retries: 1})
 		out := make([]closedFingerprint, len(res))
 		for i, r := range res {
 			ct := r.Aux.(*Controller)

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -168,12 +169,23 @@ func (r *traceReader) uvarint(what string) uint64 {
 	return v
 }
 
+// int reads a uvarint that must fit a non-negative int, as every
+// header count, cycle and index does: a larger value is a corrupt file,
+// not a negative field.
+func (r *traceReader) int(what string) int {
+	v := r.uvarint(what)
+	if v > math.MaxInt && r.err == nil {
+		r.err = fmt.Errorf("workload: trace %s %d out of range", what, v)
+	}
+	return int(v)
+}
+
 func (r *traceReader) str(what string) string {
-	n := int(r.uvarint(what + " length"))
+	n := r.int(what + " length")
 	if r.err != nil {
 		return ""
 	}
-	if n < 0 || r.pos+n > len(r.buf) {
+	if n > len(r.buf)-r.pos {
 		r.err = fmt.Errorf("workload: trace truncated reading %s", what)
 		return ""
 	}
@@ -195,28 +207,28 @@ func DecodeTrace(blob []byte) (*Trace, error) {
 	}
 	r := &traceReader{buf: blob, pos: len(traceMagic) + 1}
 	t := &Trace{}
-	t.Header.Nodes = int(r.uvarint("nodes"))
+	t.Header.Nodes = r.int("nodes")
 	t.Header.Seed = r.uvarint("seed")
-	t.Header.Warmup = int(r.uvarint("warmup"))
-	t.Header.Measure = int(r.uvarint("measure"))
-	t.Header.FrameCycles = int(r.uvarint("frame_cycles"))
-	t.Header.WindowPackets = int(r.uvarint("window_packets"))
-	t.Header.QuantumFlits = int(r.uvarint("quantum_flits"))
-	t.Header.MarginClasses = int(r.uvarint("margin_classes"))
+	t.Header.Warmup = r.int("warmup")
+	t.Header.Measure = r.int("measure")
+	t.Header.FrameCycles = r.int("frame_cycles")
+	t.Header.WindowPackets = r.int("window_packets")
+	t.Header.QuantumFlits = r.int("quantum_flits")
+	t.Header.MarginClasses = r.int("margin_classes")
 	t.Header.Topology = r.str("topology")
 	t.Header.QoS = r.str("qos")
 	if version == traceVersionV2 {
-		t.Header.RetryTimeout = sim.Cycle(r.uvarint("retry timeout"))
-		t.Header.MaxRetries = int(r.uvarint("max retries"))
-		t.Header.WatchdogCycles = sim.Cycle(r.uvarint("watchdog cycles"))
+		t.Header.RetryTimeout = sim.Cycle(r.int("retry timeout"))
+		t.Header.MaxRetries = r.int("max retries")
+		t.Header.WatchdogCycles = sim.Cycle(r.int("watchdog cycles"))
 		windows := r.uvarint("fault window count")
 		for i := uint64(0); i < windows && r.err == nil; i++ {
 			w := noc.FaultWindow{
 				Kind:  noc.FaultKind(r.uvarint("fault kind")),
-				Port:  int(r.uvarint("fault port")),
-				Node:  int(r.uvarint("fault node")),
-				From:  sim.Cycle(r.uvarint("fault from")),
-				Until: sim.Cycle(r.uvarint("fault until")),
+				Port:  r.int("fault port"),
+				Node:  r.int("fault node"),
+				From:  sim.Cycle(r.int("fault from")),
+				Until: sim.Cycle(r.int("fault until")),
 			}
 			if r.err != nil {
 				break
@@ -234,6 +246,11 @@ func DecodeTrace(blob []byte) (*Trace, error) {
 	}
 	if t.Header.Nodes < 2 {
 		return nil, fmt.Errorf("workload: trace header nodes %d invalid", t.Header.Nodes)
+	}
+	// A record is at least five one-byte uvarints, so a count the bytes
+	// left cannot hold is rejected before it sizes the allocation.
+	if left := uint64(len(blob) - r.pos); count > left/5 {
+		return nil, fmt.Errorf("workload: trace claims %d records in %d bytes", count, left)
 	}
 	flows := t.Header.Nodes * topology.InjectorsPerNode
 	t.Records = make([]traffic.TraceRecord, 0, count)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -184,11 +185,20 @@ func TestWatchdogReproTraceReplays(t *testing.T) {
 	}
 }
 
+// header returns a version-1 trace prefix up to the topology string:
+// magic, version, eight nodes, and a zero seed, schedule and QoS
+// overrides.
+func header() []byte {
+	return []byte("TQTR\x01\x08\x00\x00\x00\x00\x00\x00\x00")
+}
+
 // TestTraceDecodeRejectsGarbage pins the decoder's error surface: bad
 // magic, bad version, truncations at several depths, invalid record
 // fields and trailing bytes must all fail cleanly, never panic.
 func TestTraceDecodeRejectsGarbage(t *testing.T) {
 	valid := sampleTrace().Encode()
+	v2 := header()
+	v2[4] = traceVersionV2
 	cases := map[string][]byte{
 		"empty":         {},
 		"bad magic":     []byte("NOPE\x01"),
@@ -197,6 +207,14 @@ func TestTraceDecodeRejectsGarbage(t *testing.T) {
 		"mid header":    valid[:12],
 		"mid records":   valid[:len(valid)-3],
 		"trailing junk": append(append([]byte{}, valid...), 0x01),
+		// Lengths the bytes left cannot hold: a record count that would
+		// size a 2^40-record allocation (21 bytes), and a topology-string
+		// length whose end offset overflows int (22 bytes).
+		"record count 2^40":      binary.AppendUvarint(append(header(), 0, 0), 1<<40),
+		"topology length 2^63-3": binary.AppendUvarint(header(), 1<<63-3),
+		// A header integer past MaxInt would decode negative; a negative
+		// retry timeout alone also makes Encode drop the fault section.
+		"retry timeout 2^63": append(binary.AppendUvarint(append(v2, 0, 0), 1<<63), 0, 0, 0, 0, 0),
 	}
 	for name, blob := range cases {
 		if _, err := DecodeTrace(blob); err == nil {
