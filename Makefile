@@ -18,9 +18,11 @@ vet:
 test:
 	go test ./...
 
-# lint mirrors CI's static-analysis job: vet always, staticcheck when the
-# tool is installed (go install honnef.co/go/tools/cmd/staticcheck@latest).
+# lint mirrors CI's static-analysis job: vet and gofmt always (any file
+# gofmt would rewrite fails the target), staticcheck when the tool is
+# installed (go install honnef.co/go/tools/cmd/staticcheck@latest).
 lint: vet
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "lint: gofmt would reformat:"; echo "$$out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -52,6 +52,15 @@ func addSimFlags(fs *flag.FlagSet) *simFlags {
 	return s
 }
 
+// check refuses a shared flag value no run can honour. The runner reads
+// a negative worker count as "one per CPU", which -parallel spells 0.
+func (s *simFlags) check() error {
+	if s.parallel < 0 {
+		return fmt.Errorf("-parallel %d: want 0 (one worker per CPU) or a positive worker count", s.parallel)
+	}
+	return nil
+}
+
 // explicitFlags reports which flags the user actually passed (by name);
 // parse the set first.
 func explicitFlags(fs *flag.FlagSet) map[string]bool {
@@ -128,40 +137,17 @@ func (lo layerOpts) runOpts(sc *scenario.Scenario) scenario.DurableOpts {
 	}
 }
 
-// loadLayered resolves a scenario argument ("file", "file#profile", or a
-// built-in name) through the layered resolver. Built-ins predate the raw
-// key-value tree, so only the dedicated schedule flags apply to them;
-// profiles and -set need a file. The Resolution is nil for built-ins.
+// loadLayered resolves a scenario argument ("file" or "file#profile")
+// through the layered resolver. It is the first thing every
+// scenario-running subcommand does, so it also refuses the flag values
+// the decoder never sees.
 func loadLayered(arg string, lo layerOpts) (*scenario.Scenario, *scenario.Resolution, error) {
+	if err := lo.sim.check(); err != nil {
+		return nil, nil, err
+	}
 	path, prof := scenario.SplitProfile(arg)
 	if lo.profile != "" {
 		prof = lo.profile
-	}
-	if !fileScenario(path) {
-		if prof != "" || len(lo.set) > 0 {
-			return nil, nil, fmt.Errorf("scenario %q is a built-in: -profile and -set need a scenario file", path)
-		}
-		sc, err := scenario.Load(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		if lo.sim.quick {
-			q := experiments.QuickParams()
-			sc.Warmup, sc.Measure = q.Warmup, q.Measure
-		}
-		if lo.explicit["seed"] {
-			sc.Seeds = []uint64{lo.params.Seed}
-		}
-		if lo.explicit["warmup"] {
-			sc.Warmup = lo.params.Warmup
-		}
-		if lo.explicit["measure"] {
-			sc.Measure = lo.params.Measure
-		}
-		if err := sc.Validate(); err != nil {
-			return nil, nil, err
-		}
-		return sc, nil, nil
 	}
 	layers := []scenario.Layer{scenario.FileLayer(path)}
 	if prof != "" {
@@ -186,13 +172,4 @@ func loadLayered(arg string, lo layerOpts) (*scenario.Scenario, *scenario.Resolu
 		layers = append(layers, scenario.SetLayer(lo.set...))
 	}
 	return scenario.Resolve(layers...)
-}
-
-// fileScenario reports whether a scenario argument names a file (exists,
-// or looks like a path) rather than a built-in scenario.
-func fileScenario(p string) bool {
-	if _, err := os.Stat(p); err == nil {
-		return true
-	}
-	return strings.ContainsAny(p, "/\\.")
 }

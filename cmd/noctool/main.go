@@ -11,15 +11,17 @@
 //
 //	sweep <scenario>[#profile]
 //	            expand and run a declarative scenario file (.json/.toml,
-//	            see internal/scenario) or built-in scenario name. Files
-//	            resolve through the layered pipeline — defaults < include
-//	            chain < file < -profile (or a #profile suffix) <
-//	            TANOQ_SET_* environment < -quick/-seed/-warmup/-measure <
-//	            -set key=value — and -explain prints the resolved keys
-//	            with per-key provenance instead of running. With -cache
-//	            (or cache = true in the scenario's [run] table) the sweep
-//	            runs durably: cell results are memoized in a
-//	            content-addressed store under -cache-dir, completed cells
+//	            see internal/scenario; the paper's grids are under
+//	            examples/paper/). Files resolve through the layered
+//	            pipeline — defaults < include chain < file < -profile (or
+//	            a #profile suffix) < TANOQ_SET_* environment <
+//	            -quick/-seed/-warmup/-measure < -set key=value, the one
+//	            spelling of every other scenario key (run.retries,
+//	            telemetry.interval, ...) — and -explain prints the
+//	            resolved keys with per-key provenance instead of running.
+//	            With -cache (or cache = true in the scenario's [run]
+//	            table) the sweep runs durably: cell results are memoized
+//	            in a content-addressed store under -cache-dir, completed cells
 //	            are journaled as they finish, SIGINT/SIGTERM drains
 //	            in-flight cells and checkpoints before exiting, and
 //	            -resume serves the finished rows from the cache and runs
@@ -41,11 +43,11 @@
 //
 //	timeline <scenario>[#profile]
 //	            run a scenario with in-run telemetry probes ([telemetry]
-//	            table or -interval) and print each cell's per-interval
-//	            time series as a compact table, the per-router VC
-//	            occupancy heatmap (-heatmap), or JSON/CSV (-json, -out);
-//	            probes ride the event calendar, so results stay
-//	            bit-identical to an unprobed run
+//	            table or -set telemetry.interval=N) and print each cell's
+//	            per-interval time series as a compact table, the
+//	            per-router VC occupancy heatmap (-heatmap), or JSON/CSV
+//	            (-json, -out); probes ride the event calendar, so results
+//	            stay bit-identical to an unprobed run
 //
 //	trace record <scenario>[#profile]   capture a single-cell scenario's
 //	            injection stream into a binary trace (-out names the
@@ -125,10 +127,11 @@ func usage() {
        noctool [flags] <experiment>...
 
 subcommands (run noctool <cmd> -h for that command's flags):
-  sweep <scenario>[#profile]    expand and run a scenario file or built-in;
-                                layered resolution (includes, profiles,
-                                TANOQ_SET_* env, -set), -explain provenance,
-                                durable -cache/-resume execution
+  sweep <scenario>[#profile]    expand and run a scenario file (the paper's
+                                grids are in examples/paper/); layered
+                                resolution (includes, profiles, TANOQ_SET_*
+                                env, -set), -explain provenance, durable
+                                -cache/-resume execution
   degrade <scenario>[#profile]  faulted scenario vs fault-free baseline
   timeline <scenario>[#profile] run with telemetry probes; per-interval
                                 time-series table, heatmap, JSON/CSV
@@ -172,6 +175,9 @@ func experimentsMain(args []string) error {
 		if !slices.Contains(experimentNames, name) {
 			return fmt.Errorf("unknown experiment %q", name)
 		}
+	}
+	if err := sim.check(); err != nil {
+		return err
 	}
 	p := sim.params(explicitFlags(fs))
 	if p.Warmup < 0 || p.Measure <= 0 {

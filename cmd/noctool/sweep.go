@@ -17,9 +17,9 @@ import (
 
 // sweepOpts carries the CLI state the sweep subcommand layers over a
 // scenario file: the resolver layers (profile, env, schedule flags,
-// -set), output format, and the durable-execution knobs. The durable
-// knobs (cache and per-cell deadline/retry budget) never change results,
-// only whether and how cells execute, so they stay out of cache keys.
+// -set), output format, and the cache knobs, which never change results,
+// only whether cells execute. The per-cell deadline and retry budget are
+// scenario keys ([run], set with -set run.deadline_ms=...).
 type sweepOpts struct {
 	layers  layerOpts
 	csv     bool
@@ -30,9 +30,6 @@ type sweepOpts struct {
 	cacheDir string
 	resume   bool
 	verify   int
-	deadline time.Duration
-	retries  int
-	backoff  time.Duration
 
 	httpAddr     string
 	httpLinger   time.Duration
@@ -43,10 +40,11 @@ type sweepOpts struct {
 // sweepMain parses the sweep subcommand's flags and runs the sweep.
 func sweepMain(args []string) error {
 	fs := newFlagSet("sweep", "noctool sweep [flags] <scenario>[#profile]",
-		`Expand and run a declarative scenario file (.json/.toml) or built-in
-scenario name. Files resolve through the layered pipeline — defaults <
-include chain < file < profile < TANOQ_SET_* env < schedule flags <
--set — and -explain prints every resolved key with its provenance.`)
+		`Expand and run a declarative scenario file (.json/.toml; the paper's
+grids are under examples/paper/). Files resolve through the layered
+pipeline — defaults < include chain < file < profile < TANOQ_SET_* env <
+schedule flags < -set — and -explain prints every resolved key with its
+provenance.`)
 	layers := addLayerFlags(fs, "")
 	csv := fs.Bool("csv", false, "emit CSV instead of tables")
 	out := fs.String("out", "", "output path for the sweep's JSON report")
@@ -55,9 +53,6 @@ include chain < file < profile < TANOQ_SET_* env < schedule flags <
 	cacheDir := fs.String("cache-dir", store.DefaultDir, "result store directory")
 	resume := fs.Bool("resume", false, "resume an interrupted sweep from the cache (implies -cache)")
 	cacheVerify := fs.Int("cache-verify", 0, "re-execute up to N cached hits and fail on divergence")
-	deadline := fs.Duration("deadline", 0, "wall-clock budget per cell (0 = none)")
-	retries := fs.Int("retries", 1, "extra attempts per failed cell (0 disables retries)")
-	backoff := fs.Duration("backoff", 0, "base retry delay, doubling per attempt")
 	httpAddr := fs.String("http", "", "serve live Prometheus /metrics and /debug/pprof on `addr` while the sweep runs")
 	httpLinger := fs.Duration("http-linger", 0, "keep the -http endpoint up this long after the sweep finishes")
 	progress := fs.Bool("progress", false, "print throttled progress lines with an ETA to stderr")
@@ -65,12 +60,11 @@ include chain < file < profile < TANOQ_SET_* env < schedule flags <
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return fmt.Errorf("sweep needs exactly one scenario file or built-in name")
+		return fmt.Errorf("sweep needs exactly one scenario file")
 	}
 	return runSweep(fs.Arg(0), sweepOpts{
 		layers: layers(), csv: *csv, outPath: *out, explain: *explain,
 		cache: *cache, cacheDir: *cacheDir, resume: *resume, verify: *cacheVerify,
-		deadline: *deadline, retries: *retries, backoff: *backoff,
 		httpAddr: *httpAddr, httpLinger: *httpLinger, progress: *progress,
 		timelinePath: *timeline,
 	})
@@ -105,17 +99,17 @@ through the same layered pipeline as sweep.`)
 // scenario's [run] table) finished rows are checkpointed to the
 // content-addressed store as they land, and -resume serves them back
 // without simulating.
-func runSweep(pathOrName string, o sweepOpts) error {
-	sc, res, err := loadLayered(pathOrName, o.layers)
+func runSweep(path string, o sweepOpts) error {
+	sc, res, err := loadLayered(path, o.layers)
 	if err != nil {
 		return err
 	}
 	if o.explain {
-		if res == nil {
-			return fmt.Errorf("scenario %q is a built-in: -explain needs a scenario file (built-ins have no layers)", pathOrName)
-		}
 		fmt.Print(res.Explain())
 		return nil
+	}
+	if o.verify < 0 {
+		return fmt.Errorf("-cache-verify %d: want the number of cached hits to re-execute (0 = none)", o.verify)
 	}
 	// Verification samples cache hits, so without a store it would check
 	// nothing and report success.
@@ -126,7 +120,7 @@ func runSweep(pathOrName string, o sweepOpts) error {
 	// An output the run could not write is refused now, not after the grid.
 	if o.timelinePath != "" {
 		if sc.Telemetry == nil {
-			return fmt.Errorf("-timeline needs a [telemetry] table in scenario %q (noctool timeline -interval N probes a scenario without one)", pathOrName)
+			return fmt.Errorf("-timeline needs a [telemetry] table in scenario %q (-set telemetry.interval=N probes a scenario without one)", path)
 		}
 		if err := checkTimelineOut(o.timelinePath); err != nil {
 			return err
@@ -140,24 +134,8 @@ func runSweep(pathOrName string, o sweepOpts) error {
 		return err
 	}
 
-	// Layer the durable knobs: the scenario's [run] table below the
-	// explicitly-set flags (same precedence as seed/warmup/measure). An
-	// explicit `-retries 0` means "no retries", which the runner spells
-	// as a negative budget; 0 there means "use the default single retry".
 	opts := o.layers.runOpts(sc)
 	opts.VerifySample = o.verify
-	if o.layers.explicit["deadline"] {
-		opts.Deadline = o.deadline
-	}
-	if o.layers.explicit["retries"] {
-		opts.Retries = o.retries
-		if o.retries == 0 {
-			opts.Retries = -1
-		}
-	}
-	if o.layers.explicit["backoff"] {
-		opts.Backoff = o.backoff
-	}
 
 	// Live accounting: the /metrics endpoint and the -progress printer
 	// share one sweepMetrics instance fed from the per-cell completion
@@ -283,13 +261,13 @@ func runSweep(pathOrName string, o sweepOpts) error {
 // as written plus a fault-free baseline, joined per point to report
 // delivered fraction, victim slowdown and latency inflation per QoS mode
 // (-out writes the CSV rows).
-func runDegrade(pathOrName string, o sweepOpts) error {
-	sc, _, err := loadLayered(pathOrName, o.layers)
+func runDegrade(path string, o sweepOpts) error {
+	sc, _, err := loadLayered(path, o.layers)
 	if err != nil {
 		return err
 	}
 	if sc.Cache {
-		return fmt.Errorf("scenario %q sets cache = true in [run]: degrade opens no store (noctool sweep caches rows)", pathOrName)
+		return fmt.Errorf("scenario %q sets cache = true in [run]: degrade opens no store (noctool sweep caches rows)", path)
 	}
 	if err := checkWritable("-out", o.outPath); err != nil {
 		return err

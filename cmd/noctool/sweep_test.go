@@ -14,6 +14,7 @@ const (
 	traceSmoke    = "../../examples/sweep/trace-smoke.toml"
 	timelineSmoke = "../../examples/sweep/timeline-smoke.toml"
 	degradeSmoke  = "../../examples/sweep/degrade.toml"
+	paperFig4b    = "../../examples/paper/fig4b.toml"
 )
 
 // captured runs fn with os.Stdout and os.Stderr swapped for pipes and
@@ -65,6 +66,15 @@ func TestBadInvocationFailsBeforeRunning(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
+		{"negative sweep workers", sweepMain,
+			[]string{"-parallel", "-3", traceSmoke},
+			"-parallel -3: want 0"},
+		{"negative experiment workers", experimentsMain,
+			[]string{"-parallel", "-2", "-quick", "preempt"},
+			"-parallel -2: want 0"},
+		{"negative cache verification sample", cachedSweep,
+			[]string{"-cache-verify", "-2", traceSmoke},
+			"-cache-verify -2: want"},
 		{"cache-verify without a store", sweepMain,
 			[]string{"-cache-verify", "2", traceSmoke},
 			"-cache-verify needs -cache, -resume or cache = true in [run]"},
@@ -179,5 +189,35 @@ func TestRunTableAppliesToEverySubcommand(t *testing.T) {
 				t.Errorf("no cell missed its 1 ms deadline:\n%s", stdout)
 			}
 		})
+	}
+}
+
+// TestPaperScenarioTakesEveryLayer pins that a paper grid resolves like
+// any scenario file: its include and profile, the TANOQ_SET_* env layer
+// and -set all reach the resolved keys, and a typo in any layer fails.
+func TestPaperScenarioTakesEveryLayer(t *testing.T) {
+	t.Setenv("TANOQ_SET_SEED", "7")
+	stdout, stderr, err := captured(t, func() error {
+		return sweepMain([]string{"-explain", "-set", "measure=100", paperFig4b + "#quick"})
+	})
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr)
+	}
+	for _, want := range []string{
+		`pattern = "tornado"`,
+		"rates = [0.01, 0.02, 0.05, 0.08, 0.11, 0.14]  # profile:quick",
+		"seed = 7 ",
+		"# env TANOQ_SET_SEED",
+		"measure = 100 ",
+		"# cli -set measure=100",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("-explain lacks %q:\n%s", want, stdout)
+		}
+	}
+	t.Setenv("TANOQ_SET_BOGUS", "1")
+	if _, _, err := captured(t, func() error { return sweepMain([]string{"-explain", paperFig4b}) }); err == nil ||
+		!strings.Contains(err.Error(), `unknown key "bogus"`) {
+		t.Errorf("TANOQ_SET_BOGUS: error = %v, want an unknown key", err)
 	}
 }

@@ -7,22 +7,18 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 
 	"tanoq/internal/scenario"
-	"tanoq/internal/sim"
 	"tanoq/internal/telemetry"
 )
 
 // timelineOpts carries the timeline subcommand's CLI state.
 type timelineOpts struct {
-	layers   layerOpts
-	interval int
-	top      int
-	series   string
-	heatmap  bool
-	asJSON   bool
-	outPath  string
+	layers  layerOpts
+	heatmap bool
+	asJSON  bool
+	outPath string
 }
 
 // timelineMain parses the timeline subcommand's flags and runs it.
@@ -31,60 +27,38 @@ func timelineMain(args []string) error {
 		`Run a scenario with in-run telemetry probes and print each cell's
 per-interval time series as a compact table (or the per-router VC
 occupancy heatmap with -heatmap). The scenario's [telemetry] table
-selects interval and series; -interval adds probes to a scenario
-without one. Probes ride the event calendar, so the simulation
+selects interval and series; -set telemetry.interval=N adds probes to a
+scenario without one. Probes ride the event calendar, so the simulation
 results are bit-identical to an unprobed run.`)
 	layers := addLayerFlags(fs, "")
-	interval := fs.Int("interval", 0, "probe interval in cycles (overrides the [telemetry] table)")
-	top := fs.Int("top", 0, "per-flow series for the top K flows (overrides the [telemetry] table)")
-	series := fs.String("series", "", "comma-separated series selection (empty = scenario's, or all)")
 	heatmap := fs.Bool("heatmap", false, "emit the per-router occupancy heatmap matrix (CSV) instead of the table")
 	asJSON := fs.Bool("json", false, "emit timelines as JSON instead of the table")
 	out := fs.String("out", "", "write to `path` instead of stdout (.json and .csv pick the format)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return fmt.Errorf("timeline needs exactly one scenario file or built-in name")
+		return fmt.Errorf("timeline needs exactly one scenario file")
 	}
 	return runTimeline(fs.Arg(0), timelineOpts{
-		layers:   layers(),
-		interval: *interval, top: *top, series: *series,
-		heatmap: *heatmap, asJSON: *asJSON, outPath: *out,
+		layers: layers(), heatmap: *heatmap, asJSON: *asJSON, outPath: *out,
 	})
 }
 
-// runTimeline resolves the scenario, arms (or overrides) its telemetry
-// table, runs the grid and renders each cell's timeline.
-func runTimeline(pathOrName string, o timelineOpts) error {
-	sc, _, err := loadLayered(pathOrName, o.layers)
+// runTimeline resolves the scenario, runs the grid with its telemetry
+// table armed and renders each cell's timeline.
+func runTimeline(path string, o timelineOpts) error {
+	sc, _, err := loadLayered(path, o.layers)
 	if err != nil {
 		return err
 	}
 	if sc.Cache {
-		return fmt.Errorf("scenario %q sets cache = true in [run]: timeline opens no store, and a cached row carries no series", pathOrName)
+		return fmt.Errorf("scenario %q sets cache = true in [run]: timeline opens no store, and a cached row carries no series", path)
 	}
 	if sc.Telemetry == nil {
-		if o.interval <= 0 {
-			return fmt.Errorf("scenario %q has no [telemetry] table: add one or pass -interval N", pathOrName)
-		}
-		sc.Telemetry = &scenario.Telemetry{}
+		return fmt.Errorf("scenario %q has no [telemetry] table: add one or pass -set telemetry.interval=N", path)
 	}
-	if o.interval > 0 {
-		sc.Telemetry.Interval = sim.Cycle(o.interval)
-	}
-	if o.top > 0 {
-		sc.Telemetry.TopFlows = o.top
-	}
-	if o.series != "" {
-		sc.Telemetry.Series = splitSeries(o.series)
-	}
-	if o.heatmap && len(sc.Telemetry.Series) > 0 && !hasSeries(sc.Telemetry.Series, telemetry.SeriesHeatmap) {
+	if o.heatmap && len(sc.Telemetry.Series) > 0 && !slices.Contains(sc.Telemetry.Series, telemetry.SeriesHeatmap) {
 		sc.Telemetry.Series = append(sc.Telemetry.Series, telemetry.SeriesHeatmap)
-	}
-	// The flag overrides bypass the decoder, so re-validate the mutated
-	// scenario before spending cycles on it.
-	if err := sc.Validate(); err != nil {
-		return err
 	}
 	if o.outPath != "" {
 		if err := checkTimelineOut(o.outPath); err != nil {
@@ -143,25 +117,6 @@ func runTimeline(pathOrName string, o timelineOpts) error {
 func pointLabel(r scenario.Result) string {
 	return fmt.Sprintf("%s/%s/%s/%s/seed%d/rate%g",
 		r.Workload, r.Pattern, r.Topology, r.Mode, r.Seed, r.Rate)
-}
-
-func splitSeries(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func hasSeries(series []string, name string) bool {
-	for _, s := range series {
-		if s == name {
-			return true
-		}
-	}
-	return false
 }
 
 // timelineJSON marshals every probed cell as {label, timeline}.

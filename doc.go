@@ -20,8 +20,8 @@
 //   - a declarative scenario subsystem: JSON/TOML files describing
 //     pattern × topology × QoS × rate × seed sweep grids, validated and
 //     expanded onto the parallel runner, with the paper's own evaluation
-//     grids available as built-in scenarios (internal/scenario,
-//     noctool sweep),
+//     grids re-expressed as scenario files under examples/paper/
+//     (internal/scenario, noctool sweep),
 //   - a closed-loop workload subsystem (internal/workload): per-node
 //     request–reply clients with a bounded window of outstanding
 //     requests and geometric think time, wired through the engine's

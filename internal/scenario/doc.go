@@ -5,8 +5,8 @@
 // parallel experiment runner. What previously required a hand-written Go
 // driver per workload (internal/experiments' figure drivers) is now a
 // small text file; the paper's own evaluation grids are re-expressed as
-// built-in scenarios (Builtin) and pinned bit-identical to the original
-// drivers by tests.
+// the scenario files under examples/paper/ and pinned bit-identical to
+// the original drivers by tests.
 //
 // # Layered resolution
 //
@@ -40,7 +40,7 @@
 // the offending file, line, key and layer (errors.Is/As compatible, with
 // ErrUnknownKey/ErrUnknownProfile/ErrIncludeCycle sentinels).
 //
-// Load (path or built-in name) and Parse (in-memory blob) remain as
+// Load (one file) and Parse (in-memory blob) remain as
 // single-layer facades over Resolve. Cache keys (Grid.Keys) are computed
 // over the resolved canonical scenario, so two routes to the same
 // resolved grid — a profile selection or a hand-flattened file — share
@@ -177,6 +177,6 @@
 //
 // A grid cell's randomness derives entirely from its (workload, seed)
 // pair, so results are bit-identical for every worker count and with
-// idle skipping on or off — the same contract the built-in experiment
+// idle skipping on or off — the same contract the paper's experiment
 // drivers carry, enforced for scenarios by this package's tests.
 package scenario

@@ -88,7 +88,8 @@ func FuzzScenarioDecode(f *testing.F) {
 	}
 	// Every shipped example file is a seed: the fuzzer starts from the
 	// real surface users feed the decoder.
-	if paths, err := filepath.Glob("../../examples/sweep/*"); err == nil {
+	for _, glob := range []string{"../../examples/sweep/*", "../../examples/paper/*"} {
+		paths, _ := filepath.Glob(glob)
 		for _, p := range paths {
 			if blob, err := os.ReadFile(p); err == nil {
 				seeds = append(seeds, string(blob))

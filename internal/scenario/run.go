@@ -47,7 +47,7 @@ type Point struct {
 // Grid is a fully-expanded scenario: the cross product of the sweep axes
 // (pattern × topology × qos × seed × rate), one independent simulation
 // cell per point, in that nesting order — the same cell layout the
-// built-in experiment drivers use, which is what makes a scenario file
+// paper's experiment drivers use, which is what makes a scenario file
 // reproduce them bit-identically.
 type Grid struct {
 	Scenario *Scenario

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"strings"
 	"time"
@@ -146,19 +145,12 @@ type FlowSpec struct {
 	Role string
 }
 
-// Load reads a scenario from a .json or .toml file, or — when the
-// argument names no existing file — from the built-in scenario registry
-// (see Builtin). The result is validated and defaulted. Load is a
-// facade over Resolve with a single file layer; callers wanting
-// includes-plus-profile-plus-override composition build the layer list
-// themselves (cmd/noctool does).
-func Load(pathOrName string) (*Scenario, error) {
-	if _, err := os.Stat(pathOrName); err != nil {
-		if os.IsNotExist(err) && !strings.ContainsAny(pathOrName, "/\\.") {
-			return Builtin(pathOrName)
-		}
-	}
-	sc, _, err := Resolve(FileLayer(pathOrName))
+// Load reads a scenario from a .json or .toml file; the result is
+// validated and defaulted. Load is a facade over Resolve with a single
+// file layer; callers wanting includes-plus-profile-plus-override
+// composition build the layer list themselves (cmd/noctool does).
+func Load(path string) (*Scenario, error) {
+	sc, _, err := Resolve(FileLayer(path))
 	return sc, err
 }
 

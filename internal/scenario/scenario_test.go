@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -229,97 +231,193 @@ func TestTOMLEscapedStrings(t *testing.T) {
 	}
 }
 
+// paperDir holds the scenario files that re-express the paper's
+// experiment drivers.
+const paperDir = "../../examples/paper/"
+
+// loadPaper resolves one examples/paper file, under a profile when
+// prof is set and at the -quick schedule when quick is.
+func loadPaper(t *testing.T, file, prof string, quick bool) *Scenario {
+	t.Helper()
+	layers := []Layer{FileLayer(paperDir + file)}
+	if prof != "" {
+		layers = append(layers, ProfileLayer(prof))
+	}
+	if quick {
+		q := experiments.QuickParams()
+		layers = append(layers, OverrideLayer("-quick",
+			fmt.Sprintf("warmup=%d", q.Warmup), fmt.Sprintf("measure=%d", q.Measure)))
+	}
+	sc, _, err := Resolve(layers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // TestFig4QuickScenarioBitIdentical is the subsystem's acceptance test:
-// the examples/sweep/fig4-quick.json scenario must reproduce the built-in
-// quick Figure 4 grid bit-identically — same workload construction, same
-// RNG streams, same cell order, same numbers.
+// the quick profiles of examples/paper/fig4a.toml and fig4b.toml must
+// reproduce the quick Figure 4 drivers bit-identically — same workload
+// construction, same RNG streams, same cell order, same numbers.
 func TestFig4QuickScenarioBitIdentical(t *testing.T) {
-	sc, err := Load("../../examples/sweep/fig4-quick.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := sc.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runGrid(t, g, RunOpts{})
-
-	p := experiments.QuickParams()
-	rates := experiments.QuickFig4Rates()
-	series := experiments.Fig4(experiments.Uniform, rates, p)
-
-	if sc.Warmup != p.Warmup || sc.Measure != p.Measure {
-		t.Fatalf("scenario schedule %d/%d drifted from QuickParams %d/%d",
-			sc.Warmup, sc.Measure, p.Warmup, p.Measure)
-	}
-	if !reflect.DeepEqual(sc.Rates, rates) {
-		t.Fatalf("scenario rates %v drifted from QuickFig4Rates %v", sc.Rates, rates)
-	}
-	if want := len(series) * len(rates); len(got) != want {
-		t.Fatalf("grid has %d cells, driver grid %d", len(got), want)
-	}
-	for ki, s := range series {
-		for ri, pt := range s.Points {
-			r := got[ki*len(rates)+ri]
-			if r.Topology != s.Kind || r.Rate != pt.Rate {
-				t.Fatalf("cell (%d,%d) is (%v, %v), want (%v, %v)", ki, ri, r.Topology, r.Rate, s.Kind, pt.Rate)
+	for file, pattern := range map[string]experiments.Pattern{
+		"fig4a.toml": experiments.Uniform,
+		"fig4b.toml": experiments.TornadoPattern,
+	} {
+		t.Run(file, func(t *testing.T) {
+			sc := loadPaper(t, file, "quick", false)
+			g, err := sc.Grid()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if r.MeanLatency != pt.MeanLatency || r.P99Latency != pt.P99Latency ||
-				r.Accepted != pt.Accepted || r.PreemptionPct != pt.PreemptionPct {
-				t.Errorf("%v rate %v: scenario (%v, %v, %v, %v) != driver (%v, %v, %v, %v)",
-					s.Kind, pt.Rate,
-					r.MeanLatency, r.P99Latency, r.Accepted, r.PreemptionPct,
-					pt.MeanLatency, pt.P99Latency, pt.Accepted, pt.PreemptionPct)
+			got := runGrid(t, g, RunOpts{})
+
+			p := experiments.QuickParams()
+			rates := experiments.QuickFig4Rates()
+			series := experiments.Fig4(pattern, rates, p)
+
+			if sc.Warmup != p.Warmup || sc.Measure != p.Measure {
+				t.Fatalf("scenario schedule %d/%d drifted from QuickParams %d/%d",
+					sc.Warmup, sc.Measure, p.Warmup, p.Measure)
 			}
-		}
+			if !reflect.DeepEqual(sc.Rates, rates) {
+				t.Fatalf("scenario rates %v drifted from QuickFig4Rates %v", sc.Rates, rates)
+			}
+			if want := len(series) * len(rates); len(got) != want {
+				t.Fatalf("grid has %d cells, driver grid %d", len(got), want)
+			}
+			for ki, s := range series {
+				for ri, pt := range s.Points {
+					r := got[ki*len(rates)+ri]
+					if r.Topology != s.Kind || r.Rate != pt.Rate {
+						t.Fatalf("cell (%d,%d) is (%v, %v), want (%v, %v)", ki, ri, r.Topology, r.Rate, s.Kind, pt.Rate)
+					}
+					if r.MeanLatency != pt.MeanLatency || r.P99Latency != pt.P99Latency ||
+						r.Accepted != pt.Accepted || r.PreemptionPct != pt.PreemptionPct {
+						t.Errorf("%v rate %v: scenario (%v, %v, %v, %v) != driver (%v, %v, %v, %v)",
+							s.Kind, pt.Rate,
+							r.MeanLatency, r.P99Latency, r.Accepted, r.PreemptionPct,
+							pt.MeanLatency, pt.P99Latency, pt.Accepted, pt.PreemptionPct)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestBuiltinQuickMatchesExampleFile pins the built-in registry's quick
-// scenario to the shipped example file, so neither can drift alone.
-func TestBuiltinQuickMatchesExampleFile(t *testing.T) {
+// TestPaperFig4QuickMatchesExampleFile pins fig4a.toml's quick profile to
+// the JSON example of the same grid, so neither can drift alone.
+func TestPaperFig4QuickMatchesExampleFile(t *testing.T) {
 	file, err := Load("../../examples/sweep/fig4-quick.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	builtin, err := Builtin("fig4a-quick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Names differ (file base vs registry key) and only files carry a
-	// base directory; everything else must not.
-	file.Name = builtin.Name
-	file.baseDir = builtin.baseDir
-	if !reflect.DeepEqual(file, builtin) {
-		t.Errorf("example file %+v != builtin %+v", file, builtin)
+	paper := loadPaper(t, "fig4a.toml", "quick", false)
+	// Names differ (each file's own) and so do the base directories;
+	// everything else must not.
+	file.Name = paper.Name
+	file.baseDir = paper.baseDir
+	if !reflect.DeepEqual(file, paper) {
+		t.Errorf("example file %+v != fig4a.toml#quick %+v", file, paper)
 	}
 }
 
-// TestWorkloadBuiltinsMatchTrafficConstructors pins the adversarial
-// built-in scenarios to the traffic package's Workload1/Workload2.
-func TestWorkloadBuiltinsMatchTrafficConstructors(t *testing.T) {
-	for name, ref := range map[string]traffic.Workload{
-		"workload1": traffic.Workload1(topology.ColumnNodes, 0),
-		"workload2": traffic.Workload2(topology.ColumnNodes, 0),
+// TestWorkloadFilesMatchTrafficConstructors pins the adversarial
+// scenario files to the traffic package's Workload1/Workload2.
+func TestWorkloadFilesMatchTrafficConstructors(t *testing.T) {
+	for file, ref := range map[string]traffic.Workload{
+		"workload1.toml": traffic.Workload1(topology.ColumnNodes, 0),
+		"workload2.toml": traffic.Workload2(topology.ColumnNodes, 0),
 	} {
-		sc, err := Builtin(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := sc.flowWorkload()
+		w := loadPaper(t, file, "", false).flowWorkload()
 		if len(w.Specs) != len(ref.Specs) {
-			t.Fatalf("%s: %d specs, want %d", name, len(w.Specs), len(ref.Specs))
+			t.Fatalf("%s: %d specs, want %d", file, len(w.Specs), len(ref.Specs))
 		}
 		for i := range w.Specs {
 			g, r := w.Specs[i], ref.Specs[i]
 			if g.Flow != r.Flow || g.Node != r.Node || g.Rate != r.Rate ||
 				g.RequestFraction != r.RequestFraction || g.StopAt != r.StopAt {
-				t.Errorf("%s spec %d: %+v != %+v", name, i, g, r)
+				t.Errorf("%s spec %d: %+v != %+v", file, i, g, r)
 			}
 		}
 	}
-	if _, err := Builtin("fig9"); err == nil {
-		t.Error("unknown builtin accepted")
+}
+
+// TestWorkloadFilesMatchFig5 runs the adversarial scenario files at the
+// -quick schedule: each topology's preemption column must equal the
+// packet bar the Figure 5 driver reports, exactly.
+func TestWorkloadFilesMatchFig5(t *testing.T) {
+	for file, wl := range map[string]experiments.Adversarial{
+		"workload1.toml": experiments.Workload1,
+		"workload2.toml": experiments.Workload2,
+	} {
+		t.Run(file, func(t *testing.T) {
+			g, err := loadPaper(t, file, "", true).Grid()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runGrid(t, g, RunOpts{})
+			want := experiments.Fig5(wl, experiments.QuickParams())
+			if len(got) != len(want) {
+				t.Fatalf("grid has %d cells, Figure 5 has %d bars", len(got), len(want))
+			}
+			for i, bar := range want {
+				if r := got[i]; r.Topology != bar.Kind || r.PreemptionPct != bar.PacketsPct {
+					t.Errorf("cell %d: %v preempts %v %%, Figure 5 %v %v %%",
+						i, r.Topology, r.PreemptionPct, bar.Kind, bar.PacketsPct)
+				}
+			}
+		})
+	}
+}
+
+// TestCommittedScenariosResolve resolves every committed example
+// scenario under each profile it declares, then expands and keys its
+// grid — no simulation. Files named *base.toml exist only to be
+// included, and are skipped.
+func TestCommittedScenariosResolve(t *testing.T) {
+	var paths []string
+	for _, glob := range []string{"../../examples/sweep/*", paperDir + "*"} {
+		matches, err := filepath.Glob(glob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, matches...)
+	}
+	resolved := 0
+	for _, path := range paths {
+		if ext := filepath.Ext(path); (ext != ".toml" && ext != ".json") || strings.HasSuffix(path, "base.toml") {
+			continue
+		}
+		_, res, err := Resolve(FileLayer(path))
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		profiles := []string{""}
+		for name := range res.profiles {
+			profiles = append(profiles, name)
+		}
+		for _, prof := range profiles {
+			layers := []Layer{FileLayer(path)}
+			if prof != "" {
+				layers = append(layers, ProfileLayer(prof))
+			}
+			sc, _, err := Resolve(layers...)
+			if err == nil {
+				var g *Grid
+				if g, err = sc.Grid(); err == nil {
+					_, err = g.Keys()
+				}
+			}
+			if err != nil {
+				t.Errorf("%s#%s: %v", path, prof, err)
+			}
+			resolved++
+		}
+	}
+	if resolved == 0 {
+		t.Error("found no committed scenario: are the example directories where the test looks?")
 	}
 }
 
