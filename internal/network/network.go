@@ -284,11 +284,12 @@ type Network struct {
 	maxRetries   int32
 	sysEvents    int
 	// wdWindow/lastProgress drive the no-forward-progress watchdog;
-	// wdRecords is its auto-captured repro trace (every generation of the
-	// run, recorded only while the watchdog is armed).
+	// wdLog is its auto-captured repro trace (every generation of the
+	// run, recorded only while the watchdog is armed), packed at about
+	// 5 bytes a record and decoded only when the watchdog trips.
 	wdWindow     sim.Cycle
 	lastProgress sim.Cycle
-	wdRecords    []traffic.TraceRecord
+	wdLog        reproLog
 	// auditEvery/auditAt pace the invariant auditor.
 	auditEvery sim.Cycle
 	auditAt    sim.Cycle

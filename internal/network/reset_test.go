@@ -181,7 +181,7 @@ func TestResetClearsFaultState(t *testing.T) {
 
 	dirty := MustNew(faulted)
 	dirty.Run(5_000) // mid-outage: down bits set, timers and records live
-	if dirty.sysEvents == 0 || len(dirty.wdRecords) == 0 {
+	if dirty.sysEvents == 0 || dirty.wdLog.n == 0 {
 		t.Fatal("faulted run left no robustness state to clear; test is vacuous")
 	}
 
@@ -191,10 +191,11 @@ func TestResetClearsFaultState(t *testing.T) {
 	}
 	if dirty.fltOn || dirty.fltHasDead || dirty.sysEvents != 0 ||
 		dirty.retryTimeout != 0 || dirty.wdWindow != 0 ||
-		len(dirty.wdRecords) != 0 || dirty.auditEvery != envAuditEvery {
+		dirty.wdLog.n != 0 || len(dirty.wdLog.buf) != 0 || dirty.wdLog.last != 0 ||
+		dirty.auditEvery != envAuditEvery {
 		t.Errorf("Reset left robustness state armed: fltOn=%v dead=%v sys=%d rto=%d wd=%d records=%d audit=%d",
 			dirty.fltOn, dirty.fltHasDead, dirty.sysEvents, dirty.retryTimeout,
-			dirty.wdWindow, len(dirty.wdRecords), dirty.auditEvery)
+			dirty.wdWindow, dirty.wdLog.n, dirty.auditEvery)
 	}
 	for _, bm := range [][]uint64{dirty.fltDown, dirty.fltDead, dirty.fltStall} {
 		for _, w := range bm {

@@ -189,7 +189,7 @@ func (n *Network) enqueue(s *source, flow noc.FlowID, dst noc.NodeID, class noc.
 		n.genHook(traffic.TraceRecord{At: t, Flow: flow, Src: s.spec.Node, Dst: dst, Class: class})
 	}
 	if n.wdWindow > 0 {
-		n.wdRecords = append(n.wdRecords, traffic.TraceRecord{At: t, Flow: flow, Src: s.spec.Node, Dst: dst, Class: class})
+		n.wdLog.add(t, flow, s.spec.Node, dst, class)
 	}
 	n.markOfferable(s)
 }

@@ -1,9 +1,11 @@
 package network
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
+	"tanoq/internal/noc"
 	"tanoq/internal/sim"
 	"tanoq/internal/traffic"
 )
@@ -88,8 +90,11 @@ type WatchdogReport struct {
 	// Records is the auto-captured repro trace: every generation of the
 	// run in order. Feeding it back through traffic.Spec.Replay (one
 	// replay per source, records grouped by source) reproduces the wedged
-	// run deterministically.
-	Records []traffic.TraceRecord
+	// run deterministically. The engine holds it packed while it runs
+	// (about 5 bytes a generation, LogBytes in all) and decodes it into
+	// this slice only when the watchdog trips.
+	Records  []traffic.TraceRecord
+	LogBytes int
 }
 
 // WatchdogError is the panic value of a tripped watchdog.
@@ -132,7 +137,7 @@ func (r *WatchdogReport) String() string {
 		fmt.Fprintf(&b, "  src %d (node %d, flow %d): queue %d, retx %d, window %d, offering %v, busy until %d\n",
 			s.Idx, s.Node, s.Flow, s.Queue, s.Retx, s.Window, s.Offering, s.BusyUntil)
 	}
-	fmt.Fprintf(&b, "  repro trace: %d records", len(r.Records))
+	fmt.Fprintf(&b, "  repro trace: %d records (%d bytes packed)", len(r.Records), r.LogBytes)
 	return b.String()
 }
 
@@ -239,6 +244,53 @@ func (n *Network) watchdogReport(now sim.Cycle) WatchdogReport {
 			Offering: s.offering != noPkt, BusyUntil: s.busyUntil,
 		})
 	}
-	r.Records = append([]traffic.TraceRecord(nil), n.wdRecords...)
+	r.Records = n.wdLog.records()
+	r.LogBytes = len(n.wdLog.buf)
 	return r
+}
+
+// reproLog is the watchdog's repro trace as the engine holds it: an
+// append-only byte log of one varint record per generation — the signed
+// cycle delta from the previous record, then flow, source, destination
+// and class. Generation cycles are small steps and the ids fit a byte on
+// a column, so a record packs to about 5 bytes where a
+// traffic.TraceRecord takes 40.
+type reproLog struct {
+	buf  []byte
+	n    int       // records appended
+	last sim.Cycle // cycle of the last record: the next delta's base
+}
+
+func (l *reproLog) add(t sim.Cycle, flow noc.FlowID, src, dst noc.NodeID, class noc.Class) {
+	l.buf = binary.AppendVarint(l.buf, int64(t-l.last))
+	l.buf = binary.AppendUvarint(l.buf, uint64(flow))
+	l.buf = binary.AppendUvarint(l.buf, uint64(src))
+	l.buf = binary.AppendUvarint(l.buf, uint64(dst))
+	l.buf = append(l.buf, byte(class))
+	l.last = t
+	l.n++
+}
+
+// reset empties the log, keeping its buffer for the next armed run.
+func (l *reproLog) reset() { *l = reproLog{buf: l.buf[:0]} }
+
+// records decodes the log in generation order.
+func (l *reproLog) records() []traffic.TraceRecord {
+	out := make([]traffic.TraceRecord, 0, l.n)
+	var at sim.Cycle
+	for b := l.buf; len(b) > 0; {
+		d, k := binary.Varint(b)
+		b = b[k:]
+		at += sim.Cycle(d)
+		flow, k := binary.Uvarint(b)
+		b = b[k:]
+		src, k := binary.Uvarint(b)
+		b = b[k:]
+		dst, k := binary.Uvarint(b)
+		out = append(out, traffic.TraceRecord{
+			At: at, Flow: noc.FlowID(flow), Src: noc.NodeID(src), Dst: noc.NodeID(dst), Class: noc.Class(b[k]),
+		})
+		b = b[k+1:]
+	}
+	return out
 }

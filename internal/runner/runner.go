@@ -190,6 +190,11 @@ type Options struct {
 	// host-level livelock — a wedged workload hook, a pathological cell
 	// that crawls in wall time. 0 = unlimited.
 	Deadline time.Duration
+	// DisableIdleSkip sets Config.DisableIdleSkip on every cell's engine
+	// as the runner builds or resets it, so a caller can run a grid
+	// skip-free without copying its cells. Results are bit-identical
+	// either way; false leaves each cell's own setting.
+	DisableIdleSkip bool
 	// OnResult, when non-nil, observes every finished cell — success or
 	// failure — as soon as its result lands, on the worker goroutine
 	// that ran it. This is the checkpoint surface: a durable sweep
@@ -197,6 +202,11 @@ type Options struct {
 	// loses at most its in-flight cells. It must be safe for concurrent
 	// calls from different workers; cells skipped by cancellation are
 	// NOT reported through it.
+	//
+	// OnResult owns r.Stats and r.Aux: it may clear them once it has
+	// read them, and the slice RunCellsCtx returns then holds nil there.
+	// A sweep that keeps only a row per cell frees each collector as its
+	// row exists instead of holding every one until the grid ends.
 	OnResult func(job int, r *Result)
 }
 
@@ -248,7 +258,7 @@ func RunCellsCtx(ctx context.Context, cells []Cell, opts Options) []Result {
 // index i.
 func runSingle(slotNet **network.Network, c *Cell, opts *Options, i, worker int, out []Result) {
 	for attempt := 1; ; attempt++ {
-		res, err := runCell(slotNet, c, opts.Deadline)
+		res, err := runCell(slotNet, c, opts)
 		res.Attempts = attempt
 		res.Worker = worker
 		if err == nil {
@@ -280,7 +290,8 @@ func runSingle(slotNet **network.Network, c *Cell, opts *Options, i, worker int,
 // a reportable result instead of a dead sweep. A positive deadline arms
 // a wall-clock timer that aborts the engine cooperatively; the resulting
 // *network.AbortError panic is reported as ErrDeadline.
-func runCell(slot **network.Network, c *Cell, deadline time.Duration) (res Result, err error) {
+func runCell(slot **network.Network, c *Cell, opts *Options) (res Result, err error) {
+	deadline := opts.Deadline
 	defer func() {
 		if r := recover(); r != nil {
 			if abort, ok := r.(*network.AbortError); ok {
@@ -292,11 +303,13 @@ func runCell(slot **network.Network, c *Cell, deadline time.Duration) (res Resul
 			}
 		}
 	}()
+	cfg := c.Config
+	cfg.DisableIdleSkip = cfg.DisableIdleSkip || opts.DisableIdleSkip
 	n := *slot
 	if n == nil {
-		n = network.MustNew(c.Config)
+		n = network.MustNew(cfg)
 		*slot = n
-	} else if rerr := n.Reset(c.Config); rerr != nil {
+	} else if rerr := n.Reset(cfg); rerr != nil {
 		panic(rerr)
 	}
 	if deadline > 0 {

@@ -318,6 +318,9 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 	res := opts.run(ctx, g.cells, missed, func(mi int, r *runner.Result) {
 		i := missed[mi]
 		row := g.row(i, r, refBase[g.meta[i].ref])
+		// The row is all the sweep keeps of a cell: free its collector
+		// and driver now rather than when the whole grid ends.
+		r.Stats, r.Aux = nil, nil
 		rep.Results[i] = row
 		if opts.OnCell != nil {
 			opts.OnCell(cellEventOf(i, r))
@@ -374,17 +377,33 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 // count, idle-skip setting and failure budget. onResult, when non-nil,
 // observes each finished cell by its position in idx.
 func (opts *DurableOpts) run(ctx context.Context, src []runner.Cell, idx []int, onResult func(j int, r *runner.Result)) []runner.Result {
-	cells := make([]runner.Cell, len(idx))
-	for j, i := range idx {
-		cells[j] = src[i]
-		cells[j].Config.DisableIdleSkip = opts.DisableIdleSkip
+	cells := src
+	if !isPrefix(idx) {
+		cells = make([]runner.Cell, len(idx))
+		for j, i := range idx {
+			cells[j] = src[i]
+		}
 	}
 	retries := opts.Retries
 	if retries == 0 {
 		retries = 1 // the default single retry; negative means none
 	}
-	return runner.RunCellsCtx(ctx, cells, runner.Options{Workers: opts.Workers,
-		Retries: retries, Backoff: opts.Backoff, Deadline: opts.Deadline, OnResult: onResult})
+	return runner.RunCellsCtx(ctx, cells[:len(idx)], runner.Options{Workers: opts.Workers,
+		Retries: retries, Backoff: opts.Backoff, Deadline: opts.Deadline,
+		DisableIdleSkip: opts.DisableIdleSkip, OnResult: onResult})
+}
+
+// isPrefix reports whether idx is 0, 1, ..., len(idx)-1: the cells it
+// names are already a prefix of the source slice, so run passes them as
+// they are — a sweep with no cache runs every cell without a second copy
+// of the grid.
+func isPrefix(idx []int) bool {
+	for j, i := range idx {
+		if i != j {
+			return false
+		}
+	}
+	return true
 }
 
 // resolveRefs fills refBase for every reference cell some missed cell

@@ -185,6 +185,73 @@ func TestWatchdogReproTraceReplays(t *testing.T) {
 	}
 }
 
+// TestWatchdogLogMatchesRecorder pins the watchdog's packed repro log
+// against the generation hook: on an open-loop cell and a closed-loop
+// Controller cell, each wedged by a permanent router stall, the records
+// a trip decodes must be exactly the stream a Recorder captured from the
+// same run, and the log must hold them in at most 8 bytes a record (a
+// traffic.TraceRecord takes 40).
+func TestWatchdogLogMatchesRecorder(t *testing.T) {
+	stall := network.FaultConfig{Windows: []noc.FaultWindow{
+		{Kind: noc.FaultRouterStall, Node: 3, From: 500}, // never lifts
+	}}
+	open := traffic.UniformRandom(topology.ColumnNodes, 0.05)
+	closed := ClientWorkload("closed", topology.ColumnNodes)
+	for _, tc := range []struct {
+		name   string
+		w      traffic.Workload
+		attach func(*network.Network) error
+	}{
+		{"open", open, func(*network.Network) error { return nil }},
+		{"closed", closed, func(n *network.Network) error {
+			_, err := NewController(n, ClientConfig{Outstanding: 4, ThinkMean: 20, Seed: 5})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := network.New(network.Config{
+				Kind: topology.MeshX1, QoS: qos.DefaultConfig(tc.w.TotalFlows()), Workload: tc.w, Seed: 31,
+				Faults: stall, WatchdogCycles: 1_500,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.attach(n); err != nil {
+				t.Fatal(err)
+			}
+			rec := &Recorder{}
+			rec.Attach(n)
+			we := catchWatchdog(func() { n.WarmupAndMeasure(0, 50_000) })
+			if we == nil {
+				t.Fatal("permanent router stall did not trip the watchdog")
+			}
+			got, want := we.Report.Records, rec.Records()
+			if len(want) == 0 {
+				t.Fatal("recorder captured nothing; test is vacuous")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("repro log decodes %d records, recorder captured %d; first divergence at %d",
+					len(got), len(want), firstDiff(got, want))
+			}
+			per := float64(we.Report.LogBytes) / float64(len(got))
+			t.Logf("%d records in %d bytes (%.2f a record), tripped at cycle %d", len(got), we.Report.LogBytes, per, we.Report.At)
+			if per > 8 {
+				t.Errorf("repro log packs %d records into %d bytes (%.2f a record), want at most 8",
+					len(got), we.Report.LogBytes, per)
+			}
+		})
+	}
+}
+
+// firstDiff returns the first index where a and b differ.
+func firstDiff(a, b []traffic.TraceRecord) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
 // header returns a version-1 trace prefix up to the topology string:
 // magic, version, eight nodes, and a zero seed, schedule and QoS
 // overrides.
