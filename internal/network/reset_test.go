@@ -184,6 +184,12 @@ func TestResetClearsFaultState(t *testing.T) {
 	if dirty.sysEvents == 0 || dirty.wdLog.n == 0 {
 		t.Fatal("faulted run left no robustness state to clear; test is vacuous")
 	}
+	// The repro log it holds is packed: at most 8 bytes a generation,
+	// where a traffic.TraceRecord takes 40.
+	if per := float64(len(dirty.wdLog.buf)) / float64(dirty.wdLog.n); per > 8 {
+		t.Errorf("repro log packs %d records into %d bytes (%.2f a record), want at most 8",
+			dirty.wdLog.n, len(dirty.wdLog.buf), per)
+	}
 
 	clean := resetCfg(topology.MECS, qos.PVC, 0.05, 17)
 	if err := dirty.Reset(clean); err != nil {

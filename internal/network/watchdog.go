@@ -91,10 +91,9 @@ type WatchdogReport struct {
 	// run in order. Feeding it back through traffic.Spec.Replay (one
 	// replay per source, records grouped by source) reproduces the wedged
 	// run deterministically. The engine holds it packed while it runs
-	// (about 5 bytes a generation, LogBytes in all) and decodes it into
-	// this slice only when the watchdog trips.
-	Records  []traffic.TraceRecord
-	LogBytes int
+	// (about 5 bytes a generation) and decodes it into this slice only
+	// when the watchdog trips.
+	Records []traffic.TraceRecord
 }
 
 // WatchdogError is the panic value of a tripped watchdog.
@@ -137,7 +136,7 @@ func (r *WatchdogReport) String() string {
 		fmt.Fprintf(&b, "  src %d (node %d, flow %d): queue %d, retx %d, window %d, offering %v, busy until %d\n",
 			s.Idx, s.Node, s.Flow, s.Queue, s.Retx, s.Window, s.Offering, s.BusyUntil)
 	}
-	fmt.Fprintf(&b, "  repro trace: %d records (%d bytes packed)", len(r.Records), r.LogBytes)
+	fmt.Fprintf(&b, "  repro trace: %d records", len(r.Records))
 	return b.String()
 }
 
@@ -245,7 +244,6 @@ func (n *Network) watchdogReport(now sim.Cycle) WatchdogReport {
 		})
 	}
 	r.Records = n.wdLog.records()
-	r.LogBytes = len(n.wdLog.buf)
 	return r
 }
 

@@ -190,11 +190,6 @@ type Options struct {
 	// host-level livelock — a wedged workload hook, a pathological cell
 	// that crawls in wall time. 0 = unlimited.
 	Deadline time.Duration
-	// DisableIdleSkip sets Config.DisableIdleSkip on every cell's engine
-	// as the runner builds or resets it, so a caller can run a grid
-	// skip-free without copying its cells. Results are bit-identical
-	// either way; false leaves each cell's own setting.
-	DisableIdleSkip bool
 	// OnResult, when non-nil, observes every finished cell — success or
 	// failure — as soon as its result lands, on the worker goroutine
 	// that ran it. This is the checkpoint surface: a durable sweep
@@ -258,7 +253,7 @@ func RunCellsCtx(ctx context.Context, cells []Cell, opts Options) []Result {
 // index i.
 func runSingle(slotNet **network.Network, c *Cell, opts *Options, i, worker int, out []Result) {
 	for attempt := 1; ; attempt++ {
-		res, err := runCell(slotNet, c, opts)
+		res, err := runCell(slotNet, c, opts.Deadline)
 		res.Attempts = attempt
 		res.Worker = worker
 		if err == nil {
@@ -290,8 +285,7 @@ func runSingle(slotNet **network.Network, c *Cell, opts *Options, i, worker int,
 // a reportable result instead of a dead sweep. A positive deadline arms
 // a wall-clock timer that aborts the engine cooperatively; the resulting
 // *network.AbortError panic is reported as ErrDeadline.
-func runCell(slot **network.Network, c *Cell, opts *Options) (res Result, err error) {
-	deadline := opts.Deadline
+func runCell(slot **network.Network, c *Cell, deadline time.Duration) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if abort, ok := r.(*network.AbortError); ok {
@@ -303,13 +297,11 @@ func runCell(slot **network.Network, c *Cell, opts *Options) (res Result, err er
 			}
 		}
 	}()
-	cfg := c.Config
-	cfg.DisableIdleSkip = cfg.DisableIdleSkip || opts.DisableIdleSkip
 	n := *slot
 	if n == nil {
-		n = network.MustNew(cfg)
+		n = network.MustNew(c.Config)
 		*slot = n
-	} else if rerr := n.Reset(cfg); rerr != nil {
+	} else if rerr := n.Reset(c.Config); rerr != nil {
 		panic(rerr)
 	}
 	if deadline > 0 {

@@ -207,28 +207,3 @@ func TestRunCellsRecoversFailedCells(t *testing.T) {
 		t.Error("failure recovery perturbed neighboring cells")
 	}
 }
-
-// TestOptionsDisableIdleSkipReachesEngine pins that Options.DisableIdleSkip
-// lands on the engine of every cell — the first cell a slot builds and
-// the cells it resets into — without the caller touching the cells, and
-// that results are unchanged by it.
-func TestOptionsDisableIdleSkipReachesEngine(t *testing.T) {
-	cs := cells(7)
-	for i := range cs {
-		cs[i].Setup = func(n *network.Network) any { return n.Config().DisableIdleSkip }
-	}
-	base := runAll(cs, 1)
-	off := RunCellsCtx(context.Background(), cs, Options{Workers: 1, Retries: 1, DisableIdleSkip: true})
-	for i := range cs {
-		if cs[i].Config.DisableIdleSkip {
-			t.Fatalf("cell %d: the option rewrote the caller's cell", i)
-		}
-		if base[i].Aux != false || off[i].Aux != true {
-			t.Errorf("cell %d: engine saw DisableIdleSkip %v by default and %v with the option, want false and true",
-				i, base[i].Aux, off[i].Aux)
-		}
-		if !reflect.DeepEqual(base[i].Stats, off[i].Stats) || base[i].End != off[i].End {
-			t.Errorf("cell %d: skip-free run diverged from the skipping run", i)
-		}
-	}
-}

@@ -376,7 +376,14 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 // their reference baselines and verification re-runs share one worker
 // count, idle-skip setting and failure budget. onResult, when non-nil,
 // observes each finished cell by its position in idx.
+//
+// The idle-skip setting is written into the source cells themselves: it
+// is not part of any cache key and a grid runs one call at a time, so
+// this spares a copy of the grid just to flip one bit per cell.
 func (opts *DurableOpts) run(ctx context.Context, src []runner.Cell, idx []int, onResult func(j int, r *runner.Result)) []runner.Result {
+	for _, i := range idx {
+		src[i].Config.DisableIdleSkip = opts.DisableIdleSkip
+	}
 	cells := src
 	if !isPrefix(idx) {
 		cells = make([]runner.Cell, len(idx))
@@ -389,8 +396,7 @@ func (opts *DurableOpts) run(ctx context.Context, src []runner.Cell, idx []int, 
 		retries = 1 // the default single retry; negative means none
 	}
 	return runner.RunCellsCtx(ctx, cells[:len(idx)], runner.Options{Workers: opts.Workers,
-		Retries: retries, Backoff: opts.Backoff, Deadline: opts.Deadline,
-		DisableIdleSkip: opts.DisableIdleSkip, OnResult: onResult})
+		Retries: retries, Backoff: opts.Backoff, Deadline: opts.Deadline, OnResult: onResult})
 }
 
 // isPrefix reports whether idx is 0, 1, ..., len(idx)-1: the cells it

@@ -325,7 +325,8 @@ func (g *Grid) Size() int { return len(g.cells) }
 
 // Cell returns a copy of grid cell i — the runner cell the sweep would
 // execute — for drivers that run cells individually (noctool trace
-// record).
+// record). Its Config.DisableIdleSkip is the setting of the last
+// RunDurable call, which writes it into the cells it runs.
 func (g *Grid) Cell(i int) runner.Cell { return g.cells[i] }
 
 // RunOpts carries the runtime knobs that never change results: worker

@@ -189,8 +189,8 @@ func TestWatchdogReproTraceReplays(t *testing.T) {
 // against the generation hook: on an open-loop cell and a closed-loop
 // Controller cell, each wedged by a permanent router stall, the records
 // a trip decodes must be exactly the stream a Recorder captured from the
-// same run, and the log must hold them in at most 8 bytes a record (a
-// traffic.TraceRecord takes 40).
+// same run. (TestResetClearsFaultState bounds the packed log's bytes a
+// record.)
 func TestWatchdogLogMatchesRecorder(t *testing.T) {
 	stall := network.FaultConfig{Windows: []noc.FaultWindow{
 		{Kind: noc.FaultRouterStall, Node: 3, From: 500}, // never lifts
@@ -232,12 +232,6 @@ func TestWatchdogLogMatchesRecorder(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("repro log decodes %d records, recorder captured %d; first divergence at %d",
 					len(got), len(want), firstDiff(got, want))
-			}
-			per := float64(we.Report.LogBytes) / float64(len(got))
-			t.Logf("%d records in %d bytes (%.2f a record), tripped at cycle %d", len(got), we.Report.LogBytes, per, we.Report.At)
-			if per > 8 {
-				t.Errorf("repro log packs %d records into %d bytes (%.2f a record), want at most 8",
-					len(got), we.Report.LogBytes, per)
 			}
 		})
 	}
