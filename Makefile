@@ -80,17 +80,14 @@ sweep-smoke:
 	grep 'executed 0' /tmp/tanoq-layered-prof.err
 	@echo "sweep-smoke: profile matched its hand-flattened file byte-identically; warm cache executed zero cells"
 
-# trace-smoke proves the record→replay exactness contract end to end:
-# capture a short open-loop run's injection stream, replay the trace in
-# the recorded cell, and diff the two delivery fingerprints (any byte of
-# drift fails the diff).
+# trace-smoke proves the record→replay exactness contract end to end,
+# in-process (TestTraceRecordReplaysFingerprint): record a short open-loop
+# run's injection stream, replay the trace in the recorded cell and
+# require equal delivery fingerprints (any byte of drift fails), then
+# require a cell the watchdog kills to fail `trace record` with an error
+# and no trace file.
 trace-smoke:
-	go run ./cmd/noctool trace -out /tmp/tanoq-trace-smoke.trace record examples/sweep/trace-smoke.toml | tee /tmp/tanoq-trace-rec.txt
-	go run ./cmd/noctool trace replay /tmp/tanoq-trace-smoke.trace | tee /tmp/tanoq-trace-rep.txt
-	@grep '^fingerprint: ' /tmp/tanoq-trace-rec.txt > /tmp/tanoq-trace-rec.fp
-	@grep '^fingerprint: ' /tmp/tanoq-trace-rep.txt > /tmp/tanoq-trace-rep.fp
-	diff /tmp/tanoq-trace-rec.fp /tmp/tanoq-trace-rep.fp
-	@echo "trace-smoke: record and replay fingerprints match"
+	go test -count=1 -run TraceRecordReplay ./cmd/noctool
 
 # resume-smoke proves durable sweep execution end to end: run the grid
 # uninterrupted for reference, SIGINT a cached sequential run mid-grid

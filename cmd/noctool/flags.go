@@ -28,14 +28,13 @@ func newFlagSet(name, synopsis, body string) *flag.FlagSet {
 
 // simFlags are the simulation knobs shared by every cell-running
 // subcommand (sweep, degrade, timeline, trace, and the experiment drivers):
-// the RNG seed, the warmup/measure schedule, worker fan-out, idle
-// skipping and the quick scale.
+// the RNG seed, the warmup/measure schedule, worker fan-out and the quick
+// scale.
 type simFlags struct {
 	seed     uint64
 	warmup   int
 	measure  int
 	parallel int
-	skip     bool
 	quick    bool
 }
 
@@ -47,7 +46,6 @@ func addSimFlags(fs *flag.FlagSet) *simFlags {
 	fs.IntVar(&s.warmup, "warmup", 20_000, "warmup cycles before measurement")
 	fs.IntVar(&s.measure, "measure", 100_000, "measurement window in cycles")
 	fs.IntVar(&s.parallel, "parallel", 0, "simulation workers (0 = one per CPU, 1 = sequential; results identical)")
-	fs.BoolVar(&s.skip, "skip", true, "fast-forward over idle cycle windows (results identical either way)")
 	fs.BoolVar(&s.quick, "quick", false, "scale runs down for a fast smoke pass")
 	return s
 }
@@ -69,8 +67,8 @@ func explicitFlags(fs *flag.FlagSet) map[string]bool {
 	return m
 }
 
-// params assembles experiment parameters from the shared flags, with
-// -quick's scale below any explicitly-set schedule flag.
+// params assembles the experiment drivers' parameters from the shared
+// flags, with -quick's scale below any explicitly-set schedule flag.
 func (s *simFlags) params(explicit map[string]bool) experiments.Params {
 	p := experiments.Params{Seed: s.seed, Warmup: s.warmup, Measure: s.measure}
 	if s.quick {
@@ -84,7 +82,6 @@ func (s *simFlags) params(explicit map[string]bool) experiments.Params {
 		}
 	}
 	p.Workers = s.parallel
-	p.DisableIdleSkip = !s.skip
 	return p
 }
 
@@ -101,36 +98,33 @@ func (m *multiFlag) Set(v string) error {
 // layerOpts names the CLI-side layers of the scenario resolver pipeline,
 // shared by sweep, degrade, timeline and trace record. Precedence, lowest
 // first: include chain < file < profile < TANOQ_SET_* env < -quick <
-// explicit -seed/-warmup/-measure < -set.
+// explicit -seed/-warmup/-measure < -set. A profile is named by the
+// scenario argument's #profile suffix.
 type layerOpts struct {
 	sim      *simFlags
 	explicit map[string]bool
-	params   experiments.Params
-	profile  string
 	set      []string
 }
 
 // addLayerFlags registers the resolver flags of a scenario-running
-// subcommand — the shared simulation flags, -profile and -set, whose
-// help text starts with helpPrefix — and returns the function that
-// assembles their layerOpts once fs is parsed.
+// subcommand — the shared simulation flags and -set, whose help text
+// starts with helpPrefix — and returns the function that assembles their
+// layerOpts once fs is parsed.
 func addLayerFlags(fs *flag.FlagSet, helpPrefix string) func() layerOpts {
 	sim := addSimFlags(fs)
-	profile := fs.String("profile", "", helpPrefix+"named [profiles.<name>] patch to apply (overrides a #profile suffix)")
 	var set multiFlag
 	fs.Var(&set, "set", helpPrefix+"top-layer override `key=value` (dotted paths; repeatable)")
 	return func() layerOpts {
-		explicit := explicitFlags(fs)
-		return layerOpts{sim: sim, explicit: explicit, params: sim.params(explicit), profile: *profile, set: set}
+		return layerOpts{sim: sim, explicit: explicitFlags(fs), set: set}
 	}
 }
 
 // runOpts is how sweep, degrade and timeline execute a grid: the worker
-// count and idle skipping from the flags, and the per-cell deadline,
-// retry budget and backoff from the scenario's [run] table.
+// count from -parallel, and the per-cell deadline, retry budget and
+// backoff from the scenario's [run] table.
 func (lo layerOpts) runOpts(sc *scenario.Scenario) scenario.DurableOpts {
 	return scenario.DurableOpts{
-		RunOpts:  scenario.RunOpts{Workers: lo.params.Workers, DisableIdleSkip: lo.params.DisableIdleSkip},
+		RunOpts:  scenario.RunOpts{Workers: lo.sim.parallel},
 		Deadline: sc.Deadline,
 		Retries:  sc.Retries,
 		Backoff:  sc.Backoff,
@@ -146,9 +140,6 @@ func loadLayered(arg string, lo layerOpts) (*scenario.Scenario, *scenario.Resolu
 		return nil, nil, err
 	}
 	path, prof := scenario.SplitProfile(arg)
-	if lo.profile != "" {
-		prof = lo.profile
-	}
 	layers := []scenario.Layer{scenario.FileLayer(path)}
 	if prof != "" {
 		layers = append(layers, scenario.ProfileLayer(prof))
@@ -160,13 +151,13 @@ func loadLayered(arg string, lo layerOpts) (*scenario.Scenario, *scenario.Resolu
 			fmt.Sprintf("warmup=%d", q.Warmup), fmt.Sprintf("measure=%d", q.Measure)))
 	}
 	if lo.explicit["seed"] {
-		layers = append(layers, scenario.OverrideLayer("-seed", fmt.Sprintf("seed=%d", lo.params.Seed)))
+		layers = append(layers, scenario.OverrideLayer("-seed", fmt.Sprintf("seed=%d", lo.sim.seed)))
 	}
 	if lo.explicit["warmup"] {
-		layers = append(layers, scenario.OverrideLayer("-warmup", fmt.Sprintf("warmup=%d", lo.params.Warmup)))
+		layers = append(layers, scenario.OverrideLayer("-warmup", fmt.Sprintf("warmup=%d", lo.sim.warmup)))
 	}
 	if lo.explicit["measure"] {
-		layers = append(layers, scenario.OverrideLayer("-measure", fmt.Sprintf("measure=%d", lo.params.Measure)))
+		layers = append(layers, scenario.OverrideLayer("-measure", fmt.Sprintf("measure=%d", lo.sim.measure)))
 	}
 	if len(lo.set) > 0 {
 		layers = append(layers, scenario.SetLayer(lo.set...))

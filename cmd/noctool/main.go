@@ -13,12 +13,13 @@
 //	            expand and run a declarative scenario file (.json/.toml,
 //	            see internal/scenario; the paper's grids are under
 //	            examples/paper/). Files resolve through the layered
-//	            pipeline — defaults < include chain < file < -profile (or
-//	            a #profile suffix) < TANOQ_SET_* environment <
-//	            -quick/-seed/-warmup/-measure < -set key=value, the one
-//	            spelling of every other scenario key (run.retries,
-//	            telemetry.interval, ...) — and -explain prints the
-//	            resolved keys with per-key provenance instead of running.
+//	            pipeline — defaults < include chain < file < the
+//	            #profile suffix's [profiles.<name>] patch < TANOQ_SET_*
+//	            environment < -quick/-seed/-warmup/-measure < -set
+//	            key=value, the one spelling of every other scenario key
+//	            (run.retries, telemetry.interval, ...) — and -explain
+//	            prints the resolved keys with per-key provenance instead
+//	            of running.
 //	            With -cache (or cache = true in the scenario's [run]
 //	            table) the sweep runs durably: cell results are memoized
 //	            in a content-addressed store under -cache-dir, completed cells
@@ -39,15 +40,16 @@
 //	            the faulted grid and a fault-free baseline, and report per
 //	            point the delivered fraction, retry/drop counts, victim
 //	            slowdown and mean/p99 latency inflation per QoS mode
-//	            (-out writes the CSV rows)
+//	            (-csv prints the rows as CSV)
 //
 //	timeline <scenario>[#profile]
 //	            run a scenario with in-run telemetry probes ([telemetry]
 //	            table or -set telemetry.interval=N) and print each cell's
 //	            per-interval time series as a compact table, the
-//	            per-router VC occupancy heatmap (-heatmap), or JSON/CSV
-//	            (-json, -out); probes ride the event calendar, so results
-//	            stay bit-identical to an unprobed run
+//	            per-router VC occupancy heatmap (-heatmap) or JSON
+//	            (-json); `sweep -timeline PATH` writes the series to a
+//	            .json or .csv file. Probes ride the event calendar, so
+//	            results stay bit-identical to an unprobed run
 //
 //	trace record <scenario>[#profile]   capture a single-cell scenario's
 //	            injection stream into a binary trace (-out names the
@@ -56,7 +58,9 @@
 //	            workload in the recorded cell; an open-loop recording
 //	            reproduces its fingerprint exactly
 //	trace info <file>         print a trace's header and record stats
-//	            (-stats adds per-flow record counts and cycle spans)
+//	            (-stats adds per-flow record counts and cycle spans);
+//	            replay and info take their cell from the trace and
+//	            refuse every flag but info's -stats
 //
 //	version     print the engine version stamp (set at build time via
 //	            -ldflags; "dev" otherwise) that is embedded in cache
@@ -134,7 +138,7 @@ subcommands (run noctool <cmd> -h for that command's flags):
                                 -cache/-resume execution
   degrade <scenario>[#profile]  faulted scenario vs fault-free baseline
   timeline <scenario>[#profile] run with telemetry probes; per-interval
-                                time-series table, heatmap, JSON/CSV
+                                time-series table, heatmap, JSON
   trace record|replay|info      capture / replay / inspect injection traces
   version                       engine version stamp
 

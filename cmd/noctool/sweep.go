@@ -80,13 +80,12 @@ slowdown and latency inflation per QoS mode. Scenario files resolve
 through the same layered pipeline as sweep.`)
 	layers := addLayerFlags(fs, "")
 	csv := fs.Bool("csv", false, "emit CSV instead of tables")
-	out := fs.String("out", "", "output path for the degradation CSV")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		fs.Usage()
 		return fmt.Errorf("degrade needs exactly one scenario file with a [faults] table")
 	}
-	return runDegrade(fs.Arg(0), sweepOpts{layers: layers(), csv: *csv, outPath: *out})
+	return runDegrade(fs.Arg(0), sweepOpts{layers: layers(), csv: *csv})
 }
 
 // runSweep resolves a scenario through the layer pipeline, expands the
@@ -260,7 +259,7 @@ func runSweep(path string, o sweepOpts) error {
 // runDegrade runs the degradation sweep of a faulted scenario: the grid
 // as written plus a fault-free baseline, joined per point to report
 // delivered fraction, victim slowdown and latency inflation per QoS mode
-// (-out writes the CSV rows).
+// (-csv prints the rows as CSV).
 func runDegrade(path string, o sweepOpts) error {
 	sc, _, err := loadLayered(path, o.layers)
 	if err != nil {
@@ -268,9 +267,6 @@ func runDegrade(path string, o sweepOpts) error {
 	}
 	if sc.Cache {
 		return fmt.Errorf("scenario %q sets cache = true in [run]: degrade opens no store (noctool sweep caches rows)", path)
-	}
-	if err := checkWritable("-out", o.outPath); err != nil {
-		return err
 	}
 	rows, err := scenario.Degrade(context.Background(), sc, o.layers.runOpts(sc))
 	if err != nil {
@@ -280,12 +276,6 @@ func runDegrade(path string, o sweepOpts) error {
 		fmt.Print(scenario.DegradeCSV(sc.Name, rows))
 	} else {
 		fmt.Println(scenario.RenderDegrade(sc.Name, rows))
-	}
-	if o.outPath != "" {
-		if err := os.WriteFile(o.outPath, []byte(scenario.DegradeCSV(sc.Name, rows)), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "degrade: wrote %s\n", o.outPath)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 
 const (
 	traceSmoke    = "../../examples/sweep/trace-smoke.toml"
+	traceExample  = "../../examples/traces/uniform-mesh_x1.trace"
 	timelineSmoke = "../../examples/sweep/timeline-smoke.toml"
 	degradeSmoke  = "../../examples/sweep/degrade.toml"
 	paperFig4b    = "../../examples/paper/fig4b.toml"
@@ -99,15 +100,27 @@ func TestBadInvocationFailsBeforeRunning(t *testing.T) {
 		{"sweep timeline of a scenario without probes", cachedSweep,
 			[]string{"-timeline", filepath.Join(t.TempDir(), "t.json"), traceSmoke},
 			"-timeline needs a [telemetry] table"},
-		{"degrade rows into a missing directory", degradeMain,
-			[]string{"-out", noSuchDir + "x.csv", degradeSmoke},
-			"-out: open " + noSuchDir + "x.csv"},
 		{"degrade of a cached scenario", degradeMain,
 			[]string{"-set", "run.cache=true", degradeSmoke},
 			"degrade opens no store"},
 		{"timeline of a cached scenario", timelineMain,
 			[]string{"-set", "run.cache=true", timelineSmoke},
 			"timeline opens no store"},
+		{"trace replay with record's flags", traceMain,
+			[]string{"-set", "bogus=1", "-seed", "9", "-quick", "-out", noSuchDir + "x", "replay", traceExample},
+			"trace replay does not take -out"},
+		{"trace replay with a schedule flag", traceMain,
+			[]string{"-warmup", "5", "replay", traceExample},
+			"trace replay does not take -warmup"},
+		{"trace replay with -stats", traceMain,
+			[]string{"-stats", "replay", traceExample},
+			"trace replay does not take -stats"},
+		{"trace info with a seed", traceMain,
+			[]string{"-stats", "-seed", "9", "info", traceExample},
+			"trace info does not take -seed"},
+		{"trace record with -stats", traceMain,
+			[]string{"-stats", "-out", noSuchDir + "x.trace", "record", traceSmoke},
+			"trace record does not take -stats"},
 		{"experiment with an empty measurement window", experimentsMain,
 			[]string{"-quick", "-measure", "0", "table2"},
 			"schedule warmup 3000 / measure 0 invalid"},
@@ -220,4 +233,66 @@ func TestPaperScenarioTakesEveryLayer(t *testing.T) {
 		!strings.Contains(err.Error(), `unknown key "bogus"`) {
 		t.Errorf("TANOQ_SET_BOGUS: error = %v, want an unknown key", err)
 	}
+}
+
+// TestTraceRecordReplaysFingerprint is the record→replay exactness
+// contract end to end: recording the trace-smoke cell and replaying the
+// trace prints one delivery fingerprint twice. A cell the watchdog kills
+// — a router stall at the hotspot that outlasts faults.watchdog_cycles —
+// fails record with the runner's error and leaves no trace behind.
+func TestTraceRecordReplaysFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	fingerprint := func(stdout string) string {
+		t.Helper()
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(line, "fingerprint: ") {
+				return line
+			}
+		}
+		t.Fatalf("no fingerprint line in:\n%s", stdout)
+		return ""
+	}
+	trace := filepath.Join(dir, "smoke.trace")
+	rec, stderr, err := captured(t, func() error { return traceMain([]string{"-out", trace, "record", traceSmoke}) })
+	if err != nil {
+		t.Fatalf("record: %v\n%s", err, stderr)
+	}
+	rep, stderr, err := captured(t, func() error { return traceMain([]string{"replay", trace}) })
+	if err != nil {
+		t.Fatalf("replay: %v\n%s", err, stderr)
+	}
+	if want, got := fingerprint(rec), fingerprint(rep); got != want {
+		t.Errorf("replay drifted from the recording:\nrecord: %s\nreplay: %s", want, got)
+	}
+
+	t.Run("wedged cell", func(t *testing.T) {
+		wedge := filepath.Join(dir, "wedge.toml")
+		if err := os.WriteFile(wedge, []byte(`
+pattern = "hotspot"
+topology = "mesh_x1"
+qos = "pvc"
+rate = 0.05
+warmup = 1000
+measure = 5000
+[faults]
+watchdog_cycles = 1000
+[[faults.router]]
+node = 0
+from = 500
+until = 6000
+`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, "wedge.trace")
+		stdout, _, err := captured(t, func() error { return traceMain([]string{"-out", out, "record", wedge}) })
+		if err == nil || !strings.Contains(err.Error(), "cell panicked: network: no forward progress") {
+			t.Errorf("error = %v, want the watchdog's", err)
+		}
+		if stdout != "" {
+			t.Errorf("printed a recording:\n%s", stdout)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("wrote a trace for a failed cell (stat: %v)", err)
+		}
+	})
 }

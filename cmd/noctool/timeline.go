@@ -18,7 +18,6 @@ type timelineOpts struct {
 	layers  layerOpts
 	heatmap bool
 	asJSON  bool
-	outPath string
 }
 
 // timelineMain parses the timeline subcommand's flags and runs it.
@@ -33,14 +32,13 @@ results are bit-identical to an unprobed run.`)
 	layers := addLayerFlags(fs, "")
 	heatmap := fs.Bool("heatmap", false, "emit the per-router occupancy heatmap matrix (CSV) instead of the table")
 	asJSON := fs.Bool("json", false, "emit timelines as JSON instead of the table")
-	out := fs.String("out", "", "write to `path` instead of stdout (.json and .csv pick the format)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		fs.Usage()
 		return fmt.Errorf("timeline needs exactly one scenario file")
 	}
 	return runTimeline(fs.Arg(0), timelineOpts{
-		layers: layers(), heatmap: *heatmap, asJSON: *asJSON, outPath: *out,
+		layers: layers(), heatmap: *heatmap, asJSON: *asJSON,
 	})
 }
 
@@ -60,11 +58,6 @@ func runTimeline(path string, o timelineOpts) error {
 	if o.heatmap && len(sc.Telemetry.Series) > 0 && !slices.Contains(sc.Telemetry.Series, telemetry.SeriesHeatmap) {
 		sc.Telemetry.Series = append(sc.Telemetry.Series, telemetry.SeriesHeatmap)
 	}
-	if o.outPath != "" {
-		if err := checkTimelineOut(o.outPath); err != nil {
-			return err
-		}
-	}
 	grid, err := sc.Grid()
 	if err != nil {
 		return err
@@ -75,13 +68,6 @@ func runTimeline(path string, o timelineOpts) error {
 	}
 	results := rep.Results
 
-	if o.outPath != "" {
-		if err := writeTimelines(o.outPath, results); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "timeline: wrote %s\n", o.outPath)
-		return nil
-	}
 	if o.asJSON {
 		blob, err := timelineJSON(results)
 		if err != nil {
@@ -139,9 +125,9 @@ func timelineJSON(results []scenario.Result) ([]byte, error) {
 	return append(blob, '\n'), nil
 }
 
-// writeTimelines emits the probed cells' timelines to path: .json for
-// the JSON array, .csv for the long-format per-interval rows (shared by
-// `noctool timeline -out` and `noctool sweep -timeline`).
+// writeTimelines emits the probed cells' timelines to path for `noctool
+// sweep -timeline`: .json for the JSON array `timeline -json` prints, .csv
+// for the long-format per-interval rows.
 func writeTimelines(path string, results []scenario.Result) error {
 	if filepath.Ext(path) == ".json" {
 		blob, err := timelineJSON(results)
@@ -161,9 +147,9 @@ func writeTimelines(path string, results []scenario.Result) error {
 	return f.Close()
 }
 
-// checkTimelineOut is what callers of writeTimelines run before the grid:
-// the path must carry one of the two extensions that pick the format, and
-// be writable.
+// checkTimelineOut is what sweep runs before the grid when it will call
+// writeTimelines: the path must carry one of the two extensions that pick
+// the format, and be writable.
 func checkTimelineOut(path string) error {
 	if ext := filepath.Ext(path); ext != ".json" && ext != ".csv" {
 		return fmt.Errorf("timeline output %q: want a .json or .csv extension", path)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,18 +11,10 @@ import (
 
 	"tanoq/internal/network"
 	"tanoq/internal/noc"
+	"tanoq/internal/runner"
 	"tanoq/internal/sim"
 	"tanoq/internal/workload"
 )
-
-// traceOpts carries the CLI state of the trace subcommands: the same
-// resolver layers as sweep (record resolves scenario files through the
-// layered pipeline) plus the output path.
-type traceOpts struct {
-	layers  layerOpts
-	outPath string
-	stats   bool
-}
 
 // traceMain parses the trace subcommand's flags and dispatches its verb.
 func traceMain(args []string) error {
@@ -29,43 +23,65 @@ func traceMain(args []string) error {
 trace and prints its delivery fingerprint (scenario files resolve through
 the same layered pipeline as sweep); replay re-runs a recorded trace in
 the recorded cell; info prints a trace's header and record stats
-(-stats adds a per-flow breakdown of record counts and cycle spans).`)
+(-stats adds a per-flow breakdown of record counts and cycle spans).
+replay and info read their cell from the trace, so they take no flag but
+info's -stats.`)
 	layers := addLayerFlags(fs, "record: ")
-	out := fs.String("out", "", "output path for the recorded trace")
+	out := fs.String("out", "", "record: output path for the recorded trace")
 	stats := fs.Bool("stats", false, "info: print per-flow record counts and cycle spans")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		fs.Usage()
 		return fmt.Errorf("trace needs a verb and a target: trace record <scenario> | trace replay <file> | trace info <file>")
 	}
-	return runTrace(fs.Arg(0), fs.Arg(1), traceOpts{
-		layers:  layers(),
-		outPath: *out,
-		stats:   *stats,
+	verb, target := fs.Arg(0), fs.Arg(1)
+	if verb != "record" && verb != "replay" && verb != "info" {
+		return fmt.Errorf("trace: unknown verb %q (want record, replay or info)", verb)
+	}
+	// A flag the verb does not read is refused, not ignored: a replay
+	// handed -seed would otherwise run the recorded seed and say nothing.
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		takes := f.Name != "stats" // record reads every flag but -stats
+		if verb != "record" {
+			takes = verb == "info" && f.Name == "stats"
+		}
+		if !takes && unread == nil {
+			unread = fmt.Errorf("trace %s does not take -%s", verb, f.Name)
+		}
 	})
-}
-
-// runTrace dispatches `noctool trace record|replay|info <target>`.
-func runTrace(verb, target string, o traceOpts) error {
+	if unread != nil {
+		return unread
+	}
 	switch verb {
 	case "record":
-		return runTraceRecord(target, o)
+		return runTraceRecord(target, layers(), *out)
 	case "replay":
-		return runTraceReplay(target, o)
-	case "info":
-		return runTraceInfo(target, o.stats)
+		return runTraceReplay(target)
 	default:
-		return fmt.Errorf("trace: unknown verb %q (want record, replay or info)", verb)
+		return runTraceInfo(target, *stats)
 	}
 }
 
-// runTraceRecord runs a single-cell scenario with a recorder attached and
-// writes the captured injection stream as a binary trace whose header
-// carries the cell (topology, QoS, overrides, seed, schedule) — so the
-// trace replays self-contained. The printed fingerprint is what `trace
-// replay` must reproduce (make trace-smoke diffs the two).
-func runTraceRecord(scenarioArg string, o traceOpts) error {
-	sc, _, err := loadLayered(scenarioArg, o.layers)
+// runCell runs one cell through the runner and returns its result, or
+// the cell's failure as an error. There are no retries: a retry would run
+// the cell's Setup again, and record's Setup attaches a recorder that
+// must see exactly one run.
+func runCell(cell runner.Cell) (runner.Result, error) {
+	res := runner.RunCellsCtx(context.Background(), []runner.Cell{cell}, runner.Options{Workers: 1})[0]
+	return res, res.Err
+}
+
+// runTraceRecord resolves a single-cell scenario through the same layered
+// pipeline as sweep, runs it with a recorder attached and writes the
+// captured injection stream to out (default <name>.trace) as a binary
+// trace whose header carries the cell (topology, QoS, overrides, seed,
+// schedule) — so the trace replays self-contained. The printed
+// fingerprint is what `trace replay` must reproduce
+// (TestTraceRecordReplaysFingerprint compares the two). A cell that fails
+// writes no trace.
+func runTraceRecord(scenarioArg string, lo layerOpts, out string) error {
+	sc, _, err := loadLayered(scenarioArg, lo)
 	if err != nil {
 		return err
 	}
@@ -77,17 +93,20 @@ func runTraceRecord(scenarioArg string, o traceOpts) error {
 		return fmt.Errorf("trace record needs a single-cell scenario, got %d cells — narrow the axes (one pattern/topology/qos/seed/rate)", grid.Size())
 	}
 	cell := grid.Cell(0)
-	cell.Config.DisableIdleSkip = o.layers.params.DisableIdleSkip
-	n, err := network.New(cell.Config)
-	if err != nil {
-		return err
-	}
-	if cell.Setup != nil {
-		cell.Setup(n)
-	}
 	rec := &workload.Recorder{}
-	rec.Attach(n)
-	n.WarmupAndMeasure(cell.Warmup, cell.Measure)
+	setup := cell.Setup
+	cell.Setup = func(n *network.Network) any {
+		var aux any
+		if setup != nil {
+			aux = setup(n)
+		}
+		rec.Attach(n)
+		return aux
+	}
+	res, err := runCell(cell)
+	if err != nil {
+		return fmt.Errorf("trace record: %w", err)
+	}
 
 	point := grid.Points[0]
 	tr := rec.Trace(workload.TraceHeader{
@@ -111,7 +130,6 @@ func runTraceRecord(scenarioArg string, o traceOpts) error {
 		// header; fault-free captures encode as version 1 and drop it.
 		Engine: network.EngineVersion(),
 	})
-	out := o.outPath
 	if out == "" {
 		out = sc.Name + ".trace"
 	}
@@ -120,10 +138,10 @@ func runTraceRecord(scenarioArg string, o traceOpts) error {
 		return err
 	}
 	fmt.Printf("recorded %s: %d records over cycles 0..%d (%d bytes, %.1f bytes/record)\n",
-		out, rec.Len(), n.Now(), len(blob), float64(len(blob))/float64(max(rec.Len(), 1)))
+		out, rec.Len(), res.End, len(blob), float64(len(blob))/float64(max(rec.Len(), 1)))
 	fmt.Printf("cell: %s %s nodes=%d seed=%d warmup=%d measure=%d\n",
 		point.Topology, point.Mode, cell.Config.Nodes, point.Seed, cell.Warmup, cell.Measure)
-	fmt.Printf("fingerprint: %s\n", workload.Fingerprint(n.Stats(), n.Now()))
+	fmt.Printf("fingerprint: %s\n", workload.Fingerprint(res.Stats, res.End))
 	return nil
 }
 
@@ -131,7 +149,7 @@ func runTraceRecord(scenarioArg string, o traceOpts) error {
 // the replay workload through the recorded schedule and prints the
 // delivery fingerprint. For an open-loop recording the fingerprint equals
 // the recorded run's exactly.
-func runTraceReplay(path string, o traceOpts) error {
+func runTraceReplay(path string) error {
 	tr, err := workload.ReadTraceFile(path)
 	if err != nil {
 		return err
@@ -141,18 +159,16 @@ func runTraceReplay(path string, o traceOpts) error {
 	if err != nil {
 		return err
 	}
-	cfg.DisableIdleSkip = o.layers.params.DisableIdleSkip
-	n, err := network.New(cfg)
+	res, err := runCell(runner.Cell{Config: cfg, Warmup: warmup, Measure: measure})
 	if err != nil {
-		return err
+		return fmt.Errorf("trace replay: %w", err)
 	}
-	n.WarmupAndMeasure(warmup, measure)
-	st := n.Stats()
+	st := res.Stats
 	fmt.Printf("replayed %s: %d records, delivered %d packets, mean latency %.1f cycles\n",
 		path, len(tr.Records), st.TotalDelivered, st.MeanLatency())
 	fmt.Printf("cell: %s %s nodes=%d seed=%d warmup=%d measure=%d\n",
 		tr.Header.Topology, tr.Header.QoS, tr.Header.Nodes, tr.Header.Seed, warmup, measure)
-	fmt.Printf("fingerprint: %s\n", workload.Fingerprint(st, n.Now()))
+	fmt.Printf("fingerprint: %s\n", workload.Fingerprint(st, res.End))
 	return nil
 }
 

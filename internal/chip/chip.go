@@ -364,20 +364,3 @@ func (c *Chip) freeRect(x, y, w, h int) []Coord {
 	}
 	return nodes
 }
-
-// Release frees a VM's domain and unschedules its threads.
-func (c *Chip) Release(vm VMID) error {
-	d, ok := c.domains[vm]
-	if !ok {
-		return fmt.Errorf("chip: VM %d has no domain", vm)
-	}
-	for _, at := range d.Nodes {
-		n := c.Node(at)
-		n.VM = NoVM
-		for i := range n.Terminals {
-			n.Terminals[i].Thread = -1
-		}
-	}
-	delete(c.domains, vm)
-	return nil
-}

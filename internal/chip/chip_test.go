@@ -238,38 +238,6 @@ func TestAutoAllocate(t *testing.T) {
 	}
 }
 
-func TestRelease(t *testing.T) {
-	c := newChip(t)
-	if _, err := c.AutoAllocate(1, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ScheduleThreads(1, []int{100, 101}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(1); err != nil {
-		t.Fatal(err)
-	}
-	if c.Domain(1) != nil {
-		t.Fatal("domain persists after release")
-	}
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			n := c.Node(Coord{x, y})
-			if n.VM != NoVM {
-				t.Fatalf("node %v still owned", n.Coord)
-			}
-			for _, term := range n.Terminals {
-				if term.Thread >= 0 {
-					t.Fatalf("thread still scheduled at %v", n.Coord)
-				}
-			}
-		}
-	}
-	if err := c.Release(1); err == nil {
-		t.Error("double release should fail")
-	}
-}
-
 func TestDomainsSorted(t *testing.T) {
 	c := newChip(t)
 	for _, vm := range []VMID{3, 1, 2} {

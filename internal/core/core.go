@@ -86,9 +86,6 @@ func MustNewSystem(cfg Config) *System {
 // Chip exposes the underlying chip model.
 func (s *System) Chip() *chip.Chip { return s.chip }
 
-// SharedColumn returns the column used for memory traffic.
-func (s *System) SharedColumn() int { return s.col }
-
 // AllocateVM finds and allocates a convex domain of at least nodeCount
 // nodes.
 func (s *System) AllocateVM(vm chip.VMID, nodeCount int) (*chip.Domain, error) {

@@ -137,7 +137,6 @@ func AblateWindow(kind topology.Kind, windows []int, p Params) []AblationRow {
 		cells[i] = p.cell(network.Config{
 			Kind: kind, Nodes: topology.ColumnNodes,
 			QoS: cfg, Workload: w, Seed: p.Seed,
-			DisableIdleSkip: p.DisableIdleSkip,
 		})
 	}
 	res := p.run(cells)

@@ -20,8 +20,8 @@ import (
 )
 
 // Params controls simulation length, seeding and parallelism for the
-// dynamic experiments. The zero value is unusable; use DefaultParams or
-// QuickParams.
+// dynamic experiments. The zero value is unusable: noctool fills it from
+// its flags, tests and benchmarks start from QuickParams.
 type Params struct {
 	Seed    uint64
 	Warmup  int
@@ -31,21 +31,6 @@ type Params struct {
 	// bit-identical for every value — each simulation cell owns its
 	// seeded RNG, and the runner returns results in input order.
 	Workers int
-	// DisableIdleSkip forces every cell's engine to tick through each
-	// cycle instead of fast-forwarding over provably idle windows
-	// (network.Config.DisableIdleSkip, passed through verbatim).
-	// Skipping is mechanical — results are bit-identical either way —
-	// so this knob exists only for that proof, for debugging, and for
-	// benchmarking the tick-driven engine. Like the network field, the
-	// zero value selects the fast path, so plain Params literals cannot
-	// silently lose it.
-	DisableIdleSkip bool
-}
-
-// DefaultParams reproduces the paper-scale runs: a warmup transient plus
-// a multi-frame measurement window.
-func DefaultParams() Params {
-	return Params{Seed: 42, Warmup: 20_000, Measure: 100_000}
 }
 
 // QuickParams scales runs down for tests and benchmark iterations while
@@ -76,16 +61,14 @@ func defaultQoS(mode qos.Mode) qos.Config {
 }
 
 // netConfig assembles one shared-column network configuration — the unit
-// the parallel experiment runner fans out over — carrying p's seed and
-// idle-skip setting.
+// the parallel experiment runner fans out over — carrying p's seed.
 func (p Params) netConfig(kind topology.Kind, w traffic.Workload, mode qos.Mode) network.Config {
 	return network.Config{
-		Kind:            kind,
-		Nodes:           topology.ColumnNodes,
-		QoS:             defaultQoS(mode),
-		Workload:        w,
-		Seed:            p.Seed,
-		DisableIdleSkip: p.DisableIdleSkip,
+		Kind:     kind,
+		Nodes:    topology.ColumnNodes,
+		QoS:      defaultQoS(mode),
+		Workload: w,
+		Seed:     p.Seed,
 	}
 }
 

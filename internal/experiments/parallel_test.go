@@ -48,33 +48,3 @@ func TestExperimentsDeterministicAcrossWorkerCounts(t *testing.T) {
 		})
 	}
 }
-
-// TestExperimentsIdenticalWithIdleSkipDisabled is the experiments-level
-// face of the engine's skipping proof: a driver's results must be
-// field-for-field identical whether its cells fast-forward idle windows
-// or tick through every cycle. Run over the drivers with the most
-// distinct schedules (plain warmup/measure grid, and Fig6's
-// inject/snapshot/drain choreography).
-func TestExperimentsIdenticalWithIdleSkipDisabled(t *testing.T) {
-	withSkip := func(on bool) Params {
-		p := tiny()
-		p.DisableIdleSkip = !on
-		return p
-	}
-	for _, e := range []struct {
-		name string
-		run  func(p Params) any
-	}{
-		{"Fig4", func(p Params) any { return Fig4(Uniform, []float64{0.01, 0.05}, p) }},
-		{"Fig6", func(p Params) any { return Fig6(Workload1, p) }},
-		{"Table2", func(p Params) any { return Table2(p) }},
-	} {
-		t.Run(e.name, func(t *testing.T) {
-			skipped := e.run(withSkip(true))
-			ticked := e.run(withSkip(false))
-			if !reflect.DeepEqual(skipped, ticked) {
-				t.Errorf("idle skipping changed results:\nskip: %+v\ntick: %+v", skipped, ticked)
-			}
-		})
-	}
-}

@@ -42,7 +42,9 @@ func (n *Network) SetAbort(flag *atomic.Bool) { n.abortFlag = flag }
 
 // Aborted reports whether an installed abort flag has been set. Workload
 // hooks that loop at host level should poll it so a wall-clock deadline
-// can interrupt them too.
+// can interrupt them too. No hook in this module loops that way; the
+// method stays exported because runner.RunCellsCtx's deadline contract
+// promises it to any hook that does.
 func (n *Network) Aborted() bool { return n.abortFlag != nil && n.abortFlag.Load() }
 
 // checkAbort panics with *AbortError when the installed flag is set; the

@@ -320,7 +320,9 @@ var catalogue = func() []cell {
 			add(kind, mode, goldenCells...)
 			add(kind, mode,
 				cell{name: "workload2", rows: ref, guard: saturated, run: openCell(traffic.Workload2(nodes, 8_000), nil, nil)},
-				cell{name: "hotspot", rows: ref, guard: saturated, run: openCell(traffic.Hotspot(nodes, 0.12).WithStop(2_000), nil, nil)},
+				// The hotspot is also Table 2's schedule, so it takes the
+				// skip-off row as well.
+				cell{name: "hotspot", rows: []row{skipOffRow, referenceRow}, guard: saturated, run: openCell(traffic.Hotspot(nodes, 0.12).WithStop(2_000), nil, nil)},
 				cell{name: "tornado", rows: ref, run: openCell(traffic.Tornado(nodes, 0.12).WithStop(8_000), nil, nil)},
 				cell{name: "closed-saturated", rows: ref, guard: guard{queued: true}, run: closedSaturated})
 		}

@@ -15,6 +15,10 @@ import (
 // the first Step.
 func (n *Network) UseReferenceRounds() { n.refRound = n.referenceRound }
 
+// Frames returns how many PVC frame boundaries (counter flushes and quota
+// refills) have fired. Zero outside PVC mode.
+func (n *Network) Frames() int { return int(n.frameCount) }
+
 // MeasureStart is WarmupAndMeasure's warmup/measure boundary, for callers
 // that advance a network in chunks.
 func (n *Network) MeasureStart() { n.measureStart() }

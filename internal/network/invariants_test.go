@@ -122,11 +122,12 @@ func TestFrameFlushResetsPriorities(t *testing.T) {
 	n := MustNew(Config{Kind: topology.MECS, QoS: cfg, Workload: w, Seed: 5})
 	n.Run(9_999)
 	// Just before the flush, the hot terminal port has accumulated
-	// consumption for many flows.
-	hot := n.ports[n.graph.TerminalPort(0)]
+	// consumption, and with it priority, for many flows.
+	toHot := n.graph.Path(1, 0, 0)
+	hot := n.ports[toHot[len(toHot)-1].Out]
 	nonZero := 0
 	for f := 0; f < 64; f++ {
-		if hot.table.Consumed(noc.FlowID(f)) > 0 {
+		if hot.table.Priority(noc.FlowID(f)) > 0 {
 			nonZero++
 		}
 	}
@@ -134,9 +135,11 @@ func TestFrameFlushResetsPriorities(t *testing.T) {
 		t.Fatal("no consumption recorded before the frame boundary")
 	}
 	n.Run(2) // cross the boundary
+	// Two cycles of service after the flush stay below one priority
+	// quantum, so every flow is back in the top class.
 	for f := 0; f < 64; f++ {
-		if c := hot.table.Consumed(noc.FlowID(f)); c > 8 {
-			t.Fatalf("flow %d retained %d flits of pre-flush consumption", f, c)
+		if p := hot.table.Priority(noc.FlowID(f)); p != 0 {
+			t.Fatalf("flow %d retained priority %d of pre-flush consumption", f, p)
 		}
 	}
 	if n.frameCount == 0 {

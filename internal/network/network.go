@@ -603,10 +603,6 @@ func (n *Network) Mode() qos.Mode { return n.mode }
 // (or awaiting retransmission).
 func (n *Network) InFlight() int { return n.inFlight }
 
-// Frames returns how many PVC frame boundaries (counter flushes and quota
-// refills) have fired. Zero outside PVC mode.
-func (n *Network) Frames() int { return int(n.frameCount) }
-
 // Step advances the simulation by one cycle.
 func (n *Network) Step() {
 	now := n.clock.Now()

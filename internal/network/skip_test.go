@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tanoq/internal/noc"
 	"tanoq/internal/qos"
 	"tanoq/internal/sim"
 	"tanoq/internal/topology"
@@ -82,25 +81,7 @@ func TestIdleSkipHonorsFrameBoundaries(t *testing.T) {
 		if got := n.Frames(); got != 19 {
 			t.Errorf("skip=%v: %d frame flushes over 10000 cycles at frame 500, want 19", !disable, got)
 		}
-		for _, f := range n.quotaRemaining() {
-			if f < 0 {
-				t.Fatalf("skip=%v: negative quota remainder", !disable)
-			}
-		}
 	}
-}
-
-// quotaRemaining snapshots the per-flow reserved-quota remainders
-// (test-only helper; empty outside PVC-with-quota configurations).
-func (n *Network) quotaRemaining() []int64 {
-	if n.quota == nil {
-		return nil
-	}
-	out := make([]int64, n.cfg.Workload.TotalFlows())
-	for f := range out {
-		out[f] = n.quota.Remaining(noc.FlowID(f))
-	}
-	return out
 }
 
 // TestIdleSkipHonorsStopAtExactly pins the StopAt boundary: a source

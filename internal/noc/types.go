@@ -20,9 +20,6 @@ type NodeID int
 // MECS row inputs feeding the column). PVC tracks bandwidth per FlowID.
 type FlowID int
 
-// InvalidNode marks an unset node reference.
-const InvalidNode NodeID = -1
-
 // Class is the traffic class of a packet. The paper models two packet sizes
 // corresponding to request (1 flit) and reply (4 flit) traffic, without
 // specializing buffers by class.

@@ -52,9 +52,6 @@ type AreaBreakdown struct {
 	FlowState  float64
 }
 
-// InputBuffers returns the total buffer area (row + column).
-func (a AreaBreakdown) InputBuffers() float64 { return a.RowBuffers + a.ColBuffers }
-
 // Total returns the full router area overhead.
 func (a AreaBreakdown) Total() float64 {
 	return a.RowBuffers + a.ColBuffers + a.Crossbar + a.FlowState

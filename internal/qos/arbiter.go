@@ -72,19 +72,3 @@ func (r *RoundRobin) Pick(n int, requesting func(int) bool) int {
 	}
 	return -1
 }
-
-// PickOldest returns the index of the oldest candidate (FIFO order), the
-// scheduling rule of the idealized per-flow-queue reference once every
-// flow has a private queue: the paper's preemption-free baseline schedules
-// by the same virtual-clock priorities, so PerFlowQueue mode still uses
-// PickPVC; PickOldest is used for plain FIFO ejection draining.
-func PickOldest(cands []Candidate) int {
-	best := -1
-	for i := range cands {
-		if best < 0 || cands[i].Enqueued < cands[best].Enqueued ||
-			(cands[i].Enqueued == cands[best].Enqueued && cands[i].Packet.ID < cands[best].Packet.ID) {
-			best = i
-		}
-	}
-	return best
-}

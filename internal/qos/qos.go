@@ -81,16 +81,13 @@ const PriorityQuantumFlits = 8
 
 // PreemptionMarginClasses is the hysteresis of the preemption logic, in
 // quantized priority classes: a victim must trail the requester by more
-// than this many classes (PreemptionMarginFlits of bandwidth) before being
-// discarded. Arbitration order reacts to single-quantum imbalances, but
+// than this many classes (64 × PriorityQuantumFlits flits of bandwidth)
+// before being discarded. Arbitration order reacts to single-quantum imbalances, but
 // discarding a packet — which wastes its buffered flits and every hop it
 // has traversed — is reserved for gross inversions. This separation keeps
 // preemption incidence in Section 5.2's 0.04–7 % band instead of constant
 // churn among statistically-jittering equal flows.
 const PreemptionMarginClasses = 64
-
-// PreemptionMarginFlits is the margin expressed in flits of bandwidth.
-const PreemptionMarginFlits = PreemptionMarginClasses * PriorityQuantumFlits
 
 // Config carries the QoS parameters of one simulated network.
 type Config struct {
@@ -209,12 +206,6 @@ type FlowTable struct {
 	shift    uint           // log2 of the priority quantum in flits
 }
 
-// NewFlowTable builds a table for the given per-flow rates with the
-// default priority quantum.
-func NewFlowTable(rates []float64) *FlowTable {
-	return NewFlowTableWithQuantum(rates, PriorityQuantumFlits)
-}
-
 // NewFlowTableWithQuantum builds a table whose priorities are quantized to
 // the given block size in flits (a power of two).
 func NewFlowTableWithQuantum(rates []float64, quantumFlits int) *FlowTable {
@@ -277,9 +268,6 @@ func resetPrios(s []noc.Priority, n int) []noc.Priority {
 	return s
 }
 
-// NumFlows returns the number of flows tracked.
-func (t *FlowTable) NumFlows() int { return len(t.consumed) }
-
 // Record charges flits of bandwidth to flow f and refreshes the flow's
 // cached priority.
 func (t *FlowTable) Record(f noc.FlowID, flits int) {
@@ -287,9 +275,6 @@ func (t *FlowTable) Record(f noc.FlowID, flits int) {
 	t.consumed[f] = c
 	t.prio[f] = noc.Priority((c >> t.shift) * t.weight[f])
 }
-
-// Consumed returns the flits charged to flow f in the current frame.
-func (t *FlowTable) Consumed(f noc.FlowID) uint64 { return t.consumed[f] }
 
 // Priority returns flow f's dynamic priority: consumption, quantized to
 // the table's quantum, scaled by the inverse assigned rate. Lower is
@@ -374,9 +359,6 @@ func (q *ReservedQuota) TryConsume(f noc.FlowID, flits int) bool {
 	return true
 }
 
-// Remaining returns flow f's unconsumed quota in the current frame.
-func (q *ReservedQuota) Remaining(f noc.FlowID) int64 { return q.remaining[f] }
-
 // Refill resets every flow's quota (a frame boundary).
 func (q *ReservedQuota) Refill() {
 	copy(q.remaining, q.perFrame)
@@ -387,7 +369,6 @@ func (q *ReservedQuota) Refill() {
 type FrameTimer struct {
 	frame sim.Cycle
 	next  sim.Cycle
-	count int
 }
 
 // NewFrameTimer creates a timer with the given frame duration.
@@ -413,12 +394,8 @@ func (t *FrameTimer) Expired(now sim.Cycle) bool {
 		return false
 	}
 	t.next += t.frame
-	t.count++
 	return true
 }
-
-// Frames returns how many frame boundaries have fired.
-func (t *FrameTimer) Frames() int { return t.count }
 
 // Next returns the cycle of the next frame boundary. The event-driven
 // engine folds it into its next-wake computation so that idle fast-forwards

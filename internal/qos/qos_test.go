@@ -16,6 +16,12 @@ func equalRates(n int) []float64 {
 	return r
 }
 
+// newFlowTable builds a table over rates with the default priority
+// quantum.
+func newFlowTable(rates []float64) *FlowTable {
+	return NewFlowTableWithQuantum(rates, PriorityQuantumFlits)
+}
+
 func TestModeString(t *testing.T) {
 	cases := map[Mode]string{PVC: "pvc", PerFlowQueue: "per-flow-queue", NoQoS: "no-qos"}
 	for m, want := range cases {
@@ -56,7 +62,7 @@ func TestConfigValidateRejects(t *testing.T) {
 }
 
 func TestFlowTablePriorityGrowsWithConsumption(t *testing.T) {
-	ft := NewFlowTable(equalRates(4))
+	ft := newFlowTable(equalRates(4))
 	p0 := ft.Priority(0)
 	ft.Record(0, 2*PriorityQuantumFlits)
 	p1 := ft.Priority(0)
@@ -71,7 +77,7 @@ func TestFlowTablePriorityQuantized(t *testing.T) {
 	// Consumption differences below a quantum must tie: preemption and
 	// arbitration treat near-equal flows as equal (Section 5.2's low
 	// preemption incidence depends on this).
-	ft := NewFlowTable(equalRates(2))
+	ft := newFlowTable(equalRates(2))
 	ft.Record(0, PriorityQuantumFlits-1)
 	if ft.Priority(0) != ft.Priority(1) {
 		t.Fatalf("sub-quantum imbalance changed priority class: %d vs %d",
@@ -84,7 +90,7 @@ func TestFlowTablePriorityQuantized(t *testing.T) {
 }
 
 func TestFlowTableEqualRatesEqualScaling(t *testing.T) {
-	ft := NewFlowTable(equalRates(8))
+	ft := newFlowTable(equalRates(8))
 	ft.Record(2, 10)
 	ft.Record(5, 10)
 	if ft.Priority(2) != ft.Priority(5) {
@@ -96,7 +102,7 @@ func TestFlowTableEqualRatesEqualScaling(t *testing.T) {
 func TestFlowTableRateScaling(t *testing.T) {
 	// Flow 0 is entitled to 4x the rate of flow 1. After consuming the
 	// same bandwidth, flow 0 must have the better (lower) priority.
-	ft := NewFlowTable([]float64{0.4, 0.1})
+	ft := newFlowTable([]float64{0.4, 0.1})
 	ft.Record(0, 20*PriorityQuantumFlits)
 	ft.Record(1, 20*PriorityQuantumFlits)
 	if ft.Priority(0) >= ft.Priority(1) {
@@ -111,10 +117,10 @@ func TestFlowTableRateScaling(t *testing.T) {
 }
 
 func TestFlowTableFlush(t *testing.T) {
-	ft := NewFlowTable(equalRates(3))
+	ft := newFlowTable(equalRates(3))
 	ft.Record(1, 100)
 	ft.Flush()
-	if ft.Priority(1) != 0 || ft.Consumed(1) != 0 {
+	if ft.Priority(1) != 0 || ft.consumed[1] != 0 {
 		t.Fatal("flush did not clear counters")
 	}
 }
@@ -125,12 +131,12 @@ func TestFlowTablePanicsOnBadRate(t *testing.T) {
 			t.Fatal("zero rate did not panic")
 		}
 	}()
-	NewFlowTable([]float64{0.5, 0})
+	newFlowTable([]float64{0.5, 0})
 }
 
 func TestFlowTablePriorityMonotonicProperty(t *testing.T) {
 	// Priority classes never improve as consumption grows.
-	ft := NewFlowTable(equalRates(2))
+	ft := newFlowTable(equalRates(2))
 	prev := noc.Priority(0)
 	check := func(flits uint8) bool {
 		ft.Record(0, int(flits)+1)
@@ -147,8 +153,8 @@ func TestFlowTablePriorityMonotonicProperty(t *testing.T) {
 func TestReservedQuotaConsume(t *testing.T) {
 	// rate 0.1 over a 100-cycle frame = 10 flits of quota.
 	q := NewReservedQuota([]float64{0.1}, 100)
-	if q.Remaining(0) != 10 {
-		t.Fatalf("quota = %d, want 10", q.Remaining(0))
+	if q.remaining[0] != 10 {
+		t.Fatalf("quota = %d, want 10", q.remaining[0])
 	}
 	for i := 0; i < 10; i++ {
 		if !q.TryConsume(0, 1) {
@@ -159,7 +165,7 @@ func TestReservedQuotaConsume(t *testing.T) {
 		t.Fatal("consume succeeded past quota")
 	}
 	q.Refill()
-	if q.Remaining(0) != 10 {
+	if q.remaining[0] != 10 {
 		t.Fatal("refill did not restore quota")
 	}
 }
@@ -169,7 +175,7 @@ func TestReservedQuotaWholePacketSemantics(t *testing.T) {
 	if q.TryConsume(0, 4) {
 		t.Fatal("4-flit packet admitted under 3-flit quota")
 	}
-	if q.Remaining(0) != 3 {
+	if q.remaining[0] != 3 {
 		t.Fatal("failed TryConsume must not charge quota")
 	}
 	if !q.TryConsume(0, 3) {
@@ -185,7 +191,7 @@ func TestReservedQuotaNeverNegativeProperty(t *testing.T) {
 			f = 1
 		}
 		q.TryConsume(f, int(flits%8))
-		return q.Remaining(f) >= 0
+		return q.remaining[f] >= 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -202,9 +208,6 @@ func TestFrameTimer(t *testing.T) {
 	}
 	if fires != 4 { // at 50, 100, 150, 200
 		t.Fatalf("fires = %d, want 4", fires)
-	}
-	if ft.Frames() != 4 {
-		t.Fatalf("Frames() = %d, want 4", ft.Frames())
 	}
 }
 
@@ -368,20 +371,6 @@ func TestRoundRobinMatchesModuloArithmetic(t *testing.T) {
 			t.Errorf("%s: Pick = %d (last %d), modulo arithmetic gives %d (last %d)",
 				tc.name, got, rr.last, wantIdx, wantLast)
 		}
-	}
-}
-
-func TestPickOldest(t *testing.T) {
-	cands := []Candidate{
-		{Packet: &noc.Packet{ID: 5}, Enqueued: 30},
-		{Packet: &noc.Packet{ID: 6}, Enqueued: 10},
-		{Packet: &noc.Packet{ID: 7}, Enqueued: 10},
-	}
-	if got := PickOldest(cands); got != 1 {
-		t.Fatalf("PickOldest = %d, want 1 (oldest, lowest ID)", got)
-	}
-	if PickOldest(nil) != -1 {
-		t.Fatal("empty list should return -1")
 	}
 }
 

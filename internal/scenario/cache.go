@@ -32,8 +32,8 @@ import (
 // name, the [run] table (deadlines, retry budgets) and the [telemetry]
 // table (probes are display-only — a probed cell's row is bit-identical
 // to an unprobed one's, so cache-served rows simply carry no timeline).
-// Worker count and the idle-skip toggle are not scenario keys at all;
-// results are bit-identical either way (a tested engine invariant).
+// Worker count is not a scenario key at all; results are bit-identical
+// for every value (a tested engine invariant).
 // Because the simulator is deterministic, a cache hit is
 // indistinguishable from a re-run; the float64 metric fields round-trip
 // JSON exactly, so a resumed sweep renders its table bit-identically to
@@ -374,16 +374,9 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 // run executes the cells src[idx[0]], src[idx[1]], ... on the runner. It
 // is the one place a sweep's cells meet runner.Options, so the misses,
 // their reference baselines and verification re-runs share one worker
-// count, idle-skip setting and failure budget. onResult, when non-nil,
-// observes each finished cell by its position in idx.
-//
-// The idle-skip setting is written into the source cells themselves: it
-// is not part of any cache key and a grid runs one call at a time, so
-// this spares a copy of the grid just to flip one bit per cell.
+// count and failure budget. onResult, when non-nil, observes each
+// finished cell by its position in idx.
 func (opts *DurableOpts) run(ctx context.Context, src []runner.Cell, idx []int, onResult func(j int, r *runner.Result)) []runner.Result {
-	for _, i := range idx {
-		src[i].Config.DisableIdleSkip = opts.DisableIdleSkip
-	}
 	cells := src
 	if !isPrefix(idx) {
 		cells = make([]runner.Cell, len(idx))

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tanoq/internal/network"
+	"tanoq/internal/runner"
 	"tanoq/internal/store"
 	"tanoq/internal/topology"
 	"tanoq/internal/workload"
@@ -44,6 +45,18 @@ func runGrid(t *testing.T, g *Grid, opts RunOpts) []Result {
 		t.Fatal(err)
 	}
 	return rep.Results
+}
+
+// skipOff makes every cell of g, hidden reference cells included, tick
+// through each cycle instead of skipping idle windows
+// (network.Config.DisableIdleSkip), and returns g.
+func skipOff(g *Grid) *Grid {
+	for _, cells := range [][]runner.Cell{g.cells, g.refCells} {
+		for i := range cells {
+			cells[i].Config.DisableIdleSkip = true
+		}
+	}
+	return g
 }
 
 // zeroWall returns a copy of the rows with the wall-clock columns — the
@@ -264,7 +277,7 @@ func TestCacheKeyTraceDigest(t *testing.T) {
 		Seed: 42, Warmup: 200, Measure: 800,
 	})
 	path := filepath.Join(dir, "t.trace")
-	if err := workload.WriteTraceFile(path, tr); err != nil {
+	if err := os.WriteFile(path, tr.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	scPath := filepath.Join(dir, "replay.toml")
@@ -300,7 +313,7 @@ func TestCacheKeyTraceDigest(t *testing.T) {
 		Nodes: topology.ColumnNodes, Topology: "mesh_x1", QoS: "pvc",
 		Seed: 43, Warmup: 200, Measure: 800,
 	})
-	if err := workload.WriteTraceFile(path, tr2); err != nil {
+	if err := os.WriteFile(path, tr2.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if k3 := load(); reflect.DeepEqual(k1, k3) {

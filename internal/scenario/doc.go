@@ -162,11 +162,12 @@
 //
 // [profiles.<name>] tables hold named patches over any subset of the
 // keys above (including nested tables like [profiles.durable.run]);
-// nothing applies until a profile is selected — `noctool sweep
-// file.toml#quick` or -profile. Unknown keys are rejected at every
-// layer, so typos fail loudly instead of silently dropping an axis. See
-// examples/sweep/ for runnable files (base.toml is the shared include)
-// and cmd/noctool's sweep subcommand for the CLI entry point.
+// nothing applies until a profile is selected by the file argument's
+// suffix, as in `noctool sweep file.toml#quick`. Unknown keys are
+// rejected at every layer, so typos fail loudly instead of silently
+// dropping an axis. See examples/sweep/ for runnable files (base.toml is
+// the shared include) and cmd/noctool's sweep subcommand for the CLI
+// entry point.
 //
 // Every result row carries Table-2-style fairness dispersion —
 // min/max/stddev of per-flow delivered flits (open/replay cells) or

@@ -68,9 +68,6 @@ type Resolution struct {
 // Profile returns the selected profile name ("" when none).
 func (r *Resolution) Profile() string { return r.profile }
 
-// Files lists the scenario files loaded, include chain first.
-func (r *Resolution) Files() []string { return append([]string(nil), r.files...) }
-
 // Origin returns the provenance of a resolved dotted key path.
 func (r *Resolution) Origin(path string) (Origin, bool) {
 	o, ok := r.prov[path]

@@ -65,7 +65,7 @@ func TestLayerPrecedence(t *testing.T) {
 }
 
 // TestIncludeChain checks a two-deep include chain merges deepest-first
-// and that Files() reports the load order.
+// and that the resolution records the load order.
 func TestIncludeChain(t *testing.T) {
 	dir := writeTree(t, map[string]string{
 		"grand.toml":  "rate = 0.01\nseed = 7\nwarmup = 50\n",
@@ -79,7 +79,7 @@ func TestIncludeChain(t *testing.T) {
 	if sc.Warmup != 99 || sc.Measure != 777 || !reflect.DeepEqual(sc.Seeds, []uint64{7}) {
 		t.Errorf("merged chain: warmup=%d measure=%d seeds=%v", sc.Warmup, sc.Measure, sc.Seeds)
 	}
-	files := res.Files()
+	files := res.files
 	if len(files) != 3 || !strings.HasSuffix(files[0], "grand.toml") || !strings.HasSuffix(files[2], "child.toml") {
 		t.Errorf("files order: %v", files)
 	}

@@ -325,15 +325,13 @@ func (g *Grid) Size() int { return len(g.cells) }
 
 // Cell returns a copy of grid cell i — the runner cell the sweep would
 // execute — for drivers that run cells individually (noctool trace
-// record). Its Config.DisableIdleSkip is the setting of the last
-// RunDurable call, which writes it into the cells it runs.
+// record).
 func (g *Grid) Cell(i int) runner.Cell { return g.cells[i] }
 
-// RunOpts carries the runtime knobs that never change results: worker
-// count (bit-identical for every value) and the idle-skip proof toggle.
+// RunOpts carries the runtime knobs that never change results: the worker
+// count (bit-identical for every value) and a live accounting feed.
 type RunOpts struct {
-	Workers         int
-	DisableIdleSkip bool
+	Workers int
 	// OnCell, when non-nil, observes every finished visible cell as it
 	// lands — the live accounting feed for progress lines and the sweep
 	// metrics endpoint. It fires on worker goroutines (make it

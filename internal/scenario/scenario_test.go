@@ -457,9 +457,12 @@ func TestSweepDeterministicAcrossWorkersAndSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := sc.Grid()
-	if err != nil {
-		t.Fatal(err)
+	grid := func() *Grid {
+		g, err := sc.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
 	// Wall-clock is the one legitimately non-deterministic column; every
 	// measured field must be bit-identical across the matrix.
@@ -468,18 +471,25 @@ func TestSweepDeterministicAcrossWorkersAndSkip(t *testing.T) {
 			rs[i].Wall, rs[i].CyclesPerSec = 0, 0
 		}
 	}
-	base := runGrid(t, g, RunOpts{Workers: 1})
+	base := runGrid(t, grid(), RunOpts{Workers: 1})
 	stripWall(base)
-	for _, opts := range []RunOpts{
-		{Workers: 0},
-		{Workers: 3},
-		{Workers: 1, DisableIdleSkip: true},
-		{Workers: 0, DisableIdleSkip: true},
+	for _, v := range []struct {
+		workers int
+		skipOff bool
+	}{
+		{workers: 0},
+		{workers: 3},
+		{workers: 1, skipOff: true},
+		{workers: 0, skipOff: true},
 	} {
-		got := runGrid(t, g, opts)
+		g := grid()
+		if v.skipOff {
+			skipOff(g)
+		}
+		got := runGrid(t, g, RunOpts{Workers: v.workers})
 		stripWall(got)
 		if !reflect.DeepEqual(base, got) {
-			t.Errorf("results diverged for %+v", opts)
+			t.Errorf("results diverged for %+v", v)
 		}
 	}
 }

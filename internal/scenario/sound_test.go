@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -290,7 +291,7 @@ func writeAltTrace(t *testing.T, path string) {
 	rec := recordRun(t, `{"rates":[0.1],"pattern":"tornado","topologies":["mesh_x1"],"warmup":200,"measure":800}`)
 	tr := rec.Trace(workload.TraceHeader{Nodes: topology.ColumnNodes, Topology: "mesh_x1", QoS: "pvc",
 		Seed: 42, Warmup: 200, Measure: 800})
-	if err := workload.WriteTraceFile(path, tr); err != nil {
+	if err := os.WriteFile(path, tr.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

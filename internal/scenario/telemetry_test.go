@@ -105,8 +105,8 @@ func TestTelemetryCacheKeysUnchanged(t *testing.T) {
 // skipping on or off.
 func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 	src := telemetryBase + "[telemetry]\ninterval = 400\ntop_flows = 4\n"
-	collect := func(opts RunOpts) [][]byte {
-		results := runGrid(t, gridOf(t, src), opts)
+	collect := func(g *Grid, opts RunOpts) [][]byte {
+		results := runGrid(t, g, opts)
 		blobs := make([][]byte, len(results))
 		for i, r := range results {
 			if r.Error != "" {
@@ -120,13 +120,16 @@ func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return blobs
 	}
-	base := collect(RunOpts{Workers: 1})
-	for name, opts := range map[string]RunOpts{
-		"workers=4":        {Workers: 4},
-		"no idle skip":     {Workers: 1, DisableIdleSkip: true},
-		"skipless workers": {Workers: 2, DisableIdleSkip: true},
+	base := collect(gridOf(t, src), RunOpts{Workers: 1})
+	for name, v := range map[string]struct {
+		g    *Grid
+		opts RunOpts
+	}{
+		"workers=4":        {gridOf(t, src), RunOpts{Workers: 4}},
+		"no idle skip":     {skipOff(gridOf(t, src)), RunOpts{Workers: 1}},
+		"skipless workers": {skipOff(gridOf(t, src)), RunOpts{Workers: 2}},
 	} {
-		got := collect(opts)
+		got := collect(v.g, v.opts)
 		for i := range base {
 			if string(got[i]) != string(base[i]) {
 				t.Errorf("%s: cell %d timeline diverged:\nbase: %s\ngot:  %s", name, i, base[i], got[i])

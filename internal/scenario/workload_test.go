@@ -202,7 +202,7 @@ func TestTraceAxisGridExpansion(t *testing.T) {
 		Nodes: topology.ColumnNodes, Topology: "mesh_x1", QoS: "pvc",
 		Seed: 42, Warmup: 200, Measure: 800,
 	})
-	if err := workload.WriteTraceFile(filepath.Join(dir, "t.trace"), tr); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "t.trace"), tr.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	scPath := filepath.Join(dir, "replay.toml")

@@ -103,27 +103,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a random permutation of [0, n) using Fisher–Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Exponential returns an exponentially distributed value with the given
-// mean. Used by traffic generators that model bursty inter-arrival times.
-func (r *RNG) Exponential(mean float64) float64 {
-	u := r.Float64()
-	// Guard against log(0); Float64 never returns 1.0 so 1-u is never 0.
-	return -mean * math.Log(1-u)
-}
-
 // maxGeometric caps Geometric's result so that the float intermediate can
 // never overflow int64 (possible for sub-denormal success probabilities).
 // 1<<62 cycles is beyond any simulable horizon, so the cap is unobservable.

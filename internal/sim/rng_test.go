@@ -123,41 +123,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(17)
-	check := func(n uint8) bool {
-		m := int(n%32) + 1
-		p := r.Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(23)
-	const mean, draws = 40.0, 200000
-	sum := 0.0
-	for i := 0; i < draws; i++ {
-		v := r.Exponential(mean)
-		if v < 0 {
-			t.Fatalf("Exponential returned negative %v", v)
-		}
-		sum += v
-	}
-	if got := sum / draws; math.Abs(got-mean) > 0.02*mean {
-		t.Errorf("Exponential mean = %v, want ~%v", got, mean)
-	}
-}
-
 func TestGeometricEdgeCases(t *testing.T) {
 	r := NewRNG(29)
 	for i := 0; i < 100; i++ {

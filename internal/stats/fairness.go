@@ -153,19 +153,6 @@ func JainIndex(values []float64) float64 {
 	return sum * sum / (float64(len(values)) * sq)
 }
 
-// DeviationsPct returns, per source, the percentage deviation of measured
-// from expected ((measured-expected)/expected × 100). Sources with zero
-// expectation report zero deviation.
-func DeviationsPct(measured, expected []float64) []float64 {
-	out := make([]float64, len(measured))
-	for i := range measured {
-		if i < len(expected) && expected[i] > 0 {
-			out[i] = 100 * (measured[i] - expected[i]) / expected[i]
-		}
-	}
-	return out
-}
-
 // Mean returns the arithmetic mean of values (0 for an empty slice).
 func Mean(values []float64) float64 {
 	if len(values) == 0 {

@@ -253,14 +253,6 @@ func (c *Collector) MeanLatency() float64 {
 	return float64(c.TotalLatency) / float64(c.TotalDelivered)
 }
 
-// MeanLatencyOfFlow returns one flow's average latency.
-func (c *Collector) MeanLatencyOfFlow(f noc.FlowID) float64 {
-	if c.DeliveredPackets[f] == 0 {
-		return 0
-	}
-	return float64(c.LatencySumByFlow[f]) / float64(c.DeliveredPackets[f])
-}
-
 // AcceptedFlitRate returns delivered flits per cycle over the window
 // ending at cycle now.
 func (c *Collector) AcceptedFlitRate(now sim.Cycle) float64 {

@@ -19,8 +19,8 @@ func TestCollectorDeliveryAccounting(t *testing.T) {
 	if got := c.MeanLatency(); !almostEq(got, 20, 1e-9) {
 		t.Errorf("mean latency %v, want 20", got)
 	}
-	if got := c.MeanLatencyOfFlow(1); !almostEq(got, 15, 1e-9) {
-		t.Errorf("flow 1 latency %v, want 15", got)
+	if c.LatencySumByFlow[1] != 30 {
+		t.Errorf("flow 1 latency sum %d, want 30", c.LatencySumByFlow[1])
 	}
 	if c.LastDelivery != 120 {
 		t.Errorf("last delivery %d, want 120", c.LastDelivery)
@@ -245,13 +245,6 @@ func TestJainIndex(t *testing.T) {
 	}
 	if JainIndex(nil) != 0 || JainIndex([]float64{0, 0}) != 0 {
 		t.Error("degenerate Jain index should be 0")
-	}
-}
-
-func TestDeviationsPct(t *testing.T) {
-	d := DeviationsPct([]float64{110, 90, 50}, []float64{100, 100, 0})
-	if !almostEq(d[0], 10, 1e-12) || !almostEq(d[1], -10, 1e-12) || d[2] != 0 {
-		t.Errorf("deviations %v", d)
 	}
 }
 

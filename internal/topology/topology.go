@@ -110,9 +110,8 @@ const (
 	MeshVCs = 6
 	MECSVCs = 14
 	DPSVCs  = 5
-	// InjectionVCs and EjectionVCs are common to all topologies.
-	InjectionVCs = 1
-	EjectionVCs  = 2
+	// EjectionVCs is common to all topologies.
+	EjectionVCs = 2
 )
 
 // Pipeline latencies in cycles (Table 1). Look-ahead routing and priority
@@ -145,18 +144,6 @@ func (k Kind) RouterDelay(intermediate bool) int {
 		return MeshRouterDelay
 	default:
 		return MeshRouterDelay
-	}
-}
-
-// NetworkVCs returns the per-network-input-port VC count of the topology.
-func (k Kind) NetworkVCs() int {
-	switch k {
-	case MECS:
-		return MECSVCs
-	case DPS:
-		return DPSVCs
-	default:
-		return MeshVCs
 	}
 }
 

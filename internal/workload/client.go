@@ -186,9 +186,6 @@ func NewController(n *network.Network, cfg ClientConfig) (*Controller, error) {
 	return ct, nil
 }
 
-// Clients returns the client population size.
-func (ct *Controller) Clients() int { return len(ct.clients) }
-
 // Outstanding returns the total outstanding requests across all clients.
 func (ct *Controller) Outstanding() int {
 	total := 0

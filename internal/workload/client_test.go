@@ -45,8 +45,8 @@ func TestClosedLoopRoundTrips(t *testing.T) {
 	if ct.Completed == 0 {
 		t.Fatal("no round trips completed")
 	}
-	if got := ct.Outstanding(); got > 4*ct.Clients() {
-		t.Errorf("outstanding %d exceeds aggregate window %d", got, 4*ct.Clients())
+	if got := ct.Outstanding(); got > 4*len(ct.clients) {
+		t.Errorf("outstanding %d exceeds aggregate window %d", got, 4*len(ct.clients))
 	}
 	if ct.RT.TotalCompleted() == 0 || ct.RT.MeanRTT() <= 0 {
 		t.Errorf("round-trip stats empty: completed %d mean %.1f", ct.RT.TotalCompleted(), ct.RT.MeanRTT())

@@ -289,11 +289,6 @@ func DecodeTrace(blob []byte) (*Trace, error) {
 	return t, nil
 }
 
-// WriteTraceFile encodes the trace to path.
-func WriteTraceFile(path string, t *Trace) error {
-	return os.WriteFile(path, t.Encode(), 0o644)
-}
-
 // ReadTraceFile reads and decodes the trace at path.
 func ReadTraceFile(path string) (*Trace, error) {
 	blob, err := os.ReadFile(path)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/binary"
+	"os"
 	"reflect"
 	"testing"
 
@@ -347,7 +348,7 @@ func TestTraceWorkloadGrouping(t *testing.T) {
 func TestTraceFileRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/t.trace"
 	want := sampleTrace()
-	if err := WriteTraceFile(path, want); err != nil {
+	if err := os.WriteFile(path, want.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadTraceFile(path)
