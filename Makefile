@@ -85,7 +85,7 @@ sweep-smoke:
 # run's injection stream, replay the trace in the recorded cell and
 # require equal delivery fingerprints (any byte of drift fails), then
 # require a cell the watchdog kills to fail `trace record` with an error
-# and no trace file.
+# yet write its repro trace, whose replay trips the watchdog the same way.
 trace-smoke:
 	go test -count=1 -run TraceRecordReplay ./cmd/noctool
 

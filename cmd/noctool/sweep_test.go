@@ -239,7 +239,9 @@ func TestPaperScenarioTakesEveryLayer(t *testing.T) {
 // contract end to end: recording the trace-smoke cell and replaying the
 // trace prints one delivery fingerprint twice. A cell the watchdog kills
 // — a router stall at the hotspot that outlasts faults.watchdog_cycles —
-// fails record with the runner's error and leaves no trace behind.
+// fails record with the runner's error but writes its repro trace, and
+// replaying that trace trips the watchdog with the same message. A cell
+// that fails any other way leaves no trace behind.
 func TestTraceRecordReplaysFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	fingerprint := func(stdout string) string {
@@ -284,15 +286,47 @@ until = 6000
 			t.Fatal(err)
 		}
 		out := filepath.Join(dir, "wedge.trace")
-		stdout, _, err := captured(t, func() error { return traceMain([]string{"-out", out, "record", wedge}) })
-		if err == nil || !strings.Contains(err.Error(), "cell panicked: network: no forward progress") {
-			t.Errorf("error = %v, want the watchdog's", err)
+		stdout, _, recErr := captured(t, func() error { return traceMain([]string{"-out", out, "record", wedge}) })
+		if recErr == nil || !strings.Contains(recErr.Error(), "cell panicked: network: no forward progress") {
+			t.Fatalf("record error = %v, want the watchdog's", recErr)
+		}
+		if !strings.HasPrefix(stdout, "recorded repro trace "+out) {
+			t.Errorf("record did not report its repro trace:\n%s", stdout)
+		}
+		_, _, repErr := captured(t, func() error { return traceMain([]string{"replay", out}) })
+		if repErr == nil {
+			t.Fatal("replaying the repro trace did not trip the watchdog")
+		}
+		// Same trip cycle and last-progress cycle: the messages agree
+		// past their verb.
+		got := strings.TrimPrefix(repErr.Error(), "trace replay: ")
+		if want := strings.TrimPrefix(recErr.Error(), "trace record: "); got != want {
+			t.Errorf("repro replay diverged:\nrecord: %s\nreplay: %s", want, got)
+		}
+	})
+
+	// No valid scenario fails a cell but through the watchdog, so the
+	// other failure is one before the cell runs: a replay scenario whose
+	// trace file is no trace.
+	t.Run("other failure", func(t *testing.T) {
+		bad := filepath.Join(dir, "bad.trace")
+		if err := os.WriteFile(bad, []byte("not a trace"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sc := filepath.Join(dir, "bad.toml")
+		if err := os.WriteFile(sc, []byte("topology = \"mesh_x1\"\nqos = \"pvc\"\n[workload]\ntrace = \"bad.trace\"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(dir, "bad-out.trace")
+		stdout, _, err := captured(t, func() error { return traceMain([]string{"-out", out, "record", sc}) })
+		if err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("error = %v, want the trace decoder's", err)
 		}
 		if stdout != "" {
 			t.Errorf("printed a recording:\n%s", stdout)
 		}
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
-			t.Errorf("wrote a trace for a failed cell (stat: %v)", err)
+			t.Errorf("wrote a trace for a failed record (stat: %v)", err)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -76,10 +77,14 @@ func runCell(cell runner.Cell) (runner.Result, error) {
 // pipeline as sweep, runs it with a recorder attached and writes the
 // captured injection stream to out (default <name>.trace) as a binary
 // trace whose header carries the cell (topology, QoS, overrides, seed,
-// schedule) — so the trace replays self-contained. The printed
+// schedule, faults) — so the trace replays self-contained. The printed
 // fingerprint is what `trace replay` must reproduce
-// (TestTraceRecordReplaysFingerprint compares the two). A cell that fails
-// writes no trace.
+// (TestTraceRecordReplaysFingerprint compares the two).
+//
+// A cell the watchdog trips still writes its trace — every generation up
+// to the trip, which is the repro trace: replaying it wedges at the same
+// cycle — and then fails with the runner's error. A cell that fails any
+// other way writes nothing.
 func runTraceRecord(scenarioArg string, lo layerOpts, out string) error {
 	sc, _, err := loadLayered(scenarioArg, lo)
 	if err != nil {
@@ -104,7 +109,8 @@ func runTraceRecord(scenarioArg string, lo layerOpts, out string) error {
 		return aux
 	}
 	res, err := runCell(cell)
-	if err != nil {
+	var wedged *network.WatchdogError
+	if err != nil && !errors.As(err, &wedged) {
 		return fmt.Errorf("trace record: %w", err)
 	}
 
@@ -137,6 +143,11 @@ func runTraceRecord(scenarioArg string, lo layerOpts, out string) error {
 	if err := os.WriteFile(out, blob, 0o644); err != nil {
 		return err
 	}
+	if wedged != nil {
+		fmt.Printf("recorded repro trace %s: %d records up to the watchdog trip at cycle %d (%d bytes)\n",
+			out, rec.Len(), wedged.Report.At, len(blob))
+		return fmt.Errorf("trace record: %w", err)
+	}
 	fmt.Printf("recorded %s: %d records over cycles 0..%d (%d bytes, %.1f bytes/record)\n",
 		out, rec.Len(), res.End, len(blob), float64(len(blob))/float64(max(rec.Len(), 1)))
 	fmt.Printf("cell: %s %s nodes=%d seed=%d warmup=%d measure=%d\n",
@@ -150,12 +161,12 @@ func runTraceRecord(scenarioArg string, lo layerOpts, out string) error {
 // delivery fingerprint. For an open-loop recording the fingerprint equals
 // the recorded run's exactly.
 func runTraceReplay(path string) error {
-	tr, err := workload.ReadTraceFile(path)
+	name := "replay:" + strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	hdr, w, err := workload.ReadReplayFile(path, name)
 	if err != nil {
 		return err
 	}
-	name := "replay:" + strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	cfg, warmup, measure, err := tr.Cell(name)
+	cfg, warmup, measure, err := hdr.Cell(w)
 	if err != nil {
 		return err
 	}
@@ -163,11 +174,15 @@ func runTraceReplay(path string) error {
 	if err != nil {
 		return fmt.Errorf("trace replay: %w", err)
 	}
+	records := 0
+	for _, s := range w.Specs {
+		records += len(s.Replay.Events)
+	}
 	st := res.Stats
 	fmt.Printf("replayed %s: %d records, delivered %d packets, mean latency %.1f cycles\n",
-		path, len(tr.Records), st.TotalDelivered, st.MeanLatency())
+		path, records, st.TotalDelivered, st.MeanLatency())
 	fmt.Printf("cell: %s %s nodes=%d seed=%d warmup=%d measure=%d\n",
-		tr.Header.Topology, tr.Header.QoS, tr.Header.Nodes, tr.Header.Seed, warmup, measure)
+		hdr.Topology, hdr.QoS, hdr.Nodes, hdr.Seed, warmup, measure)
 	fmt.Printf("fingerprint: %s\n", workload.Fingerprint(st, res.End))
 	return nil
 }

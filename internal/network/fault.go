@@ -111,7 +111,6 @@ func (n *Network) reinitFaults(cfg Config) {
 	n.sysEvents = 0
 	n.wdWindow = cfg.WatchdogCycles
 	n.lastProgress = 0
-	n.wdLog.reset()
 	n.auditEvery = cfg.AuditEvery
 	if n.auditEvery == 0 && envAuditEvery > 0 {
 		n.auditEvery = envAuditEvery

@@ -283,13 +283,11 @@ type Network struct {
 	retryTimeout sim.Cycle
 	maxRetries   int32
 	sysEvents    int
-	// wdWindow/lastProgress drive the no-forward-progress watchdog;
-	// wdLog is its auto-captured repro trace (every generation of the
-	// run, recorded only while the watchdog is armed), packed at about
-	// 5 bytes a record and decoded only when the watchdog trips.
+	// wdWindow/lastProgress drive the no-forward-progress watchdog. It
+	// holds no copy of the injection stream: a repro trace is a
+	// generation-hook recording of the same deterministic run.
 	wdWindow     sim.Cycle
 	lastProgress sim.Cycle
-	wdLog        reproLog
 	// auditEvery/auditAt pace the invariant auditor.
 	auditEvery sim.Cycle
 	auditAt    sim.Cycle

@@ -160,10 +160,9 @@ func TestResetRejectsInvalidConfig(t *testing.T) {
 
 // TestResetClearsFaultState pins the robustness-subsystem reuse
 // contract: a network torn down mid-outage — fault windows active, retry
-// timers pending, watchdog armed and capturing its repro trace, auditor
-// pacing — Reset to a fault-free configuration is bit-identical to a
-// fresh build, with no bookkeeping event, bitmap bit or captured record
-// leaking across.
+// timers pending, watchdog armed, auditor pacing — Reset to a fault-free
+// configuration is bit-identical to a fresh build, with no bookkeeping
+// event or bitmap bit leaking across.
 func TestResetClearsFaultState(t *testing.T) {
 	g := topology.NewGraph(topology.MeshX1, topology.ColumnNodes)
 	legs := g.Path(0, noc.NodeID(g.Nodes-1), 0)
@@ -180,15 +179,9 @@ func TestResetClearsFaultState(t *testing.T) {
 	faulted.AuditEvery = 256
 
 	dirty := MustNew(faulted)
-	dirty.Run(5_000) // mid-outage: down bits set, timers and records live
-	if dirty.sysEvents == 0 || dirty.wdLog.n == 0 {
+	dirty.Run(5_000) // mid-outage: down bits set, timers live
+	if dirty.sysEvents == 0 {
 		t.Fatal("faulted run left no robustness state to clear; test is vacuous")
-	}
-	// The repro log it holds is packed: at most 8 bytes a generation,
-	// where a traffic.TraceRecord takes 40.
-	if per := float64(len(dirty.wdLog.buf)) / float64(dirty.wdLog.n); per > 8 {
-		t.Errorf("repro log packs %d records into %d bytes (%.2f a record), want at most 8",
-			dirty.wdLog.n, len(dirty.wdLog.buf), per)
 	}
 
 	clean := resetCfg(topology.MECS, qos.PVC, 0.05, 17)
@@ -197,11 +190,10 @@ func TestResetClearsFaultState(t *testing.T) {
 	}
 	if dirty.fltOn || dirty.fltHasDead || dirty.sysEvents != 0 ||
 		dirty.retryTimeout != 0 || dirty.wdWindow != 0 ||
-		dirty.wdLog.n != 0 || len(dirty.wdLog.buf) != 0 || dirty.wdLog.last != 0 ||
 		dirty.auditEvery != envAuditEvery {
-		t.Errorf("Reset left robustness state armed: fltOn=%v dead=%v sys=%d rto=%d wd=%d records=%d audit=%d",
+		t.Errorf("Reset left robustness state armed: fltOn=%v dead=%v sys=%d rto=%d wd=%d audit=%d",
 			dirty.fltOn, dirty.fltHasDead, dirty.sysEvents, dirty.retryTimeout,
-			dirty.wdWindow, dirty.wdLog.n, dirty.auditEvery)
+			dirty.wdWindow, dirty.auditEvery)
 	}
 	for _, bm := range [][]uint64{dirty.fltDown, dirty.fltDead, dirty.fltStall} {
 		for _, w := range bm {

@@ -188,9 +188,6 @@ func (n *Network) enqueue(s *source, flow noc.FlowID, dst noc.NodeID, class noc.
 	if n.genHook != nil {
 		n.genHook(traffic.TraceRecord{At: t, Flow: flow, Src: s.spec.Node, Dst: dst, Class: class})
 	}
-	if n.wdWindow > 0 {
-		n.wdLog.add(t, flow, s.spec.Node, dst, class)
-	}
 	n.markOfferable(s)
 }
 

@@ -113,8 +113,9 @@
 //	max_retries       retransmissions per packet before it is abandoned,
 //	                  an axis (default 3 when any retry_timeout is set)
 //	watchdog_cycles   no-forward-progress watchdog budget (0 = disarmed);
-//	                  a trip fails the cell with a structured dump and an
-//	                  auto-captured repro trace
+//	                  a trip fails the cell with a structured dump;
+//	                  `noctool trace record` of the cell writes its
+//	                  repro trace
 //	[[faults.link]]   { port, from, until, permanent }: output port loses
 //	                  its flits in flight and stalls for [from, until), or
 //	                  dies for good with permanent = true (until omitted)

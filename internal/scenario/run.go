@@ -275,26 +275,24 @@ func (sc *Scenario) expandClosed(patName string, add func(Point, runner.Cell, ce
 }
 
 // expandTraces appends the replay cells: trace × topology × qos × seed,
-// each replaying the decoded injection stream verbatim. Relative trace
-// paths resolve against the scenario file's directory.
+// each replaying the recorded injection stream verbatim. The trace is
+// built straight into its replay workload, which every cell of the trace
+// shares. Relative trace paths resolve against the scenario file's
+// directory.
 func (sc *Scenario) expandTraces(add func(Point, runner.Cell, cellMeta)) error {
 	for _, trPath := range sc.Traces {
 		path := trPath
 		if !filepath.IsAbs(path) && sc.baseDir != "" {
 			path = filepath.Join(sc.baseDir, path)
 		}
-		tr, err := workload.ReadTraceFile(path)
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", sc.Name, err)
-		}
-		if tr.Header.Nodes != sc.Nodes {
-			return fmt.Errorf("scenario %s: trace %s recorded a %d-node column, scenario has %d",
-				sc.Name, trPath, tr.Header.Nodes, sc.Nodes)
-		}
 		label := "replay:" + strings.TrimSuffix(filepath.Base(trPath), filepath.Ext(trPath))
-		w, err := tr.Workload(label)
+		hdr, w, err := workload.ReadReplayFile(path, label)
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", sc.Name, err)
+		}
+		if hdr.Nodes != sc.Nodes {
+			return fmt.Errorf("scenario %s: trace %s recorded a %d-node column, scenario has %d",
+				sc.Name, trPath, hdr.Nodes, sc.Nodes)
 		}
 		active := activeFlows(w)
 		for _, kind := range sc.Topologies {

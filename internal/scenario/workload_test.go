@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -234,6 +235,51 @@ func TestTraceAxisGridExpansion(t *testing.T) {
 	// injection stream, so the injected population matches.
 	if res[0].Delivered == 0 || res[0].TputStdDevPct < 0 {
 		t.Errorf("replay dispersion missing: %+v", res[0])
+	}
+}
+
+// TestReplayGridHoldsTraceOnce pins what expanding a replay scenario
+// allocates: the file's bytes and one 24-byte traffic.ReplayEvent a
+// record, nothing else that grows with the trace. A uniform mesh_x1 cell
+// of 50 000 cycles is recorded into a file; Scenario.Grid over a replay
+// scenario of it must allocate (runtime TotalAlloc) at most file bytes +
+// 1.1 × 24 B × records + 64 KB. Over 63 953 records in 319 795 bytes it
+// allocates 1.89 MB against a 2.07 MB bound. Decoding the whole trace into
+// 40-byte traffic.TraceRecords and then grouping them into append-grown
+// replay streams allocated 7.89 MB.
+func TestReplayGridHoldsTraceOnce(t *testing.T) {
+	dir := t.TempDir()
+	rec := recordRun(t, `{"rates":[0.05],"topologies":["mesh_x1"],"warmup":0,"measure":50000}`)
+	blob := rec.Trace(workload.TraceHeader{
+		Nodes: topology.ColumnNodes, Topology: "mesh_x1", QoS: "pvc", Measure: 50_000,
+	}).Encode()
+	if err := os.WriteFile(filepath.Join(dir, "t.trace"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scPath := filepath.Join(dir, "replay.toml")
+	if err := os.WriteFile(scPath, []byte(
+		"topology = \"mesh_x1\"\nqos = \"pvc\"\nmeasure = 50000\n[workload]\ntrace = \"t.trace\"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Load(scPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := sc.Grid()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Size() != 1 {
+		t.Fatalf("grid has %d cells, want 1", g.Size())
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	bound := uint64(len(blob)) + uint64(1.1*24*float64(rec.Len())) + 64<<10
+	t.Logf("Grid allocated %d B for %d records in %d file bytes (bound %d B)", got, rec.Len(), len(blob), bound)
+	if got > bound {
+		t.Errorf("Grid allocated %d B over a %d-record trace of %d bytes, want at most %d", got, rec.Len(), len(blob), bound)
 	}
 }
 

@@ -32,10 +32,11 @@
 // ({cycle, flow, src, dst, flits}), and Trace encodes them into a compact
 // binary format (magic "TQTR", a self-describing header with the recorded
 // cell's topology/QoS/schedule, then varint delta-encoded records).
-// Trace.Workload turns a decoded trace back into a first-class injection
-// source: one traffic.Spec per recorded flow whose Replay stream the
-// engine emits verbatim through the ordinary arrival schedule, consuming
-// no randomness.
+// DecodeReplay turns an encoded trace back into a first-class injection
+// source: one traffic.Spec per recorded (flow, source) stream whose
+// Replay the engine emits verbatim through the ordinary arrival schedule,
+// consuming no randomness. It builds the streams straight from the bytes
+// into one exact-size event slice, with no decoded record slice between.
 //
 // Replay is deterministic by construction — bit-identical across worker
 // counts and idle-skip settings — and recording an open-loop run and

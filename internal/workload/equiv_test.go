@@ -200,7 +200,7 @@ func TestReplayRerecordIsIdentity(t *testing.T) {
 	n.Run(6_000)
 	trace := rec.Trace(TraceHeader{Nodes: topology.ColumnNodes, Topology: "mesh_x2", QoS: "pvc", Seed: 5})
 
-	rw, err := trace.Workload("replay")
+	_, rw, err := DecodeReplay(trace.Encode(), "replay")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestClosedLoopRecordReplayDrains(t *testing.T) {
 		t.Fatalf("captured %d records, want issued %d + replies %d", rec.Len(), ct.Issued, ct.Completed)
 	}
 	trace := rec.Trace(TraceHeader{Nodes: topology.ColumnNodes, Topology: "mecs", QoS: "pvc", Seed: 8})
-	rw, err := trace.Workload("closed-replay")
+	_, rw, err := DecodeReplay(trace.Encode(), "closed-replay")
 	if err != nil {
 		t.Fatal(err)
 	}

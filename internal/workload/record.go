@@ -14,7 +14,9 @@ import (
 // Recorder captures a run's injection stream through the engine's
 // generation hook. Attach it before running; every generated packet —
 // open-loop, replayed or closed-loop — lands in Records in generation
-// order, ready to encode as a Trace.
+// order, ready to encode as a Trace. It is also the watchdog's repro
+// capture: on a run the watchdog trips it holds every generation up to
+// the trip, which replayed in the same cell wedges at the same cycle.
 type Recorder struct {
 	records []traffic.TraceRecord
 }

@@ -1,11 +1,12 @@
 package workload
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"tanoq/internal/network"
 	"tanoq/internal/noc"
@@ -38,9 +39,9 @@ import (
 // Version 2 adds the cell's fault configuration (scheduled fault windows,
 // retry timeout and bound, watchdog arming) plus the engine version stamp
 // of the recording binary, so a trace captured from a faulted cell —
-// including the repro trace a watchdog dump carries — replays with the
-// same faults striking at the same cycles and names the engine that made
-// it. Encode emits version 1 bytes whenever the fault section would be
+// including the repro trace `noctool trace record` writes for a cell the
+// watchdog trips — replays with the same faults striking at the same
+// cycles and names the engine that made it. Encode emits version 1 bytes whenever the fault section would be
 // empty, so fault-free traces stay byte-identical to the original format.
 
 const (
@@ -91,7 +92,8 @@ func (h *TraceHeader) faulted() bool {
 	return len(h.Faults) > 0 || h.RetryTimeout > 0 || h.MaxRetries > 0 || h.WatchdogCycles > 0
 }
 
-// Trace is a decoded (or to-be-encoded) injection-stream capture.
+// Trace is a decoded (or to-be-encoded) injection-stream capture. Replay
+// needs no record slice: DecodeReplay builds from the encoded bytes.
 type Trace struct {
 	Header  TraceHeader
 	Records []traffic.TraceRecord
@@ -194,10 +196,18 @@ func (r *traceReader) str(what string) string {
 	return s
 }
 
-// DecodeTrace parses an encoded trace, validating the header and every
-// record (classes must be the 1- or 4-flit sizes, flows within the
-// header's population, sources within the column).
-func DecodeTrace(blob []byte) (*Trace, error) {
+// traceDecoder is a trace with its header parsed and validated; each
+// walks its records afresh on every call.
+type traceDecoder struct {
+	hdr   TraceHeader
+	count uint64
+	blob  []byte
+	start int // offset of the first record
+}
+
+// newTraceDecoder parses and validates an encoded trace's header and
+// record count.
+func newTraceDecoder(blob []byte) (*traceDecoder, error) {
 	if len(blob) < len(traceMagic)+1 || string(blob[:len(traceMagic)]) != traceMagic {
 		return nil, fmt.Errorf("workload: not a trace file (bad magic)")
 	}
@@ -206,21 +216,22 @@ func DecodeTrace(blob []byte) (*Trace, error) {
 		return nil, fmt.Errorf("workload: unsupported trace version %d (want %d or %d)", version, traceVersion, traceVersionV2)
 	}
 	r := &traceReader{buf: blob, pos: len(traceMagic) + 1}
-	t := &Trace{}
-	t.Header.Nodes = r.int("nodes")
-	t.Header.Seed = r.uvarint("seed")
-	t.Header.Warmup = r.int("warmup")
-	t.Header.Measure = r.int("measure")
-	t.Header.FrameCycles = r.int("frame_cycles")
-	t.Header.WindowPackets = r.int("window_packets")
-	t.Header.QuantumFlits = r.int("quantum_flits")
-	t.Header.MarginClasses = r.int("margin_classes")
-	t.Header.Topology = r.str("topology")
-	t.Header.QoS = r.str("qos")
+	d := &traceDecoder{blob: blob}
+	h := &d.hdr
+	h.Nodes = r.int("nodes")
+	h.Seed = r.uvarint("seed")
+	h.Warmup = r.int("warmup")
+	h.Measure = r.int("measure")
+	h.FrameCycles = r.int("frame_cycles")
+	h.WindowPackets = r.int("window_packets")
+	h.QuantumFlits = r.int("quantum_flits")
+	h.MarginClasses = r.int("margin_classes")
+	h.Topology = r.str("topology")
+	h.QoS = r.str("qos")
 	if version == traceVersionV2 {
-		t.Header.RetryTimeout = sim.Cycle(r.int("retry timeout"))
-		t.Header.MaxRetries = r.int("max retries")
-		t.Header.WatchdogCycles = sim.Cycle(r.int("watchdog cycles"))
+		h.RetryTimeout = sim.Cycle(r.int("retry timeout"))
+		h.MaxRetries = r.int("max retries")
+		h.WatchdogCycles = sim.Cycle(r.int("watchdog cycles"))
 		windows := r.uvarint("fault window count")
 		for i := uint64(0); i < windows && r.err == nil; i++ {
 			w := noc.FaultWindow{
@@ -236,33 +247,42 @@ func DecodeTrace(blob []byte) (*Trace, error) {
 			if err := w.Validate(); err != nil {
 				return nil, fmt.Errorf("workload: trace fault window %d: %w", i, err)
 			}
-			t.Header.Faults = append(t.Header.Faults, w)
+			h.Faults = append(h.Faults, w)
 		}
-		t.Header.Engine = r.str("engine")
+		h.Engine = r.str("engine")
 	}
-	count := r.uvarint("record count")
+	d.count = r.uvarint("record count")
 	if r.err != nil {
 		return nil, r.err
 	}
-	if t.Header.Nodes < 2 {
-		return nil, fmt.Errorf("workload: trace header nodes %d invalid", t.Header.Nodes)
+	if h.Nodes < 2 {
+		return nil, fmt.Errorf("workload: trace header nodes %d invalid", h.Nodes)
 	}
 	// A record is at least five one-byte uvarints, so a count the bytes
-	// left cannot hold is rejected before it sizes the allocation.
-	if left := uint64(len(blob) - r.pos); count > left/5 {
-		return nil, fmt.Errorf("workload: trace claims %d records in %d bytes", count, left)
+	// left cannot hold is rejected before it sizes an allocation.
+	if left := uint64(len(blob) - r.pos); d.count > left/5 {
+		return nil, fmt.Errorf("workload: trace claims %d records in %d bytes", d.count, left)
 	}
-	flows := t.Header.Nodes * topology.InjectorsPerNode
-	t.Records = make([]traffic.TraceRecord, 0, count)
+	d.start = r.pos
+	return d, nil
+}
+
+// each validates the records in file order, handing each to emit (classes
+// must be the 1- or 4-flit sizes, flows within the header's population,
+// nodes within the column), then rejects trailing bytes. A record that
+// fails stops the walk: the records before it have been emitted.
+func (d *traceDecoder) each(emit func(traffic.TraceRecord)) error {
+	r := &traceReader{buf: d.blob, pos: d.start}
+	flows := d.hdr.Nodes * topology.InjectorsPerNode
 	at := sim.Cycle(0)
-	for i := uint64(0); i < count; i++ {
+	for i := uint64(0); i < d.count; i++ {
 		at += sim.Cycle(r.uvarint("cycle delta"))
 		flow := r.uvarint("flow")
 		src := r.uvarint("src")
 		dst := r.uvarint("dst")
 		flits := r.uvarint("flits")
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		var class noc.Class
 		switch flits {
@@ -271,20 +291,32 @@ func DecodeTrace(blob []byte) (*Trace, error) {
 		case noc.ReplyFlits:
 			class = noc.ClassReply
 		default:
-			return nil, fmt.Errorf("workload: trace record %d has %d flits (want %d or %d)", i, flits, noc.RequestFlits, noc.ReplyFlits)
+			return fmt.Errorf("workload: trace record %d has %d flits (want %d or %d)", i, flits, noc.RequestFlits, noc.ReplyFlits)
 		}
 		if flow >= uint64(flows) {
-			return nil, fmt.Errorf("workload: trace record %d flow %d outside population of %d", i, flow, flows)
+			return fmt.Errorf("workload: trace record %d flow %d outside population of %d", i, flow, flows)
 		}
-		if src >= uint64(t.Header.Nodes) || dst >= uint64(t.Header.Nodes) {
-			return nil, fmt.Errorf("workload: trace record %d node %d/%d outside column of %d", i, src, dst, t.Header.Nodes)
+		if src >= uint64(d.hdr.Nodes) || dst >= uint64(d.hdr.Nodes) {
+			return fmt.Errorf("workload: trace record %d node %d/%d outside column of %d", i, src, dst, d.hdr.Nodes)
 		}
-		t.Records = append(t.Records, traffic.TraceRecord{
-			At: at, Flow: noc.FlowID(flow), Src: noc.NodeID(src), Dst: noc.NodeID(dst), Class: class,
-		})
+		emit(traffic.TraceRecord{At: at, Flow: noc.FlowID(flow), Src: noc.NodeID(src), Dst: noc.NodeID(dst), Class: class})
 	}
-	if r.pos != len(blob) {
-		return nil, fmt.Errorf("workload: %d trailing bytes after trace records", len(blob)-r.pos)
+	if r.pos != len(d.blob) {
+		return fmt.Errorf("workload: %d trailing bytes after trace records", len(d.blob)-r.pos)
+	}
+	return nil
+}
+
+// DecodeTrace parses an encoded trace into its header and records,
+// validating both (replay needs no records: see DecodeReplay).
+func DecodeTrace(blob []byte) (*Trace, error) {
+	d, err := newTraceDecoder(blob)
+	if err != nil {
+		return nil, err
+	}
+	t := &Trace{Header: d.hdr, Records: make([]traffic.TraceRecord, 0, d.count)}
+	if err := d.each(func(r traffic.TraceRecord) { t.Records = append(t.Records, r) }); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -298,97 +330,119 @@ func ReadTraceFile(path string) (*Trace, error) {
 	return DecodeTrace(blob)
 }
 
-// Workload turns the trace into a replayable workload: one injector per
-// recorded (flow, source node) pair carrying its record subsequence as a
-// Replay stream, in ascending (flow, node) order — for an ordinary
-// workload that is one spec per flow in exactly the relative order the
-// original constructors used, which is what makes an open-loop
-// record→replay reproduce generation order (and therefore packet IDs and
-// arbitration tie-breaks) exactly. Closed-loop captures may legitimately
-// carry one flow from two nodes (a client's requests plus the server's
-// replies charged to that client), so the pair is the grouping key.
-func (t *Trace) Workload(name string) (traffic.Workload, error) {
+// DecodeReplay validates an encoded trace as DecodeTrace does (same
+// errors) and returns its header and replay workload: one injector per
+// recorded (flow, source node) pair — closed-loop captures may carry one
+// flow from two nodes — replaying its records, in ascending (flow, node)
+// order. For an ordinary workload that is one spec per flow in the order
+// the original constructors used, so an open-loop replay reproduces
+// generation order, packet IDs and arbitration tie-breaks exactly. The
+// records are walked twice, to count each pair's and then to fill one
+// exact-size event slice carved into the pairs' streams; no decoded
+// record slice exists on the way.
+func DecodeReplay(blob []byte, name string) (TraceHeader, traffic.Workload, error) {
+	d, err := newTraceDecoder(blob)
+	if err != nil {
+		return TraceHeader{}, traffic.Workload{}, err
+	}
 	type streamKey struct {
 		flow noc.FlowID
 		src  noc.NodeID
 	}
-	perStream := map[streamKey]*traffic.Replay{}
-	for _, r := range t.Records {
-		k := streamKey{r.Flow, r.Src}
-		rp := perStream[k]
-		if rp == nil {
-			rp = &traffic.Replay{}
-			perStream[k] = rp
-		}
-		rp.Events = append(rp.Events, traffic.ReplayEvent{At: r.At, Dst: r.Dst, Class: r.Class})
+	counts := map[streamKey]int{}
+	if err := d.each(func(r traffic.TraceRecord) { counts[streamKey{r.Flow, r.Src}]++ }); err != nil {
+		return TraceHeader{}, traffic.Workload{}, err
 	}
-	keys := make([]streamKey, 0, len(perStream))
-	for k := range perStream {
+	keys := make([]streamKey, 0, len(counts))
+	for k := range counts {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].flow != keys[b].flow {
-			return keys[a].flow < keys[b].flow
-		}
-		return keys[a].src < keys[b].src
+	slices.SortFunc(keys, func(a, b streamKey) int {
+		return cmp.Or(cmp.Compare(a.flow, b.flow), cmp.Compare(a.src, b.src))
 	})
-	w := traffic.Workload{Name: name, Nodes: t.Header.Nodes}
-	for _, k := range keys {
-		w.Specs = append(w.Specs, traffic.Spec{
-			Flow:   k.flow,
-			Node:   k.src,
-			Replay: perStream[k],
-		})
+	events := make([]traffic.ReplayEvent, d.count)
+	replays := make([]traffic.Replay, len(keys))
+	streams := make(map[streamKey]*traffic.Replay, len(keys))
+	w := traffic.Workload{Name: name, Nodes: d.hdr.Nodes, Specs: make([]traffic.Spec, len(keys))}
+	for i, k := range keys {
+		n := counts[k]
+		replays[i].Events, events = events[:0:n], events[n:]
+		streams[k] = &replays[i]
+		w.Specs[i] = traffic.Spec{Flow: k.flow, Node: k.src, Replay: &replays[i]}
 	}
-	return w, nil
+	// Every append lands in the capacity carved above.
+	if err := d.each(func(r traffic.TraceRecord) {
+		rp := streams[streamKey{r.Flow, r.Src}]
+		rp.Events = append(rp.Events, traffic.ReplayEvent{At: r.At, Dst: r.Dst, Class: r.Class})
+	}); err != nil {
+		return TraceHeader{}, traffic.Workload{}, err
+	}
+	return d.hdr, w, nil
 }
 
-// Cell rebuilds the recorded cell as a replay configuration: the header's
-// topology, QoS mode and overrides, seed and column height, with the
-// trace as the workload. A version-2 header also restores the recorded
-// fault configuration — windows, recovery knobs, watchdog — so faults
-// strike the replay at the same cycles. The returned warmup/measure are
-// the recorded schedule; running them through WarmupAndMeasure reproduces
-// the recorded measurement window (and, for an open-loop recording, its
-// delivery fingerprint exactly).
+// ReadReplayFile reads the trace at path and returns its header and its
+// replay workload (DecodeReplay).
+func ReadReplayFile(path, name string) (TraceHeader, traffic.Workload, error) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return TraceHeader{}, traffic.Workload{}, fmt.Errorf("workload: %w", err)
+	}
+	return DecodeReplay(blob, name)
+}
+
+// Cell rebuilds the recorded cell as a replay configuration. It builds
+// the workload from the encoded trace, so an in-memory trace replays
+// exactly as its file would.
 func (t *Trace) Cell(name string) (cfg network.Config, warmup, measure int, err error) {
-	kind, err := topology.KindByName(t.Header.Topology)
-	if err != nil {
-		return network.Config{}, 0, 0, fmt.Errorf("workload: trace header: %w", err)
-	}
-	mode, err := qos.ModeByName(t.Header.QoS)
-	if err != nil {
-		return network.Config{}, 0, 0, fmt.Errorf("workload: trace header: %w", err)
-	}
-	w, err := t.Workload(name)
+	_, w, err := DecodeReplay(t.Encode(), name)
 	if err != nil {
 		return network.Config{}, 0, 0, err
 	}
+	return t.Header.Cell(w)
+}
+
+// Cell rebuilds the recorded cell as a replay configuration: the header's
+// topology, QoS mode and overrides, seed and column height, with w (the
+// trace's replay workload) as the workload. A version-2 header also
+// restores the recorded fault configuration — windows, recovery knobs,
+// watchdog — so faults strike the replay at the same cycles. The
+// returned warmup/measure are the recorded schedule; running them
+// through WarmupAndMeasure reproduces the recorded measurement window
+// (and, for an open-loop recording, its delivery fingerprint exactly).
+func (h *TraceHeader) Cell(w traffic.Workload) (cfg network.Config, warmup, measure int, err error) {
+	kind, err := topology.KindByName(h.Topology)
+	if err != nil {
+		return network.Config{}, 0, 0, fmt.Errorf("workload: trace header: %w", err)
+	}
+	mode, err := qos.ModeByName(h.QoS)
+	if err != nil {
+		return network.Config{}, 0, 0, fmt.Errorf("workload: trace header: %w", err)
+	}
 	qcfg := qos.DefaultConfig(w.TotalFlows())
 	qcfg.Mode = mode
-	if t.Header.FrameCycles > 0 {
-		qcfg.FrameCycles = sim.Cycle(t.Header.FrameCycles)
+	if h.FrameCycles > 0 {
+		qcfg.FrameCycles = sim.Cycle(h.FrameCycles)
 	}
-	if t.Header.WindowPackets > 0 {
-		qcfg.WindowPackets = t.Header.WindowPackets
+	if h.WindowPackets > 0 {
+		qcfg.WindowPackets = h.WindowPackets
 	}
-	if t.Header.QuantumFlits > 0 {
-		qcfg.QuantumFlits = t.Header.QuantumFlits
+	if h.QuantumFlits > 0 {
+		qcfg.QuantumFlits = h.QuantumFlits
 	}
-	if t.Header.MarginClasses > 0 {
-		qcfg.MarginClasses = t.Header.MarginClasses
+	if h.MarginClasses > 0 {
+		qcfg.MarginClasses = h.MarginClasses
 	}
 	return network.Config{
 		Kind:     kind,
-		Nodes:    t.Header.Nodes,
+		Nodes:    h.Nodes,
 		QoS:      qcfg,
 		Workload: w,
-		Seed:     t.Header.Seed,
+		Seed:     h.Seed,
 		Faults: network.FaultConfig{
-			Windows:      t.Header.Faults,
-			RetryTimeout: t.Header.RetryTimeout,
-			MaxRetries:   t.Header.MaxRetries,
+			Windows:      h.Faults,
+			RetryTimeout: h.RetryTimeout,
+			MaxRetries:   h.MaxRetries,
 		},
-		WatchdogCycles: t.Header.WatchdogCycles,
-	}, t.Header.Warmup, t.Header.Measure, nil
+		WatchdogCycles: h.WatchdogCycles,
+	}, h.Warmup, h.Measure, nil
 }

@@ -111,8 +111,13 @@ func TestTraceV2RejectsBadFaults(t *testing.T) {
 		"unbounded transient": mk(noc.FaultWindow{Kind: noc.FaultLinkTransient, Port: 1, From: 10}),
 	}
 	for name, blob := range cases {
-		if _, err := DecodeTrace(blob); err == nil {
+		_, err := DecodeTrace(blob)
+		if err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
+			continue
+		}
+		if _, _, rerr := DecodeReplay(blob, "x"); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: DecodeReplay error %v, DecodeTrace's %v", name, rerr, err)
 		}
 	}
 }
@@ -134,11 +139,11 @@ func catchWatchdog(fn func()) (we *network.WatchdogError) {
 }
 
 // TestWatchdogReproTraceReplays pins the watchdog's headline debugging
-// contract end to end: wedge a column with a permanent router stall, catch
-// the dump, wrap its auto-captured repro trace in a version-2 trace
-// carrying the same fault schedule, round-trip it through the binary
-// encoding, and replay — the rebuilt cell must wedge identically, tripping
-// the watchdog at the same cycle.
+// contract end to end: wedge a column with a permanent router stall under
+// a Recorder, catch the dump, wrap the stream the recorder captured up to
+// the trip in a version-2 trace carrying the same fault schedule,
+// round-trip it through the binary encoding, and replay — the rebuilt
+// cell must wedge identically, tripping the watchdog at the same cycle.
 func TestWatchdogReproTraceReplays(t *testing.T) {
 	w := traffic.UniformRandom(topology.ColumnNodes, 0.05)
 	qcfg := qos.DefaultConfig(w.TotalFlows())
@@ -150,28 +155,27 @@ func TestWatchdogReproTraceReplays(t *testing.T) {
 		WatchdogCycles: 1_500,
 	}
 	n := network.MustNew(cfg)
+	rec := &Recorder{}
+	rec.Attach(n)
 	we := catchWatchdog(func() { n.WarmupAndMeasure(0, 10_000) })
 	if we == nil {
 		t.Fatal("permanent router stall did not trip the watchdog")
 	}
-	if len(we.Report.Records) == 0 {
-		t.Fatal("watchdog dump carries no repro trace")
+	if rec.Len() == 0 {
+		t.Fatal("recorder captured nothing before the trip")
 	}
 
-	tr := &Trace{
-		Header: TraceHeader{
-			Nodes: topology.ColumnNodes, Topology: cfg.Kind.String(), QoS: qcfg.Mode.String(),
-			Seed: cfg.Seed, Warmup: 0, Measure: 10_000,
-			Faults:         cfg.Faults.Windows,
-			WatchdogCycles: cfg.WatchdogCycles,
-		},
-		Records: we.Report.Records,
-	}
-	decoded, err := DecodeTrace(tr.Encode())
+	tr := rec.Trace(TraceHeader{
+		Nodes: topology.ColumnNodes, Topology: cfg.Kind.String(), QoS: qcfg.Mode.String(),
+		Seed: cfg.Seed, Warmup: 0, Measure: 10_000,
+		Faults:         cfg.Faults.Windows,
+		WatchdogCycles: cfg.WatchdogCycles,
+	})
+	hdr, rw, err := DecodeReplay(tr.Encode(), "repro")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg, warmup, measure, err := decoded.Cell("repro")
+	rcfg, warmup, measure, err := hdr.Cell(rw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,67 +188,6 @@ func TestWatchdogReproTraceReplays(t *testing.T) {
 		t.Errorf("replayed trip diverged: cycle %d/progress %d, recorded %d/%d",
 			again.Report.At, again.Report.LastProgress, we.Report.At, we.Report.LastProgress)
 	}
-}
-
-// TestWatchdogLogMatchesRecorder pins the watchdog's packed repro log
-// against the generation hook: on an open-loop cell and a closed-loop
-// Controller cell, each wedged by a permanent router stall, the records
-// a trip decodes must be exactly the stream a Recorder captured from the
-// same run. (TestResetClearsFaultState bounds the packed log's bytes a
-// record.)
-func TestWatchdogLogMatchesRecorder(t *testing.T) {
-	stall := network.FaultConfig{Windows: []noc.FaultWindow{
-		{Kind: noc.FaultRouterStall, Node: 3, From: 500}, // never lifts
-	}}
-	open := traffic.UniformRandom(topology.ColumnNodes, 0.05)
-	closed := ClientWorkload("closed", topology.ColumnNodes)
-	for _, tc := range []struct {
-		name   string
-		w      traffic.Workload
-		attach func(*network.Network) error
-	}{
-		{"open", open, func(*network.Network) error { return nil }},
-		{"closed", closed, func(n *network.Network) error {
-			_, err := NewController(n, ClientConfig{Outstanding: 4, ThinkMean: 20, Seed: 5})
-			return err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			n, err := network.New(network.Config{
-				Kind: topology.MeshX1, QoS: qos.DefaultConfig(tc.w.TotalFlows()), Workload: tc.w, Seed: 31,
-				Faults: stall, WatchdogCycles: 1_500,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tc.attach(n); err != nil {
-				t.Fatal(err)
-			}
-			rec := &Recorder{}
-			rec.Attach(n)
-			we := catchWatchdog(func() { n.WarmupAndMeasure(0, 50_000) })
-			if we == nil {
-				t.Fatal("permanent router stall did not trip the watchdog")
-			}
-			got, want := we.Report.Records, rec.Records()
-			if len(want) == 0 {
-				t.Fatal("recorder captured nothing; test is vacuous")
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("repro log decodes %d records, recorder captured %d; first divergence at %d",
-					len(got), len(want), firstDiff(got, want))
-			}
-		})
-	}
-}
-
-// firstDiff returns the first index where a and b differ.
-func firstDiff(a, b []traffic.TraceRecord) int {
-	i := 0
-	for i < len(a) && i < len(b) && a[i] == b[i] {
-		i++
-	}
-	return i
 }
 
 // header returns a version-1 trace prefix up to the topology string:
@@ -279,8 +222,13 @@ func TestTraceDecodeRejectsGarbage(t *testing.T) {
 		"retry timeout 2^63": append(binary.AppendUvarint(append(v2, 0, 0), 1<<63), 0, 0, 0, 0, 0),
 	}
 	for name, blob := range cases {
-		if _, err := DecodeTrace(blob); err == nil {
+		_, err := DecodeTrace(blob)
+		if err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
+			continue
+		}
+		if _, _, rerr := DecodeReplay(blob, "x"); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: DecodeReplay error %v, DecodeTrace's %v", name, rerr, err)
 		}
 	}
 
@@ -293,18 +241,24 @@ func TestTraceDecodeRejectsGarbage(t *testing.T) {
 	} {
 		tr := sampleTrace()
 		tr.Records = []traffic.TraceRecord{rec}
-		if _, err := DecodeTrace(tr.Encode()); err == nil {
+		_, err := DecodeTrace(tr.Encode())
+		if err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
+			continue
+		}
+		if _, _, rerr := DecodeReplay(tr.Encode(), "x"); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: DecodeReplay error %v, DecodeTrace's %v", name, rerr, err)
 		}
 	}
 }
 
-// TestTraceWorkloadGrouping pins the replay-workload construction: one
-// spec per flow in ascending flow order, each carrying its record
-// subsequence in order, and inconsistent source nodes rejected.
+// TestTraceWorkloadGrouping pins DecodeReplay's workload: one spec per
+// flow in ascending flow order, each carrying its record subsequence in
+// order in a stream of exactly its size, and one flow injected from two
+// nodes split into two streams.
 func TestTraceWorkloadGrouping(t *testing.T) {
 	tr := sampleTrace()
-	w, err := tr.Workload("replay")
+	_, w, err := DecodeReplay(tr.Encode(), "replay")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,6 +276,10 @@ func TestTraceWorkloadGrouping(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("spec %d invalid: %v", i, err)
 		}
+		// Each stream is carved to its exact size out of one slice.
+		if n := len(s.Replay.Events); cap(s.Replay.Events) != n {
+			t.Errorf("spec %d holds %d events in capacity %d", i, n, cap(s.Replay.Events))
+		}
 	}
 	if evs := w.Specs[1].Replay.Events; len(evs) != 2 || evs[0].At != 3 || evs[1].At != 1_000_000 {
 		t.Errorf("flow 8 stream wrong: %+v", evs)
@@ -332,7 +290,7 @@ func TestTraceWorkloadGrouping(t *testing.T) {
 	// two independent replay streams.
 	carried := sampleTrace()
 	carried.Records = append(carried.Records, traffic.TraceRecord{At: 2_000_000, Flow: 8, Src: 3, Dst: 1, Class: noc.ClassRequest})
-	cw, err := carried.Workload("replay")
+	_, cw, err := DecodeReplay(carried.Encode(), "replay")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +302,8 @@ func TestTraceWorkloadGrouping(t *testing.T) {
 	}
 }
 
-// TestTraceFileRoundTrip pins the file I/O helpers.
+// TestTraceFileRoundTrip pins the file I/O helpers: ReadTraceFile gives
+// back the trace, and ReadReplayFile its header and replay workload.
 func TestTraceFileRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/t.trace"
 	want := sampleTrace()
@@ -357,6 +316,17 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Header, want.Header) || len(got.Records) != len(want.Records) {
 		t.Errorf("file round trip diverged")
+	}
+	hdr, w, err := ReadReplayFile(path, "replay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ww, err := DecodeReplay(want.Encode(), "replay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hdr, want.Header) || !reflect.DeepEqual(w, ww) {
+		t.Errorf("replay file round trip diverged: %+v", hdr)
 	}
 }
 
