@@ -128,7 +128,10 @@ import (
 type Config struct {
 	Kind  topology.Kind
 	Nodes int // column height; defaults to topology.ColumnNodes, at most 32767
-	QoS   qos.Config
+	// QoS is only read, its Rates vector included (flow tables and the
+	// reserved quota derive their own arrays), so configurations may
+	// share one.
+	QoS qos.Config
 	// Workload supplies the traffic injectors. QoS.Rates must cover the
 	// workload's full flow population (active or not).
 	Workload traffic.Workload

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"math/bits"
 	"testing"
 
@@ -25,6 +26,35 @@ func runFingerprint(n *Network) skipFingerprint {
 	fp := fingerprint(n)
 	fp.flitsByFlow = n.Stats().FlitsByFlow()
 	return fp
+}
+
+// TestRunLeavesQoSRatesUntouched pins the read-only contract on
+// Config.QoS.Rates that lets every cell of a sweep grid share one rate
+// vector: a PVC run (preemptions, frame flushes, reserved quota), a Reset
+// onto the same configuration and a second run leave it bit-identical.
+// Unequal rates make any in-place normalization show.
+func TestRunLeavesQoSRatesUntouched(t *testing.T) {
+	w := traffic.Workload1(topology.ColumnNodes, 0)
+	cfg := Config{Kind: topology.MeshX1, QoS: qos.DefaultConfig(w.TotalFlows()), Workload: w, Seed: 5}
+	want := make([]uint64, len(cfg.QoS.Rates))
+	for f := range cfg.QoS.Rates {
+		cfg.QoS.Rates[f] = float64(f+1) / 4096
+		want[f] = math.Float64bits(cfg.QoS.Rates[f])
+	}
+	n := MustNew(cfg)
+	n.WarmupAndMeasure(2_000, 20_000)
+	if err := n.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	n.WarmupAndMeasure(2_000, 20_000)
+	if n.Stats().PreemptionEvents == 0 {
+		t.Fatal("test needs a run that preempts")
+	}
+	for f, r := range cfg.QoS.Rates {
+		if math.Float64bits(r) != want[f] {
+			t.Errorf("flow %d rate %v after run and Reset, was %v", f, r, math.Float64frombits(want[f]))
+		}
+	}
 }
 
 // TestResetDropsLiveBlockedVerdicts resets a network while its ports hold

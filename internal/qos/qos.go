@@ -97,7 +97,9 @@ type Config struct {
 	// Rates is the assigned service rate of each flow as a fraction of
 	// link bandwidth (flits/cycle). Rates need not sum to 1; PVC uses
 	// them only relatively, to scale priorities, and absolutely, to size
-	// the reserved per-frame quota.
+	// the reserved per-frame quota. Rates is read-only once configured:
+	// flow tables and quotas derive their own arrays from it, so many
+	// networks may share one vector (a sweep grid's cells all do).
 	Rates []float64
 	// WindowPackets bounds the number of unacknowledged packets a source
 	// may have in flight (the PVC retransmission window).

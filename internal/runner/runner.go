@@ -235,10 +235,20 @@ const maxBackoff = 30 * time.Second
 // every never-issued cell comes back with Err == ErrSkipped and
 // Attempts == 0 — partial results, not a dead sweep.
 func RunCellsCtx(ctx context.Context, cells []Cell, opts Options) []Result {
-	out := make([]Result, len(cells))
+	return RunEachCtx(ctx, len(cells), func(i int) Cell { return cells[i] }, opts)
+}
+
+// RunEachCtx is RunCellsCtx over n cells that exist only as a builder:
+// cell(i) is called once, on the worker that claims cell i, and its
+// result lives only while that cell runs. A sweep grid hands its cells
+// over this way, so it holds points rather than one network.Config per
+// cell. cell must be safe for concurrent calls.
+func RunEachCtx(ctx context.Context, n int, cell func(int) Cell, opts Options) []Result {
+	out := make([]Result, n)
 	slots := make([]*network.Network, Workers(opts.Workers))
-	DoWorkerCtx(ctx, len(cells), opts.Workers, func(i, slot int) {
-		runSingle(&slots[slot], &cells[i], &opts, i, slot, out)
+	DoWorkerCtx(ctx, n, opts.Workers, func(i, slot int) {
+		c := cell(i)
+		runSingle(&slots[slot], &c, &opts, i, slot, out)
 	})
 	for i := range out {
 		if out[i].Attempts == 0 {

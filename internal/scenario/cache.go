@@ -39,29 +39,13 @@ import (
 // JSON exactly, so a resumed sweep renders its table bit-identically to
 // an uninterrupted one.
 
-// canonOf appends the canonical bytes of visible grid cell i. digests
-// maps each trace file the grid replays to its content digest (see
-// traceDigests); canonOf only reads it.
+// canonOf appends the canonical bytes of grid cell i, visible or hidden
+// victim reference: the scenario, the point and the meta, the same inputs
+// Cell builds it from. digests maps each trace file the grid replays to
+// its content digest (see traceDigests); canonOf only reads it.
 func (g *Grid) canonOf(b []byte, i int, digests map[string]string) []byte {
-	sc, m := g.Scenario, &g.meta[i]
-	r := rec{sc: sc, p: &g.Points[i], kind: kOpen}
-	switch {
-	case m.trace != "":
-		r.kind, r.digest = kReplay, digests[m.trace]
-	case m.closed:
-		r.kind = kClosed
-	case len(sc.Flows) > 0:
-		r.kind = kFlows
-	}
-	return appendCanon(b, &r)
-}
-
-// refCanonOf appends the canonical bytes of hidden victim-only reference
-// cell ref, whose topology, mode and seed come from its runner cell.
-func (g *Grid) refCanonOf(b []byte, ref int) []byte {
-	cfg := &g.refCells[ref].Config
-	p := Point{Topology: cfg.Kind, Mode: cfg.QoS.Mode, Seed: cfg.Seed}
-	return appendCanon(b, &rec{sc: g.Scenario, p: &p, kind: kVictimRef})
+	m := &g.meta[i]
+	return appendCanon(b, &rec{sc: g.Scenario, p: &g.pts[i], kind: m.kind, digest: digests[g.loads[m.load].trace]})
 }
 
 // traceDigests hashes every trace file the grid replays, once each, in
@@ -69,8 +53,8 @@ func (g *Grid) refCanonOf(b []byte, ref int) []byte {
 // memo read-only.
 func (g *Grid) traceDigests() (map[string]string, error) {
 	digests := map[string]string{}
-	for i := range g.meta {
-		path := g.meta[i].trace
+	for _, ld := range g.loads {
+		path := ld.trace
 		if path == "" {
 			continue
 		}
@@ -93,7 +77,7 @@ func (g *Grid) traceDigests() (map[string]string, error) {
 // name — produce identical keys; any semantic difference produces
 // different ones. The cells are hashed across one worker per CPU.
 func (g *Grid) Keys() ([]string, error) {
-	keys := make([]string, len(g.cells))
+	keys := make([]string, len(g.Points))
 	err := g.eachKey(0, func(i int, key string) { keys[i] = key })
 	if err != nil {
 		return nil, err
@@ -111,7 +95,7 @@ func (g *Grid) eachKey(workers int, fn func(i int, key string)) error {
 	if err != nil {
 		return err
 	}
-	n := len(g.cells)
+	n := len(g.Points)
 	runner.Do((n+jobCells-1)/jobCells, workers, func(job int) {
 		var buf []byte
 		for i := job * jobCells; i < min((job+1)*jobCells, n); i++ {
@@ -127,18 +111,6 @@ func (g *Grid) eachKey(workers int, fn func(i int, key string)) error {
 // claiming a job, and the cache lines neighbouring jobs share, cost
 // nothing next to the job itself.
 const jobCells = 32
-
-// refKeys returns the content-address of every hidden victim-reference
-// cell.
-func (g *Grid) refKeys() []string {
-	keys := make([]string, len(g.refCells))
-	var buf []byte
-	for r := range g.refCells {
-		buf = g.refCanonOf(buf[:0], r)
-		keys[r] = store.KeyOf(buf)
-	}
-	return keys
-}
 
 // cachedRow is a visible cell's cache payload: every measured column of
 // its Result plus the attempts that produced it. The Point is not
@@ -216,9 +188,9 @@ type DurableOpts struct {
 	// simulating, misses are executed and written back. Failed cells are
 	// never cached — a transient failure re-runs on the next attempt.
 	Store *store.Store
-	// Journal, when non-nil, records each completed cell's key as its
-	// row is checkpointed (after the cache write, so every journaled key
-	// is backed by a durable entry).
+	// Journal, when non-nil, records each completed cell's key after its
+	// row has been written to the cache. Nothing reads it back: a resumed
+	// sweep is served by cache hits.
 	Journal *store.Journal
 	// Deadline, Retries and Backoff are passed through to the runner for
 	// every executed cell (Retries: 0 = a single retry, negative = none).
@@ -267,14 +239,15 @@ const skippedError = "skipped: sweep cancelled"
 // drain and checkpoint, and the never-issued ones come back as rows
 // marked skipped.
 func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport, error) {
-	rep := &DurableReport{Results: make([]Result, len(g.cells))}
+	n := len(g.Points)
+	rep := &DurableReport{Results: make([]Result, n)}
 
 	// Phase 1: with a store, key every cell and load its row, across the
 	// workers; then serve hits and collect misses serially, in grid order.
 	var keys []string
-	hit := make([]bool, len(g.cells))
+	hit := make([]bool, n)
 	if opts.Store != nil {
-		keys = make([]string, len(g.cells))
+		keys = make([]string, n)
 		err := g.eachKey(opts.Workers, func(i int, key string) {
 			keys[i] = key
 			if row, ok := store.Load[cachedRow](opts.Store, key); ok {
@@ -286,9 +259,9 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 			return nil, err
 		}
 	}
-	missed := make([]int, 0, len(g.cells))
-	hitIdx := make([]int, 0, len(g.cells))
-	for i := range g.cells {
+	missed := make([]int, 0, n)
+	hitIdx := make([]int, 0, n)
+	for i := range n {
 		if !hit[i] {
 			missed = append(missed, i)
 			continue
@@ -315,9 +288,9 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 		ckMu          sync.Mutex
 		checkpointErr error
 	)
-	res := opts.run(ctx, g.cells, missed, func(mi int, r *runner.Result) {
+	res := opts.run(ctx, g.Cell, missed, func(mi int, r *runner.Result) {
 		i := missed[mi]
-		row := g.row(i, r, refBase[g.meta[i].ref])
+		row := g.row(i, r, refBase[int(g.meta[i].ref)])
 		// The row is all the sweep keeps of a cell: free its collector
 		// and driver now rather than when the whole grid ends.
 		r.Stats, r.Aux = nil, nil
@@ -371,38 +344,20 @@ func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport
 	return rep, nil
 }
 
-// run executes the cells src[idx[0]], src[idx[1]], ... on the runner. It
-// is the one place a sweep's cells meet runner.Options, so the misses,
-// their reference baselines and verification re-runs share one worker
-// count and failure budget. onResult, when non-nil, observes each
-// finished cell by its position in idx.
-func (opts *DurableOpts) run(ctx context.Context, src []runner.Cell, idx []int, onResult func(j int, r *runner.Result)) []runner.Result {
-	cells := src
-	if !isPrefix(idx) {
-		cells = make([]runner.Cell, len(idx))
-		for j, i := range idx {
-			cells[j] = src[i]
-		}
-	}
+// run executes the cells cell(idx[0]), cell(idx[1]), ... on the runner,
+// each built when a worker claims it. It is the one place a sweep's
+// cells meet runner.Options, so the misses, their reference baselines
+// and verification re-runs share one worker count and failure budget.
+// onResult, when non-nil, observes each finished cell by its position in
+// idx.
+func (opts *DurableOpts) run(ctx context.Context, cell func(int) runner.Cell, idx []int, onResult func(j int, r *runner.Result)) []runner.Result {
 	retries := opts.Retries
 	if retries == 0 {
 		retries = 1 // the default single retry; negative means none
 	}
-	return runner.RunCellsCtx(ctx, cells[:len(idx)], runner.Options{Workers: opts.Workers,
-		Retries: retries, Backoff: opts.Backoff, Deadline: opts.Deadline, OnResult: onResult})
-}
-
-// isPrefix reports whether idx is 0, 1, ..., len(idx)-1: the cells it
-// names are already a prefix of the source slice, so run passes them as
-// they are — a sweep with no cache runs every cell without a second copy
-// of the grid.
-func isPrefix(idx []int) bool {
-	for j, i := range idx {
-		if i != j {
-			return false
-		}
-	}
-	return true
+	return runner.RunEachCtx(ctx, len(idx), func(j int) runner.Cell { return cell(idx[j]) },
+		runner.Options{Workers: opts.Workers, Retries: retries, Backoff: opts.Backoff,
+			Deadline: opts.Deadline, OnResult: onResult})
 }
 
 // resolveRefs fills refBase for every reference cell some missed cell
@@ -412,21 +367,18 @@ func isPrefix(idx []int) bool {
 func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int, refBase map[int]float64) error {
 	needed := map[int]bool{}
 	for _, i := range missed {
-		if m := &g.meta[i]; len(m.victims) > 0 {
-			needed[m.ref] = true
+		if r := g.meta[i].ref; r >= 0 {
+			needed[int(r)] = true
 		}
 	}
 	if len(needed) == 0 {
 		return nil
 	}
-	var rkeys []string
-	if opts.Store != nil {
-		rkeys = g.refKeys()
-	}
+	rkey := func(r int) string { return store.KeyOf(g.canonOf(nil, r, nil)) }
 	var torun []int
 	for r := range needed {
 		if opts.Store != nil {
-			if p, ok := store.Load[refPayload](opts.Store, rkeys[r]); ok {
+			if p, ok := store.Load[refPayload](opts.Store, rkey(r)); ok {
 				refBase[r] = p.VictimMean
 				continue
 			}
@@ -436,24 +388,16 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int,
 	if len(torun) == 0 {
 		return nil
 	}
-	res := opts.run(ctx, g.refCells, torun, nil)
+	res := opts.run(ctx, g.Cell, torun, nil)
 	for ti, r := range torun {
 		if res[ti].Failed() {
 			continue
 		}
-		// The victim set is shared by every reference cell (it is the
-		// scenario's victim-role flows), so any dependent's meta works.
-		base := 0.0
-		for _, i := range missed {
-			if m := &g.meta[i]; m.ref == r && len(m.victims) > 0 {
-				base = victimMeanLatency(res[ti].Stats, m.victims)
-				break
-			}
-		}
+		base := victimMeanLatency(res[ti].Stats, g.loads[g.meta[r].load].victims)
 		refBase[r] = base
 		if opts.Store != nil && base > 0 {
 			blob, _ := json.Marshal(refPayload{VictimMean: base})
-			if err := opts.Store.Put(rkeys[r], blob); err != nil {
+			if err := opts.Store.Put(rkey(r), blob); err != nil {
 				return fmt.Errorf("scenario %s: checkpoint reference: %w", g.Scenario.Name, err)
 			}
 		}
@@ -476,12 +420,12 @@ func (g *Grid) verifyHits(ctx context.Context, opts *DurableOpts, hitIdx []int, 
 	if err := g.resolveRefs(ctx, opts, sample, refBase); err != nil {
 		return err
 	}
-	res := opts.run(ctx, g.cells, sample, nil)
+	res := opts.run(ctx, g.Cell, sample, nil)
 	for si, i := range sample {
 		if res[si].Err == runner.ErrSkipped {
 			continue
 		}
-		fresh := g.row(i, &res[si], refBase[g.meta[i].ref])
+		fresh := g.row(i, &res[si], refBase[int(g.meta[i].ref)])
 		served := rep.Results[i]
 		// Attempts and wall-clock legitimately differ between the original
 		// run and the verification re-run, and only the re-run carries a

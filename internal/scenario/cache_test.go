@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"tanoq/internal/network"
-	"tanoq/internal/runner"
 	"tanoq/internal/store"
 	"tanoq/internal/topology"
 	"tanoq/internal/workload"
@@ -51,12 +50,17 @@ func runGrid(t *testing.T, g *Grid, opts RunOpts) []Result {
 // through each cycle instead of skipping idle windows
 // (network.Config.DisableIdleSkip), and returns g.
 func skipOff(g *Grid) *Grid {
-	for _, cells := range [][]runner.Cell{g.cells, g.refCells} {
-		for i := range cells {
-			cells[i].Config.DisableIdleSkip = true
-		}
-	}
+	g.tick = true
 	return g
+}
+
+// refIdx lists the cell indices of g's hidden victim-reference cells.
+func refIdx(g *Grid) []int {
+	var out []int
+	for i := g.Size(); i < len(g.pts); i++ {
+		out = append(out, i)
+	}
+	return out
 }
 
 // zeroWall returns a copy of the rows with the wall-clock columns — the
@@ -714,7 +718,7 @@ func TestCanonKeyIsWalkHash(t *testing.T) {
 			t.Fatal(err)
 		}
 		var canons [][]byte
-		for i := range g.cells {
+		for i := range g.Size() {
 			b := g.canonOf(nil, i, nil)
 			if store.KeyOf(b) != keys[i] {
 				t.Errorf("%s: cell %d key is not the hash of\n%s", name, i, b)
@@ -726,9 +730,9 @@ func TestCanonKeyIsWalkHash(t *testing.T) {
 			}
 			canons = append(canons, b)
 		}
-		for r, key := range g.refKeys() {
-			b := g.refCanonOf(nil, r)
-			if store.KeyOf(b) != key || strings.Count(string(b), "flows[]\n") != 1 ||
+		for _, r := range refIdx(g) {
+			b := g.canonOf(nil, r, nil)
+			if strings.Count(string(b), "flows[]\n") != 1 ||
 				!strings.Contains(string(b), "kind=victim-ref\n") {
 				t.Errorf("%s: reference cell %d keys\n%s", name, r, b)
 			}
@@ -752,8 +756,51 @@ func TestCanonKeyIsWalkHash(t *testing.T) {
 				}
 			}
 		}
-		if name == "flows" && len(g.refCells) == 0 {
+		if name == "flows" && len(refIdx(g)) == 0 {
 			t.Error("flows grid has no reference cells to check")
+		}
+	}
+}
+
+// TestGridSharesOneRateVector pins what a grid holds per cell: a point
+// and a meta, allocated at exact size, and no QoS table of its own. Every
+// cell Cell builds — visible or victim reference, for every kind — shares
+// the grid's one Rates backing array (the engine only reads it; see
+// TestRunLeavesQoSRatesUntouched in internal/network) and carries its
+// point's mode, topology and seed.
+func TestGridSharesOneRateVector(t *testing.T) {
+	dir := t.TempDir()
+	tr := recordRun(t).Trace(workload.TraceHeader{Nodes: topology.ColumnNodes, Topology: "mesh_x1",
+		QoS: "pvc", Seed: 42, Warmup: 200, Measure: 800})
+	trace := filepath.Join(dir, "t.trace")
+	if err := os.WriteFile(trace, tr.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{
+		"open and closed": "patterns = [\"uniform\", \"tornado\"]\nrates = [0.01, 0.02, 0.03]\ntopology = \"all\"\n" +
+			"qos = [\"pvc\", \"no-qos\"]\nseeds = [1, 2]\n[workload]\nmode = [\"open\", \"closed\"]\noutstanding = [2, 4]\n",
+		"recovery axes": strings.Replace(cacheBase, `["pvc"]`, `["pvc", "no-qos"]`, 1) + "[faults]\nretry_timeout = [0, 300]\nmax_retries = [1, 2]\n",
+		"flows": "topology = [\"mesh_x1\", \"dps\"]\nqos = [\"pvc\", \"no-qos\"]\nseeds = [1, 2]\n" +
+			"[[flows]]\nnode = 1\nrate = 0.05\ndest = 7\nrole = \"victim\"\n[[flows]]\nnode = 2\nrate = 0.3\ndest = 7\n",
+		"replay": "topology = [\"mesh_x1\", \"mecs\"]\nqos = [\"pvc\", \"no-qos\"]\n[workload]\ntrace = \"" + trace + "\"\n",
+	} {
+		g := gridOf(t, src)
+		if cap(g.pts) != len(g.pts) || cap(g.meta) != len(g.pts) || len(g.meta) != len(g.pts) ||
+			cap(g.Points) != g.Size() || g.Size() == 0 {
+			t.Errorf("%s: %d points (cap %d), %d metas (cap %d), %d visible (cap %d): want exact sizes",
+				name, len(g.pts), cap(g.pts), len(g.meta), cap(g.meta), g.Size(), cap(g.Points))
+		}
+		if name == "flows" && len(refIdx(g)) == 0 {
+			t.Fatal("flows grid has no reference cells to check")
+		}
+		for i := range g.pts {
+			cfg := g.Cell(i).Config
+			if p := g.pts[i]; cfg.QoS.Mode != p.Mode || cfg.Kind != p.Topology || cfg.Seed != p.Seed {
+				t.Errorf("%s: cell %d runs %v/%v/%d, point is %+v", name, i, cfg.Kind, cfg.QoS.Mode, cfg.Seed, p)
+			}
+			if len(cfg.QoS.Rates) != cfg.Workload.TotalFlows() || &cfg.QoS.Rates[0] != &g.qos.Rates[0] {
+				t.Errorf("%s: cell %d has its own %d-flow Rates vector", name, i, len(cfg.QoS.Rates))
+			}
 		}
 	}
 }
@@ -763,11 +810,14 @@ func TestCanonKeyIsWalkHash(t *testing.T) {
 // cells' collectors. The grid is the benchmark's short grid at full size,
 // 4 800 cells of 200 cycles over 80 seeds, run through RunDurable with no
 // store on one worker. At the last OnCell, after a forced GC, the live
-// heap must stay under 2 KB a cell: it measures 1.6 KB. Holding every
-// cell's *stats.Collector (about 3.2 KB) until the grid ended put it at
-// 5.1 KB. As a `noctool sweep -parallel 1` process on a 2-vCPU x86-64
-// Linux box, the same grid peaked at 44–45 MB RSS with every collector
-// held and at 25–26 MB with each freed as its row lands.
+// heap must stay under 1 KB a cell: it measures 0.7 KB, a Point, a
+// cellMeta and a Result row. Holding a built runner.Cell per cell, each
+// with its own 512-byte QoS rate vector, put it at 1.6 KB; holding every
+// cell's *stats.Collector (about 3.2 KB) as well put it at 5.1 KB. As a
+// `noctool sweep -parallel 1` process on a 2-vCPU x86-64 Linux box, the
+// same grid peaked at 44–45 MB RSS with every collector held, at 25–26 MB
+// with each freed as its row lands, and at about 17 MB with each cell built
+// only when a worker claims it.
 func TestSweepFreesCollectorsAsRowsLand(t *testing.T) {
 	seeds := make([]string, 80)
 	for i := range seeds {
@@ -807,7 +857,7 @@ measure = 150
 	}
 	perCell := (int64(live.HeapAlloc) - int64(base.HeapAlloc)) / int64(cells)
 	t.Logf("live heap at the last cell: %d B a cell over %d cells", perCell, cells)
-	if perCell >= 2_048 {
-		t.Errorf("sweep holds %d B of live heap a cell at its last row, want under 2048", perCell)
+	if perCell >= 1_024 {
+		t.Errorf("sweep holds %d B of live heap a cell at its last row, want under 1024", perCell)
 	}
 }

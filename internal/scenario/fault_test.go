@@ -67,8 +67,8 @@ until = 3500
 	if g.Points[0].RetryTimeout != 0 || g.Points[1].RetryTimeout != 400 {
 		t.Errorf("retry axis points: %+v", g.Points)
 	}
-	for i := range g.cells {
-		cfg := g.cells[i].Config
+	for i := range g.Size() {
+		cfg := g.Cell(i).Config
 		if len(cfg.Faults.Windows) != 3 || cfg.WatchdogCycles != 50_000 || cfg.Faults.MaxRetries != 6 {
 			t.Errorf("cell %d fault config: %+v wd=%d", i, cfg.Faults, cfg.WatchdogCycles)
 		}
@@ -96,12 +96,12 @@ func TestScenarioFaultAxesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Size() != 4 || len(g.refCells) != 0 {
-		t.Fatalf("grid %d cells, %d ref cells; want 4, 0", g.Size(), len(g.refCells))
+	if g.Size() != 4 || len(refIdx(g)) != 0 {
+		t.Fatalf("grid %d cells, %d ref cells; want 4, 0", g.Size(), len(refIdx(g)))
 	}
-	for i := range g.cells {
-		if g.cells[i].Config.Faults.Enabled() || g.cells[i].Config.WatchdogCycles != 0 {
-			t.Errorf("cell %d carries fault config: %+v", i, g.cells[i].Config.Faults)
+	for i := range g.Size() {
+		if cfg := g.Cell(i).Config; cfg.Faults.Enabled() || cfg.WatchdogCycles != 0 {
+			t.Errorf("cell %d carries fault config: %+v", i, cfg.Faults)
 		}
 		if g.Points[i].RetryTimeout != 0 || g.Points[i].MaxRetries != 0 {
 			t.Errorf("point %d carries recovery axes: %+v", i, g.Points[i])
@@ -166,8 +166,8 @@ role = "aggressor"
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Size() != 2 || len(g.refCells) != 2 {
-		t.Fatalf("grid %d cells, %d ref cells; want 2, 2", g.Size(), len(g.refCells))
+	if g.Size() != 2 || len(refIdx(g)) != 2 {
+		t.Fatalf("grid %d cells, %d ref cells; want 2, 2", g.Size(), len(refIdx(g)))
 	}
 	results := runGrid(t, g, RunOpts{Workers: 1})
 	if len(results) != 2 {

@@ -48,33 +48,49 @@ type Point struct {
 // (pattern × topology × qos × seed × rate), one independent simulation
 // cell per point, in that nesting order — the same cell layout the
 // paper's experiment drivers use, which is what makes a scenario file
-// reproduce them bit-identically.
+// reproduce them bit-identically. A grid holds points, not cells: Cell
+// builds a point's runner cell when a worker claims it.
 type Grid struct {
 	Scenario *Scenario
 	Points   []Point
-	cells    []runner.Cell
-	meta     []cellMeta
-	// refCells are hidden victim-only reference cells (one per topology ×
-	// qos × seed when the scenario declares victim roles), run alongside
-	// the grid to anchor the victim-slowdown metric. They produce no
-	// result rows of their own.
-	refCells []runner.Cell
+	// pts is Points followed by the points of the hidden victim-only
+	// reference cells (one per topology × qos × seed when the scenario
+	// declares victim roles), run alongside the grid to anchor the
+	// victim-slowdown metric. They produce no result rows of their own.
+	// meta runs parallel to pts.
+	pts  []Point
+	meta []cellMeta
+	// loads is the grid's table of shared workloads: one per (pattern,
+	// rate), closed-loop pattern, trace, or flow list and its victims.
+	loads []gridLoad
+	// qos is the QoS configuration every cell shares, its Rates vector
+	// included; a cell sets only its point's Mode.
+	qos qos.Config
+	// tick runs every cell through each cycle instead of skipping idle
+	// windows (network.Config.DisableIdleSkip); tests set it.
+	tick bool
 }
 
-// cellMeta carries what RunDurable needs beyond the cell itself: the
-// flows the fairness dispersion is computed over (open/flows/replay
-// cells) or the closed-loop marker (dispersion over clients instead),
-// plus the victim flows and the reference cell their slowdown is
-// measured against.
+// cellMeta is what a cell needs beyond its point: its kind, its entry in
+// the grid's workload table, and the pts index of the reference cell its
+// victims' slowdown is measured against (-1 without victims).
 type cellMeta struct {
+	kind kinds
+	load int32
+	ref  int32
+}
+
+// gridLoad is one workload the cells of a grid share, and what they
+// derive from it: the flows the fairness dispersion is computed over
+// (open/flows/replay cells; closed cells disperse over clients), the
+// victim flows, the closed-loop request pattern, and the resolved path of
+// a replay trace, whose digest the result cache folds into the key.
+type gridLoad struct {
+	w       traffic.Workload
 	active  []noc.FlowID
-	closed  bool
 	victims []noc.FlowID
-	// ref indexes refCells; only consulted when victims is non-empty.
-	ref int
-	// trace is the resolved trace-file path of a replay cell (empty
-	// elsewhere); the result cache digests the file into the cell's key.
-	trace string
+	pattern traffic.Pattern
+	trace   string
 }
 
 // cellAux bundles what a telemetry-armed cell's Setup returns: the
@@ -123,154 +139,151 @@ func activeFlows(w traffic.Workload) []noc.FlowID {
 	return out
 }
 
-// Grid expands the scenario into its run grid.
+// Grid expands the scenario into its run grid: the shared workloads
+// first, then one point and one meta per cell, allocated at exact size.
 func (sc *Scenario) Grid() (*Grid, error) {
-	g := &Grid{Scenario: sc}
-	add := func(p Point, cell runner.Cell, m cellMeta) {
-		cell.Warmup, cell.Measure = sc.Warmup, sc.Measure
-		armTelemetry(&cell, sc)
-		g.Points = append(g.Points, p)
-		g.cells = append(g.cells, cell)
-		g.meta = append(g.meta, m)
-	}
-	if len(sc.Traces) > 0 {
-		return g, sc.expandTraces(add)
-	}
-	if len(sc.Flows) > 0 {
+	visible, refs := sc.size()
+	g := &Grid{Scenario: sc, qos: sc.qosConfig(),
+		pts: make([]Point, 0, visible+refs), meta: make([]cellMeta, 0, visible+refs)}
+	switch {
+	case len(sc.Traces) > 0:
+		if err := g.expandTraces(); err != nil {
+			return nil, err
+		}
+	case len(sc.Flows) > 0:
 		w := sc.flowWorkload()
-		active := activeFlows(w)
-		victims := sc.victimFlows()
-		var vw traffic.Workload
-		if len(victims) > 0 {
-			vw = sc.victimWorkload()
+		fl := g.load(gridLoad{w: w, active: activeFlows(w), victims: sc.victimFlows()})
+		offered := w.OfferedLoad()
+		var refPts []Point
+		vl := int32(-1)
+		if refs > 0 {
+			vl = g.load(gridLoad{w: sc.victimWorkload(), victims: g.loads[fl].victims})
 		}
-		for _, kind := range sc.Topologies {
-			for _, mode := range sc.Modes {
-				for _, seed := range sc.Seeds {
-					ref := -1
-					if len(victims) > 0 {
-						// One clean victim-only reference per topology ×
-						// qos × seed, shared across that point's fault axes.
-						ref = len(g.refCells)
-						g.refCells = append(g.refCells, runner.Cell{
-							Config: network.Config{
-								Kind: kind, Nodes: sc.Nodes,
-								QoS:      sc.qosConfig(mode, vw.TotalFlows()),
-								Workload: vw, Seed: seed,
-							},
-							Warmup: sc.Warmup, Measure: sc.Measure,
-						})
-					}
-					for _, rto := range sc.RetryTimeouts {
-						for _, mr := range sc.MaxRetriesAxis {
-							add(Point{Pattern: "flows", Topology: kind, Mode: mode, Seed: seed,
-								Rate: w.OfferedLoad(), Workload: "open",
-								RetryTimeout: rto, MaxRetries: mr},
-								runner.Cell{Config: network.Config{
-									Kind: kind, Nodes: sc.Nodes,
-									QoS:      sc.qosConfig(mode, w.TotalFlows()),
-									Workload: w, Seed: seed,
-									Faults:         sc.faultConfig(rto, mr),
-									WatchdogCycles: sc.WatchdogCycles,
-								}},
-								cellMeta{active: active, victims: victims, ref: ref})
-						}
-					}
-				}
+		sc.fan(func(p Point) {
+			ref := int32(-1)
+			if vl >= 0 {
+				// One clean victim-only reference per topology × qos ×
+				// seed, shared across that point's fault axes.
+				ref = int32(visible + len(refPts))
+				refPts = append(refPts, p)
 			}
+			p.Pattern, p.Rate, p.Workload = "flows", offered, "open"
+			sc.fanFaults(p, func(p Point) { g.add(p, cellMeta{kind: kFlows, load: fl, ref: ref}) })
+		})
+		for _, p := range refPts {
+			g.add(p, cellMeta{kind: kVictimRef, load: vl, ref: -1})
 		}
-		return g, nil
-	}
-	for _, pat := range sc.Patterns {
-		for _, wmode := range sc.WorkloadModes {
-			if wmode == "closed" {
-				if err := sc.expandClosed(pat, add); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			// Workloads depend only on (pattern, rate); Dest pickers are
-			// stateless and safe to share across the cells of the
-			// topology × mode × seed fan-out.
-			ws := make([]traffic.Workload, len(sc.Rates))
-			actives := make([][]noc.FlowID, len(sc.Rates))
-			for ri, rate := range sc.Rates {
-				w, err := sc.workload(pat, rate)
-				if err != nil {
-					return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-				}
-				ws[ri] = w
-				actives[ri] = activeFlows(w)
-			}
-			for _, kind := range sc.Topologies {
-				for _, mode := range sc.Modes {
-					for _, seed := range sc.Seeds {
-						for ri, rate := range sc.Rates {
-							for _, rto := range sc.RetryTimeouts {
-								for _, mr := range sc.MaxRetriesAxis {
-									add(Point{Pattern: pat, Topology: kind, Mode: mode, Seed: seed,
-										Rate: rate, Workload: "open",
-										RetryTimeout: rto, MaxRetries: mr},
-										runner.Cell{Config: network.Config{
-											Kind: kind, Nodes: sc.Nodes,
-											QoS:      sc.qosConfig(mode, ws[ri].TotalFlows()),
-											Workload: ws[ri], Seed: seed,
-											Faults:         sc.faultConfig(rto, mr),
-											WatchdogCycles: sc.WatchdogCycles,
-										}},
-										cellMeta{active: actives[ri]})
-								}
-							}
-						}
+	default:
+		for _, pat := range sc.Patterns {
+			for _, wmode := range sc.WorkloadModes {
+				if wmode == "closed" {
+					if err := g.expandClosed(pat); err != nil {
+						return nil, err
 					}
+					continue
 				}
+				// Workloads depend only on (pattern, rate); Dest pickers are
+				// stateless and safe to share across the cells of the
+				// topology × mode × seed fan-out.
+				first := int32(len(g.loads))
+				for _, rate := range sc.Rates {
+					w, err := sc.workload(pat, rate)
+					if err != nil {
+						return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+					}
+					g.load(gridLoad{w: w, active: activeFlows(w)})
+				}
+				sc.fan(func(p Point) {
+					p.Pattern, p.Workload = pat, "open"
+					for ri, rate := range sc.Rates {
+						p.Rate = rate
+						sc.fanFaults(p, func(p Point) { g.add(p, cellMeta{kind: kOpen, load: first + int32(ri), ref: -1}) })
+					}
+				})
 			}
 		}
 	}
+	g.Points = g.pts[:visible:visible]
 	return g, nil
 }
 
+// add appends one cell's point and meta.
+func (g *Grid) add(p Point, m cellMeta) {
+	g.pts = append(g.pts, p)
+	g.meta = append(g.meta, m)
+}
+
+// load appends one shared workload and returns its table index.
+func (g *Grid) load(l gridLoad) int32 {
+	g.loads = append(g.loads, l)
+	return int32(len(g.loads) - 1)
+}
+
+// size returns how many visible cells and hidden victim-reference cells
+// the scenario expands to.
+func (sc *Scenario) size() (visible, refs int) {
+	tms := len(sc.Topologies) * len(sc.Modes) * len(sc.Seeds)
+	faults := len(sc.RetryTimeouts) * len(sc.MaxRetriesAxis)
+	switch {
+	case len(sc.Traces) > 0:
+		return len(sc.Traces) * tms, 0
+	case len(sc.Flows) > 0:
+		if len(sc.victimFlows()) > 0 {
+			refs = tms
+		}
+		return tms * faults, refs
+	}
+	for _, wmode := range sc.WorkloadModes {
+		if wmode == "closed" {
+			visible += tms * len(sc.Outstanding) * len(sc.ThinkTimes)
+		} else {
+			visible += tms * len(sc.Rates) * faults
+		}
+	}
+	return visible * len(sc.Patterns), 0
+}
+
+// fan calls fn with every topology × qos × seed point, in grid order.
+func (sc *Scenario) fan(fn func(Point)) {
+	for _, kind := range sc.Topologies {
+		for _, mode := range sc.Modes {
+			for _, seed := range sc.Seeds {
+				fn(Point{Topology: kind, Mode: mode, Seed: seed})
+			}
+		}
+	}
+}
+
+// fanFaults calls fn with p at every retry-timeout × max-retries point of
+// the [faults] table's recovery axes.
+func (sc *Scenario) fanFaults(p Point, fn func(Point)) {
+	for _, rto := range sc.RetryTimeouts {
+		for _, mr := range sc.MaxRetriesAxis {
+			p.RetryTimeout, p.MaxRetries = rto, mr
+			fn(p)
+		}
+	}
+}
+
 // expandClosed appends the closed-loop cells of one pattern: topology ×
-// qos × seed × outstanding × think_time, each with a Setup that attaches
-// a fresh client controller to the cell's reset network.
-func (sc *Scenario) expandClosed(patName string, add func(Point, runner.Cell, cellMeta)) error {
+// qos × seed × outstanding × think_time, each attaching a fresh client
+// controller to the cell's reset network.
+func (g *Grid) expandClosed(patName string) error {
+	sc := g.Scenario
 	pattern, err := sc.pattern(patName)
 	if err != nil {
 		return fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	w := workload.ClientWorkload("closed-"+patName, sc.Nodes)
-	for _, kind := range sc.Topologies {
-		for _, mode := range sc.Modes {
-			for _, seed := range sc.Seeds {
-				for _, out := range sc.Outstanding {
-					for _, think := range sc.ThinkTimes {
-						ccfg := workload.ClientConfig{
-							Outstanding: out, ThinkMean: think,
-							Pattern: pattern, Seed: seed,
-							RequestFlits: sc.RequestFlits, ReplyFlits: sc.ReplyFlits,
-						}
-						add(Point{Pattern: patName, Topology: kind, Mode: mode, Seed: seed,
-							Workload: "closed", Outstanding: out, Think: think},
-							runner.Cell{
-								Config: network.Config{
-									Kind: kind, Nodes: sc.Nodes,
-									QoS:      sc.qosConfig(mode, w.TotalFlows()),
-									Workload: w, Seed: seed,
-								},
-								Setup: func(n *network.Network) any {
-									ct, err := workload.NewController(n, ccfg)
-									if err != nil {
-										panic(err)
-									}
-									return ct
-								},
-							},
-							cellMeta{closed: true})
-					}
-				}
+	l := g.load(gridLoad{w: workload.ClientWorkload("closed-"+patName, sc.Nodes), pattern: pattern})
+	sc.fan(func(p Point) {
+		p.Pattern, p.Workload = patName, "closed"
+		for _, out := range sc.Outstanding {
+			for _, think := range sc.ThinkTimes {
+				p.Outstanding, p.Think = out, think
+				g.add(p, cellMeta{kind: kClosed, load: l, ref: -1})
 			}
 		}
-	}
+	})
 	return nil
 }
 
@@ -279,7 +292,8 @@ func (sc *Scenario) expandClosed(patName string, add func(Point, runner.Cell, ce
 // built straight into its replay workload, which every cell of the trace
 // shares. Relative trace paths resolve against the scenario file's
 // directory.
-func (sc *Scenario) expandTraces(add func(Point, runner.Cell, cellMeta)) error {
+func (g *Grid) expandTraces() error {
+	sc := g.Scenario
 	for _, trPath := range sc.Traces {
 		path := trPath
 		if !filepath.IsAbs(path) && sc.baseDir != "" {
@@ -294,37 +308,57 @@ func (sc *Scenario) expandTraces(add func(Point, runner.Cell, cellMeta)) error {
 			return fmt.Errorf("scenario %s: trace %s recorded a %d-node column, scenario has %d",
 				sc.Name, trPath, hdr.Nodes, sc.Nodes)
 		}
-		active := activeFlows(w)
-		for _, kind := range sc.Topologies {
-			for _, mode := range sc.Modes {
-				for _, seed := range sc.Seeds {
-					add(Point{Pattern: "trace", Topology: kind, Mode: mode, Seed: seed, Workload: label},
-						runner.Cell{Config: network.Config{
-							Kind: kind, Nodes: sc.Nodes,
-							QoS:      sc.qosConfig(mode, w.TotalFlows()),
-							Workload: w, Seed: seed,
-						}},
-						cellMeta{active: active, trace: path})
-				}
-			}
-		}
+		l := g.load(gridLoad{w: w, active: activeFlows(w), trace: path})
+		sc.fan(func(p Point) {
+			p.Pattern, p.Workload = "trace", label
+			g.add(p, cellMeta{kind: kReplay, load: l, ref: -1})
+		})
 	}
 	return nil
 }
 
-// faultConfig assembles one cell's fault configuration: the scenario's
-// shared windows plus the cell's recovery axes.
-func (sc *Scenario) faultConfig(rto sim.Cycle, mr int) network.FaultConfig {
-	return network.FaultConfig{Windows: sc.FaultWindows, RetryTimeout: rto, MaxRetries: mr}
-}
-
 // Size returns the number of grid cells.
-func (g *Grid) Size() int { return len(g.cells) }
+func (g *Grid) Size() int { return len(g.Points) }
 
-// Cell returns a copy of grid cell i — the runner cell the sweep would
-// execute — for drivers that run cells individually (noctool trace
-// record).
-func (g *Grid) Cell(i int) runner.Cell { return g.cells[i] }
+// Cell builds grid cell i — the runner cell the sweep executes when a
+// worker claims it — from the scenario, the point and its workload; it
+// is the one place a grid cell's network.Config is made. Indices from
+// Size() on name the hidden victim-reference cells. Every cell shares
+// the grid's workloads and QoS Rates vector, which the engine only reads.
+func (g *Grid) Cell(i int) runner.Cell {
+	sc, p, m := g.Scenario, &g.pts[i], &g.meta[i]
+	ld := &g.loads[m.load]
+	q := g.qos
+	q.Mode = p.Mode
+	cell := runner.Cell{
+		Config: network.Config{Kind: p.Topology, Nodes: sc.Nodes, QoS: q,
+			Workload: ld.w, Seed: p.Seed, DisableIdleSkip: g.tick},
+		Warmup: sc.Warmup, Measure: sc.Measure,
+	}
+	switch m.kind {
+	case kVictimRef:
+		return cell
+	case kOpen, kFlows:
+		cell.Config.Faults = network.FaultConfig{Windows: sc.FaultWindows,
+			RetryTimeout: p.RetryTimeout, MaxRetries: p.MaxRetries}
+		cell.Config.WatchdogCycles = sc.WatchdogCycles
+	case kClosed:
+		ccfg := workload.ClientConfig{
+			Outstanding: p.Outstanding, ThinkMean: p.Think,
+			Pattern: ld.pattern, Seed: p.Seed,
+			RequestFlits: sc.RequestFlits, ReplyFlits: sc.ReplyFlits,
+		}
+		cell.Setup = func(n *network.Network) any {
+			ct, err := workload.NewController(n, ccfg)
+			if err != nil {
+				panic(err)
+			}
+			return ct
+		}
+	}
+	armTelemetry(&cell, sc)
+	return cell
+}
 
 // RunOpts carries the runtime knobs that never change results: the worker
 // count (bit-identical for every value) and a live accounting feed.
@@ -464,9 +498,10 @@ func (g *Grid) row(i int, r *runner.Result, base float64) Result {
 	if r.Elapsed > 0 {
 		out.CyclesPerSec = float64(out.End) / r.Elapsed.Seconds()
 	}
-	m := g.meta[i]
+	m := &g.meta[i]
+	ld := &g.loads[m.load]
 	var summary stats.Summary
-	if m.closed {
+	if m.kind == kClosed {
 		ct := aux.(*workload.Controller)
 		summary = stats.Summarize(ct.RT.PerClient())
 		out.Completed = ct.RT.TotalCompleted()
@@ -474,8 +509,8 @@ func (g *Grid) row(i int, r *runner.Result, base float64) Result {
 		out.P99RTT = float64(ct.RT.Latencies.Percentile(99))
 	} else {
 		flits := st.FlitsByFlow()
-		vals := make([]float64, 0, len(m.active))
-		for _, f := range m.active {
+		vals := make([]float64, 0, len(ld.active))
+		for _, f := range ld.active {
 			vals = append(vals, float64(flits[f]))
 		}
 		summary = stats.Summarize(vals)
@@ -483,8 +518,8 @@ func (g *Grid) row(i int, r *runner.Result, base float64) Result {
 	out.TputMinPct = summary.MinPctOfMean()
 	out.TputMaxPct = summary.MaxPctOfMean()
 	out.TputStdDevPct = summary.StdDevPctOfMean()
-	if len(m.victims) > 0 {
-		if mean := victimMeanLatency(st, m.victims); base > 0 && mean > 0 {
+	if len(ld.victims) > 0 {
+		if mean := victimMeanLatency(st, ld.victims); base > 0 && mean > 0 {
 			out.VictimSlowdown = mean / base
 		}
 	}

@@ -572,10 +572,11 @@ func (sc *Scenario) flowWorkloadOf(flows []FlowSpec) traffic.Workload {
 	return w
 }
 
-// qosConfig assembles the QoS configuration of one grid point.
-func (sc *Scenario) qosConfig(mode qos.Mode, flows int) qos.Config {
-	cfg := qos.DefaultConfig(flows)
-	cfg.Mode = mode
+// qosConfig assembles the QoS configuration every cell of the grid
+// shares: one equal-share Rates vector over the column's flow
+// population. Each cell sets its point's Mode on its own copy.
+func (sc *Scenario) qosConfig() qos.Config {
+	cfg := qos.DefaultConfig(sc.Nodes * topology.InjectorsPerNode)
 	if sc.FrameCycles > 0 {
 		cfg.FrameCycles = sc.FrameCycles
 	}

@@ -11,6 +11,7 @@ import (
 
 	"tanoq/internal/qos"
 	"tanoq/internal/runner"
+	"tanoq/internal/store"
 	"tanoq/internal/telemetry"
 	"tanoq/internal/topology"
 	"tanoq/internal/traffic"
@@ -154,10 +155,14 @@ func soundRun(t *testing.T, g *Grid) ([]string, []soundRow) {
 		rows = append(rows, soundRow{res: r})
 	}
 	victims := g.Scenario.victimFlows()
-	for _, r := range runner.RunCellsCtx(context.Background(), g.refCells, runner.Options{Workers: 1}) {
+	refs := refIdx(g)
+	res := runner.RunEachCtx(context.Background(), len(refs), func(j int) runner.Cell { return g.Cell(refs[j]) },
+		runner.Options{Workers: 1})
+	for j, r := range res {
 		rows = append(rows, soundRow{base: victimMeanLatency(r.Stats, victims)})
+		keys = append(keys, store.KeyOf(g.canonOf(nil, refs[j], nil)))
 	}
-	return append(keys, g.refKeys()...), rows
+	return keys, rows
 }
 
 // TestCacheKeySound is the differential check of the field table's reads

@@ -111,26 +111,29 @@ func (t Totals) Sub(prev Totals) Totals {
 // starts measuring immediately; call Reset after warmup to discard the
 // transient.
 func NewCollector(flows int) *Collector {
-	c := &Collector{flows: flows, measuring: true}
-	c.alloc()
-	return c
-}
-
-func (c *Collector) alloc() {
-	c.DeliveredPackets = make([]int64, c.flows)
-	c.DeliveredFlits = make([]int64, c.flows)
-	c.LatencySumByFlow = make([]int64, c.flows)
-	c.RetriesByFlow = make([]int64, c.flows)
-	c.DropsByFlow = make([]int64, c.flows)
+	return &Collector{
+		flows: flows, measuring: true,
+		DeliveredPackets: make([]int64, flows),
+		DeliveredFlits:   make([]int64, flows),
+		LatencySumByFlow: make([]int64, flows),
+		RetriesByFlow:    make([]int64, flows),
+		DropsByFlow:      make([]int64, flows),
+	}
 }
 
 // Flows returns the flow population size.
 func (c *Collector) Flows() int { return c.flows }
 
-// Reset clears all counters and marks the beginning of the measurement
-// window at cycle now.
+// Reset clears all counters in place and marks the beginning of the
+// measurement window at cycle now. The per-flow slices keep their
+// backing arrays: nothing reads them across the warmup/measure boundary
+// (a telemetry sampler copies values and re-baselines on the mark).
 func (c *Collector) Reset(now sim.Cycle) {
-	c.alloc()
+	clear(c.DeliveredPackets)
+	clear(c.DeliveredFlits)
+	clear(c.LatencySumByFlow)
+	clear(c.RetriesByFlow)
+	clear(c.DropsByFlow)
 	c.TotalDelivered, c.TotalLatency = 0, 0
 	c.InjectedPackets, c.InjectedFlits = 0, 0
 	c.PreemptionEvents, c.PreemptedUnique = 0, 0

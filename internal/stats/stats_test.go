@@ -50,6 +50,38 @@ func TestCollectorPauseGatesCounters(t *testing.T) {
 	}
 }
 
+// TestCollectorResetInPlace pins that the warmup/measure boundary clears
+// every counter without allocating: Reset zeroes the per-flow arrays
+// NewCollector made instead of making them again.
+func TestCollectorResetInPlace(t *testing.T) {
+	c := NewCollector(64)
+	fill := func() {
+		c.Delivered(3, 4, 20, 10)
+		c.Injected(4)
+		c.TimeoutRetry(5)
+		c.Dropped(7)
+	}
+	fill()
+	c.Reset(100)
+	for name, v := range map[string][]int64{"packets": c.DeliveredPackets, "flits": c.DeliveredFlits,
+		"latency": c.LatencySumByFlow, "retries": c.RetriesByFlow, "drops": c.DropsByFlow} {
+		if len(v) != 64 {
+			t.Fatalf("%s: %d flows after Reset, want 64", name, len(v))
+		}
+		for f, x := range v {
+			if x != 0 {
+				t.Errorf("%s[%d] = %d after Reset", name, f, x)
+			}
+		}
+	}
+	if c.TotalDelivered != 0 || c.InjectedFlits != 0 || c.TotalRetries != 0 || c.TotalDropped != 0 || c.Latencies.Count() != 0 {
+		t.Errorf("aggregates survive Reset: %+v", *c)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { fill(); c.Reset(100) }); allocs != 0 {
+		t.Errorf("Reset allocates %v times a call, want 0", allocs)
+	}
+}
+
 func TestCollectorPreemptionRates(t *testing.T) {
 	c := NewCollector(2)
 	for i := 0; i < 90; i++ {

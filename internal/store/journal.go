@@ -9,14 +9,16 @@ import (
 	"sync"
 )
 
-// Journal is the sweep checkpoint: an append-only file of completed
-// cell keys, one per line, living alongside the cache entries. A
-// resumed sweep reads it to learn which cells finished before the
-// interruption; the cache then supplies their rows. The journal is the
-// cheap, crash-ordered half of the pair — a key is recorded only after
-// its entry has been renamed into the cache, so every journaled key is
-// backed by a durable row (the converse need not hold; unjournaled
-// cache entries are still served as ordinary hits).
+// Journal is an append-only file of completed cell keys, one per line,
+// living alongside the cache entries: the order a sweep's cells finished
+// in. No sweep reads it back — a resumed sweep learns which cells
+// finished from cache hits alone, and only tests and the benchmark
+// harness call Done or Len. A key is recorded after its entry has been
+// renamed into the cache, so it names an entry that existed when the
+// line was written; entries are renamed, not fsynced, so after a crash a
+// journaled key may name a damaged or missing entry, which is then an
+// ordinary miss and re-runs (and unjournaled entries are still served as
+// ordinary hits).
 //
 // Lines that do not look like keys are ignored on read, so a torn final
 // line from a crash costs at most one re-run; the next Record starts a
