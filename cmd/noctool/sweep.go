@@ -35,10 +35,42 @@ type sweepOpts struct {
 	httpLinger   time.Duration
 	progress     bool
 	timelinePath string
+	onCell       func(scenario.CellEvent)
 }
 
-// sweepMain parses the sweep subcommand's flags and runs the sweep.
+// sweepMain parses the sweep subcommand's flags and runs the sweep under
+// an interrupt handler: the first SIGINT/SIGTERM cancels the grid — no
+// new cells are issued, in-flight cells drain and checkpoint, and the
+// partial output is finished — and a second exits immediately.
 func sweepMain(args []string) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case <-sig:
+		case <-done:
+			return
+		}
+		fmt.Fprintln(os.Stderr, "sweep: interrupt — draining in-flight cells and checkpointing (interrupt again to exit now)")
+		cancel()
+		select {
+		case <-sig:
+			os.Exit(130)
+		case <-done:
+		}
+	}()
+	return sweepCtx(ctx, args, nil)
+}
+
+// sweepCtx is sweepMain under ctx, with onCell (nil = none) observing
+// every finished cell beside -progress and -http: a test cancels ctx
+// from it to interrupt a sweep at a cell boundary.
+func sweepCtx(ctx context.Context, args []string, onCell func(scenario.CellEvent)) error {
 	fs := newFlagSet("sweep", "noctool sweep [flags] <scenario>[#profile]",
 		`Expand and run a declarative scenario file (.json/.toml; the paper's
 grids are under examples/paper/). Files resolve through the layered
@@ -62,11 +94,11 @@ provenance.`)
 		fs.Usage()
 		return fmt.Errorf("sweep needs exactly one scenario file")
 	}
-	return runSweep(fs.Arg(0), sweepOpts{
+	return runSweep(ctx, fs.Arg(0), sweepOpts{
 		layers: layers(), csv: *csv, outPath: *out, explain: *explain,
 		cache: *cache, cacheDir: *cacheDir, resume: *resume, verify: *cacheVerify,
 		httpAddr: *httpAddr, httpLinger: *httpLinger, progress: *progress,
-		timelinePath: *timeline,
+		timelinePath: *timeline, onCell: onCell,
 	})
 }
 
@@ -89,16 +121,18 @@ through the same layered pipeline as sweep.`)
 }
 
 // runSweep resolves a scenario through the layer pipeline, expands the
-// sweep grid, runs it through the durable runner and emits a table or
-// CSV to stdout (plus JSON to -out when given).
+// sweep grid and streams it through Grid.Stream, writing the table or CSV
+// to stdout a chunk of rows at a time as the grid runs (and the JSON
+// report to -out once the sweep finishes clean). A cancelled ctx is an
+// interrupt: the rows of cells never run print as skipped, an interrupted
+// marker follows the last row, and -out is not written.
 //
-// Every sweep goes through Grid.RunDurable, as degrade and timeline do:
-// without -cache it keys nothing and runs every cell (with graceful
-// SIGINT draining); with -cache (or cache = true in the
-// scenario's [run] table) finished rows are checkpointed to the
-// content-addressed store as they land, and -resume serves them back
-// without simulating.
-func runSweep(path string, o sweepOpts) error {
+// Every sweep goes through the one grid executor, as degrade and timeline
+// do: without -cache it keys nothing and runs every cell; with -cache (or
+// cache = true in the scenario's [run] table) finished rows are
+// checkpointed to the content-addressed store as they land, and -resume
+// serves them back without simulating.
+func runSweep(ctx context.Context, path string, o sweepOpts) error {
 	sc, res, err := loadLayered(path, o.layers)
 	if err != nil {
 		return err
@@ -135,6 +169,7 @@ func runSweep(path string, o sweepOpts) error {
 
 	opts := o.layers.runOpts(sc)
 	opts.VerifySample = o.verify
+	opts.OnCell = o.onCell
 
 	// Live accounting: the /metrics endpoint and the -progress printer
 	// share one sweepMetrics instance fed from the per-cell completion
@@ -144,13 +179,17 @@ func runSweep(path string, o sweepOpts) error {
 	var prog *progressPrinter
 	if o.httpAddr != "" || o.progress {
 		metrics = newSweepMetrics(len(grid.Points), runner.Workers(opts.Workers))
-		opts.OnCell = metrics.onCell
+		observers := []func(scenario.CellEvent){metrics.onCell}
 		if o.progress {
 			prog = &progressPrinter{m: metrics}
-			inner := opts.OnCell
-			opts.OnCell = func(ev scenario.CellEvent) {
-				inner(ev)
-				prog.onCell(ev)
+			observers = append(observers, prog.onCell)
+		}
+		if o.onCell != nil {
+			observers = append(observers, o.onCell)
+		}
+		opts.OnCell = func(ev scenario.CellEvent) {
+			for _, fn := range observers {
+				fn(ev)
 			}
 		}
 		if o.httpAddr != "" {
@@ -176,68 +215,95 @@ func runSweep(path string, o sweepOpts) error {
 		opts.Journal = jr
 	}
 
-	// First SIGINT/SIGTERM cancels the grid: no new cells are issued,
-	// in-flight cells drain and checkpoint, and the partial table is
-	// printed. A second signal exits immediately.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "sweep: interrupt — draining in-flight cells and checkpointing (interrupt again to exit now)")
-		cancel()
-		<-sig
-		os.Exit(130)
-	}()
-
-	rep, err := grid.RunDurable(ctx, opts)
-	if err != nil {
-		return err
+	// The JSON report streams into a temp file beside its target, which
+	// only a clean finish renames into place.
+	var report *os.File
+	var reportRows *scenario.RowWriter
+	if o.outPath != "" {
+		// Named for this process, created with the mode os.WriteFile gives.
+		tmp := fmt.Sprintf("%s.%d.tmp", o.outPath, os.Getpid())
+		report, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			return fmt.Errorf("-out: %w", err)
+		}
+		defer func() {
+			if report != nil {
+				report.Close()
+				os.Remove(report.Name())
+			}
+		}()
+		reportRows = scenario.NewJSONWriter(report, sc.Name)
 	}
-	results := rep.Results
+	var rows *scenario.RowWriter
+	if o.csv {
+		rows = scenario.NewCSVWriter(os.Stdout, sc.Name)
+	} else {
+		rows = scenario.NewTableWriter(os.Stdout, sc.Name, grid.Size())
+	}
+	var timelines []scenario.Result // the probed rows, all -timeline reads
+	rep, err := grid.Stream(ctx, opts, func(_ int, chunk []scenario.Result) error {
+		if err := rows.Write(chunk); err != nil {
+			return err
+		}
+		if reportRows != nil {
+			if err := reportRows.Write(chunk); err != nil {
+				return err
+			}
+		}
+		if o.timelinePath != "" {
+			for _, r := range chunk {
+				if r.Timeline != nil {
+					timelines = append(timelines, r)
+				}
+			}
+		}
+		return nil
+	})
 	if prog != nil {
 		prog.Close()
 	}
+	if rep == nil {
+		return err // the sweep failed before its first row
+	}
+	if cerr := rows.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	if !o.csv {
+		fmt.Println()
+	}
+	if rep.Interrupted {
+		// The marker rides only on interrupted output, after its last row:
+		// a resumed run finishes clean, so its table diffs bit-identical
+		// against an uninterrupted one.
+		fmt.Println("# interrupted: partial results — finished cells are checkpointed, re-run with -resume")
+	}
+	if err != nil {
+		return err // a checkpoint or write failure, after the rows that made it out
+	}
 
 	if o.timelinePath != "" {
-		if err := writeTimelines(o.timelinePath, results); err != nil {
+		if err := writeTimelines(o.timelinePath, timelines); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "sweep: wrote %s\n", o.timelinePath)
 	}
-
-	if o.csv {
-		fmt.Print(scenario.CSV(sc.Name, results))
-	} else {
-		fmt.Println(scenario.Render(sc.Name, results))
-	}
-	if rep.Interrupted {
-		// The marker rides only on interrupted output: a resumed run
-		// finishes clean, so its table diffs bit-identical against an
-		// uninterrupted one.
-		fmt.Println("# interrupted: partial results — finished cells are checkpointed, re-run with -resume")
-	}
-	if o.outPath != "" {
+	if report != nil {
 		if rep.Interrupted {
 			fmt.Fprintf(os.Stderr, "sweep: not writing %s (sweep interrupted)\n", o.outPath)
 		} else {
-			blob, err := scenario.JSONReport(sc.Name, results)
-			if err != nil {
+			if err := commitReport(report, reportRows, o.outPath); err != nil {
 				return err
 			}
-			if err := os.WriteFile(o.outPath, blob, 0o644); err != nil {
-				return err
-			}
+			report = nil
 			fmt.Fprintf(os.Stderr, "sweep: wrote %s\n", o.outPath)
 		}
 	}
+	cells := grid.Size()
 	if opts.Store != nil {
 		// FAILED rows used to be invisible here until the table printed;
 		// the %d failed field folds them into the one-line accounting.
 		fmt.Fprintf(os.Stderr, "sweep: %d cells: %d cached, executed %d, %d failed, skipped %d (cache %s)\n",
-			len(results), rep.Hits, rep.Executed, rep.Failed, rep.Skipped, o.cacheDir)
+			cells, rep.Hits, rep.Executed, rep.Failed, rep.Skipped, o.cacheDir)
 		if o.verify > 0 {
 			fmt.Fprintf(os.Stderr, "sweep: cache-verify: %d verified, %d diverged\n",
 				rep.Verified, len(rep.VerifyBad))
@@ -247,13 +313,25 @@ func runSweep(path string, o sweepOpts) error {
 		return fmt.Errorf("cache verification failed:\n  %s", strings.Join(rep.VerifyBad, "\n  "))
 	}
 	if rep.Interrupted {
-		done := len(results) - rep.Skipped
+		done := cells - rep.Skipped
 		if opts.Store != nil {
-			return fmt.Errorf("sweep interrupted: %d of %d cells finished and checkpointed; re-run with -resume to continue", done, len(results))
+			return fmt.Errorf("sweep interrupted: %d of %d cells finished and checkpointed; re-run with -resume to continue", done, cells)
 		}
-		return fmt.Errorf("sweep interrupted: %d of %d cells finished (run with -cache to make interruptions resumable)", done, len(results))
+		return fmt.Errorf("sweep interrupted: %d of %d cells finished (run with -cache to make interruptions resumable)", done, cells)
 	}
 	return nil
+}
+
+// commitReport ends the JSON report streamed into the temp file f and
+// renames it to path.
+func commitReport(f *os.File, rows *scenario.RowWriter, path string) error {
+	if err := rows.Close(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // runDegrade runs the degradation sweep of a faulted scenario: the grid
@@ -282,8 +360,8 @@ func runDegrade(path string, o sweepOpts) error {
 
 // checkWritable reports whether the file a flag names ("" = flag unset)
 // can be created or opened for writing, without truncating an existing
-// file or leaving a new one behind: outputs are written after the run, and
-// a run must not be what discovers a missing directory.
+// file or leaving a new one behind: outputs land as or after the grid
+// runs, and a run must not be what discovers a missing directory.
 func checkWritable(flagName, path string) error {
 	if path == "" {
 		return nil

@@ -1,13 +1,21 @@
 package main
 
 import (
+	"context"
+	"encoding/csv"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tanoq/internal/runner"
+	"tanoq/internal/scenario"
+	"tanoq/internal/store"
 )
 
 const (
@@ -16,6 +24,7 @@ const (
 	timelineSmoke = "../../examples/sweep/timeline-smoke.toml"
 	degradeSmoke  = "../../examples/sweep/degrade.toml"
 	paperFig4b    = "../../examples/paper/fig4b.toml"
+	resumeSmoke   = "../../examples/sweep/resume-smoke.toml"
 )
 
 // captured runs fn with os.Stdout and os.Stderr swapped for pipes and
@@ -329,4 +338,259 @@ until = 6000
 			t.Errorf("wrote a trace for a failed record (stat: %v)", err)
 		}
 	})
+}
+
+// dropColumns returns the records of a sweep CSV with the named columns
+// removed, found by their header names.
+func dropColumns(t *testing.T, text string, names ...string) [][]string {
+	t.Helper()
+	records, err := csv.NewReader(strings.NewReader(text)).ReadAll()
+	if err != nil || len(records) == 0 {
+		t.Fatalf("unreadable CSV (%v):\n%s", err, text)
+	}
+	var drop []int
+	for _, name := range names {
+		i := slices.Index(records[0], name)
+		if i < 0 {
+			t.Fatalf("CSV header has no %q column: %v", name, records[0])
+		}
+		drop = append(drop, i)
+	}
+	for r, rec := range records {
+		var kept []string
+		for i, field := range rec {
+			if !slices.Contains(drop, i) {
+				kept = append(kept, field)
+			}
+		}
+		records[r] = kept
+	}
+	return records
+}
+
+// dropTableCells returns a sweep table's lines with the cells under the
+// named header cells removed from every row laid out like the header
+// (FAILED rows carry no such cells and stay whole).
+func dropTableCells(t *testing.T, text string, names ...string) []string {
+	t.Helper()
+	lines := strings.Split(text, "\n")
+	if len(lines) < 3 {
+		t.Fatalf("no table header in:\n%s", text)
+	}
+	header := strings.Fields(lines[2])
+	var drop []int
+	for _, name := range names {
+		i := slices.Index(header, name)
+		if i < 0 {
+			t.Fatalf("table header has no %q cell: %v", name, header)
+		}
+		drop = append(drop, i)
+	}
+	for l, line := range lines[2:] {
+		cells := strings.Fields(line)
+		if len(cells) != len(header) || strings.Contains(line, " FAILED (") {
+			continue
+		}
+		var kept []string
+		for i, cell := range cells {
+			if !slices.Contains(drop, i) {
+				kept = append(kept, cell)
+			}
+		}
+		lines[2+l] = strings.Join(kept, " ")
+	}
+	return lines
+}
+
+// dropJSONKeys returns an indented JSON report's lines without the
+// lines of the named keys.
+func dropJSONKeys(text string, names ...string) []string {
+	var kept []string
+	for _, line := range strings.Split(text, "\n") {
+		key, _, _ := strings.Cut(strings.TrimSpace(line), ":")
+		if !slices.Contains(names, strings.Trim(key, `"`)) {
+			kept = append(kept, line)
+		}
+	}
+	return kept
+}
+
+// The wall-clock columns of each output: each run records its own
+// elapsed time there, so two runs of one grid differ in them only.
+var (
+	wallCSV   = []string{"wall_ms", "cycles_per_sec"}
+	wallTable = []string{"wall-ms", "Mcyc/s"}
+)
+
+// TestSweepStreamsWhatItCollects pins the streamed outputs: for every
+// scenario file under examples/sweep that sweeps (base.toml is only an
+// include), and for a generated grid of several chunks with a ragged
+// tail, at -parallel 1 and 0, the CSV, table and -out JSON report that
+// `noctool sweep` writes a chunk at a time as the grid runs equal
+// scenario.CSV, the one-piece table and scenario.JSONReport over the
+// rows RunDurable collects for the same grid, modulo the wall-clock
+// columns, dropped by name. The example runs check their rows into a
+// store, which then serves the table run and the collected rows; the
+// large grid runs every time, to keep thousands of entries out of it.
+func TestSweepStreamsWhatItCollects(t *testing.T) {
+	files, err := filepath.Glob("../../examples/sweep/*.[tj]*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = slices.DeleteFunc(files, func(f string) bool {
+		ext := filepath.Ext(f)
+		return (ext != ".toml" && ext != ".json") || filepath.Base(f) == "base.toml"
+	})
+	seeds := make([]string, 45)
+	for i := range seeds {
+		seeds[i] = fmt.Sprint(1 + i)
+	}
+	chunks := filepath.Join(t.TempDir(), "chunks.toml")
+	if err := os.WriteFile(chunks, []byte(`name = "chunks"
+patterns = ["uniform", "transpose"]
+topology = "all"
+qos = ["pvc", "no-qos"]
+rates = [0.02, 0.04, 0.06]
+seeds = [`+strings.Join(seeds, ", ")+`]
+warmup = 50
+measure = 150
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if len(files) < 10 {
+		t.Fatalf("found only %v", files)
+	}
+	for _, file := range append(files, chunks) {
+		cached := file != chunks
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			sc, _, err := loadLayered(file, layerOpts{sim: &simFlags{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, parallel := range []string{"1", "0"} {
+				dir := t.TempDir()
+				report := filepath.Join(dir, "report.json")
+				flags := []string{"-parallel", parallel}
+				opts := scenario.DurableOpts{}
+				if cached {
+					cache := filepath.Join(dir, "cache")
+					flags = append(flags, "-cache", "-cache-dir", cache)
+					st, err := store.Open(cache)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Store = st
+				}
+				sweep := func(extra ...string) string {
+					t.Helper()
+					args := append(append(slices.Clone(flags), extra...), file)
+					stdout, stderr, err := captured(t, func() error { return sweepMain(args) })
+					if err != nil {
+						t.Fatalf("sweep %v: %v\n%s", args, err, stderr)
+					}
+					return stdout
+				}
+				gotCSV := sweep("-csv", "-out", report)
+				gotTable := sweep()
+				gotReport, err := os.ReadFile(report)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				grid, err := sc.Grid()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := grid.RunDurable(context.Background(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cached && rep.Hits == 0 {
+					t.Errorf("-parallel %s: the store served no row", parallel)
+				}
+				var table strings.Builder
+				w := scenario.NewTableWriter(&table, sc.Name, len(rep.Results))
+				if err := w.Write(rep.Results); err != nil || w.Close() != nil {
+					t.Fatal(err)
+				}
+				wantReport, err := scenario.JSONReport(sc.Name, rep.Results)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := dropColumns(t, gotCSV, wallCSV...), dropColumns(t, scenario.CSV(sc.Name, rep.Results), wallCSV...); !reflect.DeepEqual(got, want) {
+					t.Errorf("-parallel %s: streamed CSV differs from CSV over the collected rows:\n%s", parallel, gotCSV)
+				}
+				if got, want := dropTableCells(t, gotTable, wallTable...), dropTableCells(t, table.String()+"\n", wallTable...); !reflect.DeepEqual(got, want) {
+					t.Errorf("-parallel %s: streamed table differs from the collected one:\n%s\nwant\n%s", parallel, gotTable, table.String())
+				}
+				if got, want := dropJSONKeys(string(gotReport), wallCSV...), dropJSONKeys(string(wantReport), wallCSV...); !reflect.DeepEqual(got, want) {
+					t.Errorf("-parallel %s: streamed report differs from JSONReport over the collected rows", parallel)
+				}
+			}
+		})
+	}
+}
+
+// TestSweepResumeMatchesUninterrupted is the durable-execution contract
+// end to end (`make resume-smoke`): a cached sequential sweep cancelled
+// after a few cells prints the rows it has — the never-run cells as
+// skipped rows, then the interrupted marker last — fails, and leaves no
+// -out report behind; resumed with -resume it serves the finished cells,
+// runs the rest, and prints the uninterrupted sweep's CSV (modulo the
+// wall-clock columns); and a verified re-run on the now warm store
+// executes nothing.
+func TestSweepResumeMatchesUninterrupted(t *testing.T) {
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	report := filepath.Join(dir, "report.json")
+	sweep := func(args ...string) (stdout, stderr string) {
+		t.Helper()
+		stdout, stderr, err := captured(t, func() error { return sweepMain(append(args, resumeSmoke)) })
+		if err != nil {
+			t.Fatalf("sweep %v: %v\n%s", args, err, stderr)
+		}
+		return stdout, stderr
+	}
+	ref, _ := sweep("-csv")
+
+	const k = 5
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var done atomic.Int64
+	partial, stderr, err := captured(t, func() error {
+		return sweepCtx(ctx, []string{"-parallel", "1", "-csv", "-cache", "-cache-dir", cache, "-out", report, resumeSmoke},
+			func(scenario.CellEvent) {
+				if done.Add(1) == k {
+					cancel()
+				}
+			})
+	})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sweep interrupted: %d of 36 cells finished and checkpointed", k)) {
+		t.Fatalf("interrupted sweep: error %v\n%s", err, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(partial, "\n"), "\n")
+	if len(lines) != 38 || !strings.HasPrefix(lines[37], "# interrupted: partial results") {
+		t.Errorf("interrupted output is not header, 36 rows and the marker last:\n%s", partial)
+	}
+	if n := strings.Count(partial, "skipped: sweep cancelled"); n != 36-k {
+		t.Errorf("%d skipped rows, want %d", n, 36-k)
+	}
+	if !strings.Contains(stderr, "sweep: not writing "+report+" (sweep interrupted)") {
+		t.Errorf("interrupted sweep did not say it skipped -out:\n%s", stderr)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 || entries[0].Name() != "cache" {
+		t.Errorf("interrupted sweep left %v beside its store, want no report or temp file", entries)
+	}
+
+	resumed, stderr := sweep("-csv", "-resume", "-cache-dir", cache)
+	if !strings.Contains(stderr, fmt.Sprintf("36 cells: %d cached, executed %d, 0 failed, skipped 0", k, 36-k)) {
+		t.Errorf("resume accounting:\n%s", stderr)
+	}
+	if !reflect.DeepEqual(dropColumns(t, resumed, wallCSV...), dropColumns(t, ref, wallCSV...)) {
+		t.Errorf("resumed sweep differs from the uninterrupted one:\n%s\nwant\n%s", resumed, ref)
+	}
+	if _, stderr := sweep("-csv", "-resume", "-cache-dir", cache, "-cache-verify", "2"); !strings.Contains(stderr, "executed 0,") ||
+		!strings.Contains(stderr, "cache-verify: 2 verified, 0 diverged") {
+		t.Errorf("warm verified re-run:\n%s", stderr)
+	}
 }

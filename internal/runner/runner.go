@@ -203,6 +203,29 @@ type Options struct {
 	// A sweep that keeps only a row per cell frees each collector as its
 	// row exists instead of holding every one until the grid ends.
 	OnResult func(job int, r *Result)
+	// Engines, when non-nil, carries the worker slots' engines from one
+	// call to the next (see Engines); nil builds them afresh per call.
+	Engines *Engines
+}
+
+// Engines keeps one reusable engine per worker slot across calls: a
+// caller that runs one grid in several batches hands the same Engines to
+// each call, so every worker builds its engine once for the grid, not
+// once a batch, and later batches Reset it as later cells of one call
+// do — bit-identically. Calls sharing an Engines must not overlap. The
+// zero value is ready to use.
+type Engines struct{ nets []*network.Network }
+
+// slots returns the engine slots a call with workers workers runs on:
+// e's own, grown to that many, or fresh ones when e is nil.
+func (e *Engines) slots(workers int) []*network.Network {
+	if e == nil {
+		return make([]*network.Network, workers)
+	}
+	for len(e.nets) < workers {
+		e.nets = append(e.nets, nil)
+	}
+	return e.nets[:workers]
 }
 
 // maxBackoff caps the exponential retry delay.
@@ -245,7 +268,7 @@ func RunCellsCtx(ctx context.Context, cells []Cell, opts Options) []Result {
 // cell. cell must be safe for concurrent calls.
 func RunEachCtx(ctx context.Context, n int, cell func(int) Cell, opts Options) []Result {
 	out := make([]Result, n)
-	slots := make([]*network.Network, Workers(opts.Workers))
+	slots := opts.Engines.slots(Workers(opts.Workers))
 	DoWorkerCtx(ctx, n, opts.Workers, func(i, slot int) {
 		c := cell(i)
 		runSingle(&slots[slot], &c, &opts, i, slot, out)

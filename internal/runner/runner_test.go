@@ -124,7 +124,8 @@ func TestRunCellsDeterministicAcrossWorkerCounts(t *testing.T) {
 // with Network.Reset, and its results must be bit-identical to building
 // a fresh Network per cell. With one worker a single engine crosses
 // every topology/rate boundary of the grid in sequence — the harshest
-// reuse pattern.
+// reuse pattern. The grid run in two calls that share an Engines, the
+// second re-targeting the engines the first built, matches too.
 func TestRunCellsReuseMatchesFreshBuilds(t *testing.T) {
 	cs := cells(23)
 	var fresh []Result
@@ -134,13 +135,22 @@ func TestRunCellsReuseMatchesFreshBuilds(t *testing.T) {
 		fresh = append(fresh, Result{Stats: n.Stats(), End: n.Now()})
 	}
 	for _, workers := range []int{1, 3} {
-		reused := runAll(cells(23), workers)
-		for i := range fresh {
-			if reused[i].End != fresh[i].End {
-				t.Errorf("workers=%d cell %d: end cycle %d != fresh %d", workers, i, reused[i].End, fresh[i].End)
-			}
-			if !reflect.DeepEqual(reused[i].Stats, fresh[i].Stats) {
-				t.Errorf("workers=%d cell %d: reused collector differs from fresh build", workers, i)
+		var engines Engines
+		opts := Options{Workers: workers, Retries: 1, Engines: &engines}
+		batched := RunCellsCtx(context.Background(), cells(23)[:1], opts)
+		built := engines.nets[0]
+		batched = append(batched, RunCellsCtx(context.Background(), cells(23)[1:], opts)...)
+		if built == nil || engines.nets[0] != built {
+			t.Errorf("workers=%d: the second call did not run on the engine the first built", workers)
+		}
+		for name, reused := range map[string][]Result{"one call": runAll(cells(23), workers), "two calls": batched} {
+			for i := range fresh {
+				if reused[i].End != fresh[i].End {
+					t.Errorf("workers=%d, %s, cell %d: end cycle %d != fresh %d", workers, name, i, reused[i].End, fresh[i].End)
+				}
+				if !reflect.DeepEqual(reused[i].Stats, fresh[i].Stats) {
+					t.Errorf("workers=%d, %s, cell %d: reused collector differs from fresh build", workers, name, i)
+				}
 			}
 		}
 	}

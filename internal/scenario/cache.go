@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"os"
 	"sync"
 	"time"
@@ -16,10 +17,11 @@ import (
 )
 
 // This file makes sweep grids durable: every cell gets a content address
-// derived from its complete semantic description, and RunDurable runs a
-// grid through the result cache — serving previously-computed rows as
-// hits, executing only the misses, checkpointing each row the moment it
-// exists, and surviving cancellation with partial results.
+// derived from its complete semantic description, and Stream runs a grid
+// through the result cache a chunk at a time — serving previously-computed
+// rows as hits, executing only the misses, checkpointing each row the
+// moment it exists, handing each chunk's rows on as it finishes, and
+// surviving cancellation with partial results.
 //
 // What goes into a key is decided by the field table (fields.go): a
 // cell's key is the SHA-256 of its canonical bytes — the encoding
@@ -77,33 +79,28 @@ func (g *Grid) traceDigests() (map[string]string, error) {
 // name — produce identical keys; any semantic difference produces
 // different ones. The cells are hashed across one worker per CPU.
 func (g *Grid) Keys() ([]string, error) {
-	keys := make([]string, len(g.Points))
-	err := g.eachKey(0, func(i int, key string) { keys[i] = key })
+	digests, err := g.traceDigests()
 	if err != nil {
 		return nil, err
 	}
+	keys := make([]string, len(g.Points))
+	g.eachKey(0, 0, len(keys), digests, func(i int, key string) { keys[i] = key })
 	return keys, nil
 }
 
-// eachKey computes every visible cell's key across workers (0 = one per
-// CPU), jobCells cells per job, and hands it to fn(i, key) on the job's
-// goroutine, so fn may do the cell's own keyed work in the same job; fn
-// must touch only cell i's state. It fails only when a replayed trace
-// cannot be read, before any key is handed out.
-func (g *Grid) eachKey(workers int, fn func(i int, key string)) error {
-	digests, err := g.traceDigests()
-	if err != nil {
-		return err
-	}
-	n := len(g.Points)
-	runner.Do((n+jobCells-1)/jobCells, workers, func(job int) {
+// eachKey computes the keys of visible cells [first, end) across workers
+// (0 = one per CPU), jobCells cells per job, and hands each to fn(i, key)
+// on the job's goroutine, so fn may do the cell's own keyed work in the
+// same job; fn must touch only cell i's state. digests is the grid's
+// traceDigests.
+func (g *Grid) eachKey(workers, first, end int, digests map[string]string, fn func(i int, key string)) {
+	runner.Do((end-first+jobCells-1)/jobCells, workers, func(job int) {
 		var buf []byte
-		for i := job * jobCells; i < min((job+1)*jobCells, n); i++ {
+		for i := first + job*jobCells; i < min(first+(job+1)*jobCells, end); i++ {
 			buf = g.canonOf(buf[:0], i, digests)
 			fn(i, store.KeyOf(buf))
 		}
 	})
-	return nil
 }
 
 // jobCells is how many grid cells (or CSV rows) one host-side job
@@ -111,6 +108,12 @@ func (g *Grid) eachKey(workers int, fn func(i int, key string)) error {
 // claiming a job, and the cache lines neighbouring jobs share, cost
 // nothing next to the job itself.
 const jobCells = 32
+
+// streamChunk is how many grid cells Stream keys, serves, runs and hands
+// to its sink at a time, and so all a sweep holds of its rows, keys and
+// runner results at once, whatever the grid's size. It is a multiple of
+// jobCells, so a chunk's key and CSV jobs split as a whole grid's would.
+const streamChunk = 1024
 
 // cachedRow is a visible cell's cache payload: every measured column of
 // its Result plus the attempts that produced it. The Point is not
@@ -180,8 +183,8 @@ func payloadToRow(p Point, c *cachedRow) Result {
 	}
 }
 
-// DurableOpts tunes RunDurable. The zero value runs every cell with no
-// cache, no deadline and a one-retry budget.
+// DurableOpts tunes Stream and RunDurable. The zero value runs every
+// cell with no cache, no deadline and a one-retry budget.
 type DurableOpts struct {
 	RunOpts
 	// Store, when non-nil, memoizes result rows: hits are served without
@@ -201,11 +204,17 @@ type DurableOpts struct {
 	// spaced cache hits and compares the recomputed rows against the
 	// cached ones; mismatches are reported on DurableReport.VerifyBad.
 	VerifySample int
+
+	// engines carries each worker's engine across a sweep's runner calls
+	// (its chunks, their baselines, verification); Stream sets it.
+	engines *runner.Engines
 }
 
-// DurableReport is RunDurable's outcome: the rows in grid order plus
-// the execution accounting a resumable sweep needs to report.
+// DurableReport is a sweep's outcome: the execution accounting a
+// resumable sweep needs to report, plus — from RunDurable only — the rows.
 type DurableReport struct {
+	// Results holds every row in grid order when RunDurable collected
+	// them; Stream hands its rows to a sink instead and leaves it nil.
 	Results []Result
 	// Hits counts rows served from the cache; Executed counts visible
 	// cells actually simulated (0 on a fully-cached re-run); Failed
@@ -226,118 +235,165 @@ type DurableReport struct {
 // skippedError marks rows of cells a cancelled sweep never ran.
 const skippedError = "skipped: sweep cancelled"
 
-// RunDurable executes the grid through the result cache. Rows whose
-// content address hits the store are served without simulating; the
-// misses run on the parallel runner with the configured deadlines and
-// retry budgets, and each finished row is written back and journaled
-// the moment it exists, so an interrupted process loses at most its
-// in-flight cells. Hidden victim-reference cells are themselves cached
-// and only executed when a missed cell needs their baseline — a fully
-// cached sweep executes zero simulations. Without a Store nothing is
-// keyed and every cell runs: RunDurable is the one grid executor, cached
-// or not. Once ctx is cancelled no new cells are issued; in-flight cells
-// drain and checkpoint, and the never-issued ones come back as rows
-// marked skipped.
+// RunDurable is Stream with a sink that collects every row into the
+// report's Results, for callers that need the whole grid at once (degrade
+// joins two grids per point, timeline and the benchmark render after the
+// run). It returns what Stream returns, with the rows streamed so far on
+// any report.
 func (g *Grid) RunDurable(ctx context.Context, opts DurableOpts) (*DurableReport, error) {
-	n := len(g.Points)
-	rep := &DurableReport{Results: make([]Result, n)}
+	results := make([]Result, 0, len(g.Points))
+	rep, err := g.Stream(ctx, opts, func(_ int, rows []Result) error {
+		results = append(results, rows...)
+		return nil
+	})
+	if rep != nil {
+		rep.Results = results
+	}
+	return rep, err
+}
 
-	// Phase 1: with a store, key every cell and load its row, across the
-	// workers; then serve hits and collect misses serially, in grid order.
-	var keys []string
-	hit := make([]bool, n)
+// Stream executes the grid through the result cache and hands its rows
+// to sink in grid order, streamChunk cells at a time: for each chunk it
+// keys the cells and serves the rows whose content address hits the
+// store, resolves the victim-reference baselines the chunk's misses
+// need, runs the misses on the parallel runner with the configured
+// deadlines and retry budgets, and calls sink(first, rows) with rows[j]
+// the row of cell first+j. rows is reused for the next chunk once sink
+// returns, so a sweep holds one chunk of rows, keys and runner results
+// whatever its size; a sink error stops the sweep and is returned.
+//
+// Each finished row is written back and journaled the moment it exists,
+// so an interrupted process loses at most its in-flight cells. Hidden
+// victim-reference cells are themselves cached and only executed when a
+// missed cell needs their baseline — a fully cached sweep executes zero
+// simulations. Without a Store nothing is keyed and every cell runs:
+// Stream is the one grid executor, cached or not. Once ctx is cancelled,
+// or a checkpoint fails, no new cells are issued: in-flight cells drain
+// and checkpoint, every hit is still served, and each never-issued miss
+// comes back in place as a row marked skipped. A checkpoint failure is
+// returned with the report once every row has reached sink. Hits sampled
+// for verification (DurableOpts.VerifySample) re-run after the last row.
+func (g *Grid) Stream(ctx context.Context, opts DurableOpts, sink func(first int, rows []Result) error) (*DurableReport, error) {
+	var digests map[string]string
 	if opts.Store != nil {
-		keys = make([]string, n)
-		err := g.eachKey(opts.Workers, func(i int, key string) {
-			keys[i] = key
-			if row, ok := store.Load[cachedRow](opts.Store, key); ok {
-				rep.Results[i] = payloadToRow(g.Points[i], &row)
-				hit[i] = true
-			}
-		})
-		if err != nil {
+		var err error
+		if digests, err = g.traceDigests(); err != nil {
 			return nil, err
 		}
 	}
-	missed := make([]int, 0, n)
-	hitIdx := make([]int, 0, n)
-	for i := range n {
-		if !hit[i] {
-			missed = append(missed, i)
-			continue
-		}
-		rep.Hits++
-		hitIdx = append(hitIdx, i)
-		if opts.OnCell != nil {
-			r := &rep.Results[i]
-			opts.OnCell(CellEvent{Cell: i, Cached: true, Worker: -1,
-				Attempts: r.Attempts, Wall: r.Wall, Cycles: int64(r.End)})
-		}
-	}
-
-	// Phase 2: baselines. A missed cell with victims needs its reference
-	// cell's mean latency; references resolve through the cache first and
-	// only the unresolved ones simulate.
-	refBase := make(map[int]float64)
-	if err := g.resolveRefs(ctx, &opts, missed, refBase); err != nil {
-		return nil, err
-	}
-
-	// Phase 3: run the misses, checkpointing each row as it lands.
+	n := len(g.Points)
+	rep := &DurableReport{}
+	opts.engines = new(runner.Engines)
+	run, stop := context.WithCancel(ctx)
+	defer stop()
 	var (
 		ckMu          sync.Mutex
 		checkpointErr error
 	)
-	res := opts.run(ctx, g.Cell, missed, func(mi int, r *runner.Result) {
-		i := missed[mi]
-		row := g.row(i, r, refBase[int(g.meta[i].ref)])
-		// The row is all the sweep keeps of a cell: free its collector
-		// and driver now rather than when the whole grid ends.
-		r.Stats, r.Aux = nil, nil
-		rep.Results[i] = row
-		if opts.OnCell != nil {
-			opts.OnCell(cellEventOf(i, r))
+	fail := func(err error) {
+		ckMu.Lock()
+		if checkpointErr == nil {
+			checkpointErr = err
 		}
-		if row.Error != "" || opts.Store == nil {
-			return // failures re-run next time; never cache them
+		ckMu.Unlock()
+		stop()
+	}
+	refBase := make(map[int]float64)
+	hits := make([]uint64, (n+63)/64) // the served cells, for verification
+	buf := make([]Result, min(n, streamChunk))
+	hit := make([]bool, len(buf))
+	keys := make([]string, len(buf))
+	missed := make([]int, 0, len(buf))
+	for first := 0; first < n; first += streamChunk {
+		rows := buf[:min(streamChunk, n-first)]
+		clear(rows)
+		clear(hit)
+
+		// Key the chunk's cells and load their rows across the workers,
+		// then serve the hits and collect the misses serially, in order.
+		if opts.Store != nil {
+			g.eachKey(opts.Workers, first, first+len(rows), digests, func(i int, key string) {
+				keys[i-first] = key
+				if row, ok := store.Load[cachedRow](opts.Store, key); ok {
+					rows[i-first] = payloadToRow(g.Points[i], &row)
+					hit[i-first] = true
+				}
+			})
 		}
-		blob, _ := json.Marshal(rowToPayload(&row))
-		err := opts.Store.Put(keys[i], blob)
-		if err == nil && opts.Journal != nil {
-			err = opts.Journal.Record(keys[i])
-		}
-		if err != nil {
-			ckMu.Lock()
-			if checkpointErr == nil {
-				checkpointErr = err
+		missed = missed[:0]
+		for j := range rows {
+			i := first + j
+			if !hit[j] {
+				missed = append(missed, i)
+				continue
 			}
-			ckMu.Unlock()
-		}
-	})
-	for mi, i := range missed {
-		if res[mi].Err == runner.ErrSkipped {
-			rep.Results[i] = Result{Point: g.Points[i], Error: skippedError}
-			rep.Skipped++
+			rep.Hits++
+			hits[i/64] |= 1 << (i % 64)
 			if opts.OnCell != nil {
-				opts.OnCell(CellEvent{Cell: i, Skipped: true, Worker: -1})
+				r := &rows[j]
+				opts.OnCell(CellEvent{Cell: i, Cached: true, Worker: -1,
+					Attempts: r.Attempts, Wall: r.Wall, Cycles: int64(r.End)})
 			}
-			continue
 		}
-		rep.Executed++
-		if rep.Results[i].Error != "" {
-			rep.Failed++
+
+		// Baselines: a missed cell with victims needs its reference cell's
+		// mean latency; references resolve through the cache first and only
+		// the unresolved ones simulate.
+		if err := g.resolveRefs(run, &opts, missed, refBase); err != nil {
+			fail(err)
+		}
+
+		// Run the misses, checkpointing each row as it lands.
+		res := opts.run(run, g.Cell, missed, func(mi int, r *runner.Result) {
+			i := missed[mi]
+			row := g.row(i, r, refBase[int(g.meta[i].ref)])
+			// The row is all the sweep keeps of a cell: free its collector
+			// and driver now rather than when the chunk ends.
+			r.Stats, r.Aux = nil, nil
+			rows[i-first] = row
+			if opts.OnCell != nil {
+				opts.OnCell(cellEventOf(i, r))
+			}
+			if row.Error != "" || opts.Store == nil {
+				return // failures re-run next time; never cache them
+			}
+			blob, _ := json.Marshal(rowToPayload(&row))
+			err := opts.Store.Put(keys[i-first], blob)
+			if err == nil && opts.Journal != nil {
+				err = opts.Journal.Record(keys[i-first])
+			}
+			if err != nil {
+				fail(fmt.Errorf("scenario %s: checkpoint: %w", g.Scenario.Name, err))
+			}
+		})
+		for mi, i := range missed {
+			if res[mi].Err == runner.ErrSkipped {
+				rows[i-first] = Result{Point: g.Points[i], Error: skippedError}
+				rep.Skipped++
+				if opts.OnCell != nil {
+					opts.OnCell(CellEvent{Cell: i, Skipped: true, Worker: -1})
+				}
+				continue
+			}
+			rep.Executed++
+			if rows[i-first].Error != "" {
+				rep.Failed++
+			}
+		}
+		if err := sink(first, rows); err != nil {
+			return rep, err
 		}
 	}
 	rep.Interrupted = rep.Skipped > 0 || ctx.Err() != nil
 	if checkpointErr != nil {
-		return rep, fmt.Errorf("scenario %s: checkpoint: %w", g.Scenario.Name, checkpointErr)
+		return rep, checkpointErr
 	}
 
-	// Phase 4: optional hit verification — re-run a sample of served
-	// rows and fail loudly on any divergence (a corrupted store, a
-	// model change that kept its ModelVersion).
-	if opts.VerifySample > 0 && len(hitIdx) > 0 && !rep.Interrupted {
-		if err := g.verifyHits(ctx, &opts, hitIdx, refBase, rep); err != nil {
+	// Optional hit verification — re-run a sample of served rows and fail
+	// loudly on any divergence (a corrupted store, a model change that
+	// kept its ModelVersion).
+	if opts.VerifySample > 0 && rep.Hits > 0 && !rep.Interrupted {
+		if err := g.verifyHits(ctx, &opts, sampleHits(hits, rep.Hits, opts.VerifySample), digests, refBase, rep); err != nil {
 			return rep, err
 		}
 	}
@@ -357,18 +413,21 @@ func (opts *DurableOpts) run(ctx context.Context, cell func(int) runner.Cell, id
 	}
 	return runner.RunEachCtx(ctx, len(idx), func(j int) runner.Cell { return cell(idx[j]) },
 		runner.Options{Workers: opts.Workers, Retries: retries, Backoff: opts.Backoff,
-			Deadline: opts.Deadline, OnResult: onResult})
+			Deadline: opts.Deadline, OnResult: onResult, Engines: opts.engines})
 }
 
-// resolveRefs fills refBase for every reference cell some missed cell
-// depends on: from the cache when there is one, by simulation otherwise
-// (writing the baseline back). A failed reference leaves its baseline
-// at zero, so its dependents report no slowdown.
-func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int, refBase map[int]float64) error {
+// resolveRefs fills refBase for every reference cell some cell of idx
+// depends on and no earlier call resolved: from the cache when there is
+// one, by simulation otherwise (writing the baseline back). A failed
+// reference resolves to zero, so its dependents report no slowdown; a
+// skipped one stays unresolved, as do the cells that need it.
+func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, idx []int, refBase map[int]float64) error {
 	needed := map[int]bool{}
-	for _, i := range missed {
-		if r := g.meta[i].ref; r >= 0 {
-			needed[int(r)] = true
+	for _, i := range idx {
+		if r := int(g.meta[i].ref); r >= 0 {
+			if _, done := refBase[r]; !done {
+				needed[r] = true
+			}
 		}
 	}
 	if len(needed) == 0 {
@@ -390,10 +449,13 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int,
 	}
 	res := opts.run(ctx, g.Cell, torun, nil)
 	for ti, r := range torun {
-		if res[ti].Failed() {
+		if res[ti].Err == runner.ErrSkipped {
 			continue
 		}
-		base := victimMeanLatency(res[ti].Stats, g.loads[g.meta[r].load].victims)
+		var base float64
+		if !res[ti].Failed() {
+			base = victimMeanLatency(res[ti].Stats, g.loads[g.meta[r].load].victims)
+		}
 		refBase[r] = base
 		if opts.Store != nil && base > 0 {
 			blob, _ := json.Marshal(refPayload{VictimMean: base})
@@ -405,17 +467,32 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, missed []int,
 	return nil
 }
 
-// verifyHits re-executes up to opts.VerifySample evenly-spaced cache
-// hits and compares the recomputed rows to the served ones.
-func (g *Grid) verifyHits(ctx context.Context, opts *DurableOpts, hitIdx []int, refBase map[int]float64, rep *DurableReport) error {
-	sample := hitIdx
-	if opts.VerifySample < len(sample) {
-		step := len(hitIdx) / opts.VerifySample
-		sample = make([]int, 0, opts.VerifySample)
-		for k := 0; k < opts.VerifySample; k++ {
-			sample = append(sample, hitIdx[k*step])
+// sampleHits picks up to want of the nhits cells set in the hits bitset,
+// evenly spaced in grid order: every hit when want covers them all, else
+// the (k·step)-th hit for k < want, step = nhits/want.
+func sampleHits(hits []uint64, nhits, want int) []int {
+	step := 1
+	if want < nhits {
+		step = nhits / want
+	} else {
+		want = nhits
+	}
+	sample := make([]int, 0, want)
+	rank := 0
+	for w, word := range hits {
+		for ; word != 0 && len(sample) < want; word &= word - 1 {
+			if rank%step == 0 {
+				sample = append(sample, w*64+bits.TrailingZeros64(word))
+			}
+			rank++
 		}
 	}
+	return sample
+}
+
+// verifyHits re-executes the sampled cache hits and compares each
+// recomputed row to the one the store served, loaded from it again.
+func (g *Grid) verifyHits(ctx context.Context, opts *DurableOpts, sample []int, digests map[string]string, refBase map[int]float64, rep *DurableReport) error {
 	// Verification may need baselines the miss path never resolved.
 	if err := g.resolveRefs(ctx, opts, sample, refBase); err != nil {
 		return err
@@ -425,8 +502,18 @@ func (g *Grid) verifyHits(ctx context.Context, opts *DurableOpts, hitIdx []int, 
 		if res[si].Err == runner.ErrSkipped {
 			continue
 		}
+		p := &g.Points[i]
+		bad := func(why string) {
+			rep.VerifyBad = append(rep.VerifyBad,
+				fmt.Sprintf("cell %d (%s/%s/%s seed %d): %s", i, p.Pattern, p.Topology, p.Mode, p.Seed, why))
+		}
+		cached, ok := store.Load[cachedRow](opts.Store, store.KeyOf(g.canonOf(nil, i, digests)))
+		if !ok {
+			bad("cached row no longer loads")
+			continue
+		}
+		served := payloadToRow(*p, &cached)
 		fresh := g.row(i, &res[si], refBase[int(g.meta[i].ref)])
-		served := rep.Results[i]
 		// Attempts and wall-clock legitimately differ between the original
 		// run and the verification re-run, and only the re-run carries a
 		// timeline (cached rows never do); everything measured must match
@@ -436,9 +523,7 @@ func (g *Grid) verifyHits(ctx context.Context, opts *DurableOpts, hitIdx []int, 
 		fresh.CyclesPerSec, served.CyclesPerSec = 0, 0
 		fresh.Timeline, served.Timeline = nil, nil
 		if fresh != served {
-			rep.VerifyBad = append(rep.VerifyBad,
-				fmt.Sprintf("cell %d (%s/%s/%s seed %d): cached row diverges from re-execution",
-					i, g.Points[i].Pattern, g.Points[i].Topology, g.Points[i].Mode, g.Points[i].Seed))
+			bad("cached row diverges from re-execution")
 			continue
 		}
 		rep.Verified++

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -439,7 +438,7 @@ func TestRunDurableResumeCompletesPartialCache(t *testing.T) {
 	// The rendered artifacts must be byte-identical too — the CLI-level
 	// resume contract (modulo the wall-clock columns, which record each
 	// run's own elapsed time).
-	if Render("x", resumed) != Render("x", fresh) ||
+	if render("x", resumed) != render("x", fresh) ||
 		CSV("x", resumed) != CSV("x", fresh) {
 		t.Error("rendered output differs between resumed and uninterrupted runs")
 	}
@@ -471,7 +470,7 @@ func TestRunDurableCancellation(t *testing.T) {
 		}
 	}
 	// Rendering marks them FAILED rather than printing zero metrics.
-	if out := Render("x", rep.Results); !strings.Contains(out, "FAILED") || !strings.Contains(out, "cancelled") {
+	if out := render("x", rep.Results); !strings.Contains(out, "FAILED") || !strings.Contains(out, "cancelled") {
 		t.Errorf("skipped rows render without an interrupted marker:\n%s", out)
 	}
 }
@@ -604,8 +603,9 @@ func TestRunDurableNullPayloadIsAMiss(t *testing.T) {
 // TestRunDurableWorkersInvariant pins the parallel hit path: keying and
 // loading fan out over the sweep's workers, yet the rows, the hit and
 // execution counts, and the cached OnCell events — all emitted in grid
-// order, before any executed cell's — do not depend on the worker count,
-// on a warm cache or on one with a third of its entries deleted.
+// order, before any executed cell's of their chunk (this grid is one) —
+// do not depend on the worker count, on a warm cache or on one with a
+// third of its entries deleted.
 func TestRunDurableWorkersInvariant(t *testing.T) {
 	const toml = `
 pattern = "uniform"
@@ -806,27 +806,30 @@ func TestGridSharesOneRateVector(t *testing.T) {
 }
 
 // TestSweepFreesCollectorsAsRowsLand pins what a sweep holds while it
-// runs: its grid, its rows and one engine per worker — not the finished
-// cells' collectors. The grid is the benchmark's short grid at full size,
-// 4 800 cells of 200 cycles over 80 seeds, run through RunDurable with no
-// store on one worker. At the last OnCell, after a forced GC, the live
-// heap must stay under 1 KB a cell: it measures 0.7 KB, a Point, a
-// cellMeta and a Result row. Holding a built runner.Cell per cell, each
-// with its own 512-byte QoS rate vector, put it at 1.6 KB; holding every
-// cell's *stats.Collector (about 3.2 KB) as well put it at 5.1 KB. As a
-// `noctool sweep -parallel 1` process on a 2-vCPU x86-64 Linux box, the
-// same grid peaked at 44–45 MB RSS with every collector held, at 25–26 MB
-// with each freed as its row lands, and at about 17 MB with each cell built
-// only when a worker claims it.
+// runs: its grid, one chunk of rows and one engine per worker — not the
+// finished cells' collectors, nor a row per cell. The grids are the
+// benchmark's short grid, cells of 200 cycles, at 40 and 80 seeds (2 400
+// and 4 800 cells), streamed with no store on one worker into a sink
+// that keeps nothing. At the last row, after a forced GC, the live heap
+// the extra 2 400 cells add must stay under 160 B a cell: it measures
+// about 100 B, a Point and a cellMeta. The bound is marginal because the
+// chunk, the engines and the workloads weigh the same in both grids.
+// Collecting every row, as the executor did before it streamed, held
+// about 460 B a cell more or less this way: a 272 B Result, a 72 B
+// runner.Result and the hit and miss lists beside the grid. Earlier, per
+// cell over the whole 4 800-cell grid, holding a built runner.Cell, with
+// its own 512-byte QoS rate vector, put the heap at 1.6 KB, and holding
+// every cell's *stats.Collector (about 3.2 KB) as well at 5.1 KB.
 func TestSweepFreesCollectorsAsRowsLand(t *testing.T) {
-	seeds := make([]string, 80)
-	for i := range seeds {
-		seeds[i] = fmt.Sprint(1 + i)
-	}
-	var base runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&base)
-	g := gridOf(t, `
+	live := func(nseeds int) (cells int, heap int64) {
+		seeds := make([]string, nseeds)
+		for i := range seeds {
+			seeds[i] = fmt.Sprint(1 + i)
+		}
+		var base, last runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&base)
+		g := gridOf(t, `
 patterns = ["uniform", "transpose"]
 topology = "all"
 qos = ["pvc", "no-qos"]
@@ -835,29 +838,32 @@ seeds = [`+strings.Join(seeds, ", ")+`]
 warmup = 50
 measure = 150
 `)
-	cells := len(g.Points)
-	var (
-		done atomic.Int64
-		live runtime.MemStats
-	)
-	rep, err := g.RunDurable(context.Background(), DurableOpts{RunOpts: RunOpts{
-		Workers: 1,
-		OnCell: func(CellEvent) {
-			if done.Add(1) == int64(cells) {
-				runtime.GC()
-				runtime.ReadMemStats(&live)
-			}
-		},
-	}})
-	if err != nil {
-		t.Fatal(err)
+		cells = len(g.Points)
+		rows := 0
+		rep, err := g.Stream(context.Background(), DurableOpts{RunOpts: RunOpts{Workers: 1}},
+			func(first int, chunk []Result) error {
+				rows += len(chunk)
+				if first+len(chunk) == cells {
+					runtime.GC()
+					runtime.ReadMemStats(&last)
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows != cells || rep.Executed != cells || rep.Failed != 0 {
+			t.Fatalf("%d rows, executed %d of %d cells, %d failed", rows, rep.Executed, cells, rep.Failed)
+		}
+		return cells, int64(last.HeapAlloc) - int64(base.HeapAlloc)
 	}
-	if rep.Executed != cells || rep.Failed != 0 {
-		t.Fatalf("executed %d of %d cells, %d failed", rep.Executed, cells, rep.Failed)
-	}
-	perCell := (int64(live.HeapAlloc) - int64(base.HeapAlloc)) / int64(cells)
-	t.Logf("live heap at the last cell: %d B a cell over %d cells", perCell, cells)
-	if perCell >= 1_024 {
-		t.Errorf("sweep holds %d B of live heap a cell at its last row, want under 1024", perCell)
+	live(1) // whatever the first sweep builds once for the process
+	small, smallHeap := live(40)
+	large, largeHeap := live(80)
+	perCell := (largeHeap - smallHeap) / int64(large-small)
+	t.Logf("live heap at the last row: %d B over %d cells, %d B over %d: %d B a marginal cell",
+		smallHeap, small, largeHeap, large, perCell)
+	if perCell >= 160 {
+		t.Errorf("sweep holds %d B of live heap per added cell at its last row, want under 160", perCell)
 	}
 }

@@ -140,7 +140,7 @@
 //	                  per attempt (default 0 = immediate)
 //	cache             opt the scenario into the content-addressed result
 //	                  cache (noctool's -cache/-resume flags also enable
-//	                  it; see Grid.RunDurable and internal/store)
+//	                  it; see Grid.Stream and internal/store)
 //
 // The [telemetry] table attaches deterministic in-run probes to every
 // cell (internal/telemetry). Probes are display-only, so like [run] the
@@ -153,11 +153,16 @@
 // Grid.Keys content-addresses every cell — a SHA-256 over the values of
 // the keys its kind reads, as the field table (fields.go) declares them,
 // a replay cell's trace-file bytes and network.ModelVersion — and
-// Grid.RunDurable runs a grid through the cache: hits are served without
+// Grid.Stream runs a grid through the cache in fixed chunks of cells,
+// handing each chunk's rows to a sink in grid order as it finishes
+// (RowWriter writes them as CSV, a table or the JSON report), so a
+// sweep holds one chunk of rows, not its grid's: hits are served without
 // simulating, misses execute with the deadline/retry budget and are
 // checkpointed (store entry + journal line) the moment they finish, and
-// cancelling the context drains in-flight cells and returns the partial
-// grid with never-issued cells marked skipped. Because cells are
+// cancelling the context drains in-flight cells and streams the rest of
+// the grid with never-issued cells marked skipped. Grid.RunDurable is
+// Stream collecting every row, for callers that need the whole grid at
+// once. Because cells are
 // deterministic, a resumed sweep's table is byte-identical to an
 // uninterrupted one and a fully cached sweep executes zero simulations.
 //

@@ -298,7 +298,7 @@ from = 500
 	if out := CSV(sc.Name, results); !strings.Contains(out, "no forward progress") {
 		t.Error("CSV drops the error column")
 	}
-	if out := Render(sc.Name, results); !strings.Contains(out, "FAILED") {
-		t.Error("Render does not mark the failed row")
+	if out := render(sc.Name, results); !strings.Contains(out, "FAILED") {
+		t.Error("the table does not mark the failed row")
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -469,7 +471,7 @@ func cellEventOf(i int, r *runner.Result) CellEvent {
 
 // row computes the result row of grid point i from its runner result and
 // the victim-reference latency baseline (0 when the point has no victims
-// or the reference failed). It is RunDurable's single row-derivation
+// or the reference failed). It is Stream's single row-derivation
 // path for executed misses and verification re-runs alike, so cached and
 // freshly-computed rows can never drift.
 func (g *Grid) row(i int, r *runner.Result, base float64) Result {
@@ -540,18 +542,155 @@ func victimMeanLatency(st *stats.Collector, victims []noc.FlowID) float64 {
 	return float64(lat) / float64(pkts)
 }
 
+// RowWriter writes a sweep's rows to an io.Writer as they arrive — a
+// chunk at a time, as Grid.Stream hands them to its sink — in one of
+// three formats: CSV (NewCSVWriter), the aligned table (NewTableWriter)
+// or the JSON report (NewJSONWriter). Each Write formats its rows after
+// the ones before and writes them in one call, the first Write with the
+// output's header ahead of them; Close ends the output. However the rows
+// are split across Writes, the bytes are those of one Write of them all;
+// CSV and JSONReport are such a RowWriter, handed every row in one piece.
+type RowWriter struct {
+	w      io.Writer
+	format rowFormat
+	name   string
+	cells  int  // the table title's cell count
+	rows   int  // rows written so far
+	open   bool // the header is written
+}
+
+type rowFormat uint8
+
+const (
+	formatCSV rowFormat = iota
+	formatTable
+	formatJSON
+)
+
+// NewCSVWriter returns a RowWriter of the CSV rows CSV prints.
+func NewCSVWriter(w io.Writer, name string) *RowWriter {
+	return &RowWriter{w: w, format: formatCSV, name: name}
+}
+
+// NewTableWriter returns a RowWriter of an aligned table, one row per
+// point, under a title stating cells, the size of the grid the rows will
+// come from. Open and replay rows show offered rate and packet latency;
+// closed rows show the window/think axes and round-trip metrics; every
+// row shows its fairness dispersion (stddev of per-flow or per-client
+// throughput, % of mean).
+func NewTableWriter(w io.Writer, name string, cells int) *RowWriter {
+	return &RowWriter{w: w, format: formatTable, name: name, cells: cells}
+}
+
+// NewJSONWriter returns a RowWriter of the report JSONReport marshals.
+func NewJSONWriter(w io.Writer, name string) *RowWriter {
+	return &RowWriter{w: w, format: formatJSON, name: name}
+}
+
+// Write writes rows, the next ones in grid order.
+func (rw *RowWriter) Write(rows []Result) error {
+	b, err := rw.appendRows(nil, rows)
+	if err != nil {
+		return err
+	}
+	_, err = rw.w.Write(b)
+	return err
+}
+
+// Close ends the output: the header if no Write came, and the JSON
+// report's closing brackets.
+func (rw *RowWriter) Close() error {
+	if b := rw.appendEnd(nil); len(b) > 0 {
+		_, err := rw.w.Write(b)
+		return err
+	}
+	return nil
+}
+
+// all returns the whole output over results, built in memory.
+func (rw *RowWriter) all(results []Result) ([]byte, error) {
+	b, err := rw.appendRows(nil, results)
+	if err != nil {
+		return nil, err
+	}
+	return rw.appendEnd(b), nil
+}
+
+func (rw *RowWriter) appendHead(b []byte) []byte {
+	rw.open = true
+	switch rw.format {
+	case formatCSV:
+		return append(b, csvHeader...)
+	case formatTable:
+		title := fmt.Sprintf("Sweep: %s (%d cells)", rw.name, rw.cells)
+		b = append(append(b, title+"\n"...), strings.Repeat("-", len(title))+"\n"...)
+		return fmt.Appendf(b, "%-16s %-14s %-9s %-14s %10s %11s %10s %9s %9s %9s %8s %8s %7s %9s %8s\n",
+			"workload", "pattern", "topology", "qos", "seed", "rate/window", "latency", "p99", "accepted", "preempt", "fair-sd", "dlv", "vslow", "wall-ms", "Mcyc/s")
+	}
+	name, _ := json.Marshal(rw.name) // a string always marshals
+	return append(append(append(b, "{\n  \"scenario\": "...), name...), ",\n  \"results\": ["...)
+}
+
+func (rw *RowWriter) appendRows(b []byte, rows []Result) ([]byte, error) {
+	if !rw.open {
+		b = rw.appendHead(b)
+	}
+	switch rw.format {
+	case formatCSV:
+		b = appendCSVRows(b, rw.name, rows)
+	case formatTable:
+		for i := range rows {
+			b = appendTableRow(b, &rows[i])
+		}
+	case formatJSON:
+		// Each element is indented as it sits in the whole report: two
+		// levels deep, so its lines carry a four-space prefix.
+		for i := range rows {
+			elem, err := json.MarshalIndent(jsonRowOf(&rows[i]), "    ", "  ")
+			if err != nil {
+				return b, err
+			}
+			if rw.rows+i > 0 {
+				b = append(b, ',')
+			}
+			b = append(append(b, "\n    "...), elem...)
+		}
+	}
+	rw.rows += len(rows)
+	return b, nil
+}
+
+func (rw *RowWriter) appendEnd(b []byte) []byte {
+	if !rw.open {
+		b = rw.appendHead(b)
+	}
+	if rw.format != formatJSON {
+		return b
+	}
+	if rw.rows > 0 {
+		b = append(b, "\n  "...)
+	}
+	return append(b, "]\n}\n"...)
+}
+
 // CSV renders results as one row per grid point. Alongside the latency
 // and throughput aggregates, every row carries the Table-2-style fairness
 // dispersion of its cell (min/max/stddev of per-flow — or per-client —
 // throughput as % of mean), and closed-loop rows add round-trip columns.
-// Rows are formatted jobCells at a time across one worker per CPU and
-// concatenated in order, so the output does not depend on the CPU count.
 func CSV(name string, results []Result) string {
+	b, _ := NewCSVWriter(nil, name).all(results) // CSV formatting cannot fail
+	return string(b)
+}
+
+// appendCSVRows formats rows jobCells at a time across one worker per
+// CPU and appends them in order, so the output does not depend on the
+// CPU count.
+func appendCSVRows(b []byte, name string, rows []Result) []byte {
 	esc := csvEscape(name)
-	chunks := runner.Map((len(results)+jobCells-1)/jobCells, 0, func(job int) string {
-		var b strings.Builder
-		for _, r := range results[job*jobCells : min((job+1)*jobCells, len(results))] {
-			fmt.Fprintf(&b, "%s,%s,%s,%s,%s,%d,%.4f,%d,%.1f,%d,%d,%.3f,%.0f,%.4f,%.4f,%d,%.2f,%.2f,%.2f,%d,%.3f,%.0f,%.6f,%d,%d,%.1f,%.3f,%.1f,%.0f,%d,%s\n",
+	jobs := runner.Map((len(rows)+jobCells-1)/jobCells, 0, func(job int) []byte {
+		var b []byte
+		for _, r := range rows[job*jobCells : min((job+1)*jobCells, len(rows))] {
+			b = fmt.Appendf(b, "%s,%s,%s,%s,%s,%d,%.4f,%d,%.1f,%d,%d,%.3f,%.0f,%.4f,%.4f,%d,%.2f,%.2f,%.2f,%d,%.3f,%.0f,%.6f,%d,%d,%.1f,%.3f,%.1f,%.0f,%d,%s\n",
 				esc, csvEscape(r.Workload), csvEscape(r.Pattern), csvEscape(r.Topology.String()), csvEscape(r.Mode.String()),
 				r.Seed, r.Rate, r.Outstanding, r.Think, r.RetryTimeout, r.MaxRetries,
 				r.MeanLatency, r.P99Latency, r.Accepted, r.PreemptionPct, r.Delivered,
@@ -560,9 +699,17 @@ func CSV(name string, results []Result) string {
 				r.DeliveredFraction, r.Retries, r.Drops, r.MeanRecovery, r.VictimSlowdown,
 				float64(r.Wall)/float64(time.Millisecond), r.CyclesPerSec, r.Attempts, csvEscape(r.Error))
 		}
-		return b.String()
+		return b
 	})
-	return strings.Join(append([]string{csvHeader}, chunks...), "")
+	size := 0
+	for _, job := range jobs {
+		size += len(job)
+	}
+	b = slices.Grow(b, size)
+	for _, job := range jobs {
+		b = append(b, job...)
+	}
+	return b
 }
 
 const csvHeader = "scenario,workload,pattern,topology,qos,seed,rate,outstanding,think_time,retry_timeout,max_retries," +
@@ -612,66 +759,48 @@ type resultJSON struct {
 	Error             string  `json:"error,omitempty"`
 }
 
-// JSONReport marshals a sweep's results.
-func JSONReport(name string, results []Result) ([]byte, error) {
-	rows := make([]resultJSON, len(results))
-	for i, r := range results {
-		rows[i] = resultJSON{
-			Workload: r.Workload, Pattern: r.Pattern, Topology: r.Topology.String(), QoS: r.Mode.String(),
-			Seed: r.Seed, Rate: r.Rate, Outstanding: r.Outstanding, Think: r.Think,
-			RetryTimeout: int64(r.RetryTimeout), MaxRetries: r.MaxRetries,
-			MeanLatency: r.MeanLatency, P99Latency: r.P99Latency,
-			Accepted: r.Accepted, PreemptionPct: r.PreemptionPct, Delivered: r.Delivered,
-			TputMinPct: r.TputMinPct, TputMaxPct: r.TputMaxPct, TputStdDevPct: r.TputStdDevPct,
-			Completed: r.Completed, MeanRTT: r.MeanRTT, P99RTT: r.P99RTT,
-			DeliveredFraction: r.DeliveredFraction, Retries: r.Retries, Drops: r.Drops,
-			MeanRecovery: r.MeanRecovery, VictimSlowdown: r.VictimSlowdown,
-			WallMS:       float64(r.Wall) / float64(time.Millisecond),
-			CyclesPerSec: r.CyclesPerSec,
-			Attempts:     r.Attempts, Error: r.Error,
-		}
+func jsonRowOf(r *Result) resultJSON {
+	return resultJSON{
+		Workload: r.Workload, Pattern: r.Pattern, Topology: r.Topology.String(), QoS: r.Mode.String(),
+		Seed: r.Seed, Rate: r.Rate, Outstanding: r.Outstanding, Think: r.Think,
+		RetryTimeout: int64(r.RetryTimeout), MaxRetries: r.MaxRetries,
+		MeanLatency: r.MeanLatency, P99Latency: r.P99Latency,
+		Accepted: r.Accepted, PreemptionPct: r.PreemptionPct, Delivered: r.Delivered,
+		TputMinPct: r.TputMinPct, TputMaxPct: r.TputMaxPct, TputStdDevPct: r.TputStdDevPct,
+		Completed: r.Completed, MeanRTT: r.MeanRTT, P99RTT: r.P99RTT,
+		DeliveredFraction: r.DeliveredFraction, Retries: r.Retries, Drops: r.Drops,
+		MeanRecovery: r.MeanRecovery, VictimSlowdown: r.VictimSlowdown,
+		WallMS:       float64(r.Wall) / float64(time.Millisecond),
+		CyclesPerSec: r.CyclesPerSec,
+		Attempts:     r.Attempts, Error: r.Error,
 	}
-	blob, err := json.MarshalIndent(struct {
-		Scenario string       `json:"scenario"`
-		Results  []resultJSON `json:"results"`
-	}{Scenario: name, Results: rows}, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
 }
 
-// Render prints results as an aligned table, one row per point. Open and
-// replay rows show offered rate and packet latency; closed rows show the
-// window/think axes and round-trip metrics; every row shows its fairness
-// dispersion (stddev of per-flow or per-client throughput, % of mean).
-func Render(name string, results []Result) string {
-	var b strings.Builder
-	title := fmt.Sprintf("Sweep: %s (%d cells)", name, len(results))
-	b.WriteString(title + "\n" + strings.Repeat("-", len(title)) + "\n")
-	fmt.Fprintf(&b, "%-16s %-14s %-9s %-14s %10s %11s %10s %9s %9s %9s %8s %8s %7s %9s %8s\n",
-		"workload", "pattern", "topology", "qos", "seed", "rate/window", "latency", "p99", "accepted", "preempt", "fair-sd", "dlv", "vslow", "wall-ms", "Mcyc/s")
-	for _, r := range results {
-		axis := fmt.Sprintf("%6.2f%%", r.Rate*100)
-		lat, p99 := r.MeanLatency, r.P99Latency
-		if r.Workload == "closed" {
-			axis = fmt.Sprintf("w%d/t%.0f", r.Outstanding, r.Think)
-			lat, p99 = r.MeanRTT, r.P99RTT
-		}
-		if r.Error != "" {
-			fmt.Fprintf(&b, "%-16s %-14s %-9s %-14s %10d %11s  FAILED (%d attempts): %s\n",
-				r.Workload, r.Pattern, r.Topology, r.Mode, r.Seed, axis, r.Attempts, r.Error)
-			continue
-		}
-		vslow := "-"
-		if r.VictimSlowdown > 0 {
-			vslow = fmt.Sprintf("%.2fx", r.VictimSlowdown)
-		}
-		fmt.Fprintf(&b, "%-16s %-14s %-9s %-14s %10d %11s %10.1f %9.0f %9.3f %8.2f%% %7.2f%% %7.2f%% %7s %9.1f %8.2f\n",
-			r.Workload, r.Pattern, r.Topology, r.Mode, r.Seed, axis,
-			lat, p99, r.Accepted, r.PreemptionPct, r.TputStdDevPct,
-			100*r.DeliveredFraction, vslow,
-			float64(r.Wall)/float64(time.Millisecond), r.CyclesPerSec/1e6)
+// JSONReport marshals a sweep's results: {"scenario": name, "results":
+// [...]} indented two spaces a level, as json.MarshalIndent lays it out.
+func JSONReport(name string, results []Result) ([]byte, error) {
+	return NewJSONWriter(nil, name).all(results)
+}
+
+// appendTableRow appends one table row.
+func appendTableRow(b []byte, r *Result) []byte {
+	axis := fmt.Sprintf("%6.2f%%", r.Rate*100)
+	lat, p99 := r.MeanLatency, r.P99Latency
+	if r.Workload == "closed" {
+		axis = fmt.Sprintf("w%d/t%.0f", r.Outstanding, r.Think)
+		lat, p99 = r.MeanRTT, r.P99RTT
 	}
-	return b.String()
+	if r.Error != "" {
+		return fmt.Appendf(b, "%-16s %-14s %-9s %-14s %10d %11s  FAILED (%d attempts): %s\n",
+			r.Workload, r.Pattern, r.Topology, r.Mode, r.Seed, axis, r.Attempts, r.Error)
+	}
+	vslow := "-"
+	if r.VictimSlowdown > 0 {
+		vslow = fmt.Sprintf("%.2fx", r.VictimSlowdown)
+	}
+	return fmt.Appendf(b, "%-16s %-14s %-9s %-14s %10d %11s %10.1f %9.0f %9.3f %8.2f%% %7.2f%% %7.2f%% %7s %9.1f %8.2f\n",
+		r.Workload, r.Pattern, r.Topology, r.Mode, r.Seed, axis,
+		lat, p99, r.Accepted, r.PreemptionPct, r.TputStdDevPct,
+		100*r.DeliveredFraction, vslow,
+		float64(r.Wall)/float64(time.Millisecond), r.CyclesPerSec/1e6)
 }

@@ -523,7 +523,7 @@ func TestCSVAndJSONEmission(t *testing.T) {
 			t.Errorf("JSON missing %s:\n%s", want, blob)
 		}
 	}
-	if out := Render("emit-test", res); !strings.Contains(out, "mesh_x1") {
+	if out := render("emit-test", res); !strings.Contains(out, "mesh_x1") {
 		t.Errorf("render missing row:\n%s", out)
 	}
 }
