@@ -51,34 +51,25 @@ determinism:
 audit:
 	TANOQ_AUDIT=256 go test -run 'Fault|Retry|Recover|Watchdog|Audit|Equivalen|Determin|BacklogStaysOffArena' -count=1 ./...
 
-# sweep-smoke exercises the declarative scenario path end to end: the
-# quick Figure 4 grid from a JSON file, the permutation-pattern grid from
-# a TOML file (an include over the shared base), the closed-loop client
-# sweep, a trace-replay sweep of the committed example capture, the
-# aggressor/victim DoS sweep (victim slowdown column), and a
-# fault-injection degradation sweep (CI's sweep step). The layered block
-# then gates the resolver itself: -explain provenance against a committed
-# golden, a profiled run against its hand-flattened equivalent
-# (byte-identical CSV modulo the wall-clock columns), and cache
+# sweep-smoke exercises the declarative scenario path end to end (CI's
+# sweep step), in-process. TestSweepStreamsWhatItCollects runs every
+# scenario file under examples/sweep that sweeps — the quick Figure 4
+# grid from a JSON file (a second time with -quick), the
+# permutation-pattern grid (an include over the shared base), the
+# closed-loop client sweep, a trace-replay sweep of the committed example
+# capture, the aggressor/victim DoS sweep (victim slowdown column) among
+# them — through `noctool sweep`, cached, at -parallel 1 and 0.
+# TestSweepLayeredProfileMatchesFlat gates the
+# resolver itself: -explain provenance against a committed golden, a
+# profiled run against its hand-flattened equivalent (identical CSV
+# modulo the wall-clock columns, dropped by name), and cache
 # transparency (the profiled run against the warm cache the flat run
-# filled must execute zero cells).
+# filled must execute zero cells). The fault-injection degradation sweep
+# still runs through the built tool: no test runs its healthy grid
+# through `noctool degrade`.
 sweep-smoke:
-	go run ./cmd/noctool sweep -quick examples/sweep/fig4-quick.json
-	go run ./cmd/noctool sweep examples/sweep/patterns.toml
-	go run ./cmd/noctool sweep examples/sweep/closed-loop.toml
-	go run ./cmd/noctool sweep examples/sweep/replay.toml
-	go run ./cmd/noctool sweep examples/sweep/aggressor-victim.toml
+	go test -count=1 -run 'SweepStreamsWhatItCollects|SweepLayeredProfileMatchesFlat' ./cmd/noctool
 	go run ./cmd/noctool degrade examples/sweep/degrade.toml
-	go run ./cmd/noctool sweep -explain examples/sweep/layered.toml#quick > /tmp/tanoq-layered.explain
-	diff examples/sweep/layered-quick.explain /tmp/tanoq-layered.explain
-	rm -rf /tmp/tanoq-layered-cache
-	go run ./cmd/noctool sweep -csv -cache -cache-dir /tmp/tanoq-layered-cache examples/sweep/layered-flat.toml > /tmp/tanoq-layered-flat.csv
-	go run ./cmd/noctool sweep -csv -cache -cache-dir /tmp/tanoq-layered-cache examples/sweep/layered.toml#quick > /tmp/tanoq-layered-prof.csv 2> /tmp/tanoq-layered-prof.err
-	cut -d, --complement -f28,29 /tmp/tanoq-layered-flat.csv > /tmp/tanoq-layered-flat.cut
-	cut -d, --complement -f28,29 /tmp/tanoq-layered-prof.csv > /tmp/tanoq-layered-prof.cut
-	diff /tmp/tanoq-layered-flat.cut /tmp/tanoq-layered-prof.cut
-	grep 'executed 0' /tmp/tanoq-layered-prof.err
-	@echo "sweep-smoke: profile matched its hand-flattened file byte-identically; warm cache executed zero cells"
 
 # trace-smoke proves the record→replay exactness contract end to end,
 # in-process (TestTraceRecordReplaysFingerprint): record a short open-loop

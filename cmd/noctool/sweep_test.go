@@ -432,6 +432,8 @@ var (
 // columns, dropped by name. The example runs check their rows into a
 // store, which then serves the table run and the collected rows; the
 // large grid runs every time, to keep thousands of entries out of it.
+// fig4-quick.json runs a second time with -quick, whose override layer
+// must then own the resolved schedule.
 func TestSweepStreamsWhatItCollects(t *testing.T) {
 	files, err := filepath.Glob("../../examples/sweep/*.[tj]*")
 	if err != nil {
@@ -460,17 +462,40 @@ measure = 150
 	if len(files) < 10 {
 		t.Fatalf("found only %v", files)
 	}
+	type sweepRun struct {
+		file  string
+		quick bool
+	}
+	var runs []sweepRun
 	for _, file := range append(files, chunks) {
-		cached := file != chunks
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			sc, _, err := loadLayered(file, layerOpts{sim: &simFlags{}})
+		runs = append(runs, sweepRun{file: file})
+	}
+	runs = append(runs, sweepRun{file: "../../examples/sweep/fig4-quick.json", quick: true})
+	for _, run := range runs {
+		file, cached := run.file, run.file != chunks
+		name := filepath.Base(file)
+		if run.quick {
+			name += "-quick"
+		}
+		t.Run(name, func(t *testing.T) {
+			sc, res, err := loadLayered(file, layerOpts{sim: &simFlags{quick: run.quick}})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if run.quick {
+				for _, key := range []string{"warmup", "measure"} {
+					if o, _ := res.Origin(key); !strings.Contains(o.String(), "-quick") {
+						t.Errorf("-quick: %s comes from %v", key, o)
+					}
+				}
 			}
 			for _, parallel := range []string{"1", "0"} {
 				dir := t.TempDir()
 				report := filepath.Join(dir, "report.json")
 				flags := []string{"-parallel", parallel}
+				if run.quick {
+					flags = append(flags, "-quick")
+				}
 				opts := scenario.DurableOpts{}
 				if cached {
 					cache := filepath.Join(dir, "cache")
@@ -592,5 +617,56 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	if _, stderr := sweep("-csv", "-resume", "-cache-dir", cache, "-cache-verify", "2"); !strings.Contains(stderr, "executed 0,") ||
 		!strings.Contains(stderr, "cache-verify: 2 verified, 0 diverged") {
 		t.Errorf("warm verified re-run:\n%s", stderr)
+	}
+}
+
+// TestSweepLayeredProfileMatchesFlat gates the layer resolver end to end
+// (`make sweep-smoke`): -explain of layered.toml#quick prints the
+// committed provenance golden; the profiled grid's CSV equals that of
+// its hand-flattened twin, layered-flat.toml, modulo the wall-clock
+// columns, dropped by name; and the profiled run against the store the
+// flat run filled executes nothing — a profile and its flattening share
+// cache keys. It runs from the repository root, where the golden's
+// provenance paths start.
+func TestSweepLayeredProfileMatchesFlat(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("../.."); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	const profiled, flat = "examples/sweep/layered.toml#quick", "examples/sweep/layered-flat.toml"
+	explain, stderr, err := captured(t, func() error { return sweepMain([]string{"-explain", profiled}) })
+	if err != nil {
+		t.Fatalf("-explain: %v\n%s", err, stderr)
+	}
+	golden, err := os.ReadFile("examples/sweep/layered-quick.explain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explain != string(golden) {
+		t.Errorf("-explain %s:\n%s\nwant\n%s", profiled, explain, golden)
+	}
+
+	cache := filepath.Join(t.TempDir(), "cache")
+	sweep := func(file string) (stdout, stderr string) {
+		t.Helper()
+		stdout, stderr, err := captured(t, func() error {
+			return sweepMain([]string{"-csv", "-cache", "-cache-dir", cache, file})
+		})
+		if err != nil {
+			t.Fatalf("sweep %s: %v\n%s", file, err, stderr)
+		}
+		return stdout, stderr
+	}
+	flatCSV, _ := sweep(flat)
+	profCSV, profErr := sweep(profiled)
+	if !reflect.DeepEqual(dropColumns(t, profCSV, wallCSV...), dropColumns(t, flatCSV, wallCSV...)) {
+		t.Errorf("profiled CSV differs from the flattened one:\n%s\nwant\n%s", profCSV, flatCSV)
+	}
+	if !strings.Contains(profErr, "executed 0,") {
+		t.Errorf("profiled run on the warm cache simulated:\n%s", profErr)
 	}
 }

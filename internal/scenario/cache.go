@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"tanoq/internal/runner"
-	"tanoq/internal/sim"
 	"tanoq/internal/store"
 )
 
@@ -36,10 +35,12 @@ import (
 // to an unprobed one's, so cache-served rows simply carry no timeline).
 // Worker count is not a scenario key at all; results are bit-identical
 // for every value (a tested engine invariant).
-// Because the simulator is deterministic, a cache hit is
-// indistinguishable from a re-run; the float64 metric fields round-trip
-// JSON exactly, so a resumed sweep renders its table bit-identically to
-// an uninterrupted one.
+// An entry is a row's metrics — what the cell measured, a deterministic
+// function of its key — plus the attempts and wall-clock of the run that
+// produced it (payload; testdata/payload.golden pins its bytes). The
+// float64 metrics round-trip JSON exactly, so a hit renders the row a
+// re-run would, wall-clock columns aside, and -cache-verify compares a
+// re-run's metrics with the entry's whole.
 
 // canonOf appends the canonical bytes of grid cell i, visible or hidden
 // victim reference: the scenario, the point and the meta, the same inputs
@@ -115,72 +116,19 @@ const jobCells = 32
 // jobCells, so a chunk's key and CSV jobs split as a whole grid's would.
 const streamChunk = 1024
 
-// cachedRow is a visible cell's cache payload: every measured column of
-// its Result plus the attempts that produced it. The Point is not
-// stored — it is re-derived from the grid on every read, so a cached
-// row can never carry a stale label.
-type cachedRow struct {
-	MeanLatency       float64 `json:"mean_latency"`
-	P99Latency        float64 `json:"p99_latency"`
-	Accepted          float64 `json:"accepted"`
-	PreemptionPct     float64 `json:"preemption_pct"`
-	Delivered         int64   `json:"delivered"`
-	End               int64   `json:"end"`
-	TputMinPct        float64 `json:"tput_min_pct"`
-	TputMaxPct        float64 `json:"tput_max_pct"`
-	TputStdDevPct     float64 `json:"tput_stddev_pct"`
-	Completed         int64   `json:"completed"`
-	MeanRTT           float64 `json:"mean_rtt"`
-	P99RTT            float64 `json:"p99_rtt"`
-	DeliveredFraction float64 `json:"delivered_fraction"`
-	Retries           int64   `json:"retries"`
-	Drops             int64   `json:"drops"`
-	MeanRecovery      float64 `json:"mean_recovery"`
-	VictimSlowdown    float64 `json:"victim_slowdown"`
-	Attempts          int     `json:"attempts"`
-	// WallNS is the wall-clock of the run that produced the row —
-	// informational provenance, never compared (cache verification
-	// excludes it; see verifyHits).
-	WallNS int64 `json:"wall_ns"`
+// payload is a visible cell's cache entry. The Point is not stored — it
+// is re-derived from the grid on every read, so a cached row can never
+// carry a stale label.
+type payload struct {
+	metrics
+	Attempts int           `json:"attempts"`
+	Wall     time.Duration `json:"wall_ns"`
 }
 
 // refPayload is a victim-reference cell's cache payload: the baseline
 // the slowdown column divides by.
 type refPayload struct {
 	VictimMean float64 `json:"victim_mean"`
-}
-
-func rowToPayload(r *Result) cachedRow {
-	return cachedRow{
-		MeanLatency: r.MeanLatency, P99Latency: r.P99Latency,
-		Accepted: r.Accepted, PreemptionPct: r.PreemptionPct,
-		Delivered: r.Delivered, End: int64(r.End),
-		TputMinPct: r.TputMinPct, TputMaxPct: r.TputMaxPct, TputStdDevPct: r.TputStdDevPct,
-		Completed: r.Completed, MeanRTT: r.MeanRTT, P99RTT: r.P99RTT,
-		DeliveredFraction: r.DeliveredFraction, Retries: r.Retries,
-		Drops: r.Drops, MeanRecovery: r.MeanRecovery,
-		VictimSlowdown: r.VictimSlowdown, Attempts: r.Attempts,
-		WallNS: int64(r.Wall),
-	}
-}
-
-func payloadToRow(p Point, c *cachedRow) Result {
-	cps := 0.0
-	if c.WallNS > 0 {
-		cps = float64(c.End) / (float64(c.WallNS) / 1e9)
-	}
-	return Result{
-		Point:       p,
-		MeanLatency: c.MeanLatency, P99Latency: c.P99Latency,
-		Accepted: c.Accepted, PreemptionPct: c.PreemptionPct,
-		Delivered: c.Delivered, End: sim.Cycle(c.End),
-		TputMinPct: c.TputMinPct, TputMaxPct: c.TputMaxPct, TputStdDevPct: c.TputStdDevPct,
-		Completed: c.Completed, MeanRTT: c.MeanRTT, P99RTT: c.P99RTT,
-		DeliveredFraction: c.DeliveredFraction, Retries: c.Retries,
-		Drops: c.Drops, MeanRecovery: c.MeanRecovery,
-		VictimSlowdown: c.VictimSlowdown, Attempts: c.Attempts,
-		Wall: time.Duration(c.WallNS), CyclesPerSec: cps,
-	}
 }
 
 // DurableOpts tunes Stream and RunDurable. The zero value runs every
@@ -314,8 +262,8 @@ func (g *Grid) Stream(ctx context.Context, opts DurableOpts, sink func(first int
 		if opts.Store != nil {
 			g.eachKey(opts.Workers, first, first+len(rows), digests, func(i int, key string) {
 				keys[i-first] = key
-				if row, ok := store.Load[cachedRow](opts.Store, key); ok {
-					rows[i-first] = payloadToRow(g.Points[i], &row)
+				if p, ok := store.Load[payload](opts.Store, key); ok {
+					rows[i-first] = Result{Point: g.Points[i], metrics: p.metrics, Attempts: p.Attempts, Wall: p.Wall}
 					hit[i-first] = true
 				}
 			})
@@ -357,7 +305,7 @@ func (g *Grid) Stream(ctx context.Context, opts DurableOpts, sink func(first int
 			if row.Error != "" || opts.Store == nil {
 				return // failures re-run next time; never cache them
 			}
-			blob, _ := json.Marshal(rowToPayload(&row))
+			blob, _ := json.Marshal(payload{row.metrics, row.Attempts, row.Wall})
 			err := opts.Store.Put(keys[i-first], blob)
 			if err == nil && opts.Journal != nil {
 				err = opts.Journal.Record(keys[i-first])
@@ -469,19 +417,14 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, idx []int, re
 
 // sampleHits picks up to want of the nhits cells set in the hits bitset,
 // evenly spaced in grid order: every hit when want covers them all, else
-// the (k·step)-th hit for k < want, step = nhits/want.
+// the ⌊k·nhits/want⌋-th hit for k < want, so the sample spans the hits.
 func sampleHits(hits []uint64, nhits, want int) []int {
-	step := 1
-	if want < nhits {
-		step = nhits / want
-	} else {
-		want = nhits
-	}
+	want = min(want, nhits)
 	sample := make([]int, 0, want)
 	rank := 0
 	for w, word := range hits {
 		for ; word != 0 && len(sample) < want; word &= word - 1 {
-			if rank%step == 0 {
+			if rank == len(sample)*nhits/want {
 				sample = append(sample, w*64+bits.TrailingZeros64(word))
 			}
 			rank++
@@ -507,22 +450,16 @@ func (g *Grid) verifyHits(ctx context.Context, opts *DurableOpts, sample []int, 
 			rep.VerifyBad = append(rep.VerifyBad,
 				fmt.Sprintf("cell %d (%s/%s/%s seed %d): %s", i, p.Pattern, p.Topology, p.Mode, p.Seed, why))
 		}
-		cached, ok := store.Load[cachedRow](opts.Store, store.KeyOf(g.canonOf(nil, i, digests)))
+		cached, ok := store.Load[payload](opts.Store, store.KeyOf(g.canonOf(nil, i, digests)))
 		if !ok {
 			bad("cached row no longer loads")
 			continue
 		}
-		served := payloadToRow(*p, &cached)
-		fresh := g.row(i, &res[si], refBase[int(g.meta[i].ref)])
 		// Attempts and wall-clock legitimately differ between the original
-		// run and the verification re-run, and only the re-run carries a
-		// timeline (cached rows never do); everything measured must match
+		// run and the verification re-run; everything measured must match
 		// exactly.
-		fresh.Attempts, served.Attempts = 0, 0
-		fresh.Wall, served.Wall = 0, 0
-		fresh.CyclesPerSec, served.CyclesPerSec = 0, 0
-		fresh.Timeline, served.Timeline = nil, nil
-		if fresh != served {
+		fresh := g.row(i, &res[si], refBase[int(g.meta[i].ref)])
+		if fresh.Error != "" || fresh.metrics != cached.metrics {
 			bad("cached row diverges from re-execution")
 			continue
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -68,7 +69,7 @@ func refIdx(g *Grid) []int {
 func zeroWall(rs []Result) []Result {
 	out := append([]Result(nil), rs...)
 	for i := range out {
-		out[i].Wall, out[i].CyclesPerSec = 0, 0
+		out[i].Wall = 0
 	}
 	return out
 }
@@ -546,7 +547,7 @@ func TestRunDurableVerifyCatchesCorruption(t *testing.T) {
 	if !ok {
 		t.Fatal("entry missing after run")
 	}
-	var row cachedRow
+	var row payload
 	if err := json.Unmarshal(blob, &row); err != nil {
 		t.Fatal(err)
 	}
@@ -597,6 +598,45 @@ func TestRunDurableNullPayloadIsAMiss(t *testing.T) {
 	}
 	if !reflect.DeepEqual(zeroWall(rep.Results), zeroWall(first.Results)) {
 		t.Fatalf("rows after a null-payload entry diverge:\n%+v\n%+v", rep.Results, first.Results)
+	}
+}
+
+// TestPayloadGoldenRoundTrips pins the bytes of a cache entry's payload:
+// testdata/payload.golden is one row, every field non-zero, as the
+// format's first writer stored it. It decodes field by field, with no key
+// left over, and re-encodes to the same bytes, so a store filled under
+// this format serves rows to every build that reads it.
+func TestPayloadGoldenRoundTrips(t *testing.T) {
+	blob, err := os.ReadFile("testdata/payload.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	var got payload
+	if err := dec.Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	want := payload{
+		metrics: metrics{
+			MeanLatency: 41.27734375, P99Latency: 163, Accepted: 0.3141592653589793,
+			PreemptionPct: 3.5e-07, Delivered: 10513, End: 18000,
+			TputMinPct: 87.5, TputMaxPct: 112.25, TputStdDevPct: 6.0103,
+			Completed: 2048, MeanRTT: 96.125, P99RTT: 311,
+			DeliveredFraction: 0.9990234375, Retries: 17, Drops: 3,
+			MeanRecovery: 1234.5, VictimSlowdown: 1.0000000000000002,
+		},
+		Attempts: 2, Wall: 123456789,
+	}
+	if got != want {
+		t.Errorf("golden payload decodes to\n%+v\nwant\n%+v", got, want)
+	}
+	again, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Errorf("golden payload re-encodes to\n%s\nwant\n%s", again, blob)
 	}
 }
 

@@ -19,17 +19,11 @@ import (
 // DegradeRow pairs one faulted grid point with its fault-free baseline.
 type DegradeRow struct {
 	Point
-	// DeliveredFraction, Retries, Drops and VictimSlowdown are the
-	// faulted cell's robustness columns (Result).
-	DeliveredFraction float64
-	Retries           int64
-	Drops             int64
-	VictimSlowdown    float64
-	// Faulted and baseline latencies, and their ratios (0 when the
-	// baseline delivered nothing).
-	MeanLatency     float64
+	// metrics is what the faulted cell measured.
+	metrics
+	// The baseline's latencies, and the faulted cell's ratios to them (0
+	// when the baseline delivered nothing).
 	BaseMeanLatency float64
-	P99Latency      float64
 	BaseP99Latency  float64
 	MeanInflation   float64
 	P99Inflation    float64
@@ -80,16 +74,7 @@ func Degrade(ctx context.Context, sc *Scenario, opts DurableOpts) ([]DegradeRow,
 	}
 	rows := make([]DegradeRow, len(frep.Results))
 	for i, r := range frep.Results {
-		row := DegradeRow{
-			Point:             r.Point,
-			DeliveredFraction: r.DeliveredFraction,
-			Retries:           r.Retries,
-			Drops:             r.Drops,
-			VictimSlowdown:    r.VictimSlowdown,
-			MeanLatency:       r.MeanLatency,
-			P99Latency:        r.P99Latency,
-			Error:             r.Error,
-		}
+		row := DegradeRow{Point: r.Point, metrics: r.metrics, Error: r.Error}
 		if b, ok := baseBy[healthy(r.Point)]; ok && b.Error == "" {
 			row.BaseMeanLatency = b.MeanLatency
 			row.BaseP99Latency = b.P99Latency
@@ -105,7 +90,9 @@ func Degrade(ctx context.Context, sc *Scenario, opts DurableOpts) ([]DegradeRow,
 	return rows, nil
 }
 
-// DegradeCSV renders degradation rows, one per faulted grid point.
+// DegradeCSV renders degradation rows, one per faulted grid point. It
+// keeps its own layout: 14 of its columns repeat a sweep column's name
+// and precision (columns.go), so a change to one is made in both.
 func DegradeCSV(name string, rows []DegradeRow) string {
 	var b strings.Builder
 	b.WriteString("scenario,pattern,topology,qos,seed,rate,retry_timeout,max_retries," +

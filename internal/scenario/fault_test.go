@@ -189,8 +189,7 @@ role = "aggressor"
 	again := runGrid(t, g, RunOpts{Workers: 4})
 	for i := range again {
 		// Wall-clock is legitimately non-deterministic across runs.
-		results[i].Wall, results[i].CyclesPerSec = 0, 0
-		again[i].Wall, again[i].CyclesPerSec = 0, 0
+		results[i].Wall, again[i].Wall = 0, 0
 	}
 	if !reflect.DeepEqual(results, again) {
 		t.Error("victim-slowdown sweep differs across worker counts")
@@ -243,8 +242,12 @@ until = 3000
 			t.Errorf("row %d inflation %v / %v, want > 0", i, r.MeanInflation, r.P99Inflation)
 		}
 	}
-	if out := DegradeCSV(sc.Name, rows); !strings.Contains(out, "p99_inflation") {
-		t.Error("CSV header misses inflation column")
+	const degradeHeader = "scenario,pattern,topology,qos,seed,rate,retry_timeout,max_retries," +
+		"delivered_fraction,retries,drops,victim_slowdown," +
+		"mean_latency_cycles,base_mean_latency_cycles,mean_inflation," +
+		"p99_latency_cycles,base_p99_latency_cycles,p99_inflation,error\n"
+	if out := DegradeCSV(sc.Name, rows); !strings.HasPrefix(out, degradeHeader) || strings.Count(out, "\n") != 1+len(rows) {
+		t.Errorf("CSV is not the header and one line a row:\n%s", out)
 	}
 	if out := RenderDegrade(sc.Name, rows); !strings.Contains(out, "Degradation sweep") {
 		t.Error("render misses title")

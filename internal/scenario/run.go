@@ -395,49 +395,11 @@ type CellEvent struct {
 // Result is the measured outcome of one grid point.
 type Result struct {
 	Point
-	// MeanLatency and P99Latency are delivered-packet latencies in
-	// cycles, measured from generation (saturation shows as source
-	// queueing, the hockey stick).
-	MeanLatency float64
-	P99Latency  float64
-	// Accepted is delivered flits per cycle network-wide.
-	Accepted float64
-	// PreemptionPct is the preemption event rate over delivered packets.
-	PreemptionPct float64
-	// Delivered counts delivered packets in the measurement window.
-	Delivered int64
-	// End is the cycle at the end of the measurement window.
-	End sim.Cycle
-	// Throughput fairness dispersion, Table-2 style: min/max/stddev of
-	// per-unit throughput as percentages of its mean, where the unit is
-	// a flow's delivered flits (open/flows/replay cells) or a client's
-	// completed requests (closed cells).
-	TputMinPct    float64
-	TputMaxPct    float64
-	TputStdDevPct float64
-	// Closed-loop metrics (zero elsewhere): completed round trips and
-	// their latency distribution over the measurement window.
-	Completed int64
-	MeanRTT   float64
-	P99RTT    float64
-	// Robustness columns: the delivered fraction (1.0 on a healthy run),
-	// timeout-driven end-to-end retransmissions, packets abandoned for
-	// good, and the mean end-to-end latency of packets that needed at
-	// least one retransmission (0 when none did).
-	DeliveredFraction float64
-	Retries           int64
-	Drops             int64
-	MeanRecovery      float64
-	// VictimSlowdown is the victim flows' mean-latency inflation versus
-	// the hidden victim-only reference cell (0 when the scenario declares
-	// no victim roles, or when either side delivered nothing).
-	VictimSlowdown float64
+	metrics
 	// Wall is the wall-clock time the cell's successful run spent
 	// simulating. Cache-served rows report the wall-clock of the run that
-	// produced them. CyclesPerSec is simulated cycles per wall second
-	// (End / Wall) — the throughput the wall-clock buys.
-	Wall         time.Duration
-	CyclesPerSec float64
+	// produced them.
+	Wall time.Duration
 	// Error reports a cell that failed on every attempt (tripped
 	// watchdog, failed invariant audit, invalid configuration, missed
 	// wall-clock deadline) or was skipped by a cancelled sweep; the
@@ -453,6 +415,57 @@ type Result struct {
 	// display-only and excluded from cache keys). It never enters the
 	// CSV/JSON row columns — the timeline emitters render it.
 	Timeline *telemetry.Timeline
+}
+
+// metrics is what a grid point's simulation measured: a deterministic
+// function of the cell, stored as is in its cache entry (see payload).
+type metrics struct {
+	// MeanLatency and P99Latency are delivered-packet latencies in
+	// cycles, measured from generation (saturation shows as source
+	// queueing, the hockey stick).
+	MeanLatency float64 `json:"mean_latency"`
+	P99Latency  float64 `json:"p99_latency"`
+	// Accepted is delivered flits per cycle network-wide.
+	Accepted float64 `json:"accepted"`
+	// PreemptionPct is the preemption event rate over delivered packets.
+	PreemptionPct float64 `json:"preemption_pct"`
+	// Delivered counts delivered packets in the measurement window.
+	Delivered int64 `json:"delivered"`
+	// End is the cycle at the end of the measurement window.
+	End sim.Cycle `json:"end"`
+	// Throughput fairness dispersion, Table-2 style: min/max/stddev of
+	// per-unit throughput as percentages of its mean, where the unit is
+	// a flow's delivered flits (open/flows/replay cells) or a client's
+	// completed requests (closed cells).
+	TputMinPct    float64 `json:"tput_min_pct"`
+	TputMaxPct    float64 `json:"tput_max_pct"`
+	TputStdDevPct float64 `json:"tput_stddev_pct"`
+	// Closed-loop metrics (zero elsewhere): completed round trips and
+	// their latency distribution over the measurement window.
+	Completed int64   `json:"completed"`
+	MeanRTT   float64 `json:"mean_rtt"`
+	P99RTT    float64 `json:"p99_rtt"`
+	// Robustness columns: the delivered fraction (1.0 on a healthy run),
+	// timeout-driven end-to-end retransmissions, packets abandoned for
+	// good, and the mean end-to-end latency of packets that needed at
+	// least one retransmission (0 when none did).
+	DeliveredFraction float64 `json:"delivered_fraction"`
+	Retries           int64   `json:"retries"`
+	Drops             int64   `json:"drops"`
+	MeanRecovery      float64 `json:"mean_recovery"`
+	// VictimSlowdown is the victim flows' mean-latency inflation versus
+	// the hidden victim-only reference cell (0 when the scenario declares
+	// no victim roles, or when either side delivered nothing).
+	VictimSlowdown float64 `json:"victim_slowdown"`
+}
+
+// cyclesPerSec is simulated cycles per wall second (End / Wall), the
+// throughput the row's wall-clock bought; 0 with no wall-clock.
+func cyclesPerSec(r *Result) float64 {
+	if r.Wall <= 0 {
+		return 0
+	}
+	return float64(r.End) / r.Wall.Seconds()
 }
 
 // cellEventOf derives the live accounting record of one finished cell
@@ -497,9 +510,6 @@ func (g *Grid) row(i int, r *runner.Result, base float64) Result {
 	out.Drops = st.TotalDropped
 	out.MeanRecovery = st.MeanRecoveryLatency()
 	out.Wall = r.Elapsed
-	if r.Elapsed > 0 {
-		out.CyclesPerSec = float64(out.End) / r.Elapsed.Seconds()
-	}
 	m := &g.meta[i]
 	ld := &g.loads[m.load]
 	var summary stats.Summary
@@ -620,7 +630,11 @@ func (rw *RowWriter) appendHead(b []byte) []byte {
 	rw.open = true
 	switch rw.format {
 	case formatCSV:
-		return append(b, csvHeader...)
+		b = append(b, "scenario"...)
+		for i := range columns {
+			b = append(append(b, ','), columns[i].name...)
+		}
+		return append(b, '\n')
 	case formatTable:
 		title := fmt.Sprintf("Sweep: %s (%d cells)", rw.name, rw.cells)
 		b = append(append(b, title+"\n"...), strings.Repeat("-", len(title))+"\n"...)
@@ -646,14 +660,13 @@ func (rw *RowWriter) appendRows(b []byte, rows []Result) ([]byte, error) {
 		// Each element is indented as it sits in the whole report: two
 		// levels deep, so its lines carry a four-space prefix.
 		for i := range rows {
-			elem, err := json.MarshalIndent(jsonRowOf(&rows[i]), "    ", "  ")
-			if err != nil {
-				return b, err
-			}
 			if rw.rows+i > 0 {
 				b = append(b, ',')
 			}
-			b = append(append(b, "\n    "...), elem...)
+			var err error
+			if b, err = appendJSONRow(append(b, "\n    "...), &rows[i]); err != nil {
+				return b, err
+			}
 		}
 	}
 	rw.rows += len(rows)
@@ -689,15 +702,8 @@ func appendCSVRows(b []byte, name string, rows []Result) []byte {
 	esc := csvEscape(name)
 	jobs := runner.Map((len(rows)+jobCells-1)/jobCells, 0, func(job int) []byte {
 		var b []byte
-		for _, r := range rows[job*jobCells : min((job+1)*jobCells, len(rows))] {
-			b = fmt.Appendf(b, "%s,%s,%s,%s,%s,%d,%.4f,%d,%.1f,%d,%d,%.3f,%.0f,%.4f,%.4f,%d,%.2f,%.2f,%.2f,%d,%.3f,%.0f,%.6f,%d,%d,%.1f,%.3f,%.1f,%.0f,%d,%s\n",
-				esc, csvEscape(r.Workload), csvEscape(r.Pattern), csvEscape(r.Topology.String()), csvEscape(r.Mode.String()),
-				r.Seed, r.Rate, r.Outstanding, r.Think, r.RetryTimeout, r.MaxRetries,
-				r.MeanLatency, r.P99Latency, r.Accepted, r.PreemptionPct, r.Delivered,
-				r.TputMinPct, r.TputMaxPct, r.TputStdDevPct,
-				r.Completed, r.MeanRTT, r.P99RTT,
-				r.DeliveredFraction, r.Retries, r.Drops, r.MeanRecovery, r.VictimSlowdown,
-				float64(r.Wall)/float64(time.Millisecond), r.CyclesPerSec, r.Attempts, csvEscape(r.Error))
+		for i := job * jobCells; i < min((job+1)*jobCells, len(rows)); i++ {
+			b = appendCSVRow(b, esc, &rows[i])
 		}
 		return b
 	})
@@ -712,68 +718,11 @@ func appendCSVRows(b []byte, name string, rows []Result) []byte {
 	return b
 }
 
-const csvHeader = "scenario,workload,pattern,topology,qos,seed,rate,outstanding,think_time,retry_timeout,max_retries," +
-	"mean_latency_cycles,p99_latency_cycles,accepted_flits_per_cycle,preemption_pct,delivered_packets," +
-	"tput_min_pct_of_mean,tput_max_pct_of_mean,tput_stddev_pct_of_mean," +
-	"completed_requests,mean_rtt_cycles,p99_rtt_cycles," +
-	"delivered_fraction,retries,drops,mean_recovery_cycles,victim_slowdown,wall_ms,cycles_per_sec,attempts,error\n"
-
 func csvEscape(s string) string {
 	if strings.ContainsAny(s, ",\"\n") {
 		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 	}
 	return s
-}
-
-// resultJSON is the machine-readable per-point record of JSONReport.
-type resultJSON struct {
-	Workload          string  `json:"workload"`
-	Pattern           string  `json:"pattern"`
-	Topology          string  `json:"topology"`
-	QoS               string  `json:"qos"`
-	Seed              uint64  `json:"seed"`
-	Rate              float64 `json:"rate"`
-	Outstanding       int     `json:"outstanding,omitempty"`
-	Think             float64 `json:"think_time,omitempty"`
-	RetryTimeout      int64   `json:"retry_timeout,omitempty"`
-	MaxRetries        int     `json:"max_retries,omitempty"`
-	MeanLatency       float64 `json:"mean_latency_cycles"`
-	P99Latency        float64 `json:"p99_latency_cycles"`
-	Accepted          float64 `json:"accepted_flits_per_cycle"`
-	PreemptionPct     float64 `json:"preemption_pct"`
-	Delivered         int64   `json:"delivered_packets"`
-	TputMinPct        float64 `json:"tput_min_pct_of_mean"`
-	TputMaxPct        float64 `json:"tput_max_pct_of_mean"`
-	TputStdDevPct     float64 `json:"tput_stddev_pct_of_mean"`
-	Completed         int64   `json:"completed_requests,omitempty"`
-	MeanRTT           float64 `json:"mean_rtt_cycles,omitempty"`
-	P99RTT            float64 `json:"p99_rtt_cycles,omitempty"`
-	DeliveredFraction float64 `json:"delivered_fraction"`
-	Retries           int64   `json:"retries,omitempty"`
-	Drops             int64   `json:"drops,omitempty"`
-	MeanRecovery      float64 `json:"mean_recovery_cycles,omitempty"`
-	VictimSlowdown    float64 `json:"victim_slowdown,omitempty"`
-	WallMS            float64 `json:"wall_ms,omitempty"`
-	CyclesPerSec      float64 `json:"cycles_per_sec,omitempty"`
-	Attempts          int     `json:"attempts"`
-	Error             string  `json:"error,omitempty"`
-}
-
-func jsonRowOf(r *Result) resultJSON {
-	return resultJSON{
-		Workload: r.Workload, Pattern: r.Pattern, Topology: r.Topology.String(), QoS: r.Mode.String(),
-		Seed: r.Seed, Rate: r.Rate, Outstanding: r.Outstanding, Think: r.Think,
-		RetryTimeout: int64(r.RetryTimeout), MaxRetries: r.MaxRetries,
-		MeanLatency: r.MeanLatency, P99Latency: r.P99Latency,
-		Accepted: r.Accepted, PreemptionPct: r.PreemptionPct, Delivered: r.Delivered,
-		TputMinPct: r.TputMinPct, TputMaxPct: r.TputMaxPct, TputStdDevPct: r.TputStdDevPct,
-		Completed: r.Completed, MeanRTT: r.MeanRTT, P99RTT: r.P99RTT,
-		DeliveredFraction: r.DeliveredFraction, Retries: r.Retries, Drops: r.Drops,
-		MeanRecovery: r.MeanRecovery, VictimSlowdown: r.VictimSlowdown,
-		WallMS:       float64(r.Wall) / float64(time.Millisecond),
-		CyclesPerSec: r.CyclesPerSec,
-		Attempts:     r.Attempts, Error: r.Error,
-	}
 }
 
 // JSONReport marshals a sweep's results: {"scenario": name, "results":
@@ -802,5 +751,5 @@ func appendTableRow(b []byte, r *Result) []byte {
 		r.Workload, r.Pattern, r.Topology, r.Mode, r.Seed, axis,
 		lat, p99, r.Accepted, r.PreemptionPct, r.TputStdDevPct,
 		100*r.DeliveredFraction, vslow,
-		float64(r.Wall)/float64(time.Millisecond), r.CyclesPerSec/1e6)
+		float64(r.Wall)/float64(time.Millisecond), cyclesPerSec(r)/1e6)
 }

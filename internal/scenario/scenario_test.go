@@ -468,7 +468,7 @@ func TestSweepDeterministicAcrossWorkersAndSkip(t *testing.T) {
 	// measured field must be bit-identical across the matrix.
 	stripWall := func(rs []Result) {
 		for i := range rs {
-			rs[i].Wall, rs[i].CyclesPerSec = 0, 0
+			rs[i].Wall = 0
 		}
 	}
 	base := runGrid(t, grid(), RunOpts{Workers: 1})
@@ -533,6 +533,14 @@ func TestLoadRejectsUnknownExtension(t *testing.T) {
 		t.Error("yaml accepted")
 	}
 }
+
+// csvHeader is the sweep CSV's header line, as the column table must
+// spell it.
+const csvHeader = "scenario,workload,pattern,topology,qos,seed,rate,outstanding,think_time,retry_timeout,max_retries," +
+	"mean_latency_cycles,p99_latency_cycles,accepted_flits_per_cycle,preemption_pct,delivered_packets," +
+	"tput_min_pct_of_mean,tput_max_pct_of_mean,tput_stddev_pct_of_mean," +
+	"completed_requests,mean_rtt_cycles,p99_rtt_cycles," +
+	"delivered_fraction,retries,drops,mean_recovery_cycles,victim_slowdown,wall_ms,cycles_per_sec,attempts,error\n"
 
 // TestCSVChunkedMatchesSerial pins CSV's chunked rendering against a
 // serial oracle: header, then each row rendered alone, in order. The

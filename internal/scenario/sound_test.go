@@ -151,7 +151,7 @@ func soundRun(t *testing.T, g *Grid) ([]string, []soundRow) {
 	}
 	var rows []soundRow
 	for _, r := range runGrid(t, g, RunOpts{Workers: 1}) {
-		r.Wall, r.CyclesPerSec, r.Attempts, r.Timeline = 0, 0, 0, nil
+		r.Wall, r.Attempts, r.Timeline = 0, 0, nil
 		rows = append(rows, soundRow{res: r})
 	}
 	victims := g.Scenario.victimFlows()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"tanoq/internal/store"
 )
@@ -107,20 +109,86 @@ measure = 150
 	}
 }
 
+// jsonRecord is the reference for one record of the -out report: the
+// struct-tagged row encoding/json marshals, which the column table's
+// JSON writer must reproduce byte for byte.
+type jsonRecord struct {
+	Workload          string  `json:"workload"`
+	Pattern           string  `json:"pattern"`
+	Topology          string  `json:"topology"`
+	QoS               string  `json:"qos"`
+	Seed              uint64  `json:"seed"`
+	Rate              float64 `json:"rate"`
+	Outstanding       int     `json:"outstanding,omitempty"`
+	Think             float64 `json:"think_time,omitempty"`
+	RetryTimeout      int64   `json:"retry_timeout,omitempty"`
+	MaxRetries        int     `json:"max_retries,omitempty"`
+	MeanLatency       float64 `json:"mean_latency_cycles"`
+	P99Latency        float64 `json:"p99_latency_cycles"`
+	Accepted          float64 `json:"accepted_flits_per_cycle"`
+	PreemptionPct     float64 `json:"preemption_pct"`
+	Delivered         int64   `json:"delivered_packets"`
+	TputMinPct        float64 `json:"tput_min_pct_of_mean"`
+	TputMaxPct        float64 `json:"tput_max_pct_of_mean"`
+	TputStdDevPct     float64 `json:"tput_stddev_pct_of_mean"`
+	Completed         int64   `json:"completed_requests,omitempty"`
+	MeanRTT           float64 `json:"mean_rtt_cycles,omitempty"`
+	P99RTT            float64 `json:"p99_rtt_cycles,omitempty"`
+	DeliveredFraction float64 `json:"delivered_fraction"`
+	Retries           int64   `json:"retries,omitempty"`
+	Drops             int64   `json:"drops,omitempty"`
+	MeanRecovery      float64 `json:"mean_recovery_cycles,omitempty"`
+	VictimSlowdown    float64 `json:"victim_slowdown,omitempty"`
+	WallMS            float64 `json:"wall_ms,omitempty"`
+	CyclesPerSec      float64 `json:"cycles_per_sec,omitempty"`
+	Attempts          int     `json:"attempts"`
+	Error             string  `json:"error,omitempty"`
+}
+
+func jsonRecordOf(r *Result) jsonRecord {
+	var cps float64
+	if r.Wall > 0 {
+		cps = float64(r.End) / r.Wall.Seconds()
+	}
+	return jsonRecord{
+		Workload: r.Workload, Pattern: r.Pattern, Topology: r.Topology.String(), QoS: r.Mode.String(),
+		Seed: r.Seed, Rate: r.Rate, Outstanding: r.Outstanding, Think: r.Think,
+		RetryTimeout: int64(r.RetryTimeout), MaxRetries: r.MaxRetries,
+		MeanLatency: r.MeanLatency, P99Latency: r.P99Latency,
+		Accepted: r.Accepted, PreemptionPct: r.PreemptionPct, Delivered: r.Delivered,
+		TputMinPct: r.TputMinPct, TputMaxPct: r.TputMaxPct, TputStdDevPct: r.TputStdDevPct,
+		Completed: r.Completed, MeanRTT: r.MeanRTT, P99RTT: r.P99RTT,
+		DeliveredFraction: r.DeliveredFraction, Retries: r.Retries, Drops: r.Drops,
+		MeanRecovery: r.MeanRecovery, VictimSlowdown: r.VictimSlowdown,
+		WallMS:       float64(r.Wall) / float64(time.Millisecond),
+		CyclesPerSec: cps,
+		Attempts:     r.Attempts, Error: r.Error,
+	}
+}
+
 // TestJSONReportIsMarshalIndent pins the report a RowWriter assembles
-// element by element to what json.MarshalIndent makes of the whole
-// document, with no rows, one, and several — a failed row whose error
-// needs HTML escaping among them.
+// from the column table to what json.MarshalIndent makes of the whole
+// document over the reference records, with no rows, one, and several:
+// among them a failed row whose error needs HTML escaping, and floats in
+// encoding/json's exponent form, a negative zero in an omitempty column
+// and a string that is not valid UTF-8. A NaN or infinite metric fails
+// the report as it fails MarshalIndent.
 func TestJSONReportIsMarshalIndent(t *testing.T) {
 	rows := runGrid(t, gridOf(t, durableToml), RunOpts{Workers: 1})
 	rows = append(rows, Result{Point: rows[0].Point, Error: `cell <panicked> & "died"`, Attempts: 2})
+	odd := rows[0]
+	odd.Pattern = "bad\xffutf8\u2028"
+	odd.Rate, odd.MeanLatency, odd.Accepted = 1e-7, 1e21, 123456789e15
+	odd.MeanRecovery, odd.VictimSlowdown, odd.P99Latency = 9.999999e-7, -2.5e-300, 1e-6
+	odd.Think, odd.TputMinPct = math.Copysign(0, -1), math.Copysign(0, -1)
+	rows = append(rows, odd)
 	for _, rs := range [][]Result{nil, rows[:1], rows} {
 		doc := struct {
 			Scenario string       `json:"scenario"`
-			Results  []resultJSON `json:"results"`
-		}{Scenario: `a "quoted" <name>`, Results: []resultJSON{}}
+			Results  []jsonRecord `json:"results"`
+		}{Scenario: `a "quoted" <name>`, Results: []jsonRecord{}}
 		for i := range rs {
-			doc.Results = append(doc.Results, jsonRowOf(&rs[i]))
+			doc.Results = append(doc.Results, jsonRecordOf(&rs[i]))
 		}
 		want, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
@@ -134,14 +202,23 @@ func TestJSONReportIsMarshalIndent(t *testing.T) {
 			t.Errorf("%d rows: report\n%s\nwant\n%s", len(rs), got, want)
 		}
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := rows[0]
+		bad.TputMaxPct = v
+		_, want := json.Marshal(jsonRecordOf(&bad))
+		if _, err := JSONReport("bad", []Result{bad}); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("%v metric: error %v, want %v", v, err, want)
+		}
+	}
 }
 
 // TestVerifySampleIsEvenlySpacedHits pins which hits -cache-verify
 // re-runs: over a grid whose hits are scattered among misses, the k-th
-// sampled cell is hit number k·step in grid order (step = hits/sample),
-// as it was when the executor listed every hit's index. Every served
-// entry is corrupted, so each sampled cell reports its divergence — by
-// index — on VerifyBad.
+// of N sampled cells is hit number ⌊k·hits/N⌋ in grid order, so the
+// sample spans the hits — with N between half and all of them, the last
+// sampled hit lies in the grid's last tenth. Every served entry is
+// corrupted, so each sampled cell reports its divergence — by index — on
+// VerifyBad.
 func TestVerifySampleIsEvenlySpacedHits(t *testing.T) {
 	const toml = `
 pattern = "uniform"
@@ -152,7 +229,7 @@ seeds = [42, 43]
 warmup = 50
 measure = 150
 `
-	for _, sample := range []int{5, 1000} {
+	for _, sample := range []int{5, 50, 1000} {
 		st, err := store.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +252,7 @@ measure = 150
 				continue
 			}
 			hitIdx = append(hitIdx, i)
-			row, ok := store.Load[cachedRow](st, key)
+			row, ok := store.Load[payload](st, key)
 			if !ok {
 				t.Fatalf("cell %d has no entry", i)
 			}
@@ -187,10 +264,9 @@ measure = 150
 		}
 		want := hitIdx
 		if sample < len(hitIdx) {
-			step := len(hitIdx) / sample
 			want = nil
 			for k := 0; k < sample; k++ {
-				want = append(want, hitIdx[k*step])
+				want = append(want, hitIdx[k*len(hitIdx)/sample])
 			}
 		}
 
@@ -211,6 +287,9 @@ measure = 150
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("sample %d re-ran hits %v, want %v", sample, got, want)
+		}
+		if 2*sample > len(hitIdx) && len(got) > 0 && got[len(got)-1] < g.Size()*9/10 {
+			t.Errorf("sample %d of %d hits ends at cell %d of %d", sample, len(hitIdx), got[len(got)-1], g.Size())
 		}
 	}
 
@@ -234,7 +313,7 @@ measure = 150
 		if want < len(idx) {
 			ref = nil
 			for k := 0; k < want; k++ {
-				ref = append(ref, idx[k*(len(idx)/want)])
+				ref = append(ref, idx[k*len(idx)/want])
 			}
 		}
 		if got := sampleHits(bitset, len(idx), want); !reflect.DeepEqual(got, ref) {
