@@ -64,12 +64,12 @@ audit:
 # profiled run against its hand-flattened equivalent (identical CSV
 # modulo the wall-clock columns, dropped by name), and cache
 # transparency (the profiled run against the warm cache the flat run
-# filled must execute zero cells). The fault-injection degradation sweep
-# still runs through the built tool: no test runs its healthy grid
-# through `noctool degrade`.
+# filled must execute zero cells). TestDegradeMatchesGolden runs the
+# fault-injection degradation sweep through `noctool degrade` at
+# -parallel 1 and 0, as a table and as CSV: the worker counts print the
+# same bytes, and the table matches examples/sweep/degrade.golden.
 sweep-smoke:
-	go test -count=1 -run 'SweepStreamsWhatItCollects|SweepLayeredProfileMatchesFlat' ./cmd/noctool
-	go run ./cmd/noctool degrade examples/sweep/degrade.toml
+	go test -count=1 -run 'SweepStreamsWhatItCollects|SweepLayeredProfileMatchesFlat|DegradeMatchesGolden' ./cmd/noctool
 
 # trace-smoke proves the record→replay exactness contract end to end,
 # in-process (TestTraceRecordReplaysFingerprint): record a short open-loop
@@ -92,37 +92,18 @@ trace-smoke:
 resume-smoke:
 	go test -count=1 -run SweepResumeMatchesUninterrupted ./cmd/noctool
 
-# metrics-smoke gates the observability surface end to end. First the
-# in-run half: `noctool timeline` over the committed telemetry scenario
-# must reproduce its per-interval table byte-identically (probes ride
-# the event calendar, so the series is as deterministic as the run).
-# Then the live half: a short sweep serving -http must answer /metrics
-# with exactly the committed exposition shape (families, HELP/TYPE
-# lines and label sets are static from the first scrape; the sed strips
-# sample values) and answer /debug/pprof/*, and -progress must emit its
-# accounting line. The scrape retry loop tolerates slow process start;
-# -http-linger keeps the endpoint up after the (sub-second) sweep
-# finishes so the scrape never races completion, and the kill -9 just
-# cuts the linger short.
+# metrics-smoke gates the observability surface end to end, in-process
+# (TestMetricsSmoke). First the in-run half: `noctool timeline` over the
+# committed telemetry scenario must reproduce its per-interval table
+# byte-identically (probes ride the event calendar, so the series is as
+# deterministic as the run). Then the live half: a short cached sweep
+# serving -http on a free port answers /metrics, scraped from the sweep's
+# per-cell hook while it runs, with exactly the committed exposition
+# shape (families, HELP/TYPE lines and label sets are static from the
+# first scrape; sample values are normalised), answers
+# /debug/pprof/cmdline, and -progress emits its accounting line.
 metrics-smoke:
-	go build -ldflags "$(LDFLAGS)" -o /tmp/tanoq-metrics-noctool ./cmd/noctool
-	/tmp/tanoq-metrics-noctool timeline examples/sweep/timeline-smoke.toml > /tmp/tanoq-timeline.out
-	diff examples/sweep/timeline-smoke.golden /tmp/tanoq-timeline.out
-	rm -rf /tmp/tanoq-metrics-cache
-	/tmp/tanoq-metrics-noctool sweep -parallel 1 -progress -cache -cache-dir /tmp/tanoq-metrics-cache \
-	  -http 127.0.0.1:29471 -http-linger 60s examples/sweep/timeline-smoke.toml > /dev/null 2> /tmp/tanoq-metrics.err & \
-	pid=$$!; \
-	ok=; for i in $$(seq 1 150); do \
-	  if grep -q 'progress:' /tmp/tanoq-metrics.err 2>/dev/null; then ok=1; break; fi; \
-	  sleep 0.2; done; \
-	test -n "$$ok" || { echo "metrics-smoke: sweep never reported progress" >&2; kill -9 $$pid 2>/dev/null; exit 1; }; \
-	curl -sf http://127.0.0.1:29471/metrics > /tmp/tanoq-metrics.raw || { echo "metrics-smoke: /metrics not served" >&2; kill -9 $$pid 2>/dev/null; exit 1; }; \
-	curl -sf http://127.0.0.1:29471/debug/pprof/cmdline > /dev/null || { echo "metrics-smoke: pprof not served" >&2; kill -9 $$pid 2>/dev/null; exit 1; }; \
-	kill -9 $$pid 2>/dev/null; true
-	sed -E 's/ [0-9][0-9.eE+-]*$$/ V/' /tmp/tanoq-metrics.raw > /tmp/tanoq-metrics.norm
-	diff examples/sweep/metrics-smoke.golden /tmp/tanoq-metrics.norm
-	grep 'progress:' /tmp/tanoq-metrics.err
-	@echo "metrics-smoke: timeline golden matched; /metrics exposition matched modulo values; pprof answered"
+	go test -count=1 -run MetricsSmoke ./cmd/noctool
 
 # fuzz-smoke runs each fuzzer for a short budget (CI's fuzz step): the
 # scenario decoders, the -set / TANOQ_SET_* override grammar, the cache's
@@ -179,12 +160,13 @@ pgo:
 	@echo "pgo: cmd/noctool/default.pgo re-recorded; run make pgo-check, rebuild and repeat LEDGER (c)'s A/B before committing it"
 
 # pgo-check is the stale-profile trap as a check: Go matches a profile's
-# hot call sites by line offset inside the caller, so an edit to arbitrate
-# or Step can silently drop the inlining default.pgo buys (docs/LEDGER.md
-# row (c)). This compiles internal/network under the committed profile
+# hot call sites by line offset inside the caller, and names a generic
+# instantiation by its record's fields, so an edit to arbitrate or Step,
+# or a field added to or dropped from a wheel's record, can silently drop
+# the inlining default.pgo buys (docs/LEDGER.md row (c)). This compiles internal/network under the committed profile
 # with -gcflags=-m (offline, a few seconds) and fails when a call site
 # listed in cmd/noctool/pgo-check.awk is no longer inlined; the cure is
 # `make pgo` (CI's bench job runs it).
 pgo-check:
 	@go build -pgo=cmd/noctool/default.pgo -gcflags=-m ./internal/network 2>&1 | \
-		awk -f cmd/noctool/pgo-check.awk internal/network/arbiter.go internal/network/network.go -
+		awk -f cmd/noctool/pgo-check.awk internal/network/arbiter.go internal/network/network.go internal/network/events.go -

@@ -1,17 +1,23 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tanoq/internal/runner"
 	"tanoq/internal/scenario"
@@ -23,6 +29,7 @@ const (
 	traceExample  = "../../examples/traces/uniform-mesh_x1.trace"
 	timelineSmoke = "../../examples/sweep/timeline-smoke.toml"
 	degradeSmoke  = "../../examples/sweep/degrade.toml"
+	degradeGolden = "../../examples/sweep/degrade.golden"
 	paperFig4b    = "../../examples/paper/fig4b.toml"
 	resumeSmoke   = "../../examples/sweep/resume-smoke.toml"
 )
@@ -33,28 +40,44 @@ const (
 // in-process without a seam in the tool.
 func captured(t *testing.T, fn func() error) (stdout, stderr string, err error) {
 	t.Helper()
-	drain := func(stream **os.File) (wait func() string) {
-		r, w, perr := os.Pipe()
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		saved := *stream
-		*stream = w
-		out := make(chan string, 1)
-		go func() {
-			blob, _ := io.ReadAll(r) // a failed read shows as missing output
-			out <- string(blob)
-		}()
-		return func() string {
-			*stream = saved
-			w.Close()
-			defer r.Close()
-			return <-out
-		}
-	}
-	waitOut, waitErr := drain(&os.Stdout), drain(&os.Stderr)
+	waitOut, waitErr := redirect(t, &os.Stdout, nil), redirect(t, &os.Stderr, nil)
 	err = fn()
 	return waitOut(), waitErr(), err
+}
+
+// redirect swaps *stream for a pipe, handing each line written to it to
+// tap (when not nil) as it arrives. The returned wait restores the stream
+// and returns everything written.
+func redirect(t *testing.T, stream **os.File, tap func(line string)) (wait func() string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := *stream
+	*stream = w
+	out := make(chan string, 1)
+	go func() {
+		var all strings.Builder
+		br := bufio.NewReader(r)
+		for {
+			line, err := br.ReadString('\n')
+			all.WriteString(line)
+			if tap != nil && line != "" {
+				tap(line)
+			}
+			if err != nil { // a failed read shows as missing output
+				break
+			}
+		}
+		out <- all.String()
+	}()
+	return func() string {
+		*stream = saved
+		w.Close()
+		defer r.Close()
+		return <-out
+	}
 }
 
 // TestBadInvocationFailsBeforeRunning pins that an invocation the tool
@@ -213,6 +236,128 @@ func TestRunTableAppliesToEverySubcommand(t *testing.T) {
 		})
 	}
 }
+
+// TestDegradeMatchesGolden runs `noctool degrade` over the example
+// degradation sweep (`make sweep-smoke`), whose cells all succeed, so the
+// faulted/healthy join and the inflation ratios are all exercised. It runs
+// at one worker and at one per CPU, as a table and as CSV: the two worker
+// counts must print the same bytes, the table must match the committed
+// golden, and the CSV must carry one error-free row per table row.
+func TestDegradeMatchesGolden(t *testing.T) {
+	golden, err := os.ReadFile(degradeGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs := map[string]string{}
+	for _, format := range []string{"table", "csv"} {
+		for _, parallel := range []string{"1", "0"} {
+			args := []string{"-parallel", parallel, degradeSmoke}
+			if format == "csv" {
+				args = append([]string{"-csv"}, args...)
+			}
+			stdout, stderr, err := captured(t, func() error { return degradeMain(args) })
+			if err != nil {
+				t.Fatalf("degrade %v: %v\n%s", args, err, stderr)
+			}
+			if prev, ok := outputs[format]; ok && stdout != prev {
+				t.Errorf("%s at -parallel %s differs from -parallel 1:\n%s\nwant\n%s", format, parallel, stdout, prev)
+			}
+			outputs[format] = stdout
+		}
+	}
+	if outputs["table"] != string(golden) {
+		t.Errorf("degrade table:\n%s\nwant (%s)\n%s", outputs["table"], degradeGolden, golden)
+	}
+	tableRows := strings.Count(string(golden), "\nuniform ")
+	rows := dropColumns(t, outputs["csv"])
+	if len(rows) != tableRows+1 || tableRows == 0 {
+		t.Fatalf("CSV has %d lines for %d table rows:\n%s", len(rows), tableRows, outputs["csv"])
+	}
+	for _, row := range rows[1:] {
+		if row[len(row)-1] != "" {
+			t.Errorf("CSV row failed: %v", row)
+		}
+	}
+}
+
+// TestMetricsSmoke gates the observability surface (`make metrics-smoke`).
+// `noctool timeline` over the telemetry scenario reproduces its committed
+// per-interval table byte for byte: probes ride the event calendar, so
+// the series is as deterministic as the run. Then a cached sweep of the
+// same scenario serves -http on a free port; the per-cell hook scrapes
+// /metrics and /debug/pprof/cmdline while the sweep is live. The scrape,
+// with sample values normalised, must equal the committed exposition
+// shape (families, HELP/TYPE lines and label sets are fixed from the
+// first scrape), and -progress must print its accounting line.
+func TestMetricsSmoke(t *testing.T) {
+	timeline, stderr, err := captured(t, func() error { return timelineMain([]string{timelineSmoke}) })
+	if err != nil {
+		t.Fatalf("timeline: %v\n%s", err, stderr)
+	}
+	if golden, err := os.ReadFile("../../examples/sweep/timeline-smoke.golden"); err != nil {
+		t.Fatal(err)
+	} else if timeline != string(golden) {
+		t.Errorf("timeline:\n%s\nwant\n%s", timeline, golden)
+	}
+
+	get := func(url string) (string, error) {
+		resp, err := http.Get(url)
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("%s: %s", url, resp.Status)
+		}
+		return string(body), err
+	}
+	addr := make(chan string, 1)
+	var scraped sync.Once
+	var scrape string
+	scrapeErr := errors.New("no cell finished")
+	onCell := func(scenario.CellEvent) {
+		scraped.Do(func() {
+			select {
+			case a := <-addr:
+				if scrape, scrapeErr = get("http://" + a + "/metrics"); scrapeErr == nil {
+					_, scrapeErr = get("http://" + a + "/debug/pprof/cmdline")
+				}
+			case <-time.After(time.Minute):
+				scrapeErr = errors.New("the sweep never said where it serves")
+			}
+		})
+	}
+	waitOut := redirect(t, &os.Stdout, nil)
+	waitErr := redirect(t, &os.Stderr, func(line string) {
+		if _, a, ok := strings.Cut(strings.TrimSpace(line), "/debug/pprof on http://"); ok {
+			addr <- a
+		}
+	})
+	err = sweepCtx(context.Background(), []string{"-parallel", "1", "-progress", "-cache",
+		"-cache-dir", filepath.Join(t.TempDir(), "cache"), "-http", "127.0.0.1:0", timelineSmoke}, onCell)
+	waitOut()
+	stderr = waitErr()
+	if err != nil {
+		t.Fatalf("sweep: %v\n%s", err, stderr)
+	}
+	if scrapeErr != nil {
+		t.Fatalf("scrape: %v\n%s", scrapeErr, stderr)
+	}
+	golden, err := os.ReadFile("../../examples/sweep/metrics-smoke.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sampleValue.ReplaceAllString(scrape, " V"); got != string(golden) {
+		t.Errorf("/metrics, sample values normalised:\n%s\nwant\n%s", got, golden)
+	}
+	if !strings.Contains(stderr, "progress:") {
+		t.Errorf("-progress printed no accounting line:\n%s", stderr)
+	}
+}
+
+// sampleValue is a Prometheus sample's value at the end of its line.
+var sampleValue = regexp.MustCompile(`(?m) [0-9][0-9.eE+-]*$`)
 
 // TestPaperScenarioTakesEveryLayer pins that a paper grid resolves like
 // any scenario file: its include and profile, the TANOQ_SET_* env layer
@@ -483,10 +628,17 @@ measure = 150
 				t.Fatal(err)
 			}
 			if run.quick {
-				for _, key := range []string{"warmup", "measure"} {
-					if o, _ := res.Origin(key); !strings.Contains(o.String(), "-quick") {
-						t.Errorf("-quick: %s comes from %v", key, o)
+				seen := 0
+				for _, line := range strings.Split(res.Explain(), "\n") {
+					if key, _, _ := strings.Cut(line, " = "); key == "warmup" || key == "measure" {
+						seen++
+						if !strings.Contains(line, "-quick") {
+							t.Errorf("-quick: %s", line)
+						}
 					}
+				}
+				if seen != 2 {
+					t.Errorf("-explain shows %d of warmup and measure", seen)
 				}
 			}
 			for _, parallel := range []string{"1", "0"} {

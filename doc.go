@@ -77,7 +77,7 @@
 // struct-of-arrays (value-slice ports/buffers/sources; per-buffer VC
 // state as parallel arrays with a free-VC occupancy bitmap), PVC
 // priorities are cached per port in flat per-flow arrays maintained
-// eagerly on bandwidth recording and frame flush, and events are 32-byte
+// eagerly on bandwidth recording and frame flush, and events are 24-byte
 // pointer-free records. Every hot container is invisible to the garbage
 // collector, steady-state operation allocates exactly nothing (packet
 // slots recycle through a free stack; containers are pre-sized to their

@@ -164,18 +164,6 @@ func New(cfg Config) (*Chip, error) {
 	return ch, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(cfg Config) *Chip {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the chip's configuration.
-func (c *Chip) Config() Config { return c.cfg }
-
 // Node returns the node at a coordinate (nil outside the grid).
 func (c *Chip) Node(at Coord) *Node {
 	if !c.inBounds(at) {

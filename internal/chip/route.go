@@ -72,17 +72,6 @@ type Route struct {
 	Hops     []Hop
 }
 
-// Nodes returns every node coordinate the route switches at (the
-// endpoints of each hop; intermediate drop-off points are passed on the
-// wire without switching).
-func (r Route) Nodes() []Coord {
-	out := []Coord{r.Src}
-	for _, h := range r.Hops {
-		out = append(out, h.Dest)
-	}
-	return out
-}
-
 // dirTo returns the unit step from a to b along one axis.
 func dirTo(a, b int) int {
 	switch {

@@ -4,7 +4,7 @@
 // paper reports. cmd/noctool is a thin wrapper over this package, and the
 // repository benchmark's paper_quick workload times it end to end. No
 // file yet holds the paper's values to compare against (ROADMAP
-// **fidelity**).
+// **paper-files**).
 package experiments
 
 import (

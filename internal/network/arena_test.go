@@ -117,6 +117,18 @@ func TestArenaSlotZeroIsReserved(t *testing.T) {
 	}
 }
 
+// TestEventIs24Bytes pins the event record's size: it is copied on every
+// schedule and fire, and a spilled one waits in the overflow heap as a
+// 40-byte spilled[event].
+func TestEventIs24Bytes(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz != 24 {
+		t.Errorf("event is %d bytes, want 24", sz)
+	}
+	if sz := unsafe.Sizeof(spilled[event]{}); sz != 40 {
+		t.Errorf("spilled[event] is %d bytes, want 40", sz)
+	}
+}
+
 // TestBacklogStaysOffArena pins the arena bound under saturation: a
 // quick-scale uniform 15% PVC cell drives every topology far past what
 // it accepts, so source backlogs grow without bound, yet only offered and

@@ -55,11 +55,10 @@ const (
 // (retransmission count) and arena-slot generation they were scheduled
 // for; a preemption bumps the packet's attempt and a recycle bumps the
 // slot's generation, turning in-flight stale events into no-ops. The
-// struct is 32 bytes and pointer-free — packets and buffers are named by
-// handle/ID — so scheduling and firing copy four words with no write
+// struct is 24 bytes and pointer-free — packets and buffers are named by
+// handle/ID — so scheduling and firing copy three words with no write
 // barriers, and the garbage collector never scans a bucket.
 type event struct {
-	seq uint64 // schedule order, which is firing order within a cycle
 	// p is the target packet's arena handle (noPkt for buffer events).
 	p    pktH
 	pgen uint32
@@ -72,9 +71,9 @@ type event struct {
 }
 
 // eventQueue is the general calendar: a long wheel whose events fire, within
-// a cycle, in the order they were scheduled — filing order, with an event
-// that comes back from the overflow heap put in front of the younger ones
-// filed since. It carries what the dense per-kind wheels below do not:
+// a cycle, in the order they were scheduled, which is filing order (see
+// schedule for why an event back from the overflow heap keeps it). It
+// carries what the dense per-kind wheels below do not:
 // the timers that sit hundreds of cycles out (retry, scheduled injection,
 // probe, fault edge, watchdog), NACKs, and the rare dense record whose
 // distance leaves its own wheel.
@@ -88,7 +87,6 @@ type event struct {
 type eventQueue struct {
 	wheel[event]
 	late []event
-	seq  uint64 // next schedule-order stamp
 	// lateFires counts late-list firings, for tests.
 	lateFires uint64
 }
@@ -101,21 +99,27 @@ func (q *eventQueue) Len() int { return q.count + len(q.late) }
 // the event dies with the packet; now is the current cycle (every caller
 // holds that too, which saves a clock load on the engine's hottest write
 // path).
+//
+// A spilled event is older than anything filed directly for its cycle,
+// so it must reach its bucket first. Step's processEvents drains it at
+// the first cycle it is inside the horizon, before any handler files; an
+// event filed from outside Step (ScheduleInjection, SetProbe between two
+// Runs) can be filed after the clock reached that cycle but before the
+// next Step drained it, so the drain runs here too.
 func (n *Network) schedule(ev *event, at, now sim.Cycle) {
 	q := &n.events
-	ev.seq = q.seq
-	q.seq++
 	switch d := at - now; {
 	case d <= 0:
 		q.late = append(q.late, *ev)
 	case d < q.size():
+		if len(q.far.items) > 0 {
+			q.drain(now)
+		}
 		q.file(*ev, at)
 	default:
-		q.spill(*ev, ev.seq, at)
+		q.spill(*ev, at)
 	}
 }
-
-func scheduledBefore(a, b *event) bool { return a.seq < b.seq }
 
 // processEvents fires every event due at or before now: carried-over late
 // events first (their cycle already passed), then the current cycle's
@@ -124,7 +128,7 @@ func scheduledBefore(a, b *event) bool { return a.seq < b.seq }
 func (n *Network) processEvents(now sim.Cycle) {
 	q := &n.events
 	if len(q.far.items) > 0 {
-		q.drain(now, scheduledBefore)
+		q.drain(now)
 	}
 	n.fireLate(now)
 	if b := q.due(now); len(b) > 0 {

@@ -19,6 +19,10 @@ func (n *Network) UseReferenceRounds() { n.refRound = n.referenceRound }
 // refills) have fired. Zero outside PVC mode.
 func (n *Network) Frames() int { return int(n.frameCount) }
 
+// InFlight returns the number of packets injected but not yet delivered
+// (or awaiting retransmission).
+func (n *Network) InFlight() int { return n.inFlight }
+
 // MeasureStart is WarmupAndMeasure's warmup/measure boundary, for callers
 // that advance a network in chunks.
 func (n *Network) MeasureStart() { n.measureStart() }

@@ -57,12 +57,6 @@ type FaultConfig struct {
 	MaxRetries int
 }
 
-// Enabled reports whether the configuration injects faults or arms
-// delivery timeouts.
-func (c FaultConfig) Enabled() bool {
-	return len(c.Windows) > 0 || c.RetryTimeout > 0
-}
-
 // retryBackoffCap bounds the RTO-doubling shift so the backoff cannot
 // overflow a cycle count.
 const retryBackoffCap = 16
@@ -101,8 +95,8 @@ func (c FaultConfig) validate(kind topology.Kind, nodes int) error {
 // freshly Reset network: state bitmaps sized and cleared, every window
 // edge scheduled as an evFault on the event wheel (attempt 1 = strike,
 // 0 = heal), and the watchdog timer armed. Runs after Reset rebuilds the
-// event wheel and sources, so edge events get the first sequence numbers
-// of the run and fire ahead of any same-cycle packet event.
+// event wheel and sources, so edge events are the run's first filings and
+// fire ahead of any same-cycle packet event.
 func (n *Network) reinitFaults(cfg Config) {
 	n.fltOn = len(cfg.Faults.Windows) > 0
 	n.fltHasDead = false

@@ -27,7 +27,7 @@ func drainFingerprint(t *testing.T, n *Network, maxCycles int) skipFingerprint {
 	t.Helper()
 	n.WarmupAndMeasure(0, 12_000)
 	if _, drained := n.RunUntilDrained(maxCycles); !drained {
-		t.Fatalf("did not drain (in flight %d, events %d)", n.InFlight(), n.events.Len())
+		t.Fatalf("did not drain (in flight %d, events %d)", n.inFlight, n.events.Len())
 	}
 	fp := fingerprint(n)
 	fp.flitsByFlow = n.Stats().FlitsByFlow()
@@ -315,7 +315,7 @@ func TestAuditCleanOnAdversarialRun(t *testing.T) {
 				AuditEvery: 64,
 			})
 			if _, drained := n.RunUntilDrained(2_000_000); !drained {
-				t.Fatalf("did not drain (in flight %d)", n.InFlight())
+				t.Fatalf("did not drain (in flight %d)", n.inFlight)
 			}
 			if err := n.AuditInvariants(); err != nil {
 				t.Errorf("post-drain audit: %v", err)

@@ -3,7 +3,6 @@ package network
 import (
 	"testing"
 
-	"tanoq/internal/noc"
 	"tanoq/internal/qos"
 	"tanoq/internal/sim"
 	"tanoq/internal/topology"
@@ -75,7 +74,7 @@ func TestEveryPreemptionIsEventuallyRedelivered(t *testing.T) {
 	cfg.MarginClasses = 8
 	n := MustNew(Config{Kind: topology.MeshX1, QoS: cfg, Workload: w, Seed: 13})
 	if _, drained := n.RunUntilDrained(400_000); !drained {
-		t.Fatalf("network did not drain; %d in flight", n.InFlight())
+		t.Fatalf("network did not drain; %d in flight", n.inFlight)
 	}
 	st := n.Stats()
 	if st.PreemptionEvents == 0 {
@@ -127,7 +126,7 @@ func TestFrameFlushResetsPriorities(t *testing.T) {
 	hot := n.ports[toHot[len(toHot)-1].Out]
 	nonZero := 0
 	for f := 0; f < 64; f++ {
-		if hot.table.Priority(noc.FlowID(f)) > 0 {
+		if hot.table.Priorities()[f] > 0 {
 			nonZero++
 		}
 	}
@@ -138,7 +137,7 @@ func TestFrameFlushResetsPriorities(t *testing.T) {
 	// Two cycles of service after the flush stay below one priority
 	// quantum, so every flow is back in the top class.
 	for f := 0; f < 64; f++ {
-		if p := hot.table.Priority(noc.FlowID(f)); p != 0 {
+		if p := hot.table.Priorities()[f]; p != 0 {
 			t.Fatalf("flow %d retained priority %d of pre-flush consumption", f, p)
 		}
 	}
@@ -259,8 +258,8 @@ func TestDrainLeavesNoResidualState(t *testing.T) {
 		if n.events.Len() != 0 {
 			t.Errorf("%v: %d residual events", kind, n.events.Len())
 		}
-		if n.InFlight() != 0 {
-			t.Errorf("%v: %d residual in-flight packets", kind, n.InFlight())
+		if n.inFlight != 0 {
+			t.Errorf("%v: %d residual in-flight packets", kind, n.inFlight)
 		}
 	}
 }

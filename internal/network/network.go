@@ -32,7 +32,7 @@
 //     (qos.FlowTable), maintained eagerly on Record and cleared on frame
 //     flush, so arbitration reads one word per candidate instead of
 //     re-deriving quantize-and-scale per candidate per cycle.
-//   - Everything scheduled is a 4- to 32-byte pointer-free record in the
+//   - Everything scheduled is a 4- to 24-byte pointer-free record in the
 //     bucket of its cycle on a timing wheel (wheel.go): filing and firing
 //     are O(1) and never trigger a write barrier. Six wheels of one type
 //     share one occupancy map, so "is anything due now" is a bit test and
@@ -494,7 +494,7 @@ func (n *Network) Reset(cfg Config) error {
 		w.reset(&n.cal, denseBits, bucketCap)
 	}
 	n.cal = calendar{}
-	n.events.late, n.events.seq, n.events.lateFires = n.events.late[:0], 0, 0
+	n.events.late, n.events.lateFires = n.events.late[:0], 0
 	if n.offerSrcs == nil {
 		n.offerSrcs = make([]int32, 0, len(cfg.Workload.Specs))
 	}
@@ -550,7 +550,7 @@ func (n *Network) scheduleArrival(s *source, now sim.Cycle) {
 		return
 	}
 	if w, at := &n.arrivals, s.nextArrival; at-now >= w.size() {
-		w.spill(s.idx, uint64(s.idx), at)
+		w.spill(s.idx, at)
 	} else {
 		w.file(s.idx, max(at, now))
 	}
@@ -594,16 +594,6 @@ func (n *Network) Config() Config { return n.cfg }
 // Now returns the current simulation cycle.
 func (n *Network) Now() sim.Cycle { return n.clock.Now() }
 
-// Graph exposes the topology graph (read-only use).
-func (n *Network) Graph() *topology.Graph { return n.graph }
-
-// Mode returns the QoS policy in effect.
-func (n *Network) Mode() qos.Mode { return n.mode }
-
-// InFlight returns the number of packets injected but not yet delivered
-// (or awaiting retransmission).
-func (n *Network) InFlight() int { return n.inFlight }
-
 // Step advances the simulation by one cycle.
 func (n *Network) Step() {
 	now := n.clock.Now()
@@ -626,7 +616,7 @@ func (n *Network) Step() {
 	// each at its next draw. A replay source whose next record repeats
 	// this cycle generates it at once: in (cycle, index) order it is next.
 	if len(n.arrivals.far.items) > 0 {
-		n.arrivals.drain(now, nil)
+		n.arrivals.drain(now)
 	}
 	if b := n.arrivals.due(now); len(b) > 0 {
 		for i := 1; i < len(b); i++ { // a few entries: sorted in place, no call

@@ -141,7 +141,7 @@ func TestAllTopologiesDrainUniformTraffic(t *testing.T) {
 		w := traffic.UniformRandom(8, 0.05).WithStop(2000)
 		n := mustNet(t, kind, w, qos.PVC, 7)
 		if _, ok := n.RunUntilDrained(20000); !ok {
-			t.Fatalf("%v: network did not drain (in flight %d)", kind, n.InFlight())
+			t.Fatalf("%v: network did not drain (in flight %d)", kind, n.inFlight)
 		}
 		st := n.Stats()
 		if st.TotalDelivered == 0 {

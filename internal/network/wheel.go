@@ -28,7 +28,7 @@ const (
 	// in existing capacity (see the working-set capacities in arena.go):
 	// a cycle's hops on a dense wheel, up to every source on the arrival
 	// wheel. eventBucketCap is the event wheel's: a cycle's timers and
-	// NACKs, in records almost three times the size, with hundreds of
+	// NACKs, in records twice a dense record's size, with hundreds of
 	// buckets open at once under retry timers.
 	bucketCap      = 32
 	eventBucketCap = 8
@@ -76,7 +76,8 @@ func (c *calendar) next(now sim.Cycle) sim.Cycle {
 }
 
 // spilled is a record filed past the horizon, waiting in the overflow
-// heap in (cycle, key) order.
+// heap in (cycle, key) order; key is the wheel's spill count when it was
+// spilled, so records of one cycle drain in the order they were filed.
 type spilled[T any] struct {
 	at  sim.Cycle
 	key uint64
@@ -193,29 +194,21 @@ func (w *wheel[T]) done(now sim.Cycle) {
 }
 
 // spill parks a record due size() or more cycles ahead; records spilled
-// for the same cycle drain in key order.
-func (w *wheel[T]) spill(rec T, key uint64, at sim.Cycle) {
-	w.far.push(spilled[T]{at: at, key: key, rec: rec})
+// for the same cycle drain in the order they were spilled.
+func (w *wheel[T]) spill(rec T, at sim.Cycle) {
+	w.far.push(spilled[T]{at: at, key: w.spills, rec: rec})
 	w.count++
 	w.spills++
 }
 
-// drain files the spilled records that have come within the horizon.
-// Each goes in front of the records before reports it precedes (nil:
-// behind everything, for a wheel whose buckets are ordered when they
-// fire).
-func (w *wheel[T]) drain(now sim.Cycle, before func(a, b *T) bool) {
+// drain files the spilled records that have come within the horizon,
+// behind whatever their buckets already hold.
+func (w *wheel[T]) drain(now sim.Cycle) {
 	for len(w.far.items) > 0 && w.far.items[0].at-now < w.size() {
 		sp := w.far.pop()
 		w.count--
 		w.drains++
-		at := max(sp.at, now)
-		w.file(sp.rec, at)
-		if b := *w.bucket(at); before != nil {
-			for i := len(b) - 1; i > 0 && before(&b[i], &b[i-1]); i-- {
-				b[i], b[i-1] = b[i-1], b[i]
-			}
-		}
+		w.file(sp.rec, max(sp.at, now))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tanoq/internal/noc"
 	"tanoq/internal/qos"
 	"tanoq/internal/sim"
 	"tanoq/internal/topology"
@@ -106,30 +107,31 @@ func TestWheelOverflowDrainsInOrder(t *testing.T) {
 	var cal calendar
 	var w wheel[int]
 	w.reset(&cal, longBits, 4)
-	older := func(a, b *int) bool { return *a < *b }
 	at := sim.Cycle(longSlots + 100)
-	// Two spilled for the same cycle (keys out of order), one for later.
-	w.spill(2, 2, at)
-	w.spill(1, 1, at)
-	w.spill(3, 3, at+5000)
+	// Two spilled for the same cycle, one for later. Their values run
+	// against the spill order, which alone decides the drain order.
+	w.spill(2, at)
+	w.spill(1, at)
+	w.spill(3, at+5000)
 	if w.farAt() != at || w.count != 3 || w.spills != 3 {
 		t.Fatalf("farAt %d count %d spills %d", w.farAt(), w.count, w.spills)
 	}
-	w.drain(99, older) // 4097 ahead: not yet
+	w.drain(99) // 4097 ahead: not yet
 	if w.drains != 0 {
 		t.Fatal("drained a record still past the horizon")
 	}
-	// A younger record filed directly for the same cycle, before the drain.
-	w.file(10, at)
-	w.drain(101, older)
+	w.drain(101)
 	if w.drains != 2 || w.farAt() != at+5000 {
 		t.Fatalf("drains %d farAt %d", w.drains, w.farAt())
 	}
 	if !cal.busyAt(at) {
 		t.Error("drained bucket not marked")
 	}
-	if got := fire(&w, &cal, at); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 10 {
-		t.Errorf("fired %v, want [1 2 10]: spilled records first, by key", got)
+	// A younger record filed for the same cycle after the drain, as
+	// schedule files one.
+	w.file(10, at)
+	if got := fire(&w, &cal, at); len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 10 {
+		t.Errorf("fired %v, want [2 1 10]: spilled records first, in spill order", got)
 	}
 	// reset empties what is left without sweeping.
 	w.file(7, at+9)
@@ -137,6 +139,30 @@ func TestWheelOverflowDrainsInOrder(t *testing.T) {
 	cal = calendar{}
 	if w.count != 0 || len(w.far.items) != 0 || len(w.due(at+9)) != 0 {
 		t.Error("reset left records behind")
+	}
+}
+
+// TestSpilledInjectionGeneratesFirst pins filing order across the overflow
+// heap. An injection scheduled past the event wheel's horizon spills; once
+// the clock has reached the first cycle at which its cycle is inside the
+// horizon, but before the Step that drains it, a second injection for the
+// same cycle is filed directly from between two Runs. The spilled one was
+// scheduled first, so it must generate first.
+func TestSpilledInjectionGeneratesFirst(t *testing.T) {
+	w := traffic.UniformRandom(topology.ColumnNodes, 0)
+	n := MustNew(Config{Kind: topology.MeshX1, QoS: qos.DefaultConfig(w.TotalFlows()), Workload: w, Seed: 1})
+	var dsts []noc.NodeID
+	n.SetGenHook(func(r traffic.TraceRecord) { dsts = append(dsts, r.Dst) })
+	at := sim.Cycle(longSlots + 1000)
+	n.ScheduleInjection(0, -1, 5, noc.ClassRequest, noc.KindRequest, 0, at)
+	if n.events.spills != 1 {
+		t.Fatalf("%d spills: the first injection must go to the overflow heap", n.events.spills)
+	}
+	n.Run(int(at - (longSlots - 1)))
+	n.ScheduleInjection(1, -1, 6, noc.ClassRequest, noc.KindRequest, 0, at)
+	n.Run(longSlots)
+	if len(dsts) != 2 || dsts[0] != 5 || dsts[1] != 6 {
+		t.Errorf("generated for %v, want [5 6]: the spilled injection first", dsts)
 	}
 }
 

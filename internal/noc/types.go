@@ -81,17 +81,11 @@ func (c Class) String() string {
 // Link and packet geometry shared by every topology in the study
 // (Section 4, Table 1 of the paper).
 const (
-	// LinkBytes is the physical channel width: 16-byte (128-bit) links.
-	LinkBytes = 16
-	// FlitBytes equals the link width: one flit crosses a link per cycle.
-	FlitBytes = LinkBytes
 	// RequestFlits is the size of request packets.
 	RequestFlits = 1
 	// ReplyFlits is the size of reply packets and the maximum packet
 	// size; with virtual cut-through each VC must hold a full packet.
 	ReplyFlits = 4
-	// FlitsPerVC is the buffer depth of one virtual channel.
-	FlitsPerVC = ReplyFlits
 	// WireDelay is the wire latency in cycles between adjacent routers.
 	WireDelay = 1
 )
@@ -187,6 +181,6 @@ func (p *Packet) String() string {
 // Virtual-channel state lives in the network engine's struct-of-arrays
 // buffers (internal/network), not in a per-VC object here: under virtual
 // cut-through a VC is owned by exactly one packet at a time and must be
-// deep enough (FlitsPerVC) to hold the largest packet, and the engine
+// deep enough (ReplyFlits) to hold the largest packet, and the engine
 // tracks that ownership as flat handle/generation arrays with a free-VC
 // occupancy bitmap.

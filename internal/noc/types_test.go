@@ -21,13 +21,6 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-func TestVCDepthHoldsLargestPacket(t *testing.T) {
-	// Virtual cut-through invariant: a VC must absorb a whole packet.
-	if FlitsPerVC < ReplyFlits {
-		t.Fatalf("FlitsPerVC %d < largest packet %d", FlitsPerVC, ReplyFlits)
-	}
-}
-
 func TestPacketHopAdvance(t *testing.T) {
 	p := &Packet{ID: 1, Class: ClassReply, Size: 4}
 	if p.Hop() != 0 {

@@ -278,18 +278,14 @@ func (t *FlowTable) Record(f noc.FlowID, flits int) {
 	t.prio[f] = noc.Priority((c >> t.shift) * t.weight[f])
 }
 
-// Priority returns flow f's dynamic priority: consumption, quantized to
+// Priorities exposes the flat cached-priority array, indexed by flow, for
+// hot loops that index it directly (the engine's arbitration candidate
+// scan). Entry f is flow f's dynamic priority: consumption, quantized to
 // the table's quantum, scaled by the inverse assigned rate. Lower is
 // better — a flow that has used little of its entitlement wins
-// arbitration. The value is served from the eagerly-maintained cache; it
-// changes only inside Record and Flush.
-func (t *FlowTable) Priority(f noc.FlowID) noc.Priority {
-	return t.prio[f]
-}
-
-// Priorities exposes the flat cached-priority array for hot loops that
-// index it directly (the engine's arbitration candidate scan). The slice
-// is owned by the table: read-only, invalidated by Reinit.
+// arbitration. The cache is maintained eagerly and changes only inside
+// Record and Flush. The slice is owned by the table: read-only,
+// invalidated by Reinit.
 func (t *FlowTable) Priorities() []noc.Priority { return t.prio }
 
 // PriorityStep returns the priority-unit width of one quantized class for

@@ -63,11 +63,11 @@ func TestConfigValidateRejects(t *testing.T) {
 
 func TestFlowTablePriorityGrowsWithConsumption(t *testing.T) {
 	ft := newFlowTable(equalRates(4))
-	p0 := ft.Priority(0)
+	p0 := ft.prio[0]
 	ft.Record(0, 2*PriorityQuantumFlits)
-	p1 := ft.Priority(0)
+	p1 := ft.prio[0]
 	ft.Record(0, 2*PriorityQuantumFlits)
-	p2 := ft.Priority(0)
+	p2 := ft.prio[0]
 	if !(p0 < p1 && p1 < p2) {
 		t.Fatalf("priority not monotonic: %d, %d, %d", p0, p1, p2)
 	}
@@ -79,12 +79,12 @@ func TestFlowTablePriorityQuantized(t *testing.T) {
 	// preemption incidence depends on this).
 	ft := newFlowTable(equalRates(2))
 	ft.Record(0, PriorityQuantumFlits-1)
-	if ft.Priority(0) != ft.Priority(1) {
+	if ft.prio[0] != ft.prio[1] {
 		t.Fatalf("sub-quantum imbalance changed priority class: %d vs %d",
-			ft.Priority(0), ft.Priority(1))
+			ft.prio[0], ft.prio[1])
 	}
 	ft.Record(0, 1)
-	if ft.Priority(0) <= ft.Priority(1) {
+	if ft.prio[0] <= ft.prio[1] {
 		t.Fatal("full quantum should move the flow to a worse class")
 	}
 }
@@ -93,9 +93,9 @@ func TestFlowTableEqualRatesEqualScaling(t *testing.T) {
 	ft := newFlowTable(equalRates(8))
 	ft.Record(2, 10)
 	ft.Record(5, 10)
-	if ft.Priority(2) != ft.Priority(5) {
+	if ft.prio[2] != ft.prio[5] {
 		t.Fatalf("equal consumption, equal rates, unequal priorities: %d vs %d",
-			ft.Priority(2), ft.Priority(5))
+			ft.prio[2], ft.prio[5])
 	}
 }
 
@@ -105,12 +105,12 @@ func TestFlowTableRateScaling(t *testing.T) {
 	ft := newFlowTable([]float64{0.4, 0.1})
 	ft.Record(0, 20*PriorityQuantumFlits)
 	ft.Record(1, 20*PriorityQuantumFlits)
-	if ft.Priority(0) >= ft.Priority(1) {
+	if ft.prio[0] >= ft.prio[1] {
 		t.Fatalf("high-rate flow should have better priority: %d vs %d",
-			ft.Priority(0), ft.Priority(1))
+			ft.prio[0], ft.prio[1])
 	}
 	// And the ratio should be roughly the inverse rate ratio (4x).
-	ratio := float64(ft.Priority(1)) / float64(ft.Priority(0))
+	ratio := float64(ft.prio[1]) / float64(ft.prio[0])
 	if ratio < 3.5 || ratio > 4.5 {
 		t.Errorf("priority ratio = %v, want ~4", ratio)
 	}
@@ -120,7 +120,7 @@ func TestFlowTableFlush(t *testing.T) {
 	ft := newFlowTable(equalRates(3))
 	ft.Record(1, 100)
 	ft.Flush()
-	if ft.Priority(1) != 0 || ft.consumed[1] != 0 {
+	if ft.prio[1] != 0 || ft.consumed[1] != 0 {
 		t.Fatal("flush did not clear counters")
 	}
 }
@@ -140,7 +140,7 @@ func TestFlowTablePriorityMonotonicProperty(t *testing.T) {
 	prev := noc.Priority(0)
 	check := func(flits uint8) bool {
 		ft.Record(0, int(flits)+1)
-		p := ft.Priority(0)
+		p := ft.prio[0]
 		ok := p >= prev
 		prev = p
 		return ok
@@ -421,10 +421,10 @@ func TestFlowTableQuantumGranularity(t *testing.T) {
 	coarse := NewFlowTableWithQuantum(equalRates(2), 256)
 	fine.Record(0, 10)
 	coarse.Record(0, 10)
-	if fine.Priority(0) == 0 {
+	if fine.prio[0] == 0 {
 		t.Error("quantum 1 should register 10 flits")
 	}
-	if coarse.Priority(0) != 0 {
+	if coarse.prio[0] != 0 {
 		t.Error("quantum 256 should not register 10 flits")
 	}
 }

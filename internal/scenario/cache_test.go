@@ -290,7 +290,7 @@ func TestCacheKeyTraceDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := func() *Grid {
-		sc, err := Load(scPath)
+		sc, err := loadFile(scPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,11 +402,12 @@ func TestRunDurableCacheLifecycle(t *testing.T) {
 // serves the cached rows, executes the rest, and the final table is
 // bit-identical to a never-interrupted run.
 func TestRunDurableResumeCompletesPartialCache(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	stDir := t.TempDir()
+	st, err := store.Open(stDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, err := store.OpenJournal(filepath.Join(st.Dir(), "journal"))
+	journal, err := store.OpenJournal(filepath.Join(stDir, "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +573,8 @@ func TestRunDurableVerifyCatchesCorruption(t *testing.T) {
 // would store it — is a miss and the cell is executed, never served as
 // an all-zero row.
 func TestRunDurableNullPayloadIsAMiss(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	stDir := t.TempDir()
+	st, err := store.Open(stDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +588,7 @@ func TestRunDurableNullPayloadIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry := `{"format":"` + store.Format + `","key":"` + keys[0] + `","payload":null}` + "\n"
-	if err := os.WriteFile(filepath.Join(st.Dir(), "v1", keys[0][:2], keys[0]+".json"), []byte(entry), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(stDir, "v1", keys[0][:2], keys[0]+".json"), []byte(entry), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := gridOf(t, durableToml).RunDurable(context.Background(), DurableOpts{Store: st})
@@ -656,7 +658,8 @@ seeds = [42, 43]
 warmup = 50
 measure = 150
 `
-	st, err := store.Open(t.TempDir())
+	stDir := t.TempDir()
+	st, err := store.Open(stDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,7 +681,7 @@ measure = 150
 		for _, workers := range []int{1, 2, 8} {
 			if mixed {
 				for i := 0; i < n; i += 3 {
-					if err := os.Remove(filepath.Join(st.Dir(), "v1", keys[i][:2], keys[i]+".json")); err != nil {
+					if err := os.Remove(filepath.Join(stDir, "v1", keys[i][:2], keys[i]+".json")); err != nil {
 						t.Fatal(err)
 					}
 				}

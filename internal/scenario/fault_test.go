@@ -100,7 +100,7 @@ func TestScenarioFaultAxesDefault(t *testing.T) {
 		t.Fatalf("grid %d cells, %d ref cells; want 4, 0", g.Size(), len(refIdx(g)))
 	}
 	for i := range g.Size() {
-		if cfg := g.Cell(i).Config; cfg.Faults.Enabled() || cfg.WatchdogCycles != 0 {
+		if cfg := g.Cell(i).Config; len(cfg.Faults.Windows) > 0 || cfg.Faults.RetryTimeout > 0 || cfg.WatchdogCycles != 0 {
 			t.Errorf("cell %d carries fault config: %+v", i, cfg.Faults)
 		}
 		if g.Points[i].RetryTimeout != 0 || g.Points[i].MaxRetries != 0 {

@@ -63,10 +63,10 @@ func TestSetIndexedElement(t *testing.T) {
 	if sc.Flows[0].Rate != 0.2 || sc.Flows[0].Role != "victim" || sc.Flows[1].Rate != 0.3 || sc.Flows[1].Node != 2 {
 		t.Errorf("indexed overrides decoded wrong: %+v", sc.Flows)
 	}
-	if o, _ := res.Origin("flows[1].rate"); o.Layer != LayerCLI {
+	if o := res.prov["flows[1].rate"]; o.Layer != LayerCLI {
 		t.Errorf("flows[1].rate origin %v, want the cli layer", o)
 	}
-	if o, _ := res.Origin("flows[1].node"); o.Layer != LayerFile {
+	if o := res.prov["flows[1].node"]; o.Layer != LayerFile {
 		t.Errorf("flows[1].node origin %v, want the file layer", o)
 	}
 	for _, expr := range []string{"flows[2].rate=0.1", "flows[1]=3", "flows[x].rate=0.1",

@@ -65,22 +65,13 @@ type Resolution struct {
 	sc       *Scenario // set once resolution succeeds
 }
 
-// Profile returns the selected profile name ("" when none).
-func (r *Resolution) Profile() string { return r.profile }
-
-// Origin returns the provenance of a resolved dotted key path.
-func (r *Resolution) Origin(path string) (Origin, bool) {
-	o, ok := r.prov[path]
-	return o, ok
-}
-
 // Resolve runs the layered resolver pipeline: each layer's raw tree is
 // deep-merged over the previous layers' (tables merge key by key;
 // scalars and lists replace the old value wholesale), singular/plural
 // axis spellings override each other across layers, and every key
 // records which layer and file:line set it. The merged tree is then
 // decoded, defaulted and validated exactly like a single-file scenario.
-// Load and Parse are facades over this.
+// Parse is a facade over this.
 func Resolve(layers ...Layer) (*Scenario, *Resolution, error) {
 	r := &Resolution{
 		merged:   map[string]any{},

@@ -83,10 +83,10 @@ func TestIncludeChain(t *testing.T) {
 	if len(files) != 3 || !strings.HasSuffix(files[0], "grand.toml") || !strings.HasSuffix(files[2], "child.toml") {
 		t.Errorf("files order: %v", files)
 	}
-	if org, ok := res.Origin("warmup"); !ok || org.Layer != LayerInclude || !strings.HasSuffix(org.File, "parent.toml") {
+	if org, ok := res.prov["warmup"]; !ok || org.Layer != LayerInclude || !strings.HasSuffix(org.File, "parent.toml") {
 		t.Errorf("warmup origin: %+v %v", org, ok)
 	}
-	if org, ok := res.Origin("measure"); !ok || org.Layer != LayerFile {
+	if org, ok := res.prov["measure"]; !ok || org.Layer != LayerFile {
 		t.Errorf("measure origin: %+v %v", org, ok)
 	}
 }
@@ -180,10 +180,10 @@ func TestProfileThroughInclude(t *testing.T) {
 	if sc.Warmup != 10 || sc.Measure != 20 {
 		t.Errorf("inherited+extended profile: warmup=%d measure=%d", sc.Warmup, sc.Measure)
 	}
-	if res.Profile() != "quick" {
-		t.Errorf("Profile() = %q", res.Profile())
+	if res.profile != "quick" {
+		t.Errorf("profile = %q", res.profile)
 	}
-	if org, ok := res.Origin("warmup"); !ok || org.Layer != "profile:quick" || !strings.HasSuffix(org.File, "base.toml") {
+	if org, ok := res.prov["warmup"]; !ok || org.Layer != "profile:quick" || !strings.HasSuffix(org.File, "base.toml") {
 		t.Errorf("profile key origin: %+v %v", org, ok)
 	}
 }

@@ -145,15 +145,6 @@ type FlowSpec struct {
 	Role string
 }
 
-// Load reads a scenario from a .json or .toml file; the result is
-// validated and defaulted. Load is a facade over Resolve with a single
-// file layer; callers wanting includes-plus-profile-plus-override
-// composition build the layer list themselves (cmd/noctool does).
-func Load(path string) (*Scenario, error) {
-	sc, _, err := Resolve(FileLayer(path))
-	return sc, err
-}
-
 // Parse decodes scenario bytes in the given format (".json" or ".toml")
 // and validates the result: a facade over Resolve with a single
 // in-memory blob layer (no include chain, no profile selection).

@@ -13,6 +13,12 @@ import (
 	"tanoq/internal/traffic"
 )
 
+// loadFile resolves the scenario file at path as its only layer.
+func loadFile(path string) (*Scenario, error) {
+	sc, _, err := Resolve(FileLayer(path))
+	return sc, err
+}
+
 func TestParseJSONScenario(t *testing.T) {
 	sc, err := Parse([]byte(`{
 		"name": "demo",
@@ -308,7 +314,7 @@ func TestFig4QuickScenarioBitIdentical(t *testing.T) {
 // TestPaperFig4QuickMatchesExampleFile pins fig4a.toml's quick profile to
 // the JSON example of the same grid, so neither can drift alone.
 func TestPaperFig4QuickMatchesExampleFile(t *testing.T) {
-	file, err := Load("../../examples/sweep/fig4-quick.json")
+	file, err := loadFile("../../examples/sweep/fig4-quick.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +431,7 @@ func TestCommittedScenariosResolve(t *testing.T) {
 // patterns.toml example: four permutation patterns over every topology
 // and QoS mode, the acceptance grid of the scenario subsystem.
 func TestPatternsSweepCoversAllTopologiesAndModes(t *testing.T) {
-	sc, err := Load("../../examples/sweep/patterns.toml")
+	sc, err := loadFile("../../examples/sweep/patterns.toml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +459,7 @@ func TestPatternsSweepCoversAllTopologiesAndModes(t *testing.T) {
 // 1 worker vs many and with idle skipping on vs off; every variant must
 // be bit-identical.
 func TestSweepDeterministicAcrossWorkersAndSkip(t *testing.T) {
-	sc, err := Load("../../examples/sweep/bursty-hotspot.toml")
+	sc, err := loadFile("../../examples/sweep/bursty-hotspot.toml")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,8 @@ warmup = 50
 measure = 150
 `
 	for _, sample := range []int{5, 50, 1000} {
-		st, err := store.Open(t.TempDir())
+		stDir := t.TempDir()
+		st, err := store.Open(stDir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +245,7 @@ measure = 150
 		}
 		var hitIdx []int
 		for i, key := range keys {
-			path := filepath.Join(st.Dir(), "v1", key[:2], key+".json")
+			path := filepath.Join(stDir, "v1", key[:2], key+".json")
 			if i%3 == 0 || i%7 == 0 {
 				if err := os.Remove(path); err != nil {
 					t.Fatal(err)
@@ -338,7 +339,8 @@ seeds = [42, 43]
 warmup = 50
 measure = 150
 `
-	st, err := store.Open(t.TempDir())
+	stDir := t.TempDir()
+	st, err := store.Open(stDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +350,7 @@ measure = 150
 		t.Fatal(err)
 	}
 	const blocked = 7
-	if err := os.WriteFile(filepath.Join(st.Dir(), "v1", keys[blocked][:2]), nil, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(stDir, "v1", keys[blocked][:2]), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	first := slices.IndexFunc(keys, func(k string) bool { return k[:2] == keys[blocked][:2] })

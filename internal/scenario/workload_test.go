@@ -211,7 +211,7 @@ func TestTraceAxisGridExpansion(t *testing.T) {
 		"topology = \"mesh_x1\"\nqos = [\"pvc\", \"no-qos\"]\nwarmup = 200\nmeasure = 800\n[workload]\ntrace = \"t.trace\"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Load(scPath)
+	sc, err := loadFile(scPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestReplayGridHoldsTraceOnce(t *testing.T) {
 		"topology = \"mesh_x1\"\nqos = \"pvc\"\nmeasure = 50000\n[workload]\ntrace = \"t.trace\"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Load(scPath)
+	sc, err := loadFile(scPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,19 +34,13 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Split derives a new, statistically independent generator from r.
-// The derived stream does not overlap r's stream for any practical length;
-// it is used to give each traffic injector its own private stream so that
-// adding or removing injectors does not perturb the others.
-func (r *RNG) Split() *RNG {
-	dst := &RNG{}
-	r.SplitInto(dst)
-	return dst
-}
-
-// SplitInto is Split writing into an existing generator, for callers that
-// keep their RNGs by value (the engine's sources) and re-seed them on
-// reuse instead of allocating. The derived stream is identical to Split's.
+// SplitInto derives a new, statistically independent generator from r
+// into dst. The derived stream does not overlap r's stream for any
+// practical length; it gives each traffic injector its own private stream
+// so that adding or removing injectors does not perturb the others. It
+// writes into an existing generator because its callers keep their RNGs
+// by value (the engine's sources) and re-seed them on reuse instead of
+// allocating.
 func (r *RNG) SplitInto(dst *RNG) {
 	dst.state = r.Uint64() ^ 0x6a09e667f3bcc909
 }

@@ -32,8 +32,8 @@ func TestRNGSeedsDiffer(t *testing.T) {
 }
 
 func TestRNGSplitIndependence(t *testing.T) {
-	parent := NewRNG(7)
-	child := parent.Split()
+	parent, child := NewRNG(7), &RNG{}
+	parent.SplitInto(child)
 	// The child stream must not replay the parent stream.
 	p := NewRNG(7)
 	p.Uint64() // consume the split draw

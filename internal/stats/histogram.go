@@ -36,12 +36,6 @@ func bucketOf(v int64) int {
 	return b
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Max returns the largest sample observed.
-func (h *Histogram) Max() int64 { return h.max }
-
 // Percentile estimates the p-th percentile (p in [0,100]) by linear
 // interpolation within the containing power-of-two bucket. Returns 0 for
 // an empty histogram.

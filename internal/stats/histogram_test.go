@@ -10,17 +10,17 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Percentile(50) != 0 || h.Max() != 0 {
+	if h.count != 0 || h.Percentile(50) != 0 || h.max != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(i)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count %d", h.Count())
+	if h.count != 100 {
+		t.Fatalf("count %d", h.count)
 	}
-	if h.Max() != 100 {
-		t.Fatalf("max %d", h.Max())
+	if h.max != 100 {
+		t.Fatalf("max %d", h.max)
 	}
 	if got := h.Percentile(100); got != 100 {
 		t.Fatalf("p100 = %d", got)
@@ -30,7 +30,7 @@ func TestHistogramBasics(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Observe(-5)
-	if h.Count() != 1 || h.Max() != 0 {
+	if h.count != 1 || h.max != 0 {
 		t.Fatal("negative observation not clamped")
 	}
 }
@@ -85,8 +85,8 @@ func TestHistogramPercentileBounds(t *testing.T) {
 	if got := h.Percentile(-5); got < 0 {
 		t.Errorf("p<0 = %d", got)
 	}
-	if got := h.Percentile(200); got != h.Max() {
-		t.Errorf("p>100 = %d, want max %d", got, h.Max())
+	if got := h.Percentile(200); got != h.max {
+		t.Errorf("p>100 = %d, want max %d", got, h.max)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	h.Observe(42)
 	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
+	if h.count != 0 || h.max != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -113,7 +113,7 @@ func TestCollectorLatencyPercentiles(t *testing.T) {
 		t.Errorf("p99 %d < p50 %d", p99, p50)
 	}
 	c.Reset(0)
-	if c.Latencies.Count() != 0 {
+	if c.Latencies.count != 0 {
 		t.Fatal("Reset must clear the latency histogram")
 	}
 }

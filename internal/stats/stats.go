@@ -154,9 +154,6 @@ func (c *Collector) Pause() { c.measuring = false }
 // Measuring reports whether counters are live.
 func (c *Collector) Measuring() bool { return c.measuring }
 
-// Start returns the beginning of the measurement window.
-func (c *Collector) Start() sim.Cycle { return c.start }
-
 // Injected records a packet entering the network.
 func (c *Collector) Injected(flits int) {
 	if !c.measuring {

@@ -41,7 +41,7 @@ func TestCollectorPauseGatesCounters(t *testing.T) {
 		t.Fatal("paused collector recorded events")
 	}
 	c.Reset(50)
-	if !c.Measuring() || c.Start() != 50 {
+	if !c.Measuring() || c.start != 50 {
 		t.Fatal("Reset did not restart measurement")
 	}
 	c.Delivered(0, 4, 10, 60)
@@ -74,7 +74,7 @@ func TestCollectorResetInPlace(t *testing.T) {
 			}
 		}
 	}
-	if c.TotalDelivered != 0 || c.InjectedFlits != 0 || c.TotalRetries != 0 || c.TotalDropped != 0 || c.Latencies.Count() != 0 {
+	if c.TotalDelivered != 0 || c.InjectedFlits != 0 || c.TotalRetries != 0 || c.TotalDropped != 0 || c.Latencies.count != 0 {
 		t.Errorf("aggregates survive Reset: %+v", *c)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { fill(); c.Reset(100) }); allocs != 0 {

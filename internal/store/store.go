@@ -37,7 +37,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -90,9 +89,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the cache's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // path maps a key to its entry file, sharded by the first key byte so
 // no single directory accumulates every entry.
@@ -197,17 +193,4 @@ func (s *Store) Put(key string, payload json.RawMessage) error {
 		return fmt.Errorf("store: commit %s: %w", key, err)
 	}
 	return nil
-}
-
-// Len counts valid entries — a maintenance/introspection helper, not a
-// hot path.
-func (s *Store) Len() int {
-	n := 0
-	filepath.WalkDir(filepath.Join(s.dir, "v1"), func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n
 }

@@ -23,10 +23,6 @@ type TraceRecord struct {
 	Class noc.Class
 }
 
-// Flits returns the record's packet size, the unit the on-disk trace
-// format stores (1 = request, 4 = reply; see noc.Class.Flits).
-func (r TraceRecord) Flits() int { return r.Class.Flits() }
-
 // ReplayEvent is one scheduled generation of a replay source: emit a
 // packet of the given class for Dst at cycle At. It is TraceRecord with
 // the per-stream constants (flow, source node) factored out.

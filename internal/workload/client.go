@@ -186,15 +186,6 @@ func NewController(n *network.Network, cfg ClientConfig) (*Controller, error) {
 	return ct, nil
 }
 
-// Outstanding returns the total outstanding requests across all clients.
-func (ct *Controller) Outstanding() int {
-	total := 0
-	for i := range ct.clients {
-		total += int(ct.clients[i].outstanding)
-	}
-	return total
-}
-
 // thinkGap draws one think-time gap (>= 1 cycle; mean ThinkMean).
 func (ct *Controller) thinkGap(r *sim.RNG) sim.Cycle {
 	if ct.cfg.ThinkMean < 1 {

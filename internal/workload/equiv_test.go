@@ -59,7 +59,7 @@ func TestClosedLoopIdleSkipEquivalence(t *testing.T) {
 						ClientConfig{Outstanding: 4, ThinkMean: 120, StopIssuing: 9_000, Seed: 17}, 31, disable)
 					n.WarmupAndMeasure(2_000, 5_000)
 					if _, drained := n.RunUntilDrained(200_000); !drained {
-						t.Fatalf("did not drain (in flight %d)", n.InFlight())
+						t.Fatal("did not drain")
 					}
 					return closedFP(n, ct)
 				}
@@ -211,9 +211,9 @@ func TestReplayRerecordIsIdentity(t *testing.T) {
 	if rec2.Len() != rec.Len() {
 		t.Fatalf("re-record captured %d records, original %d", rec2.Len(), rec.Len())
 	}
-	for i := range rec.Records() {
-		if rec.Records()[i] != rec2.Records()[i] {
-			t.Fatalf("record %d diverged: %+v vs %+v", i, rec.Records()[i], rec2.Records()[i])
+	for i := range rec.records {
+		if rec.records[i] != rec2.records[i] {
+			t.Fatalf("record %d diverged: %+v vs %+v", i, rec.records[i], rec2.records[i])
 		}
 	}
 }

@@ -33,9 +33,6 @@ func (r *Recorder) Attach(n *network.Network) {
 // Len returns the number of captured records.
 func (r *Recorder) Len() int { return len(r.records) }
 
-// Records exposes the captured stream (owned by the recorder).
-func (r *Recorder) Records() []traffic.TraceRecord { return r.records }
-
 // Trace wraps the captured stream with a header describing the recorded
 // cell.
 func (r *Recorder) Trace(hdr TraceHeader) *Trace {
