@@ -106,16 +106,18 @@ metrics-smoke:
 	go test -count=1 -run MetricsSmoke ./cmd/noctool
 
 # fuzz-smoke runs each fuzzer for a short budget (CI's fuzz step): the
-# scenario decoders, the -set / TANOQ_SET_* override grammar, the cache's
-# entry and journal readers and the binary trace decoder over arbitrary
+# scenario decoders, the -set / TANOQ_SET_* override grammar, the cache
+# payload decoder, the cache's entry and journal readers and the binary
+# trace decoder over arbitrary
 # file bytes, and the engine contract (fast = reference = ticked =
 # chunked) over fuzzed configurations. `go test -fuzz FuzzScenarioDecode
-# ./internal/scenario` (or FuzzSetGrammar, FuzzStoreLoad /
+# ./internal/scenario` (or FuzzSetGrammar, FuzzPayloadDecode, FuzzStoreLoad /
 # FuzzJournalLoad ./internal/store, FuzzTraceDecode ./internal/workload,
 # FuzzEngineContract ./internal/network) runs one open-ended.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario
 	go test -run '^$$' -fuzz FuzzSetGrammar -fuzztime 10s ./internal/scenario
+	go test -run '^$$' -fuzz FuzzPayloadDecode -fuzztime 10s ./internal/scenario
 	go test -run '^$$' -fuzz FuzzStoreLoad -fuzztime 10s ./internal/store
 	go test -run '^$$' -fuzz FuzzJournalLoad -fuzztime 10s ./internal/store
 	go test -run '^$$' -fuzz FuzzTraceDecode -fuzztime 10s ./internal/workload

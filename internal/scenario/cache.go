@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"os"
@@ -37,10 +36,13 @@ import (
 // for every value (a tested engine invariant).
 // An entry is a row's metrics — what the cell measured, a deterministic
 // function of its key — plus the attempts and wall-clock of the run that
-// produced it (payload; testdata/payload.golden pins its bytes). The
-// float64 metrics round-trip JSON exactly, so a hit renders the row a
-// re-run would, wall-clock columns aside, and -cache-verify compares a
-// re-run's metrics with the entry's whole.
+// produced it (payload, written and read by payloadCodec in entry.go;
+// testdata/payload.golden pins its bytes). An entry is a hit only if its
+// bytes are exactly what this build writes for some row; anything else
+// re-runs the cell and overwrites the entry. The float64 metrics
+// round-trip exactly, so a hit renders the row a re-run would, wall-clock
+// columns aside, and -cache-verify compares a re-run's metrics with the
+// entry's whole.
 
 // canonOf appends the canonical bytes of grid cell i, visible or hidden
 // victim reference: the scenario, the point and the meta, the same inputs
@@ -115,21 +117,6 @@ const jobCells = 32
 // runner results at once, whatever the grid's size. It is a multiple of
 // jobCells, so a chunk's key and CSV jobs split as a whole grid's would.
 const streamChunk = 1024
-
-// payload is a visible cell's cache entry. The Point is not stored — it
-// is re-derived from the grid on every read, so a cached row can never
-// carry a stale label.
-type payload struct {
-	metrics
-	Attempts int           `json:"attempts"`
-	Wall     time.Duration `json:"wall_ns"`
-}
-
-// refPayload is a victim-reference cell's cache payload: the baseline
-// the slowdown column divides by.
-type refPayload struct {
-	VictimMean float64 `json:"victim_mean"`
-}
 
 // DurableOpts tunes Stream and RunDurable. The zero value runs every
 // cell with no cache, no deadline and a one-retry budget.
@@ -262,8 +249,8 @@ func (g *Grid) Stream(ctx context.Context, opts DurableOpts, sink func(first int
 		if opts.Store != nil {
 			g.eachKey(opts.Workers, first, first+len(rows), digests, func(i int, key string) {
 				keys[i-first] = key
-				if p, ok := store.Load[payload](opts.Store, key); ok {
-					rows[i-first] = Result{Point: g.Points[i], metrics: p.metrics, Attempts: p.Attempts, Wall: p.Wall}
+				if p, ok := payloadCodec.load(opts.Store, key); ok {
+					rows[i-first] = Result{Point: g.Points[i], metrics: p.metrics, Attempts: int(p.Attempts), Wall: p.Wall}
 					hit[i-first] = true
 				}
 			})
@@ -305,8 +292,7 @@ func (g *Grid) Stream(ctx context.Context, opts DurableOpts, sink func(first int
 			if row.Error != "" || opts.Store == nil {
 				return // failures re-run next time; never cache them
 			}
-			blob, _ := json.Marshal(payload{row.metrics, row.Attempts, row.Wall})
-			err := opts.Store.Put(keys[i-first], blob)
+			err := payloadCodec.put(opts.Store, keys[i-first], &payload{row.metrics, int64(row.Attempts), row.Wall})
 			if err == nil && opts.Journal != nil {
 				err = opts.Journal.Record(keys[i-first])
 			}
@@ -385,7 +371,7 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, idx []int, re
 	var torun []int
 	for r := range needed {
 		if opts.Store != nil {
-			if p, ok := store.Load[refPayload](opts.Store, rkey(r)); ok {
+			if p, ok := refCodec.load(opts.Store, rkey(r)); ok {
 				refBase[r] = p.VictimMean
 				continue
 			}
@@ -406,8 +392,7 @@ func (g *Grid) resolveRefs(ctx context.Context, opts *DurableOpts, idx []int, re
 		}
 		refBase[r] = base
 		if opts.Store != nil && base > 0 {
-			blob, _ := json.Marshal(refPayload{VictimMean: base})
-			if err := opts.Store.Put(rkey(r), blob); err != nil {
+			if err := refCodec.put(opts.Store, rkey(r), &refPayload{VictimMean: base}); err != nil {
 				return fmt.Errorf("scenario %s: checkpoint reference: %w", g.Scenario.Name, err)
 			}
 		}
@@ -450,7 +435,7 @@ func (g *Grid) verifyHits(ctx context.Context, opts *DurableOpts, sample []int, 
 			rep.VerifyBad = append(rep.VerifyBad,
 				fmt.Sprintf("cell %d (%s/%s/%s seed %d): %s", i, p.Pattern, p.Topology, p.Mode, p.Seed, why))
 		}
-		cached, ok := store.Load[payload](opts.Store, store.KeyOf(g.canonOf(nil, i, digests)))
+		cached, ok := payloadCodec.load(opts.Store, store.KeyOf(g.canonOf(nil, i, digests)))
 		if !ok {
 			bad("cached row no longer loads")
 			continue

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -603,42 +604,157 @@ func TestRunDurableNullPayloadIsAMiss(t *testing.T) {
 	}
 }
 
+// goldenPayload is the row testdata/payload.golden holds.
+var goldenPayload = payload{
+	metrics: metrics{
+		MeanLatency: 41.27734375, P99Latency: 163, Accepted: 0.3141592653589793,
+		PreemptionPct: 3.5e-07, Delivered: 10513, End: 18000,
+		TputMinPct: 87.5, TputMaxPct: 112.25, TputStdDevPct: 6.0103,
+		Completed: 2048, MeanRTT: 96.125, P99RTT: 311,
+		DeliveredFraction: 0.9990234375, Retries: 17, Drops: 3,
+		MeanRecovery: 1234.5, VictimSlowdown: 1.0000000000000002,
+	},
+	Attempts: 2, Wall: 123456789,
+}
+
 // TestPayloadGoldenRoundTrips pins the bytes of a cache entry's payload:
 // testdata/payload.golden is one row, every field non-zero, as the
-// format's first writer stored it. It decodes field by field, with no key
-// left over, and re-encodes to the same bytes, so a store filled under
-// this format serves rows to every build that reads it.
+// format's first writer stored it. The codec decodes it field by field
+// and re-encodes it to the same bytes, so a store filled under this
+// format serves rows to every build that reads it; encoding/json, unknown
+// fields disallowed, reads the same row and writes the same bytes, so the
+// codec's field list and the payload's json tags agree.
 func TestPayloadGoldenRoundTrips(t *testing.T) {
 	blob, err := os.ReadFile("testdata/payload.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, ok := payloadCodec.decode(blob)
+	if !ok || got != goldenPayload {
+		t.Errorf("golden payload decodes to\n%+v, %v\nwant\n%+v", got, ok, goldenPayload)
+	}
+	if again, err := payloadCodec.encode(nil, &got); err != nil || !bytes.Equal(again, blob) {
+		t.Errorf("golden payload re-encodes to\n%s (%v)\nwant\n%s", again, err, blob)
+	}
+
 	dec := json.NewDecoder(bytes.NewReader(blob))
 	dec.DisallowUnknownFields()
-	var got payload
-	if err := dec.Decode(&got); err != nil {
-		t.Fatal(err)
+	var viaJSON payload
+	if err := dec.Decode(&viaJSON); err != nil || viaJSON != goldenPayload {
+		t.Errorf("encoding/json decodes the golden payload to\n%+v (%v)\nwant\n%+v", viaJSON, err, goldenPayload)
 	}
-	want := payload{
-		metrics: metrics{
-			MeanLatency: 41.27734375, P99Latency: 163, Accepted: 0.3141592653589793,
-			PreemptionPct: 3.5e-07, Delivered: 10513, End: 18000,
-			TputMinPct: 87.5, TputMaxPct: 112.25, TputStdDevPct: 6.0103,
-			Completed: 2048, MeanRTT: 96.125, P99RTT: 311,
-			DeliveredFraction: 0.9990234375, Retries: 17, Drops: 3,
-			MeanRecovery: 1234.5, VictimSlowdown: 1.0000000000000002,
-		},
-		Attempts: 2, Wall: 123456789,
+	if again, err := json.Marshal(goldenPayload); err != nil || !bytes.Equal(again, blob) {
+		t.Errorf("json.Marshal writes the golden row as\n%s (%v)\nwant\n%s", again, err, blob)
 	}
-	if got != want {
-		t.Errorf("golden payload decodes to\n%+v\nwant\n%+v", got, want)
+	ref := refPayload{VictimMean: 41.27734375}
+	viaCodec, err := refCodec.encode(nil, &ref)
+	if viaMarshal, _ := json.Marshal(ref); err != nil || !bytes.Equal(viaCodec, viaMarshal) {
+		t.Errorf("refCodec writes %s (%v), json.Marshal %s", viaCodec, err, viaMarshal)
 	}
-	again, err := json.Marshal(got)
+	if back, ok := refCodec.decode(viaCodec); !ok || back != ref {
+		t.Errorf("refCodec reads its own %s as %+v, %v", viaCodec, back, ok)
+	}
+}
+
+// TestEntryGoldenServesThroughCodec is the store's entry golden end to
+// end: ../store/testdata/entry.golden, a whole entry as an earlier
+// build's Put wrote it around testdata/payload.golden, is a hit that
+// loads as the golden row, and the codec plus Put write it back byte for
+// byte.
+func TestEntryGoldenServesThroughCodec(t *testing.T) {
+	golden, err := os.ReadFile("../store/testdata/entry.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again, blob) {
-		t.Errorf("golden payload re-encodes to\n%s\nwant\n%s", again, blob)
+	key := store.KeyOf([]byte("payload.golden"))
+	entryPath := func(dir string) string { return filepath.Join(dir, "v1", key[:2], key+".json") }
+	oldDir := t.TempDir()
+	old, err := store.Open(oldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(entryPath(oldDir)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entryPath(oldDir), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	row, ok := payloadCodec.load(old, key)
+	if !ok || row != goldenPayload {
+		t.Fatalf("golden entry loads as %+v, %v; want %+v", row, ok, goldenPayload)
+	}
+	newDir := t.TempDir()
+	st, err := store.Open(newDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := payloadCodec.put(st, key, &row); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(entryPath(newDir)); err != nil || !bytes.Equal(again, golden) {
+		t.Fatalf("codec and Put write\n%s\nwant\n%s (%v)", again, golden, err)
+	}
+}
+
+// TestPayloadDecodeIsStrict pins the decoder's one rule: it reads only
+// the bytes the encoder writes. The golden payload with one edit is read
+// only where the edit is itself the encoder's spelling.
+func TestPayloadDecodeIsStrict(t *testing.T) {
+	golden, err := os.ReadFile("testdata/payload.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(old, new string) []byte { return bytes.Replace(golden, []byte(old), []byte(new), 1) }
+	for _, tc := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"golden", golden, true},
+		{"exponent-form", edit("3.5e-7", "1e+21"), true},
+		{"negative-zero", edit("3.5e-7", "-0"), true},
+		{"padded-exponent", edit("3.5e-7", "3.5e-07"), false},
+		{"unsigned-exponent", edit("3.5e-7", "1e21"), false},
+		{"plain-small", edit("3.5e-7", "0.00000035"), false},
+		{"plus-sign", edit(`"delivered":10513`, `"delivered":+10513`), false},
+		{"float-integer", edit(`"delivered":10513`, `"delivered":10513.0`), false},
+		{"integer-negative-zero", edit(`"drops":3`, `"drops":-0`), false},
+		{"trailing-zero", edit("87.5", "87.50"), false},
+		{"space", edit(`"end":18000`, `"end": 18000`), false},
+		{"null-field", edit(`"drops":3`, `"drops":null`), false},
+		{"reordered", edit(`"retries":17,"drops":3`, `"drops":3,"retries":17`), false},
+		{"unknown-field", edit(`"wall_ns"`, `"x":1,"wall_ns"`), false},
+		{"missing-field", edit(`"drops":3,`, ``), false},
+		{"trailing-newline", append(bytes.Clone(golden), '\n'), false},
+		{"truncated", golden[:len(golden)-1], false},
+		{"null", []byte("null"), false},
+		{"empty", nil, false},
+	} {
+		if _, ok := payloadCodec.decode(tc.data); ok != tc.ok {
+			t.Errorf("%s: decode accepted = %v, want %v", tc.name, ok, tc.ok)
+		}
+	}
+}
+
+// TestCheckpointNamesNonFiniteField pins how a NaN or infinite metric
+// fails its checkpoint: as encoding/json would refuse it, with an error
+// naming the field, and with nothing stored.
+func TestCheckpointNamesNonFiniteField(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := store.KeyOf([]byte("non-finite"))
+	err = payloadCodec.put(st, key, &payload{metrics: metrics{MeanLatency: math.NaN()}})
+	if err == nil || !strings.Contains(err.Error(), "mean_latency") || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("NaN mean_latency: put error %v", err)
+	}
+	err = refCodec.put(st, key, &refPayload{VictimMean: math.Inf(1)})
+	if err == nil || !strings.Contains(err.Error(), "victim_mean") || !strings.Contains(err.Error(), "+Inf") {
+		t.Errorf("+Inf victim_mean: put error %v", err)
+	}
+	if _, ok := st.Get(key); ok {
+		t.Error("a non-finite row was stored")
 	}
 }
 

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -184,4 +187,66 @@ func modestValue(v any) bool {
 		return len(t) <= 64
 	}
 	return true
+}
+
+// FuzzPayloadDecode drives arbitrary bytes through the cache payload
+// decoder. Nothing may panic; an accepted input re-encodes to its own
+// bytes, and encoding/json, unknown fields disallowed, decodes it to the
+// same row. The input also fills a row's fields with its bytes, eight to
+// a field, and every such row json.Marshal can encode must be accepted
+// as json.Marshal wrote it, so no entry a json.Marshal writer stored is a
+// false miss. The seeds are testdata/payload.golden, every truncation of
+// it, a zero row, and the golden with its 3.5e-7 respelled in exponent
+// and sign forms.
+func FuzzPayloadDecode(f *testing.F) {
+	golden, err := os.ReadFile("testdata/payload.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for n := 0; n <= len(golden); n++ {
+		f.Add(golden[:n])
+	}
+	zero, err := json.Marshal(payload{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(zero)
+	for _, v := range []string{"3.5e-7", "3.5e-07", "1e+21", "1e21", "-0", "-0.0", "+1", "1E-7"} {
+		f.Add(bytes.Replace(golden, []byte("3.5e-7"), []byte(v), 1))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if row, ok := payloadCodec.decode(data); ok {
+			again, err := payloadCodec.encode(nil, &row)
+			if err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("accepted %q re-encodes to %q (%v)", data, again, err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.DisallowUnknownFields()
+			var viaJSON payload
+			if err := dec.Decode(&viaJSON); err != nil || viaJSON != row {
+				t.Fatalf("accepted %q as %+v; encoding/json reads %+v (%v)", data, row, viaJSON, err)
+			}
+		}
+
+		bits := make([]byte, 8*len(payloadCodec))
+		copy(bits, data)
+		var row payload
+		for i, f := range payloadCodec {
+			u := binary.LittleEndian.Uint64(bits[8*i:])
+			if f.num != nil {
+				*f.num(&row) = int64(u)
+			} else {
+				*f.flt(&row) = math.Float64frombits(u)
+			}
+		}
+		blob, err := json.Marshal(row)
+		if err != nil {
+			return // a NaN or infinite field, which no entry holds
+		}
+		got, ok := payloadCodec.decode(blob)
+		if again, _ := payloadCodec.encode(nil, &got); !ok || !bytes.Equal(again, blob) {
+			t.Fatalf("json.Marshal wrote %q, which decodes as %+v, %v", blob, got, ok)
+		}
+	})
 }

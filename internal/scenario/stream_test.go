@@ -253,7 +253,7 @@ measure = 150
 				continue
 			}
 			hitIdx = append(hitIdx, i)
-			row, ok := store.Load[payload](st, key)
+			row, ok := payloadCodec.load(st, key)
 			if !ok {
 				t.Fatalf("cell %d has no entry", i)
 			}

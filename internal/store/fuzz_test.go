@@ -5,20 +5,23 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"testing"
 )
 
 // FuzzStoreLoad writes arbitrary bytes as a cache entry and reads them
-// back. Get must miss or return exactly the payload an envelope decode
-// finds in them, and Load must miss or return exactly that payload
-// decoded; neither may panic. The typed row is a slice, which a
-// repeated payload key replaces rather than merges, so the comparison
-// with decoding the raw payload is exact. The seeds are a real Put
-// entry and every truncation of it.
+// back. Nothing may panic. Get hits only on the exact bytes Put writes
+// for the payload it returns, and encoding/json's decode of those bytes
+// agrees on the format, the key and the payload; Load hands its decoder
+// that same payload. An entry that is Put's output for a non-null
+// payload always hits. The seeds are a real Put entry, every truncation
+// of it, and a null payload.
 func FuzzStoreLoad(f *testing.F) {
 	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	ref, err := Open(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -33,27 +36,45 @@ func FuzzStoreLoad(f *testing.F) {
 	for n := 0; n <= len(entry); n++ {
 		f.Add(entry[:n])
 	}
-	f.Add([]byte(`{"format":"` + Format + `","key":"` + key + `","payload":null}`))
+	f.Add([]byte(`{"format":"` + Format + `","key":"` + key + `","payload":null}` + "\n"))
+	// putBytes is the file Put writes for payload, or nil if Put refuses it.
+	putBytes := func(t *testing.T, payload []byte) []byte {
+		if ref.Put(key, payload) != nil {
+			return nil
+		}
+		b, err := os.ReadFile(ref.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(s.path(key), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var env envelope
-		want := json.Unmarshal(data, &env) == nil && env.Format == Format && env.Key == key &&
-			len(env.Payload) > 0 && string(env.Payload) != "null"
+		var env struct {
+			Format  string          `json:"format"`
+			Key     string          `json:"key"`
+			Payload json.RawMessage `json:"payload"`
+		}
+		decoded := json.Unmarshal(data, &env) == nil && env.Format == Format && env.Key == key
 
 		raw, ok := s.Get(key)
-		if ok != want || (ok && string(raw) != string(env.Payload)) {
-			t.Fatalf("Get = %q, %v; envelope decode gives %q, hit %v", raw, ok, env.Payload, want)
+		if ok {
+			if put := putBytes(t, raw); !bytes.Equal(put, data) {
+				t.Fatalf("Get served %q from %q, but Put writes %q for it", raw, data, put)
+			}
+			if !decoded || !bytes.Equal(env.Payload, raw) {
+				t.Fatalf("Get served %q from %q; encoding/json reads %+v", raw, data, env)
+			}
+		} else if decoded && len(env.Payload) > 0 && string(env.Payload) != "null" && bytes.Equal(putBytes(t, env.Payload), data) {
+			t.Fatalf("Get missed %q, which is what Put writes", data)
 		}
-		row, ok := Load[[]float64](s, key)
-		if !ok {
-			return
-		}
-		var decoded []float64
-		if !want || json.Unmarshal(env.Payload, &decoded) != nil || !reflect.DeepEqual(row, decoded) {
-			t.Fatalf("Load = %v from an entry whose payload %q decodes to %v", row, env.Payload, decoded)
+		var handed []byte
+		_, lok := Load(s, key, func(p []byte) (struct{}, bool) { handed = bytes.Clone(p); return struct{}{}, true })
+		if ok && (!lok || !bytes.Equal(handed, raw)) {
+			t.Fatalf("Load handed %q, %v from the entry Get serves as %q", handed, lok, raw)
 		}
 	})
 }

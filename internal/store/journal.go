@@ -86,21 +86,6 @@ func (j *Journal) readAll() ([]byte, error) {
 	return data[:n], nil
 }
 
-// validKey reports whether a journal line is a plausible cache key
-// (lowercase hex SHA-256).
-func validKey(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // Done reports whether key was recorded, now or in a previous run.
 func (j *Journal) Done(key string) bool {
 	j.mu.Lock()

@@ -1,5 +1,5 @@
 // Package store is a content-addressed, on-disk result cache for sweep
-// cells, plus the append-only journal that makes sweeps resumable.
+// cells, plus a journal of the keys each sweep completed.
 //
 // The cache maps a canonical description of a simulation cell — produced
 // by the caller, typically internal/scenario's canonical cell encoding
@@ -15,23 +15,26 @@
 // Layout on disk, under the cache directory (default .tanoq-cache/):
 //
 //	v1/<key[:2]>/<key>.json   one entry per cell, atomically written
-//	journal                   append-only log of completed keys (resume)
+//	journal                   append-only log of completed keys (read by no sweep)
 //
 // Every entry is a JSON envelope {format, key, payload}: format names
 // the payload schema version, key echoes the content address so an
 // entry misfiled by hand is detected, and payload is the caller's row,
-// stored verbatim. Entries are written via temp file + rename in the
+// stored compacted. Entries are written via temp file + rename in the
 // same directory, so a crash mid-write leaves either the old entry or
-// none — a corrupt or truncated entry reads as a miss, never as data.
+// none.
 //
-// Load reads an entry straight into the caller's row type: one decode
-// validates the file, checks the format and key echo, and fills the
-// row, so a hit costs one read and one json.Unmarshal. An absent or
-// null payload is a miss, like any other damage. Get is Load into a
-// json.RawMessage.
+// An entry is a hit only if its bytes are exactly what Put writes: the
+// envelope's fixed head, the key, the payload, the closing brace and a
+// newline. Load checks the head and tail by prefix and suffix and hands
+// the payload bytes to the caller's decoder, which holds the payload to
+// the same rule, so a hit costs one read and no reflection. Anything
+// else — a truncated, padded, reordered or hand-edited entry, an absent
+// or null payload — is a miss, and the cell re-runs and overwrites it.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -61,6 +64,22 @@ func KeyOf(canonical []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// validKey reports whether s is a key KeyOf could return (lowercase hex
+// SHA-256): the only keys Put stores and Load looks up, and the only
+// journal lines read as keys.
+func validKey(s string) bool {
+	if len(s) != 64 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // Store is an open cache directory. Methods are safe for concurrent use
 // by multiple goroutines; concurrent processes sharing a directory are
 // also safe because entries are immutable once renamed into place and
@@ -69,15 +88,13 @@ type Store struct {
 	dir string
 }
 
-// entry is the on-disk entry wrapper, with the payload in form P.
-type entry[P any] struct {
-	Format  string `json:"format"`
-	Key     string `json:"key"`
-	Payload P      `json:"payload"`
-}
-
-// envelope is the entry as Put writes it: the payload stored verbatim.
-type envelope = entry[json.RawMessage]
+// The envelope Put writes around a payload, as json.Marshal lays out
+// {format, key, payload}: head, the key, mid, the payload, tail.
+const (
+	head = `{"format":"` + Format + `","key":"`
+	mid  = `","payload":`
+	tail = "}\n"
+)
 
 // Open opens (creating if needed) a cache rooted at dir.
 func Open(dir string) (*Store, error) {
@@ -96,15 +113,15 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, "v1", key[:2], key+".json")
 }
 
-// Load looks a key up and decodes its payload into a T. The second
-// result is false on a miss — absent, unreadable, corrupt, wrong
-// format, mislabeled, payload-less or null-payload entries, and
-// payloads that do not decode into a T, all count as misses, because a
-// miss is always safe (the cell simply re-runs) while trusting a
-// damaged entry never is. Safe for concurrent use.
-func Load[T any](s *Store, key string) (T, bool) {
+// Load looks a key up and hands its payload bytes to decode. The second
+// result is false on a miss — an absent or unreadable entry, one whose
+// bytes are not Put's envelope around a payload for this key, a null
+// payload, or one decode rejects — because a miss is always safe (the
+// cell simply re-runs) while trusting a damaged entry never is. decode
+// must not keep the bytes it is handed. Safe for concurrent use.
+func Load[T any](s *Store, key string, decode func(payload []byte) (T, bool)) (T, bool) {
 	var zero T
-	if len(key) < 2 {
+	if !validKey(key) {
 		return zero, false
 	}
 	buf, ok := readEntry(s.path(key))
@@ -112,13 +129,18 @@ func Load[T any](s *Store, key string) (T, bool) {
 	if !ok {
 		return zero, false
 	}
-	// A null or absent payload leaves the pointer nil. Decoding copies
-	// everything it keeps, so the buffer can go back to the pool.
-	var e entry[*T]
-	if json.Unmarshal(*buf, &e) != nil || e.Format != Format || e.Key != key || e.Payload == nil {
+	// The entry must be head, key, mid, a payload and tail, in that order.
+	b := *buf
+	n := len(head) + len(key) + len(mid)
+	if len(b) <= n+len(tail) || string(b[:len(head)]) != head || string(b[len(head):len(head)+len(key)]) != key ||
+		string(b[len(head)+len(key):n]) != mid || string(b[len(b)-len(tail):]) != tail {
 		return zero, false
 	}
-	return *e.Payload, true
+	payload := b[n : len(b)-len(tail)]
+	if string(payload) == "null" {
+		return zero, false
+	}
+	return decode(payload)
 }
 
 // readBufs recycles entry read buffers across Loads.
@@ -153,27 +175,45 @@ func readEntry(path string) (*[]byte, bool) {
 	}
 }
 
-// Get looks a key up and returns its payload verbatim; it is Load into
-// a json.RawMessage, with the same miss rules.
+// Get looks a key up and returns its payload; it is Load with a decoder
+// that copies a payload out only if Put would store it as it is.
 func (s *Store) Get(key string) (json.RawMessage, bool) {
-	return Load[json.RawMessage](s, key)
+	return Load(s, key, func(payload []byte) (json.RawMessage, bool) {
+		stored, err := compact(payload)
+		if err != nil || !bytes.Equal(stored, payload) {
+			return nil, false
+		}
+		return stored, true
+	})
+}
+
+// compact returns payload as json.Marshal embeds a json.RawMessage:
+// without insignificant space, and with <, >, &, U+2028 and U+2029
+// escaped. It fails on a payload that is not one JSON value.
+func compact(payload []byte) ([]byte, error) {
+	var c, e bytes.Buffer
+	if err := json.Compact(&c, payload); err != nil {
+		return nil, err
+	}
+	json.HTMLEscape(&e, c.Bytes())
+	return e.Bytes(), nil
 }
 
 // Put stores payload under key, atomically: the envelope is written to
 // a temp file in the entry's directory and renamed into place, so
 // readers (including other processes) only ever observe complete
-// entries. Overwriting an existing entry is allowed and idempotent.
+// entries. Overwriting an existing entry is allowed and idempotent. The
+// file holds exactly the bytes json.Marshal makes of the envelope, plus
+// a newline.
 func (s *Store) Put(key string, payload json.RawMessage) error {
-	if len(key) < 2 {
+	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	if !json.Valid(payload) {
+	stored, err := compact(payload)
+	if err != nil {
 		return fmt.Errorf("store: payload for %s is not valid JSON", key)
 	}
-	data, err := json.Marshal(envelope{Format: Format, Key: key, Payload: payload})
-	if err != nil {
-		return fmt.Errorf("store: encode %s: %w", key, err)
-	}
+	data := append(append(append(append([]byte(head), key...), mid...), stored...), tail...)
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -182,7 +222,7 @@ func (s *Store) Put(key string, payload json.RawMessage) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

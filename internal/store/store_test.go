@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"io/fs"
 	"os"
@@ -103,14 +104,24 @@ func TestCorruptEntriesReadAsMisses(t *testing.T) {
 	if err := s.Put(key, json.RawMessage(`not json`)); err == nil {
 		t.Error("Put accepted an invalid-JSON payload")
 	}
+	if err := s.Put("zz", json.RawMessage(`{"v":1}`)); err == nil {
+		t.Error("Put accepted a key KeyOf cannot return")
+	}
 }
 
-// TestLoadMissRules is Load's contract, entry by entry: only a complete
-// envelope with the right format, the right key echo and a non-null
-// payload that decodes into the row type is a hit.
+// TestLoadMissRules is Load's contract, entry by entry: only the exact
+// bytes Put writes — the envelope's head with the right format and key
+// echo, a non-null payload the decoder accepts, the closing brace and a
+// newline — are a hit. A payload-first entry holds the same data as a
+// whole one and encoding/json reads it, yet Put never writes it, so it
+// is a miss like any other byte that differs.
 func TestLoadMissRules(t *testing.T) {
 	type row struct {
 		V int `json:"v"`
+	}
+	decode := func(p []byte) (row, bool) {
+		var r row
+		return r, json.Unmarshal(p, &r) == nil
 	}
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -126,18 +137,23 @@ func TestLoadMissRules(t *testing.T) {
 		want       row
 		hit        bool
 	}{
-		{"whole", head + `,"payload":{"v":7}}`, row{V: 7}, true},
-		{"payload-first", `{"payload":{"v":8},"key":"` + key + `","format":"` + Format + `"}`, row{V: 8}, true},
-		{"wrong-format", `{"format":"tanoq-cache/v0","key":"` + key + `","payload":{"v":7}}`, row{}, false},
-		{"key-mismatch", `{"format":"` + Format + `","key":"` + KeyOf([]byte("other")) + `","payload":{"v":7}}`, row{}, false},
+		{"whole", head + `,"payload":{"v":7}}` + "\n", row{V: 7}, true},
+		{"no-newline", head + `,"payload":{"v":7}}`, row{}, false},
+		{"payload-first", `{"payload":{"v":8},"key":"` + key + `","format":"` + Format + `"}` + "\n", row{}, false},
+		{"padded", head + `, "payload": {"v":7}}` + "\n", row{}, false},
+		{"crlf", head + `,"payload":{"v":7}}` + "\r\n", row{}, false},
+		{"trailing-garbage", head + `,"payload":{"v":7}}` + "\n{}", row{}, false},
+		{"wrong-format", `{"format":"tanoq-cache/v0","key":"` + key + `","payload":{"v":7}}` + "\n", row{}, false},
+		{"key-mismatch", `{"format":"` + Format + `","key":"` + KeyOf([]byte("other")) + `","payload":{"v":7}}` + "\n", row{}, false},
 		{"truncated", head + `,"payload":{"v":7`, row{}, false},
-		{"absent-payload", head + `}`, row{}, false},
-		{"null-payload", head + `,"payload":null}`, row{}, false},
+		{"absent-payload", head + "}\n", row{}, false},
+		{"empty-payload", head + `,"payload":}` + "\n", row{}, false},
+		{"null-payload", head + `,"payload":null}` + "\n", row{}, false},
 	} {
 		if err := os.WriteFile(s.path(key), []byte(tc.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := Load[row](s, key)
+		got, ok := Load(s, key, decode)
 		if ok != tc.hit || got != tc.want {
 			t.Errorf("%s: Load = %+v, %v; want %+v, %v", tc.name, got, ok, tc.want, tc.hit)
 		}
@@ -146,18 +162,28 @@ func TestLoadMissRules(t *testing.T) {
 			t.Errorf("%s: Get hit = %v, want %v", tc.name, ok, tc.hit)
 		}
 	}
-	// A payload that does not decode into the row type is a miss for
-	// Load, though Get, which does not decode it, serves it.
-	if err := os.WriteFile(s.path(key), []byte(head+`,"payload":{"v":"seven"}}`), 0o644); err != nil {
+	// A payload the decoder rejects is a miss for Load, though Get, which
+	// holds it only to Put's bytes, serves it.
+	if err := os.WriteFile(s.path(key), []byte(head+`,"payload":{"v":"seven"}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := Load[row](s, key); ok {
+	if got, ok := Load(s, key, decode); ok {
 		t.Errorf("ill-typed payload loaded as %+v", got)
 	}
 	if _, ok := s.Get(key); !ok {
 		t.Error("Get missed a well-formed entry")
 	}
-	if _, ok := Load[row](s, KeyOf([]byte("never stored"))); ok {
+	// Get serves only a payload Put stores as it is: compact, with HTML
+	// characters escaped.
+	for _, p := range []string{`{"v": 7}`, `{"v":"<"}`} {
+		if err := os.WriteFile(s.path(key), []byte(head+`,"payload":`+p+"}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(key); ok {
+			t.Errorf("Get served %s, which Put would not store as it is", got)
+		}
+	}
+	if _, ok := Load(s, KeyOf([]byte("never stored")), decode); ok {
 		t.Error("absent entry loaded")
 	}
 
@@ -170,7 +196,7 @@ func TestLoadMissRules(t *testing.T) {
 	if got, ok := s.Get(key); !ok || string(got) != string(payload) {
 		t.Errorf("Get after Put = %s, %v; want %s", got, ok, payload)
 	}
-	if got, ok := Load[row](s, key); !ok || got.V != 3 {
+	if got, ok := Load(s, key, decode); !ok || got.V != 3 {
 		t.Errorf("Load after Put = %+v, %v", got, ok)
 	}
 	// A null payload is valid JSON, so Put stores it — and it reads back
@@ -181,8 +207,50 @@ func TestLoadMissRules(t *testing.T) {
 	if _, ok := s.Get(key); ok {
 		t.Error("null payload served by Get")
 	}
-	if _, ok := Load[row](s, key); ok {
+	if _, ok := Load(s, key, decode); ok {
 		t.Error("null payload served by Load")
+	}
+}
+
+// TestEntryGolden pins the entry format across builds:
+// testdata/entry.golden is a whole entry file as an earlier build's Put
+// wrote it (through a second json.Marshal of the envelope), holding the
+// scenario package's testdata/payload.golden under the key
+// KeyOf("payload.golden"). This build serves it, and Put writes the same
+// bytes for its payload.
+func TestEntryGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/entry.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := os.ReadFile("../scenario/testdata/payload.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := KeyOf([]byte("payload.golden"))
+	old, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(old.path(key)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old.path(key), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := old.Get(key)
+	if !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get on the golden entry = %s, %v; want %s", got, ok, payload)
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(s.path(key)); err != nil || !bytes.Equal(again, golden) {
+		t.Fatalf("Put wrote\n%s\nwant\n%s (%v)", again, golden, err)
 	}
 }
 
